@@ -5,163 +5,29 @@ variant that buys robustness to zero-order hold, regional bound estimation
 with the resulting hold-period budgets, and a simulator with periodic and
 event-triggered schedules. ``safehold.acc_benchmark`` instantiates the
 whole stack on an adaptive cruise control plant.
+
+The package re-exports every public name of its library modules; each
+module's ``__all__`` is the one list of its public names.
 """
 
-from .errors import (
-    SafeholdError,
-    ConfigurationError,
-    InfeasibleFilterError,
-    DivergenceError,
-    RegionExitError,
-    BoundarySamplingError,
-)
-from .cbf_core import (
-    ClassKappa,
-    SigmoidGain,
-    IssfExpansion,
-    ControlAffineDynamics,
-    BarrierFunction,
-    lie_derivatives,
-    barrier_margin,
-    sigmoid_gain,
-    amplified_alpha,
-    expanded_barrier,
-    expanded_alpha,
-)
-from .safety_filter import (
-    NominalController,
-    CbfQpFilter,
-    solve_cbf_qp,
-    adjusted_control,
-    tunable_control,
-    TunableControllerConfig,
-    TuningCheck,
-    TuningReport,
-    validate_tuning,
-)
-from .constants import (
-    OperatingRegion,
-    BoundSet,
-    AssumptionCheck,
-    AssumptionReport,
-    boundary_points,
-    estimate_bounds,
-    check_assumptions,
-    error_bound_plain,
-    error_bound_tunable,
-    practical_sampling_time,
-    violation_free_sampling_time,
-)
-from .simulator import (
-    IntegratorConfig,
-    HoldSchedule,
-    Trace,
-    RunSummary,
-    Scenario,
-    rk4_step,
-    rk4_step_closed_loop,
-    integrate_held,
-    trigger_value,
-    run,
-    analyze,
-)
-from .acc_benchmark import (
-    AccParams,
-    acc_dynamics,
-    acc_barrier,
-    acc_nominal,
-    acc_filter,
-    acc_closed_form_lie,
-    approach_region,
-    ride_region,
-    thin_band_tuning,
-    wide_band_tuning,
-    certified_tuning,
-    build_scenario,
-    acc_scenarios,
-)
-from .config import (
-    RunConfig,
-    parse_config,
-    load_config,
-    dump_config,
-    save_config,
-    apply_overrides,
-    scenario_from_config,
-    default_region,
-)
+from . import acc_benchmark, cbf_core, config, constants, errors, safety_filter, simulator
+from .acc_benchmark import *  # noqa: F401,F403
+from .cbf_core import *  # noqa: F401,F403
+from .config import *  # noqa: F401,F403
+from .constants import *  # noqa: F401,F403
+from .errors import *  # noqa: F401,F403
+from .safety_filter import *  # noqa: F401,F403
+from .simulator import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "SafeholdError",
-    "ConfigurationError",
-    "InfeasibleFilterError",
-    "DivergenceError",
-    "RegionExitError",
-    "BoundarySamplingError",
-    "ClassKappa",
-    "SigmoidGain",
-    "IssfExpansion",
-    "ControlAffineDynamics",
-    "BarrierFunction",
-    "lie_derivatives",
-    "barrier_margin",
-    "sigmoid_gain",
-    "amplified_alpha",
-    "expanded_barrier",
-    "expanded_alpha",
-    "NominalController",
-    "CbfQpFilter",
-    "solve_cbf_qp",
-    "adjusted_control",
-    "tunable_control",
-    "TunableControllerConfig",
-    "TuningCheck",
-    "TuningReport",
-    "validate_tuning",
-    "OperatingRegion",
-    "BoundSet",
-    "AssumptionCheck",
-    "AssumptionReport",
-    "boundary_points",
-    "estimate_bounds",
-    "check_assumptions",
-    "error_bound_plain",
-    "error_bound_tunable",
-    "practical_sampling_time",
-    "violation_free_sampling_time",
-    "IntegratorConfig",
-    "HoldSchedule",
-    "Trace",
-    "RunSummary",
-    "Scenario",
-    "rk4_step",
-    "rk4_step_closed_loop",
-    "integrate_held",
-    "trigger_value",
-    "run",
-    "analyze",
-    "AccParams",
-    "acc_dynamics",
-    "acc_barrier",
-    "acc_nominal",
-    "acc_filter",
-    "acc_closed_form_lie",
-    "approach_region",
-    "ride_region",
-    "thin_band_tuning",
-    "wide_band_tuning",
-    "certified_tuning",
-    "build_scenario",
-    "acc_scenarios",
-    "RunConfig",
-    "parse_config",
-    "load_config",
-    "dump_config",
-    "save_config",
-    "apply_overrides",
-    "scenario_from_config",
-    "default_region",
+    *errors.__all__,
+    *cbf_core.__all__,
+    *safety_filter.__all__,
+    *constants.__all__,
+    *simulator.__all__,
+    *acc_benchmark.__all__,
+    *config.__all__,
     "__version__",
 ]

@@ -51,7 +51,6 @@ __all__ = [
     "SCENARIO_KINDS",
     "SWEEP_FREQUENCIES",
     "build_scenario",
-    "acc_scenarios",
     "X0_FAR",
     "X0_NEAR",
 ]
@@ -313,27 +312,3 @@ def build_scenario(
         trigger_c=cfg.c,
     )
 
-
-def acc_scenarios(params: AccParams | None = None) -> tuple[Scenario, ...]:
-    """The benchmark family as a controlled comparison.
-
-    Plain and boosted periodic sweeps over SWEEP_FREQUENCIES, a boosted
-    2.5 Hz run, and the boosted event-triggered run. All twelve share the
-    near start, the approach box, and a 60 s horizon, so any two runs differ
-    only in controller flavor and update schedule.
-    """
-    family = []
-    for kind in ("periodic", "periodic-boosted"):
-        for freq in SWEEP_FREQUENCIES:
-            family.append(build_scenario(
-                kind, period=1.0 / freq, horizon=60.0, params=params,
-                x0=X0_NEAR, name=f"acc-{kind}-{freq:g}hz",
-            ))
-    family.append(build_scenario(
-        "periodic-boosted", period=0.4, horizon=60.0, params=params,
-        x0=X0_NEAR, name="acc-periodic-boosted-2.5hz",
-    ))
-    family.append(build_scenario(
-        "event", horizon=60.0, params=params, x0=X0_NEAR, name="acc-event",
-    ))
-    return tuple(family)

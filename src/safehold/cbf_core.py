@@ -3,39 +3,35 @@
 The safe set is the zero superlevel set of a barrier function h, and all
 safety reasoning runs through three ingredients defined here:
 
-* class-K comparison functions (linear, cubic, or tabulated), extended to
-  negative arguments so they can certify recovery from outside the safe set,
+* a linear class-K comparison function, extended to negative arguments so
+  it can certify recovery from outside the safe set,
 * Lie derivatives of h along control-affine dynamics, which turn a control
   choice into a barrier derivative,
 * a decreasing sigmoid gain schedule used to boost control effort near the
-  boundary, and a margin-based expansion of the safe set used when a
-  degradation margin d must be absorbed instead of rejected.
+  boundary.
 
-All state and input vectors are one-dimensional float arrays.
+All state and input vectors are one-dimensional float arrays. The plant,
+barrier and controller callables are shape-checked once, when a scenario is
+built or an estimation starts; every evaluation after that is plain
+arithmetic on arrays.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InfeasibleFilterError
 
 __all__ = [
     "ClassKappa",
     "SigmoidGain",
-    "IssfExpansion",
     "ControlAffineDynamics",
     "BarrierFunction",
     "lie_derivatives",
-    "barrier_margin",
-    "sigmoid_gain",
-    "amplified_alpha",
-    "expanded_barrier",
-    "expanded_alpha",
 ]
 
 # Exponent magnitude beyond which the sigmoid is numerically saturated.
@@ -46,80 +42,32 @@ _EXP_SATURATION = 700.0
 class ClassKappa:
     """Strictly increasing comparison function with alpha(0) = 0.
 
-    Three kinds are supported:
-
-    * ``linear``: alpha(r) = a * r,
-    * ``cubic``: alpha(r) = a * r**3,
-    * ``tabulated``: monotone interpolation through user knots.
-
-    Linear and cubic are defined for all real r (they are odd), which is what
-    the expansion machinery needs when it evaluates alpha at negative
-    arguments. A tabulated function is only defined on its knot range and
-    raises ``ConfigurationError`` outside it.
+    The one supported kind is ``linear``: alpha(r) = coef * r, defined for
+    all real r (it is odd), so it can be evaluated at negative barrier
+    values outside the safe set.
     """
 
     kind: str
     coef: float = 1.0
-    knots_r: tuple[float, ...] = ()
-    knots_v: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if self.kind in ("linear", "cubic"):
-            if not (self.coef > 0.0 and math.isfinite(self.coef)):
-                raise ConfigurationError(
-                    f"class-K coefficient must be finite and > 0, got {self.coef}"
-                )
-        elif self.kind == "tabulated":
-            r = np.asarray(self.knots_r, dtype=float)
-            v = np.asarray(self.knots_v, dtype=float)
-            if r.size < 2 or r.size != v.size:
-                raise ConfigurationError("tabulated class-K needs matching knot arrays, length >= 2")
-            if not (np.all(np.diff(r) > 0) and np.all(np.diff(v) > 0)):
-                raise ConfigurationError("tabulated class-K knots must be strictly increasing")
-            if not (r[0] <= 0.0 <= r[-1]):
-                raise ConfigurationError("tabulated class-K must cover r = 0")
-            at_zero = float(np.interp(0.0, r, v))
-            if abs(at_zero) > 1e-12 * max(1.0, float(np.max(np.abs(v)))):
-                raise ConfigurationError("tabulated class-K must satisfy alpha(0) = 0")
-        else:
+        if self.kind != "linear":
             raise ConfigurationError(f"unknown class-K kind {self.kind!r}")
+        if not (self.coef > 0.0 and math.isfinite(self.coef)):
+            raise ConfigurationError(
+                f"class-K coefficient must be finite and > 0, got {self.coef}"
+            )
 
     @classmethod
     def linear(cls, slope: float = 1.0) -> "ClassKappa":
         return cls(kind="linear", coef=slope)
 
-    @classmethod
-    def cubic(cls, coef: float = 1.0) -> "ClassKappa":
-        return cls(kind="cubic", coef=coef)
-
-    @classmethod
-    def tabulated(cls, knots_r: Sequence[float], knots_v: Sequence[float]) -> "ClassKappa":
-        return cls(kind="tabulated", knots_r=tuple(knots_r), knots_v=tuple(knots_v))
-
     def __call__(self, r: float) -> float:
-        if self.kind == "linear":
-            return self.coef * r
-        if self.kind == "cubic":
-            return self.coef * r ** 3
-        kr, kv = self.knots_r, self.knots_v
-        if not (kr[0] <= r <= kr[-1]):
-            raise ConfigurationError(
-                f"tabulated class-K evaluated at {r}, outside knot range [{kr[0]}, {kr[-1]}]"
-            )
-        return float(np.interp(r, kr, kv))
+        return self.coef * r
 
     def inverse(self, v: float) -> float:
         """Solve alpha(r) = v for r."""
-        if self.kind == "linear":
-            return v / self.coef
-        if self.kind == "cubic":
-            return math.copysign(abs(v / self.coef) ** (1.0 / 3.0), v)
-        kr, kv = self.knots_r, self.knots_v
-        if not (kv[0] <= v <= kv[-1]):
-            raise ConfigurationError(
-                f"tabulated class-K not invertible at {v}, value range is [{kv[0]}, {kv[-1]}]"
-            )
-        return float(np.interp(v, kv, kr))
+        return v / self.coef
 
 
 @dataclass(frozen=True)
@@ -166,41 +114,13 @@ class SigmoidGain:
 
 
 @dataclass(frozen=True)
-class IssfExpansion:
-    """Safe-set expansion that absorbs a bounded degradation margin.
-
-    When the barrier derivative can degrade by up to ``margin`` (from hold
-    errors, for instance), forward invariance is retained not for the original
-    safe set but for its expansion by ``alpha.inverse(-margin)``. The expanded
-    set and its matching comparison function are what the guarantee certifies.
-    """
-
-    margin: float
-    alpha: ClassKappa
-
-    def __post_init__(self):
-        if not (self.margin > 0.0 and math.isfinite(self.margin)):
-            raise ConfigurationError(f"expansion margin must be finite and > 0, got {self.margin}")
-
-    @property
-    def offset(self) -> float:
-        """Boundary shift alpha^(-1)(-margin), always negative."""
-        return self.alpha.inverse(-self.margin)
-
-    def barrier_value(self, barrier: "BarrierFunction", x: np.ndarray) -> float:
-        return expanded_barrier(barrier, self.alpha, self.margin, x)
-
-    def alpha_value(self, r: float) -> float:
-        return expanded_alpha(self.alpha, self.margin, r)
-
-
-@dataclass(frozen=True)
 class ControlAffineDynamics:
     """Dynamics xdot = drift(x) + actuation(x) @ u.
 
-    ``drift`` maps a state to an (n,) array, ``actuation`` to an (n, m)
-    matrix. Shapes are validated on every Lie-derivative evaluation so a
-    mis-sized callable fails loudly rather than broadcasting.
+    ``drift`` maps a state to an (n,) float array, ``actuation`` to an
+    (n, m) matrix. The shapes are checked once, when a scenario is built or
+    an estimation starts, so a mis-sized callable fails loudly there rather
+    than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
@@ -214,18 +134,7 @@ class ControlAffineDynamics:
 
     def rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """State derivative under input u."""
-        f = np.asarray(self.drift(x), dtype=float)
-        g = np.asarray(self.actuation(x), dtype=float)
-        if f.shape != (self.n,):
-            raise ConfigurationError(f"drift returned shape {f.shape}, expected ({self.n},)")
-        if g.shape != (self.n, self.m):
-            raise ConfigurationError(
-                f"actuation returned shape {g.shape}, expected ({self.n}, {self.m})"
-            )
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.m,):
-            raise ConfigurationError(f"input has shape {u.shape}, expected ({self.m},)")
-        return f + g @ u
+        return self.drift(x) + self.actuation(x) @ u
 
 
 @dataclass(frozen=True)
@@ -244,62 +153,49 @@ def lie_derivatives(
     Returns ``(lfh, lgh)`` where ``lfh`` is a scalar and ``lgh`` has shape
     (m,), so the barrier derivative under input u is ``lfh + lgh @ u``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (dyn.n,):
-        raise ConfigurationError(f"state has shape {x.shape}, expected ({dyn.n},)")
-    grad = np.asarray(barrier.gradient(x), dtype=float)
-    if grad.shape != (dyn.n,):
-        raise ConfigurationError(f"barrier gradient has shape {grad.shape}, expected ({dyn.n},)")
-    f = np.asarray(dyn.drift(x), dtype=float)
-    g = np.asarray(dyn.actuation(x), dtype=float)
-    if f.shape != (dyn.n,):
-        raise ConfigurationError(f"drift returned shape {f.shape}, expected ({dyn.n},)")
-    if g.shape != (dyn.n, dyn.m):
-        raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({dyn.n}, {dyn.m})")
-    return float(grad @ f), grad @ g
+    grad = barrier.gradient(x)
+    return float(grad @ dyn.drift(x)), grad @ dyn.actuation(x)
 
 
-def barrier_margin(
+def _probe_shapes(
     dyn: ControlAffineDynamics,
     barrier: BarrierFunction,
-    alpha: ClassKappa,
-    x: np.ndarray,
-    u: np.ndarray,
-) -> float:
-    """Slack of the barrier condition at (x, u): hdot + alpha(h).
+    x,
+    controller: Callable[[np.ndarray], np.ndarray] | None = None,
+) -> None:
+    """Check, at one state, every shape the evaluation path relies on.
 
-    Non-negative means the input respects the barrier decay condition at x.
+    The state must be (n,), the barrier gradient and the drift (n,), the
+    actuation (n, m) and the controller's input (m,). A controller that
+    wraps a nominal law (a filter, or a boosted law built from one) exposes
+    it as ``nominal``, and that law is checked first. A filter infeasible
+    at x is not a shape error; the run reports it with its time and state.
+    Raises ``ConfigurationError`` naming the mis-sized callable.
     """
-    lfh, lgh = lie_derivatives(dyn, barrier, x)
-    u = np.asarray(u, dtype=float)
-    if u.shape != (dyn.m,):
-        raise ConfigurationError(f"input has shape {u.shape}, expected ({dyn.m},)")
-    return lfh + float(lgh @ u) + alpha(barrier.value(x))
-
-
-def sigmoid_gain(gain: SigmoidGain, r: float) -> float:
-    """Evaluate the boost gain schedule at barrier value r."""
-    return gain(r)
-
-
-def amplified_alpha(alpha: ClassKappa, c: float, r: float) -> float:
-    """Comparison function scaled up by (1 + c); c >= 0."""
-    if c < 0.0:
-        raise ConfigurationError(f"amplification c must be >= 0, got {c}")
-    return (1.0 + c) * alpha(r)
-
-
-def expanded_barrier(
-    barrier: BarrierFunction, alpha: ClassKappa, margin: float, x: np.ndarray
-) -> float:
-    """Barrier of the margin-expanded safe set: h(x) - alpha^(-1)(-margin)."""
-    return barrier.value(np.asarray(x, dtype=float)) - alpha.inverse(-margin)
-
-
-def expanded_alpha(alpha: ClassKappa, margin: float, r: float) -> float:
-    """Comparison function matched to the expanded set.
-
-    Satisfies expanded_alpha(0) = 0 and, for linear alpha, reduces to
-    alpha(r) shifted so the degradation margin is absorbed exactly.
-    """
-    return alpha(r + alpha.inverse(-margin)) + margin
+    n, m = dyn.n, dyn.m
+    x = np.asarray(x, dtype=float)
+    if x.shape != (n,):
+        raise ConfigurationError(f"state has shape {x.shape}, expected ({n},)")
+    grad = np.asarray(barrier.gradient(x), dtype=float)
+    if grad.shape != (n,):
+        raise ConfigurationError(f"barrier gradient has shape {grad.shape}, expected ({n},)")
+    f = np.asarray(dyn.drift(x), dtype=float)
+    if f.shape != (n,):
+        raise ConfigurationError(f"drift returned shape {f.shape}, expected ({n},)")
+    g = np.asarray(dyn.actuation(x), dtype=float)
+    if g.shape != (n, m):
+        raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")
+    if controller is None:
+        return
+    for what, law in (
+        ("nominal controller", getattr(controller, "nominal", None)),
+        ("controller", controller),
+    ):
+        if law is None:
+            continue
+        try:
+            u = np.atleast_1d(np.asarray(law(x), dtype=float))
+        except InfeasibleFilterError:
+            return
+        if u.shape != (m,):
+            raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")

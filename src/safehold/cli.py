@@ -18,19 +18,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import yaml
-
-from .cbf_core import ClassKappa
-from .config import (
-    RunConfig,
-    apply_overrides,
-    default_region,
-    parse_config,
-    scenario_from_config,
-)
+from .config import default_region, filter_from_config, load_config, scenario_from_config
 from .constants import (
     BoundSet,
     check_assumptions,
@@ -40,8 +30,7 @@ from .constants import (
 )
 from .errors import ConfigurationError, SafeholdError
 from .simulator import RunSummary, Trace, analyze, run
-from .acc_benchmark import acc_barrier, acc_dynamics, acc_nominal
-from .safety_filter import CbfQpFilter, validate_tuning
+from .safety_filter import validate_tuning
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
 
@@ -61,19 +50,6 @@ def _g(value) -> str:
     if isinstance(value, float):
         return f"{value:.17g}"
     return str(value)
-
-
-def _load(args) -> RunConfig:
-    try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read config {args.config}: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"config {args.config} is not valid YAML: {exc}") from None
-    if args.set:
-        doc = apply_overrides(doc, args.set)
-    return parse_config(doc)
 
 
 def _write_trace(trace: Trace, path: str) -> None:
@@ -126,7 +102,7 @@ def _write_plot_script(path: str, traces: list[tuple[str, str]], hcol: int) -> N
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     scenario = scenario_from_config(cfg)
     trace = run(scenario)
     summary = analyze(trace, violation_tol=VIOLATION_TOL)
@@ -148,7 +124,7 @@ def _sweep_trace_path(base: str, freq: float) -> str:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     freqs = list(args.frequencies)
     if not freqs:
         raise ConfigurationError("sweep needs at least one frequency (Hz)")
@@ -157,15 +133,11 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"sweep frequencies must be > 0 Hz, got {f:g}")
     freqs = sorted(set(freqs))
 
-    def one(freq: float) -> tuple[Trace, RunSummary]:
+    results = []
+    for freq in freqs:
         per_cfg = dataclasses.replace(cfg, mode="periodic", period=1.0 / freq)
         trace = run(scenario_from_config(per_cfg))
-        return trace, analyze(trace, violation_tol=VIOLATION_TOL)
-
-    # Frequencies are independent runs; the table below is ordered by
-    # frequency regardless of completion order.
-    with ThreadPoolExecutor(max_workers=min(4, len(freqs))) as pool:
-        results = list(pool.map(one, freqs))
+        results.append((trace, analyze(trace, violation_tol=VIOLATION_TOL)))
 
     hcol = None
     plot_refs = []
@@ -191,15 +163,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _config_filter(cfg: RunConfig) -> CbfQpFilter:
-    return CbfQpFilter(
-        dynamics=acc_dynamics(cfg.plant),
-        barrier=acc_barrier(cfg.plant),
-        alpha=ClassKappa.linear(cfg.alpha_slope),
-        nominal=acc_nominal(cfg.plant),
-    )
-
-
 def _bound_lines(bounds: BoundSet) -> list[str]:
     return [
         f"bounds.{name}={_g(getattr(bounds, name))}"
@@ -210,16 +173,15 @@ def _bound_lines(bounds: BoundSet) -> list[str]:
 
 
 def cmd_constants(args) -> int:
-    cfg = _load(args)
-    alpha = ClassKappa.linear(cfg.alpha_slope)
+    cfg = load_config(args.config, args.set)
+    filt = filter_from_config(cfg)
     if cfg.bounds is not None:
         for line in _bound_lines(cfg.bounds):
             print(line)
         print("assumption checks skipped: bounds supplied explicitly")
         bounds = cfg.bounds
-        report = validate_tuning(cfg.tuning, bounds, alpha)
+        report = validate_tuning(cfg.tuning, bounds, filt.alpha)
     else:
-        filt = _config_filter(cfg)
         region = default_region(cfg)
         assumptions = check_assumptions(
             region, filt.dynamics, filt, filt.barrier
@@ -238,7 +200,6 @@ def cmd_constants(args) -> int:
             filt.dynamics,
             filt,
             filt.barrier,
-            alpha,
             sigmoid=cfg.tuning.sigmoid,
             safety_factor=cfg.safety_factor,
         )
@@ -247,7 +208,7 @@ def cmd_constants(args) -> int:
         for check in assumptions.checks:
             print(f"assumption {check.name}: {check.status} ({check.detail})")
         report = validate_tuning(
-            cfg.tuning, bounds, alpha,
+            cfg.tuning, bounds, filt.alpha,
             dynamics=filt.dynamics, barrier=filt.barrier, region=region,
         )
     for check in report.checks:
@@ -261,7 +222,7 @@ def cmd_constants(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = _load(args)
+    cfg = load_config(args.config, args.set)
     if cfg.controller != "boosted":
         raise ConfigurationError(
             "compare requires the boosted controller (set scenario.controller: boosted); "
@@ -270,7 +231,7 @@ def cmd_compare(args) -> int:
     if cfg.bounds is not None:
         bounds = cfg.bounds
     else:
-        filt = _config_filter(cfg)
+        filt = filter_from_config(cfg)
         region = default_region(cfg)
         bounds = estimate_bounds(
             region,

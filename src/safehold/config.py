@@ -46,11 +46,14 @@ __all__ = [
     "parse_config",
     "dump_config",
     "save_config",
+    "default_region",
+    "filter_from_config",
     "scenario_from_config",
     "apply_overrides",
 ]
 
 SCENARIO_NAMES = ("acc-approach", "acc-ride")
+_PRESET_REGIONS = {"acc-approach": approach_region, "acc-ride": ride_region}
 CONTROLLER_FLAVORS = ("plain", "boosted")
 
 _SECTIONS = {
@@ -225,11 +228,17 @@ def parse_config(doc: Any) -> RunConfig:
         _reject_unknown(reg, "region", _SECTIONS["region"])
         if reg.get("safety_factor") is not None:
             safety_factor = _as_float(reg["safety_factor"], "region.safety_factor")
-        # The box may be omitted (keeping the preset's) while still setting
-        # the safety factor; a half-specified box is an error.
-        if reg.get("lower") is not None or reg.get("upper") is not None:
-            lower = _as_vector(_get(reg, "region", "lower"), "region.lower")
-            upper = _as_vector(_get(reg, "region", "upper"), "region.upper")
+        # The box may be omitted, keeping the preset's, while still setting
+        # the sampling keys or the safety factor; a half-specified box is an
+        # error. Only the safety factor leaves the region to the preset.
+        has_box = reg.get("lower") is not None or reg.get("upper") is not None
+        if has_box or reg.get("sample_count") is not None or reg.get("seed") is not None:
+            if has_box:
+                lower = _as_vector(_get(reg, "region", "lower"), "region.lower")
+                upper = _as_vector(_get(reg, "region", "upper"), "region.upper")
+            else:
+                preset = _PRESET_REGIONS[name]()
+                lower, upper = preset.lower, preset.upper
             sample_count = (
                 _as_int(reg["sample_count"], "region.sample_count")
                 if reg.get("sample_count") is not None
@@ -288,7 +297,9 @@ def parse_config(doc: Any) -> RunConfig:
     )
 
 
-def load_config(path) -> RunConfig:
+def load_config(path, overrides=()) -> RunConfig:
+    """Read a YAML config file, apply ``section.key=value`` overrides (see
+    ``apply_overrides``), and validate the result."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
@@ -296,6 +307,8 @@ def load_config(path) -> RunConfig:
         raise ConfigurationError(f"cannot read config {path}: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"config {path} is not valid YAML: {exc}") from None
+    if overrides:
+        doc = apply_overrides(doc, overrides)
     return parse_config(doc)
 
 
@@ -365,9 +378,20 @@ def save_config(cfg: RunConfig, path) -> None:
 
 
 def default_region(cfg: RunConfig) -> OperatingRegion:
+    """The config's certification box, or its preset's when none is given."""
     if cfg.region is not None:
         return cfg.region
-    return approach_region() if cfg.scenario_name == "acc-approach" else ride_region()
+    return _PRESET_REGIONS[cfg.scenario_name]()
+
+
+def filter_from_config(cfg: RunConfig) -> CbfQpFilter:
+    """The plain safety filter over the configured plant and decrease rate."""
+    return CbfQpFilter(
+        dynamics=acc_dynamics(cfg.plant),
+        barrier=acc_barrier(cfg.plant),
+        alpha=ClassKappa.linear(cfg.alpha_slope),
+        nominal=acc_nominal(cfg.plant),
+    )
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:
@@ -376,13 +400,7 @@ def scenario_from_config(cfg: RunConfig) -> Scenario:
     A region given explicitly overrides the preset's certification box; the
     preset's start state is used when scenario.x0 is absent.
     """
-    alpha = ClassKappa.linear(cfg.alpha_slope)
-    filt = CbfQpFilter(
-        dynamics=acc_dynamics(cfg.plant),
-        barrier=acc_barrier(cfg.plant),
-        alpha=alpha,
-        nominal=acc_nominal(cfg.plant),
-    )
+    filt = filter_from_config(cfg)
     controller = filt if cfg.controller == "plain" else cfg.tuning.controller(filt)
     if cfg.mode == "continuous":
         schedule = HoldSchedule.continuous()
@@ -397,7 +415,7 @@ def scenario_from_config(cfg: RunConfig) -> Scenario:
         name=f"{cfg.scenario_name}-{cfg.controller}-{cfg.mode}",
         dynamics=filt.dynamics,
         barrier=filt.barrier,
-        alpha=alpha,
+        alpha=filt.alpha,
         controller=controller,
         x0=tuple(x0),
         integrator=IntegratorConfig(horizon=cfg.horizon, substep=cfg.substep),

@@ -26,14 +26,20 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.spatial import cKDTree
 
-from .cbf_core import BarrierFunction, ControlAffineDynamics, SigmoidGain, lie_derivatives
+from .cbf_core import (
+    BarrierFunction,
+    ControlAffineDynamics,
+    SigmoidGain,
+    _probe_shapes,
+    lie_derivatives,
+)
 from .errors import BoundarySamplingError, ConfigurationError
 
 __all__ = [
     "OperatingRegion",
     "BoundSet",
-    "AssumptionCheck",
-    "AssumptionReport",
+    "Check",
+    "Report",
     "estimate_bounds",
     "boundary_points",
     "error_bound_plain",
@@ -140,7 +146,9 @@ class BoundSet:
 
 
 @dataclass(frozen=True)
-class AssumptionCheck:
+class Check:
+    """One named check of an assumption or tuning report."""
+
     name: str
     status: str  # "pass" | "fail" | "skipped"
     detail: str
@@ -148,14 +156,14 @@ class AssumptionCheck:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
-    checks: tuple[AssumptionCheck, ...]
+class Report:
+    checks: tuple[Check, ...]
 
     @property
     def passed(self) -> bool:
         return all(c.status != "fail" for c in self.checks)
 
-    def __getitem__(self, name: str) -> AssumptionCheck:
+    def __getitem__(self, name: str) -> Check:
         for c in self.checks:
             if c.name == name:
                 return c
@@ -239,8 +247,20 @@ def _project_to_boundary(
     return out
 
 
-def _max_norm(values: list[np.ndarray]) -> float:
-    return max(float(np.linalg.norm(v)) for v in values)
+def _evaluate_box(
+    pts: np.ndarray,
+    dyn: ControlAffineDynamics,
+    controller: Callable[[np.ndarray], np.ndarray],
+    barrier: BarrierFunction,
+) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """Fields at every point: the largest drift norm, the largest actuation
+    spectral norm, and the controller and actuation-row values per point,
+    shapes (k, m)."""
+    f_max = max(float(np.linalg.norm(dyn.drift(x))) for x in pts)
+    g_max = max(float(np.linalg.norm(dyn.actuation(x), 2)) for x in pts)
+    k_vals = np.array([controller(x) for x in pts])
+    lgh_vals = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pts])
+    return f_max, g_max, k_vals, lgh_vals
 
 
 def _pair_quotients(fa: np.ndarray, fb: np.ndarray, xa: np.ndarray, xb: np.ndarray) -> float:
@@ -258,7 +278,6 @@ def estimate_bounds(
     dyn: ControlAffineDynamics,
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
-    alpha=None,
     *,
     sigmoid: SigmoidGain | None = None,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
@@ -274,9 +293,6 @@ def estimate_bounds(
     root-found boundary points. Maxima are inflated and mu deflated by
     ``safety_factor``. The boost-gain slope bound l_sigma is analytic,
     ``sharpness / (4 * epsilon)``, and is zero when no sigmoid is supplied.
-
-    ``alpha`` is accepted for call-site symmetry with the filter constructors
-    and is not used: none of the bounds depend on the comparison function.
     """
     if safety_factor < 1.0:
         raise ConfigurationError(f"safety_factor must be >= 1, got {safety_factor}")
@@ -287,15 +303,12 @@ def estimate_bounds(
         lattice_per_axis = max(2, int(round(30_000 ** (1.0 / n))))
     lattice = region.lattice(lattice_per_axis)
     box = region.sample(rng)
+    _probe_shapes(dyn, barrier, box[0], controller)
     base = np.vstack([box, lattice])
 
-    f_vals = [np.asarray(dyn.drift(x), dtype=float) for x in base]
-    g_norms = [float(np.linalg.norm(np.asarray(dyn.actuation(x), dtype=float), 2)) for x in base]
-    k_vals = np.array([np.asarray(controller(x), dtype=float) for x in base])
-    lgh_vals = np.array([lie_derivatives(dyn, barrier, x)[1] for x in base])
-
-    b_f = safety_factor * _max_norm(f_vals)
-    b_g = safety_factor * max(g_norms)
+    f_max, g_max, k_vals, lgh_vals = _evaluate_box(base, dyn, controller, barrier)
+    b_f = safety_factor * f_max
+    b_g = safety_factor * g_max
     b_k = safety_factor * float(np.max(np.linalg.norm(k_vals, axis=1)))
     lam = safety_factor * float(np.max(np.linalg.norm(lgh_vals, axis=1)))
 
@@ -307,8 +320,8 @@ def estimate_bounds(
     # neighbors capture local slopes the random pairs dilute.
     pa = region.sample(rng, pair_count)
     pb = region.sample(rng, pair_count)
-    k_a = np.array([np.asarray(controller(x), dtype=float) for x in pa])
-    k_b = np.array([np.asarray(controller(x), dtype=float) for x in pb])
+    k_a = np.array([controller(x) for x in pa])
+    k_b = np.array([controller(x) for x in pb])
     lgh_a = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pa])
     lgh_b = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pb])
     l_k = _pair_quotients(k_a, k_b, pa, pb)
@@ -395,7 +408,7 @@ def check_assumptions(
     barrier: BarrierFunction,
     *,
     envelope_bins: int = 16,
-) -> AssumptionReport:
+) -> Report:
     """Empirical evidence report for the standing assumptions.
 
     Five checks: finite field and controller bounds, a finite controller
@@ -406,18 +419,14 @@ def check_assumptions(
     """
     rng = np.random.default_rng(region.seed)
     pts = region.sample(rng)
-    f_norm = max(float(np.linalg.norm(np.asarray(dyn.drift(x), dtype=float))) for x in pts)
-    g_norm = max(
-        float(np.linalg.norm(np.asarray(dyn.actuation(x), dtype=float), 2)) for x in pts
-    )
-    k_arr = np.array([np.asarray(controller(x), dtype=float) for x in pts])
+    _probe_shapes(dyn, barrier, pts[0], controller)
+    f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(pts, dyn, controller, barrier)
     k_norm = float(np.max(np.linalg.norm(k_arr, axis=1)))
-    lgh_arr = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pts])
     lam_raw = float(np.max(np.linalg.norm(lgh_arr, axis=1)))
 
     checks = []
     ok = all(math.isfinite(v) for v in (f_norm, g_norm, k_norm))
-    checks.append(AssumptionCheck(
+    checks.append(Check(
         "bounded_fields", "pass" if ok else "fail",
         f"max|f|={f_norm:.6g}, max|g|={g_norm:.6g}, max|k|={k_norm:.6g}",
         f_norm,
@@ -425,7 +434,7 @@ def check_assumptions(
 
     half = len(pts) // 2
     l_k_raw = _pair_quotients(k_arr[:half], k_arr[half:2 * half], pts[:half], pts[half:2 * half])
-    checks.append(AssumptionCheck(
+    checks.append(Check(
         "controller_lipschitz", "pass" if math.isfinite(l_k_raw) else "fail",
         f"sampled difference quotient {l_k_raw:.6g}", l_k_raw,
     ))
@@ -433,9 +442,9 @@ def check_assumptions(
     try:
         bpts = boundary_points(region, barrier, 512, rng)
     except BoundarySamplingError as exc:
-        checks.append(AssumptionCheck("boundary_actuation", "fail", str(exc)))
-        checks.append(AssumptionCheck("barrier_envelope", "skipped", "no boundary points"))
-        return AssumptionReport(tuple(checks))
+        checks.append(Check("boundary_actuation", "fail", str(exc)))
+        checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
+        return Report(tuple(checks))
 
     # Root-found crossings follow the boundary's bulk; Newton projection of
     # the box samples also reaches thin slivers (for the cruise-control
@@ -444,7 +453,7 @@ def check_assumptions(
     candidates = list(bpts) + proj
     mu_raw = min(float(np.linalg.norm(lie_derivatives(dyn, barrier, p)[1])) for p in candidates)
     degenerate = not mu_raw > _MU_DEGENERACY_RATIO * lam_raw
-    checks.append(AssumptionCheck(
+    checks.append(Check(
         "boundary_actuation", "fail" if degenerate else "pass",
         f"min |lgh|={mu_raw:.6g} over {len(bpts)} root-found + {len(proj)} projected "
         f"boundary points vs max |lgh|={lam_raw:.6g} "
@@ -455,7 +464,7 @@ def check_assumptions(
     m_raw = _pair_quotients(
         lgh_arr[:half], lgh_arr[half:2 * half], pts[:half], pts[half:2 * half]
     )
-    checks.append(AssumptionCheck(
+    checks.append(Check(
         "gradient_actuation_lipschitz", "pass" if math.isfinite(m_raw) else "fail",
         f"sampled difference quotient {m_raw:.6g}", m_raw,
     ))
@@ -464,8 +473,8 @@ def check_assumptions(
     safe = pts[hs >= 0.0]
     safe_h = hs[hs >= 0.0]
     if len(safe) < envelope_bins:
-        checks.append(AssumptionCheck("barrier_envelope", "skipped", "too few safe samples"))
-        return AssumptionReport(tuple(checks))
+        checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
+        return Report(tuple(checks))
     dists, _ = cKDTree(bpts).query(safe)
     edges = np.linspace(0.0, float(np.max(dists)), envelope_bins + 1)
     env, lefts = [], []
@@ -479,9 +488,9 @@ def check_assumptions(
     interior = [v for left, v in zip(lefts, iso) if left > 0.0]
     env_ok = len(interior) > 0 and min(interior) > 0.0 and iso[0] >= -1e-12
     knots = ", ".join(f"({l:.4g}, {v:.4g})" for l, v in zip(lefts, iso))
-    checks.append(AssumptionCheck(
+    checks.append(Check(
         "barrier_envelope", "pass" if env_ok else "fail",
         f"monotone envelope knots: {knots}",
         float(iso[-1]),
     ))
-    return AssumptionReport(tuple(checks))
+    return Report(tuple(checks))

@@ -7,6 +7,15 @@ configuration problems.
 
 from __future__ import annotations
 
+__all__ = [
+    "SafeholdError",
+    "ConfigurationError",
+    "InfeasibleFilterError",
+    "DivergenceError",
+    "RegionExitError",
+    "BoundarySamplingError",
+]
+
 
 class SafeholdError(Exception):
     """Base class for all package errors."""

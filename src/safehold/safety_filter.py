@@ -6,15 +6,12 @@ move just far enough along the constraint gradient to restore it. For a
 single input channel the solution is closed form, so no QP solver is
 involved and the filtered input is exactly reproducible.
 
-Two retrofits address sample-and-hold operation, where the filtered input is
-frozen between updates and the continuous-time guarantee no longer applies:
-
-* ``adjusted_control`` adds a constant-gain push along the constraint
-  gradient (strength 1/epsilon), buying input-to-state safety at the price
-  of actuation effort everywhere.
-* ``tunable_control`` gates the same push through a decreasing sigmoid of
-  the barrier value, so the boost engages only inside a band around the
-  boundary and fades to nothing deep inside the safe set.
+Under sample-and-hold operation the filtered input is frozen between
+updates and the continuous-time guarantee no longer applies.
+``tunable_control`` retrofits the filter with a push along the constraint
+gradient (strength up to 1/epsilon), gated through a decreasing sigmoid of
+the barrier value, so the boost engages only inside a band around the
+boundary and fades to nothing deep inside the safe set.
 
 ``validate_tuning`` collects the side conditions under which the boosted
 controller's violation-free hold-period budget is honest.
@@ -32,19 +29,17 @@ from .cbf_core import (
     ClassKappa,
     ControlAffineDynamics,
     SigmoidGain,
+    _probe_shapes,
     lie_derivatives,
 )
-from .constants import BoundSet, OperatingRegion, boundary_points
+from .constants import BoundSet, Check, OperatingRegion, Report, boundary_points
 from .errors import ConfigurationError, InfeasibleFilterError
 
 __all__ = [
     "NominalController",
     "CbfQpFilter",
     "TunableControllerConfig",
-    "TuningCheck",
-    "TuningReport",
     "solve_cbf_qp",
-    "adjusted_control",
     "tunable_control",
     "validate_tuning",
 ]
@@ -52,18 +47,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NominalController:
-    """Performance controller, wrapped so shape errors surface early."""
+    """Performance controller: a state-to-input law returning an (m,) float
+    array. Its shape is checked once, with the plant's, before a run or an
+    estimation starts."""
 
     law: Callable[[np.ndarray], np.ndarray]
     m: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        u = np.atleast_1d(np.asarray(self.law(x), dtype=float))
-        if u.shape != (self.m,):
-            raise ConfigurationError(
-                f"nominal controller returned shape {u.shape}, expected ({self.m},)"
-            )
-        return u
+        return self.law(x)
 
 
 @dataclass(frozen=True)
@@ -104,7 +96,6 @@ def solve_cbf_qp(filt: CbfQpFilter, x: np.ndarray) -> np.ndarray:
     enter the constraint at all while the drift violates it, raises
     ``InfeasibleFilterError`` rather than clamping.
     """
-    x = np.asarray(x, dtype=float)
     u_des = filt.nominal(x)
     lfh, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
     a_h = filt.alpha(filt.barrier.value(x))
@@ -122,19 +113,8 @@ def solve_cbf_qp(filt: CbfQpFilter, x: np.ndarray) -> np.ndarray:
     return np.array([u_star])
 
 
-def adjusted_control(filt: CbfQpFilter, epsilon: float, x: np.ndarray) -> np.ndarray:
-    """Filtered input plus a constant 1/epsilon push along the constraint
-    gradient. Robust to hold errors but always-on, so expensive."""
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
-    u = solve_cbf_qp(filt, x)
-    _, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
-    return u + lgh / epsilon
-
-
 def tunable_control(filt: CbfQpFilter, gain: SigmoidGain, x: np.ndarray) -> np.ndarray:
     """Filtered input plus the sigmoid-gated gradient push."""
-    x = np.asarray(x, dtype=float)
     u = solve_cbf_qp(filt, x)
     _, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
     return u + gain(filt.barrier.value(x)) * lgh
@@ -179,29 +159,9 @@ class TunableControllerConfig:
         def law(x: np.ndarray) -> np.ndarray:
             return tunable_control(filt, gain, x)
 
+        # Lets the shape probe check the nominal law behind the boost.
+        law.nominal = filt.nominal
         return law
-
-
-@dataclass(frozen=True)
-class TuningCheck:
-    name: str
-    status: str  # "pass" | "fail" | "skipped"
-    detail: str
-
-
-@dataclass(frozen=True)
-class TuningReport:
-    checks: tuple[TuningCheck, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.status != "fail" for c in self.checks)
-
-    def __getitem__(self, name: str) -> TuningCheck:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
 
 
 def validate_tuning(
@@ -213,7 +173,7 @@ def validate_tuning(
     barrier: BarrierFunction | None = None,
     region: OperatingRegion | None = None,
     band_count: int = 256,
-) -> TuningReport:
+) -> Report:
     """Check the tuning against its certificate side conditions.
 
     Three checks: the amplified decrease rate must out-run the margin at the
@@ -228,25 +188,25 @@ def validate_tuning(
 
     a_delta = alpha(cfg.delta)
     amplified = cfg.c * a_delta
-    checks.append(TuningCheck(
+    checks.append(Check(
         "amplification_covers_margin",
         "pass" if amplified > cfg.margin else "fail",
         f"c * alpha(delta) = {amplified:.6g} vs margin = {cfg.margin:.6g}",
     ))
 
     budget = bounds.mu ** 2 / (4.0 * cfg.margin)
-    checks.append(TuningCheck(
+    checks.append(Check(
         "plateau_budget",
         "pass" if cfg.epsilon <= budget else "fail",
         f"epsilon = {cfg.epsilon:.6g} vs mu^2/(4*margin) = {budget:.6g}",
     ))
 
     if dynamics is None or barrier is None or region is None:
-        checks.append(TuningCheck(
+        checks.append(Check(
             "activation_band_gain", "skipped",
             "needs dynamics, barrier, and region to sample the band",
         ))
-        return TuningReport(tuple(checks))
+        return Report(tuple(checks))
 
     rng = np.random.default_rng(region.seed)
     band_pts = list(boundary_points(region, barrier, band_count, rng))
@@ -254,13 +214,14 @@ def validate_tuning(
     for p in box:
         if 0.0 <= barrier.value(p) < cfg.delta:
             band_pts.append(p)
+    _probe_shapes(dynamics, barrier, band_pts[0])
     gains = [float(np.linalg.norm(lie_derivatives(dynamics, barrier, p)[1])) for p in band_pts]
     floor = bounds.mu / 2.0
     worst = min(gains)
-    checks.append(TuningCheck(
+    checks.append(Check(
         "activation_band_gain",
         "pass" if worst >= floor else "fail",
         f"min |lgh| over the band = {worst:.6g} vs mu/2 = {floor:.6g} "
         f"({len(band_pts)} band points)",
     ))
-    return TuningReport(tuple(checks))
+    return Report(tuple(checks))

@@ -27,7 +27,13 @@ from typing import Callable
 
 import numpy as np
 
-from .cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics, lie_derivatives
+from .cbf_core import (
+    BarrierFunction,
+    ClassKappa,
+    ControlAffineDynamics,
+    _probe_shapes,
+    lie_derivatives,
+)
 from .constants import OperatingRegion
 from .errors import (
     ConfigurationError,
@@ -44,7 +50,6 @@ __all__ = [
     "Scenario",
     "rk4_step",
     "rk4_step_closed_loop",
-    "integrate_held",
     "trigger_value",
     "run",
     "analyze",
@@ -178,8 +183,9 @@ class Scenario:
     """Everything a closed-loop run needs.
 
     ``controller`` is the sampled law (already composed: plain filtered,
-    constant-boost, or sigmoid-boosted). ``trigger_c`` is the amplification
-    used by the recorded trigger signal and by event-mode resampling.
+    or sigmoid-boosted). ``trigger_c`` is the amplification used by the
+    recorded trigger signal and by event-mode resampling. Construction
+    checks the plant, barrier and controller shapes at ``x0``.
     """
 
     name: str
@@ -201,6 +207,10 @@ class Scenario:
             raise ConfigurationError(
                 f"divergence_limit must be > 0, got {self.divergence_limit}"
             )
+        x0 = np.asarray(self.x0, dtype=float)
+        if x0.shape != (self.dynamics.n,):
+            raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({self.dynamics.n},)")
+        _probe_shapes(self.dynamics, self.barrier, x0, self.controller)
 
 
 def rk4_step(
@@ -228,54 +238,13 @@ def rk4_step_closed_loop(
     """
 
     def rate(s: np.ndarray) -> np.ndarray:
-        return dyn.rate(s, np.atleast_1d(np.asarray(controller(s), dtype=float)))
+        return dyn.rate(s, controller(s))
 
     k1 = rate(x)
     k2 = rate(x + 0.5 * dt * k1)
     k3 = rate(x + 0.5 * dt * k2)
     k4 = rate(x + dt * k3)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def integrate_held(
-    dyn: ControlAffineDynamics,
-    x0: np.ndarray,
-    u: np.ndarray,
-    duration: float,
-    substep: float = 1e-3,
-) -> np.ndarray:
-    """States at every substep boundary under a constant held input.
-
-    Returns an array of shape (steps + 1, n) starting at ``x0``. The
-    duration must be a whole number of substeps. Raises ``DivergenceError``
-    (carrying the last finite state) if the trajectory leaves floating-point
-    range.
-    """
-    if not (math.isfinite(substep) and substep > 0.0):
-        raise ConfigurationError(f"substep must be finite and > 0, got {substep}")
-    if not (math.isfinite(duration) and duration >= 0.0):
-        raise ConfigurationError(f"duration must be finite and >= 0, got {duration}")
-    steps = int(round(duration / substep))
-    if abs(steps * substep - duration) > 1e-9 * max(1.0, abs(duration)):
-        raise ConfigurationError(
-            f"duration {duration} is not a whole number of substeps of {substep}"
-        )
-    x = np.asarray(x0, dtype=float)
-    if x.shape != (dyn.n,):
-        raise ConfigurationError(f"x0 has shape {x.shape}, expected ({dyn.n},)")
-    u_arr = np.atleast_1d(np.asarray(u, dtype=float))
-    out = np.empty((steps + 1, dyn.n))
-    out[0] = x
-    for i in range(steps):
-        x = rk4_step(dyn, x, u_arr, substep)
-        if not np.all(np.isfinite(x)):
-            raise DivergenceError(
-                f"held-input rollout diverged after {(i + 1) * substep:.6g} s",
-                state=out[i],
-                time=(i + 1) * substep,
-            )
-        out[i + 1] = x
-    return out
 
 
 def trigger_value(
@@ -295,26 +264,25 @@ def trigger_value(
 
 def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
     try:
-        u = np.atleast_1d(np.asarray(sc.controller(x), dtype=float))
+        return sc.controller(x)
     except InfeasibleFilterError as exc:
         msg = exc.args[0] if exc.args else "safety filter infeasible"
         raise InfeasibleFilterError(msg, state=x, time=t) from exc
-    if u.shape != (sc.dynamics.m,):
-        raise ConfigurationError(
-            f"controller returned shape {u.shape}, expected ({sc.dynamics.m},)"
-        )
-    return u
 
 
-def _check_state(sc: Scenario, x: np.ndarray, t: float) -> None:
-    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > sc.divergence_limit:
+def _check_state(
+    sc: Scenario, x: np.ndarray, t: float, lo: np.ndarray | None, hi: np.ndarray | None
+) -> None:
+    """Divergence first, then the region box [lo, hi] (skipped when None)."""
+    norm = math.sqrt(x @ x)
+    # Also true for inf and nan entries, whose norm is not <= any limit.
+    if not norm <= sc.divergence_limit:
         raise DivergenceError(
-            f"state diverged at t={t:.6g}: |x|={float(np.linalg.norm(x)):.6g}",
+            f"state diverged at t={t:.6g}: |x|={norm:.6g}",
             state=x,
             time=t,
         )
-    if sc.region is not None and not sc.region.contains(x):
-        lo, hi = sc.region.lower_arr, sc.region.upper_arr
+    if lo is not None and not ((x >= lo).all() and (x <= hi).all()):
         off = [i for i in range(len(x)) if x[i] < lo[i] or x[i] > hi[i]]
         raise RegionExitError(
             f"state left the certified region at t={t:.6g} on axis(es) {off}; "
@@ -334,11 +302,12 @@ def run(sc: Scenario) -> Trace:
     dyn = sc.dynamics
     n, m = dyn.n, dyn.m
     x0 = np.asarray(sc.x0, dtype=float)
-    if x0.shape != (n,):
-        raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},)")
     steps = sc.integrator.steps
     dt = sc.integrator.substep
-    _check_state(sc, x0, 0.0)
+    lo = hi = None
+    if sc.region is not None:
+        lo, hi = sc.region.lower_arr, sc.region.upper_arr
+    _check_state(sc, x0, 0.0, lo, hi)
 
     t_arr = np.arange(steps + 1) * dt
     X = np.empty((steps + 1, n))
@@ -365,6 +334,11 @@ def run(sc: Scenario) -> Trace:
 
     for i in range(steps + 1):
         t = float(t_arr[i])
+        # One Lie evaluation per row feeds both the event trigger and the
+        # recorded hdot/trigger columns, in trigger_value's operation order.
+        lfh, lgh = lie_derivatives(dyn, sc.barrier, x)
+        h = sc.barrier.value(x)
+        amplified = (1.0 + sc.trigger_c) * sc.alpha(h)
         if mode == "continuous":
             u_row = _checked_sample(sc, x, t)
         else:
@@ -375,9 +349,7 @@ def run(sc: Scenario) -> Trace:
                 elif mode == "periodic":
                     sample_now = i % hold_steps == 0
                 elif i - last_sample_step >= max(1, floor_steps):
-                    sample_now = trigger_value(
-                        dyn, sc.barrier, sc.alpha, sc.trigger_c, x, u_held
-                    ) <= 0.0
+                    sample_now = lfh + float(lgh @ u_held) + amplified <= 0.0
             if sample_now:
                 u_held = _checked_sample(sc, x, t)
                 last_sample_step = i
@@ -385,21 +357,19 @@ def run(sc: Scenario) -> Trace:
                 EV[i] = 1
             u_row = u_held
 
-        lfh, lgh = lie_derivatives(dyn, sc.barrier, x)
-        h = sc.barrier.value(x)
         hd = lfh + float(lgh @ u_row)
         X[i] = x
         U[i] = u_row
         H[i] = h
         HD[i] = hd
-        TR[i] = hd + (1.0 + sc.trigger_c) * sc.alpha(h)
+        TR[i] = hd + amplified
 
         if i < steps:
             if mode == "continuous":
                 x = rk4_step_closed_loop(dyn, sc.controller, x, dt)
             else:
                 x = rk4_step(dyn, x, u_row, dt)
-            _check_state(sc, x, float(t_arr[i + 1]))
+            _check_state(sc, x, float(t_arr[i + 1]), lo, hi)
 
     return Trace(
         t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV, events=tuple(events)

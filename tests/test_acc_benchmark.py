@@ -16,7 +16,6 @@ from safehold.acc_benchmark import (
     acc_dynamics,
     acc_filter,
     acc_nominal,
-    acc_scenarios,
     approach_region,
     build_scenario,
     certified_tuning,
@@ -193,31 +192,17 @@ class TestBuildScenario:
 
 
 class TestScenarioFamily:
-    def test_twelve_scenarios_with_a_shared_start(self):
-        family = acc_scenarios()
-        assert len(family) == 12
-        names = [s.name for s in family]
-        assert len(set(names)) == 12
-        for s in family:
-            assert tuple(s.x0) == X0_NEAR
-            assert s.integrator.horizon == 60.0
-            assert s.barrier.value(np.asarray(s.x0)) > 0.0
-
     def test_sweep_frequencies_cover_both_controllers(self):
-        family = {s.name: s for s in acc_scenarios()}
         assert SWEEP_FREQUENCIES == (0.5, 1.0, 2.0, 5.0, 10.0)
         for f in SWEEP_FREQUENCIES:
-            plain = family[f"acc-periodic-{f:g}hz"]
-            boosted = family[f"acc-periodic-boosted-{f:g}hz"]
+            plain, boosted = (
+                build_scenario(kind, period=1.0 / f, x0=X0_NEAR)
+                for kind in ("periodic", "periodic-boosted")
+            )
             # controlled comparison: same schedule, same start, same plant
             assert plain.schedule.period == boosted.schedule.period == pytest.approx(1.0 / f)
             assert tuple(plain.x0) == tuple(boosted.x0)
             assert plain.trigger_c == boosted.trigger_c
-
-    def test_family_includes_the_event_run(self):
-        family = {s.name: s for s in acc_scenarios()}
-        assert family["acc-event"].schedule.mode == "event"
-        assert family["acc-periodic-boosted-2.5hz"].schedule.period == pytest.approx(0.4)
 
     def test_custom_params_propagate(self):
         p = AccParams(mass=1500.0)

@@ -1,5 +1,5 @@
 """Barrier primitives: class-K maps, the sigmoid gate, Lie derivatives,
-and the decrease-condition algebra."""
+the one-time shape probe, and the decrease-condition algebra."""
 
 from __future__ import annotations
 
@@ -12,17 +12,13 @@ from safehold.cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
-    IssfExpansion,
     SigmoidGain,
-    amplified_alpha,
-    barrier_margin,
-    expanded_alpha,
-    expanded_barrier,
     lie_derivatives,
-    sigmoid_gain,
 )
 from safehold.acc_benchmark import acc_barrier, acc_dynamics, approach_region
+from safehold.constants import OperatingRegion, estimate_bounds
 from safehold.errors import ConfigurationError
+from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, trigger_value
 
 
 # ---------------------------------------------------------------------------
@@ -31,24 +27,23 @@ from safehold.errors import ConfigurationError
 
 class TestClassKappa:
     def test_zero_at_zero(self):
-        for alpha in (ClassKappa.linear(3.0), ClassKappa.cubic(0.7),
-                      ClassKappa.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))):
+        for alpha in (ClassKappa.linear(3.0), ClassKappa.linear(0.7)):
             assert alpha(0.0) == 0.0
 
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(-5.0, 5.0, 1000)
-        for alpha in (ClassKappa.linear(0.5), ClassKappa.cubic(2.0)):
+        for alpha in (ClassKappa.linear(0.5), ClassKappa.linear(2.0)):
             vals = [alpha(r) for r in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_odd_extension(self):
-        for alpha in (ClassKappa.linear(2.0), ClassKappa.cubic(1.3)):
+        for alpha in (ClassKappa.linear(2.0), ClassKappa.linear(1.3)):
             for r in (0.25, 1.0, 4.0):
                 assert alpha(-r) == -alpha(r)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
-        for alpha in (ClassKappa.linear(2.0), ClassKappa.cubic(0.4)):
+        for alpha in (ClassKappa.linear(2.0), ClassKappa.linear(0.4)):
             for r in rng.uniform(-10.0, 10.0, 50):
                 assert alpha.inverse(alpha(r)) == pytest.approx(r, abs=1e-12)
 
@@ -57,44 +52,15 @@ class TestClassKappa:
         assert alpha(3.0) == 6.0
         assert alpha.inverse(-6.0) == -3.0
 
-    def test_cubic_hand_values(self):
-        alpha = ClassKappa.cubic(2.0)
-        assert alpha(2.0) == 16.0
-        assert alpha.inverse(16.0) == pytest.approx(2.0, abs=1e-12)
-
-    def test_tabulated_interpolates(self):
-        alpha = ClassKappa.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
-        assert alpha(0.5) == 0.5
-        assert alpha(1.5) == 2.5
-        assert alpha.inverse(2.5) == 1.5
-
-    def test_tabulated_rejects_outside_knot_range(self):
-        alpha = ClassKappa.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
-        with pytest.raises(ConfigurationError):
-            alpha(3.0)
-
-    def test_tabulated_rejects_outside_value_range(self):
-        alpha = ClassKappa.tabulated((0.0, 1.0, 2.0), (0.0, 1.0, 4.0))
-        with pytest.raises(ConfigurationError):
-            alpha.inverse(5.0)
-
-    def test_tabulated_rejects_non_increasing_knots(self):
-        with pytest.raises(ConfigurationError):
-            ClassKappa.tabulated((0.0, 2.0, 1.0), (0.0, 1.0, 4.0))
-        with pytest.raises(ConfigurationError):
-            ClassKappa.tabulated((0.0, 1.0, 2.0), (0.0, 4.0, 1.0))
-
-    def test_tabulated_requires_origin_knot(self):
-        with pytest.raises(ConfigurationError):
-            ClassKappa.tabulated((0.5, 1.0), (0.5, 1.0))
-
     def test_invalid_kind_and_coef(self):
         with pytest.raises(ConfigurationError):
             ClassKappa(kind="nope")
         with pytest.raises(ConfigurationError):
+            ClassKappa(kind="cubic")
+        with pytest.raises(ConfigurationError):
             ClassKappa.linear(-1.0)
         with pytest.raises(ConfigurationError):
-            ClassKappa.cubic(0.0)
+            ClassKappa.linear(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +114,6 @@ class TestSigmoidGain:
         with pytest.raises(ConfigurationError):
             SigmoidGain(epsilon=1.0, delta=1.0, band=1.0, sharpness=-5.0)
 
-    def test_free_function_matches_call(self):
-        g = SigmoidGain(epsilon=0.5, delta=1.0, band=2.0)
-        assert sigmoid_gain(g, 1.7) == g(1.7)
-
 
 # ---------------------------------------------------------------------------
 # Lie derivatives
@@ -199,28 +161,56 @@ class TestLieDerivatives:
         assert lgh[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_shape_errors_surface(self):
-        barrier = BarrierFunction(
+        # Mis-sized callables fail once, when a scenario is built or an
+        # estimation starts, before any run or estimation work.
+        good_barrier = BarrierFunction(
             value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]),
         )
-        bad = ControlAffineDynamics(
-            drift=lambda x: np.zeros(3), actuation=lambda x: np.zeros((2, 1)),
-            n=2, m=1,
+        good_dyn = ControlAffineDynamics(
+            drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((2, 1)), n=2, m=1,
         )
-        with pytest.raises(ConfigurationError):
-            lie_derivatives(bad, barrier, np.zeros(2))
-        bad_g = ControlAffineDynamics(
-            drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((3, 2)),
-            n=2, m=1,
-        )
-        with pytest.raises(ConfigurationError):
-            lie_derivatives(bad_g, barrier, np.zeros(2))
+        cases = {
+            "drift returned shape": (ControlAffineDynamics(
+                drift=lambda x: np.zeros(3), actuation=lambda x: np.zeros((2, 1)),
+                n=2, m=1,
+            ), good_barrier),
+            "actuation returned shape": (ControlAffineDynamics(
+                drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((3, 2)),
+                n=2, m=1,
+            ), good_barrier),
+            "barrier gradient has shape": (good_dyn, BarrierFunction(
+                value=lambda x: float(x[0]), gradient=lambda x: np.zeros(3),
+            )),
+        }
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        for message, (dyn, barrier) in cases.items():
+            with pytest.raises(ConfigurationError, match=message):
+                _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
+            with pytest.raises(ConfigurationError, match=message):
+                estimate_bounds(region, dyn, lambda x: np.zeros(1), barrier)
+        with pytest.raises(ConfigurationError, match="controller returned shape"):
+            _probe_scenario(good_dyn, good_barrier, lambda x: np.zeros(2))
+        with pytest.raises(ConfigurationError, match="state has shape"):
+            estimate_bounds(
+                OperatingRegion(lower=(0.0,), upper=(1.0,)),
+                good_dyn, lambda x: np.zeros(1), good_barrier,
+            )
+
+
+def _probe_scenario(dyn, barrier, controller) -> Scenario:
+    return Scenario(
+        name="probe", dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        controller=controller, x0=(0.5,) * dyn.n,
+        integrator=IntegratorConfig(horizon=1.0), schedule=HoldSchedule.continuous(),
+    )
 
 
 # ---------------------------------------------------------------------------
-# decrease-condition margin
+# decrease-condition margin: hdot + alpha(h), which is the trigger value with
+# no amplification
 
-# Oracle: the margin minus alpha(h) must equal d/dt h(x(t)) along the held
-# flow. Approximate that derivative by a short forward rollout and a central
+# Oracle: lfh + lgh @ u must equal d/dt h(x(t)) along the held flow.
+# Approximate that derivative by a short forward rollout and a central
 # difference, entirely outside the Lie-derivative code path.
 
 
@@ -247,8 +237,10 @@ class TestBarrierMargin:
         for _ in range(20):
             x = np.array([rng.uniform(0, 100), rng.uniform(5, 25), rng.uniform(50, 500)])
             u = np.array([rng.uniform(-2000.0, 2000.0)])
-            margin = barrier_margin(dyn, barrier, alpha, x, u)
+            lfh, lgh = lie_derivatives(dyn, barrier, x)
             hdot = _rollout_hdot(dyn, barrier, x, u)
+            assert lfh + float(lgh @ u) == pytest.approx(hdot, abs=1e-4)
+            margin = trigger_value(dyn, barrier, alpha, 0.0, x, u)
             assert margin - alpha(barrier.value(x)) == pytest.approx(hdot, abs=1e-4)
 
     def test_single_integrator_hand_value(self):
@@ -258,7 +250,7 @@ class TestBarrierMargin:
         barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
         # f = 0, g = 1, h = x1: margin at x1=2, u=0 is alpha(2) = 2
-        assert barrier_margin(dyn, barrier, alpha, np.array([2.0]), np.array([0.0])) == 2.0
+        assert trigger_value(dyn, barrier, alpha, 0.0, np.array([2.0]), np.array([0.0])) == 2.0
 
     def test_zero_on_boundary_with_balancing_input(self):
         dyn = ControlAffineDynamics(
@@ -267,74 +259,72 @@ class TestBarrierMargin:
         barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
         # h = 0 and u cancels the drift: margin is exactly zero
-        assert barrier_margin(dyn, barrier, alpha, np.array([0.0]), np.array([-1.0])) == 0.0
+        assert trigger_value(dyn, barrier, alpha, 0.0, np.array([0.0]), np.array([-1.0])) == 0.0
 
 
 # ---------------------------------------------------------------------------
-# amplified and expanded decrease conditions
+# amplified decrease term (1 + c) * alpha(h) inside the trigger value, and the
+# expanded-set shift alpha^(-1)(-margin)
+
+
+def _static_unit_barrier():
+    """No drift, no actuation, h = x1: the trigger value is the amplified
+    term alone."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.zeros(1), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+    )
+    barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+    return dyn, barrier
+
+
+def _amplified(alpha: ClassKappa, c: float, r: float) -> float:
+    dyn, barrier = _static_unit_barrier()
+    return trigger_value(dyn, barrier, alpha, c, np.array([r]), np.zeros(1))
 
 
 class TestAmplifiedAlpha:
     def test_zero_amplification_is_identity(self):
-        alpha = ClassKappa.cubic(1.5)
+        alpha = ClassKappa.linear(1.5)
         for r in (-2.0, 0.0, 0.7, 3.0):
-            assert amplified_alpha(alpha, 0.0, r) == alpha(r)
+            assert _amplified(alpha, 0.0, r) == alpha(r)
 
     def test_hand_value(self):
         alpha = ClassKappa.linear(1.0)
-        assert amplified_alpha(alpha, 9.18, 0.5) == pytest.approx(5.09, rel=1e-12)
+        assert _amplified(alpha, 9.18, 0.5) == pytest.approx(5.09, rel=1e-12)
 
     def test_dominates_alpha_on_grid(self):
         alpha = ClassKappa.linear(0.8)
         for r in np.linspace(0.0, 10.0, 100):
-            assert amplified_alpha(alpha, 2.5, r) >= alpha(r)
+            assert _amplified(alpha, 2.5, r) >= alpha(r)
 
     def test_negative_amplification_rejected(self):
-        with pytest.raises(ConfigurationError):
-            amplified_alpha(ClassKappa.linear(1.0), -0.5, 1.0)
+        dyn, barrier = _static_unit_barrier()
+        with pytest.raises(ConfigurationError, match="trigger_c"):
+            Scenario(
+                name="negative-c", dynamics=dyn, barrier=barrier,
+                alpha=ClassKappa.linear(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
+                integrator=IntegratorConfig(horizon=1.0), schedule=HoldSchedule.continuous(),
+                trigger_c=-0.5,
+            )
 
 
 class TestExpandedCondition:
+    # The margin-expanded safe set is {h >= alpha^(-1)(-margin)}; for a unit
+    # slope its floor is -margin, the floor the practical period certifies.
+
     def test_linear_unit_margin_shifts_by_one(self):
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
         for h in (-0.5, 0.0, 2.0):
-            assert expanded_barrier(barrier, alpha, 1.0, np.array([h])) == h + 1.0
+            assert h - alpha.inverse(-1.0) == h + 1.0
 
     def test_linear_slope_scales_the_shift(self):
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         a, w = 4.0, 0.75
         alpha = ClassKappa.linear(a)
-        assert expanded_barrier(barrier, alpha, a * w, np.array([0.0])) == pytest.approx(w)
+        assert 0.0 - alpha.inverse(-a * w) == pytest.approx(w)
 
     def test_boundary_value(self):
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
-        assert expanded_barrier(barrier, alpha, 0.2, np.array([0.0])) == pytest.approx(0.2)
-
-    def test_expanded_alpha_vanishes_at_zero(self):
-        for alpha in (ClassKappa.linear(2.0), ClassKappa.cubic(0.5)):
-            for d in (0.1, 1.0, 3.0):
-                assert expanded_alpha(alpha, d, 0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_expanded_alpha_cubic_hand_value(self):
-        alpha = ClassKappa.cubic(1.0)
-        # offset is -1, so at r=2: alpha(1) + 1 = 2
-        assert expanded_alpha(alpha, 1.0, 2.0) == pytest.approx(2.0, rel=1e-12)
-
-    def test_issf_expansion_bundles_the_same_numbers(self):
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
-        alpha = ClassKappa.linear(1.0)
-        exp = IssfExpansion(margin=1.0, alpha=alpha)
-        assert exp.offset == -1.0
-        assert exp.barrier_value(barrier, np.array([0.5])) == 1.5
-        assert exp.alpha_value(0.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_tabulated_margin_outside_value_range_errors(self):
-        alpha = ClassKappa.tabulated((0.0, 1.0), (0.0, 1.0))
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
-        with pytest.raises(ConfigurationError):
-            expanded_barrier(barrier, alpha, 2.0, np.array([0.0]))
+        assert 0.0 - alpha.inverse(-0.2) == pytest.approx(0.2)
 
 
 # ---------------------------------------------------------------------------

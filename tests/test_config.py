@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from safehold.acc_benchmark import X0_FAR, X0_NEAR, acc_filter
+from safehold.acc_benchmark import X0_FAR, X0_NEAR, acc_filter, ride_region
 from safehold.config import (
     RunConfig,
     apply_overrides,
@@ -114,6 +116,16 @@ class TestParse:
         cfg = parse_config(doc)
         assert cfg.region is None and cfg.safety_factor == 1.25
 
+    def test_region_sampling_keys_apply_to_the_preset_box(self):
+        doc = _doc()
+        doc["scenario"]["name"] = "acc-ride"
+        doc["region"] = {"seed": 3}
+        cfg = parse_config(doc)
+        assert cfg.region == ride_region(seed=3)
+        assert parse_config(dump_config(cfg)) == cfg
+        doc["region"] = {"sample_count": 512}
+        assert parse_config(doc).region == ride_region(sample_count=512)
+
     def test_bounds_section_requires_every_bound(self):
         doc = _doc()
         doc["bounds"] = {"b_f": 1.0}
@@ -169,6 +181,7 @@ class TestRoundTrip:
         path = tmp_path / "cfg.yaml"
         save_config(cfg, path)
         assert load_config(path) == cfg
+        assert load_config(path, ["sim.horizon=3.0"]) == dataclasses.replace(cfg, horizon=3.0)
 
     def test_unquoted_scientific_notation_survives_a_file(self, tmp_path):
         path = tmp_path / "cfg.yaml"

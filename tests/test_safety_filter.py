@@ -1,4 +1,4 @@
-"""Safety filter, the boosted variants, and the tuning validator."""
+"""Safety filter, the boosted controller, and the tuning validator."""
 
 from __future__ import annotations
 
@@ -22,17 +22,17 @@ from safehold.cbf_core import (
     SigmoidGain,
     lie_derivatives,
 )
-from safehold.constants import BoundSet
+from safehold.constants import BoundSet, OperatingRegion, estimate_bounds
 from safehold.errors import ConfigurationError, InfeasibleFilterError
 from safehold.safety_filter import (
     CbfQpFilter,
     NominalController,
     TunableControllerConfig,
-    adjusted_control,
     solve_cbf_qp,
     tunable_control,
     validate_tuning,
 )
+from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario
 
 
 def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
@@ -124,17 +124,46 @@ class TestSolveCbfQp:
             )
 
     def test_nominal_shape_mismatch_surfaces(self):
-        ctrl = NominalController(law=lambda x: np.zeros(2), m=1)
-        with pytest.raises(ConfigurationError):
-            ctrl(np.zeros(1))
+        # The probe checks the nominal law behind the filter and behind the
+        # boosted law, when the scenario is built or estimation starts. At
+        # h = -0.5 the constraint binds, so the filter's own output is (1,).
+        filt = _scalar_filter(0.0)
+        filt = CbfQpFilter(
+            dynamics=filt.dynamics, barrier=filt.barrier, alpha=filt.alpha,
+            nominal=NominalController(law=lambda x: np.zeros(2), m=1),
+        )
+        boosted = TunableControllerConfig(
+            c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0,
+        ).controller(filt)
+        for controller in (filt, boosted):
+            with pytest.raises(ConfigurationError, match="nominal controller returned shape"):
+                Scenario(
+                    name="bad-nominal", dynamics=filt.dynamics, barrier=filt.barrier,
+                    alpha=filt.alpha, controller=controller, x0=(-0.5,),
+                    integrator=IntegratorConfig(horizon=1.0),
+                    schedule=HoldSchedule.continuous(),
+                )
+        with pytest.raises(ConfigurationError, match="nominal controller returned shape"):
+            estimate_bounds(
+                OperatingRegion(lower=(-1.0,), upper=(1.0,)), filt.dynamics, filt, filt.barrier,
+            )
+
+
+def _saturated(epsilon: float) -> SigmoidGain:
+    """A gate whose activation height sits far above every tested barrier
+    value, so it holds its 1/epsilon plateau exactly: a constant push."""
+    return SigmoidGain(epsilon=epsilon, delta=1e6, band=1.0)
 
 
 class TestAdjustedControl:
+    # The constant-gain push (filtered input plus lgh / epsilon) is the
+    # boosted law on its plateau.
+
     def test_huge_epsilon_collapses_to_plain(self):
         filt = acc_filter()
         x = np.array([0.0, 18.0, 600.0])
         plain = solve_cbf_qp(filt, x)
-        adj = adjusted_control(filt, 1e12, x)
+        adj = tunable_control(filt, _saturated(1e12), x)
         assert adj[0] == pytest.approx(plain[0], abs=1e-9)
 
     def test_acc_hand_value(self):
@@ -147,7 +176,7 @@ class TestAdjustedControl:
         lfh = (p.lead_speed - 10.0) + 2.0 * p.headway * 10.0 * R / p.mass
         lgh = -2.0 * p.headway * 10.0 / p.mass
         expected = (-h - lfh) / lgh + lgh / 1.0
-        u = adjusted_control(filt, 1.0, x)
+        u = tunable_control(filt, _saturated(1.0), x)
         assert u[0] == pytest.approx(expected, rel=1e-12)
 
     def test_no_authority_adds_nothing(self):
@@ -161,12 +190,11 @@ class TestAdjustedControl:
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.array([3.0]), m=1),
         )
-        assert adjusted_control(filt, 0.5, np.array([1.0]))[0] == 3.0
+        assert tunable_control(filt, _saturated(0.5), np.array([1.0]))[0] == 3.0
 
     def test_rejects_nonpositive_epsilon(self):
-        filt = acc_filter()
-        with pytest.raises(ConfigurationError):
-            adjusted_control(filt, 0.0, np.array([0.0, 10.0, 200.0]))
+        with pytest.raises(ConfigurationError, match="epsilon"):
+            _saturated(0.0)
 
 
 class TestTunableControl:
@@ -175,8 +203,8 @@ class TestTunableControl:
         gain = SigmoidGain(epsilon=2.0, delta=1.0, band=0.5)
         x = np.array([0.0, 20.0, 720.5])  # h = 0.5, inside the activation band
         boosted = tunable_control(filt, gain, x)
-        adjusted = adjusted_control(filt, 2.0, x)
         _, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
+        adjusted = solve_cbf_qp(filt, x) + lgh / 2.0
         assert boosted[0] == pytest.approx(adjusted[0], abs=1e-7 * abs(lgh[0]) / 2.0)
 
     def test_deep_interior_matches_plain(self):

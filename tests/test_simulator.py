@@ -25,7 +25,6 @@ from safehold.simulator import (
     Scenario,
     Trace,
     analyze,
-    integrate_held,
     rk4_step,
     run,
     trigger_value,
@@ -48,6 +47,14 @@ def _integrator() -> ControlAffineDynamics:
     )
 
 
+def _integrate_held(dyn, x0, u, steps, substep=1e-3) -> np.ndarray:
+    """States at every substep boundary under a constant held input."""
+    path = [np.asarray(x0, dtype=float)]
+    for _ in range(steps):
+        path.append(rk4_step(dyn, path[-1], u, substep))
+    return np.array(path)
+
+
 class TestIntegrateHeld:
     def test_frozen_field_is_exact(self):
         # constant closed-loop field: x(t) = x0 + t * (f + g u), exact for RK4
@@ -56,34 +63,35 @@ class TestIntegrateHeld:
             actuation=lambda x: np.array([[1.0], [0.5]]),
             n=2, m=1,
         )
-        path = integrate_held(dyn, np.array([0.0, 1.0]), np.array([2.0]), 1.0, substep=0.125)
+        path = _integrate_held(dyn, np.array([0.0, 1.0]), np.array([2.0]), 8, substep=0.125)
         assert path.shape == (9, 2)
         assert np.allclose(path[-1], [3.0, 1.0 + (-2.0 + 1.0) * 1.0], atol=1e-12)
 
     def test_exponential_decay_oracle(self):
-        path = integrate_held(_decay(), np.array([1.0]), np.zeros(1), 1.0)
+        path = _integrate_held(_decay(), np.array([1.0]), np.zeros(1), 1000)
         assert path[-1, 0] == pytest.approx(0.36787944117144233, abs=1e-8)
 
     def test_integrator_with_held_input(self):
-        path = integrate_held(_integrator(), np.array([0.5]), np.array([2.0]), 1.0, substep=0.25)
+        path = _integrate_held(_integrator(), np.array([0.5]), np.array([2.0]), 4, substep=0.25)
         assert path[-1, 0] == pytest.approx(2.5, abs=1e-15)
         assert path[0, 0] == 0.5
 
-    def test_duration_must_be_whole_substeps(self):
-        with pytest.raises(ConfigurationError):
-            integrate_held(_integrator(), np.zeros(1), np.zeros(1), 0.0015, substep=1e-3)
-
-    def test_zero_duration_returns_start_only(self):
-        path = integrate_held(_integrator(), np.array([0.5]), np.zeros(1), 0.0)
-        assert path.shape == (1, 1)
-
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_raises(self):
+        # held-input rollout of xdot = x^2 from 1 blows up at t = 1
         blow = ControlAffineDynamics(
             drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        with pytest.raises(DivergenceError):
-            integrate_held(blow, np.array([1.0]), np.zeros(1), 3.0, substep=1e-2)
+        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        sc = Scenario(
+            name="blowup-held", dynamics=blow, barrier=barrier,
+            alpha=ClassKappa.linear(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
+            integrator=IntegratorConfig(horizon=3.0, substep=1e-2),
+            schedule=HoldSchedule.periodic(3.0),
+        )
+        with pytest.raises(DivergenceError) as exc:
+            run(sc)
+        assert 0.9 < exc.value.time < 1.1
 
 
 def _scalar_scenario(mode: str, *, drift_rate=0.0, x0=1.0, horizon=1.0,
