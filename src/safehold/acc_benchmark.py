@@ -96,18 +96,24 @@ class AccParams:
             if not np.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite")
 
-    def resistance(self, speed: float) -> float:
+    def resistance(self, speed: float | np.ndarray) -> float | np.ndarray:
         return self.f0 + self.f1 * speed + self.f2 * speed * speed
 
 
 def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     p = params or AccParams()
 
+    # Coordinates are read as x.T[i]: a scalar for one state, a (k,) row
+    # view for a stack, at the single-state cost of x[i].
     def drift(x: np.ndarray) -> np.ndarray:
-        return np.array([x[1], -p.resistance(x[1]) / p.mass, p.lead_speed - x[1]])
+        speed = x.T[1]
+        return np.array([speed, -p.resistance(speed) / p.mass, p.lead_speed - speed]).T
+
+    g = np.array([[0.0], [1.0 / p.mass], [0.0]])
+    g.flags.writeable = False
 
     def actuation(x: np.ndarray) -> np.ndarray:
-        return np.array([[0.0], [1.0 / p.mass], [0.0]])
+        return g  # constant; broadcasts over a stack
 
     return ControlAffineDynamics(drift=drift, actuation=actuation, n=3, m=1)
 
@@ -115,11 +121,16 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
 def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
     p = params or AccParams()
 
-    def value(x: np.ndarray) -> float:
-        return float(x[2] - p.headway * x[1] * x[1])
+    def value(x: np.ndarray) -> float | np.ndarray:
+        xt = x.T
+        return xt[2] - p.headway * xt[1] * xt[1]
 
     def gradient(x: np.ndarray) -> np.ndarray:
-        return np.array([0.0, -2.0 * p.headway * x[1], 1.0])
+        grad = np.zeros(x.shape)
+        columns = grad.T
+        columns[1] = -2.0 * p.headway * x.T[1]
+        columns[2] = 1.0
+        return grad
 
     return BarrierFunction(value=value, gradient=gradient)
 
@@ -128,8 +139,9 @@ def acc_nominal(params: AccParams | None = None) -> NominalController:
     p = params or AccParams()
 
     def law(x: np.ndarray) -> np.ndarray:
-        u = -p.tracking_gain * (p.mass / 2.0) * (x[1] - p.desired_speed) + p.resistance(x[1])
-        return np.array([u])
+        speed = x.T[1]
+        u = -p.tracking_gain * (p.mass / 2.0) * (speed - p.desired_speed) + p.resistance(speed)
+        return u[..., None]
 
     return NominalController(law=law, m=1)
 

@@ -10,10 +10,21 @@ safety reasoning runs through three ingredients defined here:
 * a decreasing sigmoid gain schedule used to boost control effort near the
   boundary.
 
-All state and input vectors are one-dimensional float arrays. The plant,
-barrier and controller callables are shape-checked once, when a scenario is
-built or an estimation starts; every evaluation after that is plain
-arithmetic on arrays.
+Batch contract. Every plant, barrier and controller callable takes either
+one state, shape (n,), or a stack of k states, shape (k, n). On a stack the
+drift returns (k, n), the actuation (k, n, m), the barrier value (k,), its
+gradient (k, n), and the nominal law, the filter and the boosted law (k, m).
+An output that does not depend on the state may be returned as is, to
+broadcast against the stack (a constant actuation (n, m), say). Reading the
+i-th coordinate as ``x.T[i]`` serves both shapes at the single-state cost.
+The certification stages evaluate whole stacks, one call each; the
+simulator evaluates one state at a time through the same functions. When
+the callables compute each row as they would alone, a stacked call equals
+the row-by-row single calls bit for bit: the library's own reductions are
+one dot per row (``np.vecdot``), not a matrix product, whose summation order
+over a stack differs. The callables are probed once, on one state and on
+a 2-row stack of it, when a scenario is built or an estimation starts;
+every evaluation after that is plain arithmetic on arrays.
 """
 
 from __future__ import annotations
@@ -36,6 +47,12 @@ __all__ = [
 
 # Exponent magnitude beyond which the sigmoid is numerically saturated.
 _EXP_SATURATION = 700.0
+
+# The C library's exp, element by element. numpy's vectorized exp differs
+# from it in the last bit on a few percent of arguments, so with it the gain
+# on a stack would differ from the gain at one state, and from the
+# single-state values the pinned runs were recorded with.
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -98,10 +115,12 @@ class SigmoidGain:
         elif not (self.sharpness > 0.0):
             raise ConfigurationError(f"sigmoid sharpness must be > 0, got {self.sharpness}")
 
-    def __call__(self, r: float) -> float:
+    def __call__(self, r):
+        """Gain at barrier value(s) r, a float or an array."""
         z = self.sharpness * (r - self.delta - 0.5 * self.band)
-        z = min(max(z, -_EXP_SATURATION), _EXP_SATURATION)
-        return 1.0 / (self.epsilon * (1.0 + math.exp(z)))
+        # Only the upper clip matters: below -37, 1 + exp(z) rounds to 1.
+        z = np.minimum(z, _EXP_SATURATION)
+        return 1.0 / (self.epsilon * (1.0 + np.asarray(_libm_exp(z), dtype=float)))
 
     @property
     def plateau(self) -> float:
@@ -118,9 +137,10 @@ class ControlAffineDynamics:
     """Dynamics xdot = drift(x) + actuation(x) @ u.
 
     ``drift`` maps a state to an (n,) float array, ``actuation`` to an
-    (n, m) matrix. The shapes are checked once, when a scenario is built or
-    an estimation starts, so a mis-sized callable fails loudly there rather
-    than broadcasting mid-run.
+    (n, m) matrix, and a (k, n) stack to (k, n) and (k, n, m) (see the batch
+    contract above). The shapes are checked once, when a scenario is built
+    or an estimation starts, so a mis-sized callable fails loudly there
+    rather than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
@@ -139,22 +159,48 @@ class ControlAffineDynamics:
 
 @dataclass(frozen=True)
 class BarrierFunction:
-    """Scalar barrier h with its gradient. Safe set: h(x) >= 0."""
+    """Scalar barrier h with its gradient. Safe set: h(x) >= 0.
 
-    value: Callable[[np.ndarray], float]
+    On a (k, n) stack the value is (k,) and the gradient (k, n)."""
+
+    value: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
 
 
 def lie_derivatives(
     dyn: ControlAffineDynamics, barrier: BarrierFunction, x: np.ndarray
-) -> tuple[float, np.ndarray]:
+) -> tuple[float | np.ndarray, np.ndarray]:
     """Directional derivatives of h along the drift and actuation fields.
 
     Returns ``(lfh, lgh)`` where ``lfh`` is a scalar and ``lgh`` has shape
-    (m,), so the barrier derivative under input u is ``lfh + lgh @ u``.
+    (m,), so the barrier derivative under input u is ``lfh + lgh @ u``; on
+    a (k, n) stack they are (k,) and (k, m). Each row is one BLAS dot, as
+    in ``grad @ f`` and ``grad @ g``, so a stack reproduces the single-state
+    values bit for bit.
     """
     grad = barrier.gradient(x)
-    return float(grad @ dyn.drift(x)), grad @ dyn.actuation(x)
+    lfh = np.vecdot(grad, dyn.drift(x))
+    lgh = np.vecdot(grad[..., None], dyn.actuation(x), axis=-2)
+    return lfh, lgh
+
+
+def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int, ...]) -> None:
+    """Evaluate fn on the 2-row stack; its output must broadcast to target."""
+    try:
+        out = np.asarray(fn(stack), dtype=float)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ConfigurationError(
+            f"{what} failed on a 2-row stack of states ({type(exc).__name__}: {exc}); "
+            "callables must accept a (k, n) stack"
+        ) from exc
+    try:
+        broadcasts = np.broadcast_shapes(out.shape, target) == target
+    except ValueError:
+        broadcasts = False
+    if not broadcasts:
+        raise ConfigurationError(
+            f"{what} returned shape {out.shape} on a 2-row stack, expected {target}"
+        )
 
 
 def _probe_shapes(
@@ -163,14 +209,18 @@ def _probe_shapes(
     x,
     controller: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> None:
-    """Check, at one state, every shape the evaluation path relies on.
+    """Check, at one state and on a 2-row stack of it, every shape the
+    evaluation path relies on.
 
     The state must be (n,), the barrier gradient and the drift (n,), the
-    actuation (n, m) and the controller's input (m,). A controller that
-    wraps a nominal law (a filter, or a boosted law built from one) exposes
-    it as ``nominal``, and that law is checked first. A filter infeasible
-    at x is not a shape error; the run reports it with its time and state.
-    Raises ``ConfigurationError`` naming the mis-sized callable.
+    actuation (n, m) and the controller's input (m,). On the stack every
+    output must broadcast to its stacked shape (see the batch contract),
+    which rejects a callable that reduces its input to one float. A
+    controller that wraps a nominal law (a filter, or a boosted law built
+    from one) exposes it as ``nominal``, and that law is checked first. A
+    filter infeasible at x is not a shape error; the run reports it with its
+    time and state. Raises ``ConfigurationError`` naming the mis-sized
+    callable.
     """
     n, m = dyn.n, dyn.m
     x = np.asarray(x, dtype=float)
@@ -185,6 +235,11 @@ def _probe_shapes(
     g = np.asarray(dyn.actuation(x), dtype=float)
     if g.shape != (n, m):
         raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")
+    stack = np.stack([x, x])
+    _probe_stacked("barrier value", barrier.value, stack, (2,))
+    _probe_stacked("barrier gradient", barrier.gradient, stack, (2, n))
+    _probe_stacked("drift", dyn.drift, stack, (2, n))
+    _probe_stacked("actuation", dyn.actuation, stack, (2, n, m))
     if controller is None:
         return
     for what, law in (
@@ -195,7 +250,8 @@ def _probe_shapes(
             continue
         try:
             u = np.atleast_1d(np.asarray(law(x), dtype=float))
+            if u.shape != (m,):
+                raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")
+            _probe_stacked(what, law, stack, (2, m))
         except InfeasibleFilterError:
             return
-        if u.shape != (m,):
-            raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")

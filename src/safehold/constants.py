@@ -187,7 +187,7 @@ def boundary_points(
     if rng is None:
         rng = np.random.default_rng(region.seed)
     pts = region.sample(rng, max(candidate_factor * count, 2048))
-    hs = np.array([barrier.value(p) for p in pts])
+    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     pos = pts[hs > 0.0]
     neg = pts[hs < 0.0]
     if len(pos) == 0 or len(neg) == 0:
@@ -196,18 +196,17 @@ def boundary_points(
             f"({len(pos)} inside, {len(neg)} outside)"
         )
     h_scale = max(float(np.max(np.abs(hs))), 1.0)
-    out = []
+    roots = np.empty((count, region.dimension))
     for i in range(count):
         a = pos[i % len(pos)]
         b = neg[i % len(neg)]
         seg = lambda t: barrier.value(a + t * (b - a))
         t_root = brentq(seg, 0.0, 1.0, xtol=1e-14, rtol=8.882e-16)
-        x_b = a + t_root * (b - a)
-        if abs(barrier.value(x_b)) <= 1e-9 * h_scale:
-            out.append(x_b)
-    if not out:
+        roots[i] = a + t_root * (b - a)
+    out = roots[np.abs(np.broadcast_to(barrier.value(roots), (count,))) <= 1e-9 * h_scale]
+    if not len(out):
         raise BoundarySamplingError("boundary refinement produced no converged points")
-    return np.array(out)
+    return out
 
 
 def _project_to_boundary(
@@ -216,35 +215,45 @@ def _project_to_boundary(
     pts: np.ndarray,
     *,
     iters: int = 8,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Newton-project points onto h = 0, keeping in-box converged landings.
 
     Complements ``boundary_points``: segment root-finding samples the
     boundary in proportion to its bulk, while projection follows the
     barrier gradient and so also lands on thin slivers of the boundary
-    that random segments almost never cross.
+    that random segments almost never cross. All points take their Newton
+    steps together; a point whose step is undefined (non-finite value or
+    gradient, zero gradient) or lands off the finite reals drops out.
+    Returns the landings clipped to the box, shape (j, n).
     """
     lo, hi = region.lower_arr, region.upper_arr
     slack = 1e-12 * max(region.scale, 1.0)
-    out = []
-    for x0 in pts:
-        x = np.array(x0, dtype=float)
-        h0 = abs(float(barrier.value(x)))
-        for _ in range(iters):
-            h = float(barrier.value(x))
-            grad = np.asarray(barrier.gradient(x), dtype=float)
-            gg = float(grad @ grad)
-            if not (math.isfinite(h) and math.isfinite(gg)) or gg <= 0.0:
-                break
-            x = x - grad * (h / gg)
-            if not np.all(np.isfinite(x)):
-                break
-        else:
-            converged = abs(float(barrier.value(x))) <= 1e-9 * max(1.0, h0)
-            inside = bool(np.all(x >= lo - slack) and np.all(x <= hi + slack))
-            if converged and inside:
-                out.append(np.clip(x, lo, hi))
-    return out
+    k, n = pts.shape
+    x = np.array(pts, dtype=float)
+    h0 = np.abs(np.broadcast_to(barrier.value(x), (k,)))
+    alive = np.arange(k)
+    for _ in range(iters):
+        xa = x[alive]
+        h = np.broadcast_to(barrier.value(xa), (len(alive),))
+        grad = np.broadcast_to(barrier.gradient(xa), (len(alive), n))
+        gg = np.vecdot(grad, grad)
+        ok = np.isfinite(h) & np.isfinite(gg) & (gg > 0.0)
+        step = xa[ok] - grad[ok] * (h[ok] / gg[ok])[:, None]
+        alive = alive[ok]
+        x[alive] = step
+        alive = alive[np.all(np.isfinite(step), axis=1)]
+    x = x[alive]
+    h = np.broadcast_to(barrier.value(x), (len(x),))
+    converged = np.abs(h) <= 1e-9 * np.maximum(1.0, h0[alive])
+    inside = np.all((x >= lo - slack) & (x <= hi + slack), axis=1)
+    return np.clip(x[converged & inside], lo, hi)
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a (k, d) array, bit for bit equal to
+    ``np.linalg.norm`` of that row alone (a BLAS dot per row, where
+    ``np.linalg.norm(v, axis=1)`` sums squares in another order)."""
+    return np.sqrt(np.vecdot(v, v))
 
 
 def _evaluate_box(
@@ -253,13 +262,16 @@ def _evaluate_box(
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Fields at every point: the largest drift norm, the largest actuation
-    spectral norm, and the controller and actuation-row values per point,
-    shapes (k, m)."""
-    f_max = max(float(np.linalg.norm(dyn.drift(x))) for x in pts)
-    g_max = max(float(np.linalg.norm(dyn.actuation(x), 2)) for x in pts)
-    k_vals = np.array([controller(x) for x in pts])
-    lgh_vals = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pts])
+    """Fields at every point, each in one stacked call: the largest drift
+    norm, the largest actuation spectral norm, and the controller and
+    actuation-row values per point, shapes (k, m)."""
+    k, n, m = len(pts), dyn.n, dyn.m
+    f_max = float(np.max(_row_norms(np.broadcast_to(dyn.drift(pts), (k, n)))))
+    # Singular values of each actuation matrix, as np.linalg.norm(g, 2)
+    # takes them; a constant matrix is decomposed once.
+    g_max = float(np.max(np.linalg.svd(dyn.actuation(pts), compute_uv=False)))
+    k_vals = np.broadcast_to(controller(pts), (k, m))
+    lgh_vals = np.broadcast_to(lie_derivatives(dyn, barrier, pts)[1], (k, m))
     return f_max, g_max, k_vals, lgh_vals
 
 
@@ -271,6 +283,12 @@ def _pair_quotients(fa: np.ndarray, fb: np.ndarray, xa: np.ndarray, xb: np.ndarr
     if not np.any(keep):
         return 0.0
     return float(np.max(num[keep] / den[keep]))
+
+
+def _min_lgh_norm(dyn: ControlAffineDynamics, barrier: BarrierFunction, pts: np.ndarray) -> float:
+    """Smallest actuation-row norm |lgh| over the points."""
+    lgh = np.broadcast_to(lie_derivatives(dyn, barrier, pts)[1], (len(pts), dyn.m))
+    return float(np.min(_row_norms(lgh)))
 
 
 def estimate_bounds(
@@ -313,17 +331,16 @@ def estimate_bounds(
     lam = safety_factor * float(np.max(np.linalg.norm(lgh_vals, axis=1)))
 
     bpts = boundary_points(region, barrier, boundary_count, rng)
-    mu_raw = min(float(np.linalg.norm(lie_derivatives(dyn, barrier, p)[1])) for p in bpts)
-    mu = mu_raw / safety_factor
+    mu = _min_lgh_norm(dyn, barrier, bpts) / safety_factor
 
     # Difference quotients: random pairs spread over the box, lattice
     # neighbors capture local slopes the random pairs dilute.
     pa = region.sample(rng, pair_count)
     pb = region.sample(rng, pair_count)
-    k_a = np.array([controller(x) for x in pa])
-    k_b = np.array([controller(x) for x in pb])
-    lgh_a = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pa])
-    lgh_b = np.array([lie_derivatives(dyn, barrier, x)[1] for x in pb])
+    k_a = np.broadcast_to(controller(pa), (pair_count, dyn.m))
+    k_b = np.broadcast_to(controller(pb), (pair_count, dyn.m))
+    lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, pa)[1], (pair_count, dyn.m))
+    lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, pb)[1], (pair_count, dyn.m))
     l_k = _pair_quotients(k_a, k_b, pa, pb)
     m_lip = _pair_quotients(lgh_a, lgh_b, pa, pb)
 
@@ -450,8 +467,7 @@ def check_assumptions(
     # the box samples also reaches thin slivers (for the cruise-control
     # barrier, the zero-speed corner where actuation authority vanishes).
     proj = _project_to_boundary(region, barrier, pts)
-    candidates = list(bpts) + proj
-    mu_raw = min(float(np.linalg.norm(lie_derivatives(dyn, barrier, p)[1])) for p in candidates)
+    mu_raw = _min_lgh_norm(dyn, barrier, np.vstack([bpts, proj]))
     degenerate = not mu_raw > _MU_DEGENERACY_RATIO * lam_raw
     checks.append(Check(
         "boundary_actuation", "fail" if degenerate else "pass",
@@ -469,7 +485,7 @@ def check_assumptions(
         f"sampled difference quotient {m_raw:.6g}", m_raw,
     ))
 
-    hs = np.array([barrier.value(p) for p in pts])
+    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     safe = pts[hs >= 0.0]
     safe_h = hs[hs >= 0.0]
     if len(safe) < envelope_bins:

@@ -32,7 +32,14 @@ from .cbf_core import (
     _probe_shapes,
     lie_derivatives,
 )
-from .constants import BoundSet, Check, OperatingRegion, Report, boundary_points
+from .constants import (
+    BoundSet,
+    Check,
+    OperatingRegion,
+    Report,
+    _min_lgh_norm,
+    boundary_points,
+)
 from .errors import ConfigurationError, InfeasibleFilterError
 
 __all__ = [
@@ -48,8 +55,8 @@ __all__ = [
 @dataclass(frozen=True)
 class NominalController:
     """Performance controller: a state-to-input law returning an (m,) float
-    array. Its shape is checked once, with the plant's, before a run or an
-    estimation starts."""
+    array, and (k, m) for a (k, n) stack of states. Its shape is checked
+    once, with the plant's, before a run or an estimation starts."""
 
     law: Callable[[np.ndarray], np.ndarray]
     m: int
@@ -62,9 +69,10 @@ class NominalController:
 class CbfQpFilter:
     """Least-deviation safety filter for a scalar input channel.
 
-    Calling the filter returns the filtered input at a state. The closed
-    form covers m = 1 only; multi-input systems need a QP solver and are
-    rejected up front rather than silently mishandled.
+    Calling the filter returns the filtered input at a state, or at each
+    state of a stack. The closed form covers m = 1 only; multi-input
+    systems need a QP solver and are rejected up front rather than silently
+    mishandled.
     """
 
     dynamics: ControlAffineDynamics
@@ -87,37 +95,61 @@ class CbfQpFilter:
 
 
 def solve_cbf_qp(filt: CbfQpFilter, x: np.ndarray) -> np.ndarray:
-    """Closed-form filtered input at x.
+    """Closed-form filtered input at x, one state (n,) or a stack (k, n).
 
     When the nominal input already satisfies the decrease condition it is
     returned unchanged (bit for bit, so downstream comparisons against the
     nominal are exact). Otherwise the unique active-constraint solution is
     returned. Infeasibility, which for one channel means the input does not
     enter the constraint at all while the drift violates it, raises
-    ``InfeasibleFilterError`` rather than clamping.
+    ``InfeasibleFilterError`` rather than clamping; on a stack it names the
+    first infeasible row and its state.
     """
-    u_des = filt.nominal(x)
     lfh, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
-    a_h = filt.alpha(filt.barrier.value(x))
-    slack = lfh + float(lgh[0]) * float(u_des[0]) + a_h
-    if slack >= 0.0:
+    return _filtered(filt, x, lfh, lgh, filt.barrier.value(x))
+
+
+def _any(mask) -> bool:
+    # A scalar's .any() costs a reduction; this runs once per filter call.
+    return bool(mask) if mask.ndim == 0 else bool(mask.any())
+
+
+def _filtered(filt: CbfQpFilter, x: np.ndarray, lfh, lgh: np.ndarray, h) -> np.ndarray:
+    """The filter's input at x from the Lie derivatives and barrier value
+    there, so that the boosted law can share them."""
+    u_des = filt.nominal(x)
+    a_h = filt.alpha(h)
+    # .T[0]: the single input channel, a scalar for one state, (k,) for a stack.
+    lg = lgh.T[0]
+    slack = lfh + lg * u_des.T[0] + a_h
+    active = (slack < 0.0) | (slack != slack)  # nan counts as violated
+    if not _any(active):
         return u_des.copy()
-    if lgh[0] == 0.0:
+    blind = lg == 0.0
+    infeasible = active & blind
+    if _any(infeasible):
+        rows = np.broadcast_to(infeasible, x.shape[:-1])
+        first = np.unravel_index(np.argmax(rows), rows.shape)  # () for one state
         raise InfeasibleFilterError(
             "barrier constraint infeasible: input has no authority over the "
             f"barrier here and the drift violates the decrease condition "
-            f"(lfh={lfh:.6g}, alpha(h)={a_h:.6g})",
-            state=x,
+            f"(lfh={np.broadcast_to(lfh, rows.shape)[first]:.6g}, "
+            f"alpha(h)={np.broadcast_to(a_h, rows.shape)[first]:.6g})",
+            state=x[first],
         )
-    u_star = (-a_h - lfh) / float(lgh[0])
-    return np.array([u_star])
+    # Rows with lg == 0 are inactive by now; they divide by 1, not by 0.
+    u_star = ((-a_h - lfh) / (lg + blind))[..., None]
+    if active.ndim and not active.all():
+        return np.where(active[..., None], u_star, u_des)
+    return u_star
 
 
 def tunable_control(filt: CbfQpFilter, gain: SigmoidGain, x: np.ndarray) -> np.ndarray:
-    """Filtered input plus the sigmoid-gated gradient push."""
-    u = solve_cbf_qp(filt, x)
-    _, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
-    return u + gain(filt.barrier.value(x)) * lgh
+    """Filtered input plus the sigmoid-gated gradient push, at one state or
+    a stack. The filter and the push share one Lie-derivative evaluation."""
+    lfh, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
+    h = filt.barrier.value(x)
+    return _filtered(filt, x, lfh, lgh, h) + gain(h)[..., None] * lgh
 
 
 @dataclass(frozen=True)
@@ -208,16 +240,14 @@ def validate_tuning(
         ))
         return Report(tuple(checks))
 
+    _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
     rng = np.random.default_rng(region.seed)
-    band_pts = list(boundary_points(region, barrier, band_count, rng))
+    bpts = boundary_points(region, barrier, band_count, rng)
     box = region.sample(rng, 16 * band_count)
-    for p in box:
-        if 0.0 <= barrier.value(p) < cfg.delta:
-            band_pts.append(p)
-    _probe_shapes(dynamics, barrier, band_pts[0])
-    gains = [float(np.linalg.norm(lie_derivatives(dynamics, barrier, p)[1])) for p in band_pts]
+    hs = np.broadcast_to(barrier.value(box), (len(box),))
+    band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])
     floor = bounds.mu / 2.0
-    worst = min(gains)
+    worst = _min_lgh_norm(dynamics, barrier, band_pts)
     checks.append(Check(
         "activation_band_gain",
         "pass" if worst >= floor else "fail",

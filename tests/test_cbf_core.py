@@ -124,9 +124,9 @@ def _linear_system() -> tuple[ControlAffineDynamics, BarrierFunction]:
     B = np.array([[0.0], [1.0]])
     c = np.array([1.0, 0.5])
     dyn = ControlAffineDynamics(
-        drift=lambda x: A @ x, actuation=lambda x: B, n=2, m=1,
+        drift=lambda x: x @ A.T, actuation=lambda x: B, n=2, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: float(c @ x), gradient=lambda x: c)
+    barrier = BarrierFunction(value=lambda x: x @ c, gradient=lambda x: c)
     return dyn, barrier
 
 
@@ -140,12 +140,12 @@ class TestLieDerivatives:
 
     def test_driftless_input_channel(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([x[1], 0.0]),
+            drift=lambda x: x[..., ::-1] * np.array([1.0, 0.0]),
             actuation=lambda x: np.zeros((2, 1)),
             n=2, m=1,
         )
         barrier = BarrierFunction(
-            value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]),
+            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
         lfh, lgh = lie_derivatives(dyn, barrier, np.array([1.0, 2.0]))
         assert lfh == 2.0
@@ -164,7 +164,7 @@ class TestLieDerivatives:
         # Mis-sized callables fail once, when a scenario is built or an
         # estimation starts, before any run or estimation work.
         good_barrier = BarrierFunction(
-            value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]),
+            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
         good_dyn = ControlAffineDynamics(
             drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((2, 1)), n=2, m=1,
@@ -179,7 +179,7 @@ class TestLieDerivatives:
                 n=2, m=1,
             ), good_barrier),
             "barrier gradient has shape": (good_dyn, BarrierFunction(
-                value=lambda x: float(x[0]), gradient=lambda x: np.zeros(3),
+                value=lambda x: x.T[0], gradient=lambda x: np.zeros(3),
             )),
         }
         region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
@@ -195,6 +195,34 @@ class TestLieDerivatives:
                 OperatingRegion(lower=(0.0,), upper=(1.0,)),
                 good_dyn, lambda x: np.zeros(1), good_barrier,
             )
+
+
+    def test_batch_contract_is_probed_before_any_work(self):
+        # A barrier value that reduces its input to one float cannot take a
+        # (k, n) stack; the probe rejects it, and a value whose stacked
+        # output does not broadcast to (k,), before the controller is ever
+        # called.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.zeros(2), actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+        )
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        cases = {
+            r"barrier value failed on a 2-row stack .*TypeError": lambda x: float(x[0]),
+            r"barrier value returned shape \(2, 1\) on a 2-row stack": lambda x: x[..., :1],
+        }
+        for message, value in cases.items():
+            barrier = BarrierFunction(value=value, gradient=lambda x: np.array([1.0, 0.0]))
+            calls = []
+
+            def controller(x):
+                calls.append(x)
+                return np.zeros(1)
+
+            with pytest.raises(ConfigurationError, match=message):
+                _probe_scenario(dyn, barrier, controller)
+            with pytest.raises(ConfigurationError, match=message):
+                estimate_bounds(region, dyn, controller, barrier)
+            assert calls == []
 
 
 def _probe_scenario(dyn, barrier, controller) -> Scenario:
@@ -247,7 +275,7 @@ class TestBarrierMargin:
         dyn = ControlAffineDynamics(
             drift=lambda x: np.zeros(1), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
         # f = 0, g = 1, h = x1: margin at x1=2, u=0 is alpha(2) = 2
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([2.0]), np.array([0.0])) == 2.0
@@ -256,7 +284,7 @@ class TestBarrierMargin:
         dyn = ControlAffineDynamics(
             drift=lambda x: np.array([1.0]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(1.0)
         # h = 0 and u cancels the drift: margin is exactly zero
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([0.0]), np.array([-1.0])) == 0.0
@@ -273,7 +301,7 @@ def _static_unit_barrier():
     dyn = ControlAffineDynamics(
         drift=lambda x: np.zeros(1), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     return dyn, barrier
 
 

@@ -41,7 +41,7 @@ def _plane_system():
         n=2, m=1,
     )
     barrier = BarrierFunction(
-        value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]),
+        value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
     )
     return dyn, barrier
 
@@ -283,7 +283,7 @@ class TestCheckAssumptions:
             n=2, m=1,
         )
         barrier = BarrierFunction(
-            value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]),
+            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), sample_count=1024)
         report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)

@@ -41,7 +41,7 @@ def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
         actuation=lambda x: np.ones((1, 1)),
         n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     return CbfQpFilter(
         dynamics=dyn,
         barrier=barrier,
@@ -67,7 +67,7 @@ class TestSolveCbfQp:
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.array([7.0]), m=1),
@@ -81,7 +81,7 @@ class TestSolveCbfQp:
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1), m=1),
@@ -116,7 +116,7 @@ class TestSolveCbfQp:
             actuation=lambda x: np.eye(2),
             n=2, m=2,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.array([1.0, 0.0]))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]))
         with pytest.raises(ConfigurationError):
             CbfQpFilter(
                 dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
@@ -185,7 +185,7 @@ class TestAdjustedControl:
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.array([3.0]), m=1),

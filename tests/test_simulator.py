@@ -3,7 +3,6 @@ trigger evaluation, trace analysis, and CSV persistence."""
 
 from __future__ import annotations
 
-import math
 
 import numpy as np
 import pytest
@@ -82,7 +81,7 @@ class TestIntegrateHeld:
         blow = ControlAffineDynamics(
             drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         sc = Scenario(
             name="blowup-held", dynamics=blow, barrier=barrier,
             alpha=ClassKappa.linear(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
@@ -102,7 +101,7 @@ def _scalar_scenario(mode: str, *, drift_rate=0.0, x0=1.0, horizon=1.0,
         actuation=lambda x: np.ones((1, 1)),
         n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     alpha = ClassKappa.linear(1.0)
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=alpha,
@@ -138,7 +137,7 @@ class TestRun:
     def test_input_is_bitwise_constant_between_events(self):
         sc = _scalar_scenario(
             "periodic", period=0.25, horizon=1.0, substep=0.0625,
-            nominal=lambda x: np.array([math.sin(float(x[0]))]),
+            nominal=lambda x: np.sin(x.T[:1]).T,
         )
         tr = run(sc)
         marks = list(np.flatnonzero(tr.event == 1)) + [len(tr)]
@@ -191,7 +190,7 @@ class TestRun:
         dyn = ControlAffineDynamics(
             drift=lambda x: 100.0 * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1), m=1),
@@ -209,7 +208,7 @@ class TestRun:
         dyn = ControlAffineDynamics(
             drift=lambda x: np.array([-1.0]), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1), m=1),
@@ -229,7 +228,7 @@ class TestTriggerValue:
         dyn = ControlAffineDynamics(
             drift=lambda x: np.array([1.0]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         got = trigger_value(
             dyn, barrier, ClassKappa.linear(1.0), 0.0, np.array([0.0]), np.array([-1.0]),
         )
@@ -239,7 +238,7 @@ class TestTriggerValue:
         dyn = ControlAffineDynamics(
             drift=lambda x: np.array([0.3]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: float(x[0]), gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         alpha = ClassKappa.linear(2.0)
         x, u, c = np.array([0.5]), np.array([0.1]), 3.0
         got = trigger_value(dyn, barrier, alpha, c, x, u)
