@@ -47,7 +47,6 @@ __all__ = [
     "thin_band_tuning",
     "wide_band_tuning",
     "certified_tuning",
-    "TUNINGS",
     "SCENARIO_KINDS",
     "SWEEP_FREQUENCIES",
     "build_scenario",
@@ -143,7 +142,7 @@ def acc_nominal(params: AccParams | None = None) -> NominalController:
         u = -p.tracking_gain * (p.mass / 2.0) * (speed - p.desired_speed) + p.resistance(speed)
         return u[..., None]
 
-    return NominalController(law=law, m=1)
+    return NominalController(law=law)
 
 
 def acc_filter(
@@ -219,24 +218,7 @@ def certified_tuning() -> TunableControllerConfig:
     )
 
 
-TUNINGS = {
-    "thin-band": thin_band_tuning,
-    "wide-band": wide_band_tuning,
-    "certified": certified_tuning,
-}
-
-
-def _resolve_tuning(
-    tuning: TunableControllerConfig | str | None, kind: str, setting: str
-) -> TunableControllerConfig:
-    if isinstance(tuning, TunableControllerConfig):
-        return tuning
-    if isinstance(tuning, str):
-        if tuning not in TUNINGS:
-            raise ConfigurationError(
-                f"unknown tuning {tuning!r}, expected one of {sorted(TUNINGS)}"
-            )
-        return TUNINGS[tuning]()
+def _default_tuning(kind: str, setting: str) -> TunableControllerConfig:
     if setting == "ride":
         return certified_tuning()
     if kind in ("periodic-boosted", "event"):
@@ -251,11 +233,10 @@ def build_scenario(
     horizon: float | None = None,
     substep: float = 1e-3,
     setting: str = "approach",
-    tuning: TunableControllerConfig | str | None = None,
+    tuning: TunableControllerConfig | None = None,
     params: AccParams | None = None,
     floor: float = 0.0,
     x0: tuple[float, ...] | None = None,
-    name: str | None = None,
 ) -> Scenario:
     """Assemble a ready-to-run ACC scenario.
 
@@ -264,8 +245,11 @@ def build_scenario(
     "ride": narrow box near the boundary, 12 s). In the approach setting the
     periodic kinds default to the near start: a far start under slow holds
     swings the state out of any physical box before the interesting part.
-    Plain kinds still resolve a tuning because its amplification feeds the
-    recorded trigger signal.
+    Without a tuning, the ride setting uses the certified tuning, the
+    boosted approach kinds the wide band and the plain ones the thin band;
+    plain kinds still need one because its amplification feeds the recorded
+    trigger signal. The scenario is named
+    ``acc-<setting>-<kind>[-<period>s]``.
     """
     if kind not in SCENARIO_KINDS:
         raise ConfigurationError(
@@ -277,7 +261,7 @@ def build_scenario(
         )
     p = params or AccParams()
     filt = acc_filter(p)
-    cfg = _resolve_tuning(tuning, kind, setting)
+    cfg = tuning if tuning is not None else _default_tuning(kind, setting)
 
     if setting == "approach":
         region = approach_region()
@@ -306,10 +290,9 @@ def build_scenario(
         schedule = HoldSchedule.event(floor=floor)
         controller = cfg.controller(filt)
 
-    if name is None:
-        name = f"acc-{setting}-{kind}"
-        if period is not None:
-            name += f"-{period:g}s"
+    name = f"acc-{setting}-{kind}"
+    if period is not None:
+        name += f"-{period:g}s"
 
     return Scenario(
         name=name,

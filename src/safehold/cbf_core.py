@@ -23,8 +23,8 @@ the callables compute each row as they would alone, a stacked call equals
 the row-by-row single calls bit for bit: the library's own reductions are
 one dot per row (``np.vecdot``), not a matrix product, whose summation order
 over a stack differs. The callables are probed once, on one state and on
-a 2-row stack of it, when a scenario is built or an estimation starts;
-every evaluation after that is plain arithmetic on arrays.
+an (n + 1)-row stack of it, when a scenario is built or an estimation
+starts; every evaluation after that is plain arithmetic on arrays.
 """
 
 from __future__ import annotations
@@ -57,19 +57,16 @@ _libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 @dataclass(frozen=True)
 class ClassKappa:
-    """Strictly increasing comparison function with alpha(0) = 0.
+    """Linear comparison function alpha(r) = coef * r, coef > 0.
 
-    The one supported kind is ``linear``: alpha(r) = coef * r, defined for
-    all real r (it is odd), so it can be evaluated at negative barrier
-    values outside the safe set.
+    Strictly increasing with alpha(0) = 0, and defined for all real r (it is
+    odd), so it can be evaluated at negative barrier values outside the safe
+    set. Build it with ``ClassKappa.linear(slope)``.
     """
 
-    kind: str
     coef: float = 1.0
 
     def __post_init__(self):
-        if self.kind != "linear":
-            raise ConfigurationError(f"unknown class-K kind {self.kind!r}")
         if not (self.coef > 0.0 and math.isfinite(self.coef)):
             raise ConfigurationError(
                 f"class-K coefficient must be finite and > 0, got {self.coef}"
@@ -77,7 +74,7 @@ class ClassKappa:
 
     @classmethod
     def linear(cls, slope: float = 1.0) -> "ClassKappa":
-        return cls(kind="linear", coef=slope)
+        return cls(coef=slope)
 
     def __call__(self, r: float) -> float:
         return self.coef * r
@@ -185,12 +182,13 @@ def lie_derivatives(
 
 
 def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int, ...]) -> None:
-    """Evaluate fn on the 2-row stack; its output must broadcast to target."""
+    """Evaluate fn on the probe stack; its output must broadcast to target."""
+    rows = f"{len(stack)}-row stack"
     try:
         out = np.asarray(fn(stack), dtype=float)
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigurationError(
-            f"{what} failed on a 2-row stack of states ({type(exc).__name__}: {exc}); "
+            f"{what} failed on a {rows} of states ({type(exc).__name__}: {exc}); "
             "callables must accept a (k, n) stack"
         ) from exc
     try:
@@ -199,7 +197,7 @@ def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int
         broadcasts = False
     if not broadcasts:
         raise ConfigurationError(
-            f"{what} returned shape {out.shape} on a 2-row stack, expected {target}"
+            f"{what} returned shape {out.shape} on a {rows}, expected {target}"
         )
 
 
@@ -209,13 +207,15 @@ def _probe_shapes(
     x,
     controller: Callable[[np.ndarray], np.ndarray] | None = None,
 ) -> None:
-    """Check, at one state and on a 2-row stack of it, every shape the
-    evaluation path relies on.
+    """Check, at one state and on an (n + 1)-row stack of it, every shape
+    the evaluation path relies on.
 
     The state must be (n,), the barrier gradient and the drift (n,), the
     actuation (n, m) and the controller's input (m,). On the stack every
     output must broadcast to its stacked shape (see the batch contract),
-    which rejects a callable that reduces its input to one float. A
+    which rejects a callable that reduces its input to one float. The stack
+    has n + 1 rows so that it is never square: a drift written ``A @ x``
+    instead of ``x @ A.T`` fails here rather than mid-estimation. A
     controller that wraps a nominal law (a filter, or a boosted law built
     from one) exposes it as ``nominal``, and that law is checked first. A
     filter infeasible at x is not a shape error; the run reports it with its
@@ -235,11 +235,12 @@ def _probe_shapes(
     g = np.asarray(dyn.actuation(x), dtype=float)
     if g.shape != (n, m):
         raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")
-    stack = np.stack([x, x])
-    _probe_stacked("barrier value", barrier.value, stack, (2,))
-    _probe_stacked("barrier gradient", barrier.gradient, stack, (2, n))
-    _probe_stacked("drift", dyn.drift, stack, (2, n))
-    _probe_stacked("actuation", dyn.actuation, stack, (2, n, m))
+    k = n + 1
+    stack = np.tile(x, (k, 1))
+    _probe_stacked("barrier value", barrier.value, stack, (k,))
+    _probe_stacked("barrier gradient", barrier.gradient, stack, (k, n))
+    _probe_stacked("drift", dyn.drift, stack, (k, n))
+    _probe_stacked("actuation", dyn.actuation, stack, (k, n, m))
     if controller is None:
         return
     for what, law in (
@@ -252,6 +253,6 @@ def _probe_shapes(
             u = np.atleast_1d(np.asarray(law(x), dtype=float))
             if u.shape != (m,):
                 raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")
-            _probe_stacked(what, law, stack, (2, m))
+            _probe_stacked(what, law, stack, (k, m))
         except InfeasibleFilterError:
             return

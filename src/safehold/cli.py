@@ -172,6 +172,17 @@ def _bound_lines(bounds: BoundSet) -> list[str]:
     ]
 
 
+def _estimate(cfg, filt, region) -> BoundSet:
+    """Regional bounds of the plain filtered controller over the region.
+
+    The boosted controller's extra authority enters the budget formulas
+    through epsilon, not through b_k."""
+    return estimate_bounds(
+        region, filt.dynamics, filt, filt.barrier,
+        sigmoid=cfg.tuning.sigmoid, safety_factor=cfg.safety_factor,
+    )
+
+
 def cmd_constants(args) -> int:
     cfg = load_config(args.config, args.set)
     filt = filter_from_config(cfg)
@@ -192,17 +203,7 @@ def cmd_constants(args) -> int:
             failed = ", ".join(c.name for c in assumptions.checks if c.status == "fail")
             print(f"assumption failure: {failed}", file=sys.stderr)
             return EXIT_ASSUMPTION
-        # The bounds describe the plain filtered controller; the boosted
-        # controller's extra authority enters the budget formulas through
-        # epsilon, not through b_k.
-        bounds = estimate_bounds(
-            region,
-            filt.dynamics,
-            filt,
-            filt.barrier,
-            sigmoid=cfg.tuning.sigmoid,
-            safety_factor=cfg.safety_factor,
-        )
+        bounds = _estimate(cfg, filt, region)
         for line in _bound_lines(bounds):
             print(line)
         for check in assumptions.checks:
@@ -231,16 +232,7 @@ def cmd_compare(args) -> int:
     if cfg.bounds is not None:
         bounds = cfg.bounds
     else:
-        filt = filter_from_config(cfg)
-        region = default_region(cfg)
-        bounds = estimate_bounds(
-            region,
-            filt.dynamics,
-            filt,
-            filt.barrier,
-            sigmoid=cfg.tuning.sigmoid,
-            safety_factor=cfg.safety_factor,
-        )
+        bounds = _estimate(cfg, filter_from_config(cfg), default_region(cfg))
     t_star = violation_free_sampling_time(bounds, cfg.tuning.epsilon, cfg.tuning.margin)
     substep = min(cfg.substep, t_star / 2.0)
     periodic_cfg = dataclasses.replace(cfg, mode="periodic", period=t_star, substep=substep)

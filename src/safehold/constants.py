@@ -55,6 +55,16 @@ DEFAULT_SAFETY_FACTOR = 1.1
 # degenerate: mu below this fraction of lambda fails the boundary check.
 _MU_DEGENERACY_RATIO = 0.01
 
+# Sampling sizes of the estimation: root-found boundary points, random
+# point pairs for the difference quotients, and the lattice's target point
+# count (rounded to a whole number of points per axis, at least 2).
+_BOUNDARY_COUNT = 512
+_PAIR_COUNT = 100_000
+_LATTICE_POINTS = 30_000
+
+# Distance bins of the barrier-envelope check.
+_ENVELOPE_BINS = 16
+
 
 @dataclass(frozen=True)
 class OperatingRegion:
@@ -173,20 +183,20 @@ class Report:
 def boundary_points(
     region: OperatingRegion,
     barrier: BarrierFunction,
-    count: int = 512,
+    count: int = _BOUNDARY_COUNT,
     rng: np.random.Generator | None = None,
-    candidate_factor: int = 8,
 ) -> np.ndarray:
     """Points on the safe-set boundary inside the region, shape (k, n).
 
-    Works by pairing sampled points of opposite barrier sign and root-finding
-    along the connecting segments, so each returned point satisfies
-    |h| <= 1e-9 relative to the barrier's sampled magnitude. Raises
-    ``BoundarySamplingError`` when the box never straddles the boundary.
+    Works by pairing sampled points of opposite barrier sign (from
+    max(8 * count, 2048) box samples) and root-finding along the connecting
+    segments, so each returned point satisfies |h| <= 1e-9 relative to the
+    barrier's sampled magnitude. Raises ``BoundarySamplingError`` when the
+    box never straddles the boundary.
     """
     if rng is None:
         rng = np.random.default_rng(region.seed)
-    pts = region.sample(rng, max(candidate_factor * count, 2048))
+    pts = region.sample(rng, max(8 * count, 2048))
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     pos = pts[hs > 0.0]
     neg = pts[hs < 0.0]
@@ -213,17 +223,15 @@ def _project_to_boundary(
     region: OperatingRegion,
     barrier: BarrierFunction,
     pts: np.ndarray,
-    *,
-    iters: int = 8,
 ) -> np.ndarray:
     """Newton-project points onto h = 0, keeping in-box converged landings.
 
     Complements ``boundary_points``: segment root-finding samples the
     boundary in proportion to its bulk, while projection follows the
     barrier gradient and so also lands on thin slivers of the boundary
-    that random segments almost never cross. All points take their Newton
-    steps together; a point whose step is undefined (non-finite value or
-    gradient, zero gradient) or lands off the finite reals drops out.
+    that random segments almost never cross. All points take their eight
+    Newton steps together; a point whose step is undefined (non-finite value
+    or gradient, zero gradient) or lands off the finite reals drops out.
     Returns the landings clipped to the box, shape (j, n).
     """
     lo, hi = region.lower_arr, region.upper_arr
@@ -232,7 +240,7 @@ def _project_to_boundary(
     x = np.array(pts, dtype=float)
     h0 = np.abs(np.broadcast_to(barrier.value(x), (k,)))
     alive = np.arange(k)
-    for _ in range(iters):
+    for _ in range(8):
         xa = x[alive]
         h = np.broadcast_to(barrier.value(xa), (len(alive),))
         grad = np.broadcast_to(barrier.gradient(xa), (len(alive), n))
@@ -299,27 +307,24 @@ def estimate_bounds(
     *,
     sigmoid: SigmoidGain | None = None,
     safety_factor: float = DEFAULT_SAFETY_FACTOR,
-    boundary_count: int = 512,
-    pair_count: int = 100_000,
-    lattice_per_axis: int | None = None,
 ) -> BoundSet:
     """Estimate a BoundSet over the region by deterministic seeded sampling.
 
-    Maxima (b_f, b_g, b_k, lam, l_k, m_lip) come from uniform box samples,
-    lattice points, and difference quotients over random point pairs plus all
-    lattice nearest-neighbor pairs; the boundary minimum mu comes from
-    root-found boundary points. Maxima are inflated and mu deflated by
-    ``safety_factor``. The boost-gain slope bound l_sigma is analytic,
-    ``sharpness / (4 * epsilon)``, and is zero when no sigmoid is supplied.
+    Maxima (b_f, b_g, b_k, lam, l_k, m_lip) come from the region's uniform
+    box samples, a lattice of about 30,000 points, and difference quotients
+    over 100,000 random point pairs plus all lattice nearest-neighbor pairs;
+    the boundary minimum mu comes from 512 root-found boundary points.
+    Maxima are inflated and mu deflated by ``safety_factor``. The boost-gain
+    slope bound l_sigma is analytic, ``sharpness / (4 * epsilon)``, and is
+    zero when no sigmoid is supplied.
     """
     if safety_factor < 1.0:
         raise ConfigurationError(f"safety_factor must be >= 1, got {safety_factor}")
     rng = np.random.default_rng(region.seed)
     n = region.dimension
 
-    if lattice_per_axis is None:
-        lattice_per_axis = max(2, int(round(30_000 ** (1.0 / n))))
-    lattice = region.lattice(lattice_per_axis)
+    per_axis = max(2, int(round(_LATTICE_POINTS ** (1.0 / n))))
+    lattice = region.lattice(per_axis)
     box = region.sample(rng)
     _probe_shapes(dyn, barrier, box[0], controller)
     base = np.vstack([box, lattice])
@@ -330,21 +335,21 @@ def estimate_bounds(
     b_k = safety_factor * float(np.max(np.linalg.norm(k_vals, axis=1)))
     lam = safety_factor * float(np.max(np.linalg.norm(lgh_vals, axis=1)))
 
-    bpts = boundary_points(region, barrier, boundary_count, rng)
+    bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
     mu = _min_lgh_norm(dyn, barrier, bpts) / safety_factor
 
     # Difference quotients: random pairs spread over the box, lattice
     # neighbors capture local slopes the random pairs dilute.
-    pa = region.sample(rng, pair_count)
-    pb = region.sample(rng, pair_count)
-    k_a = np.broadcast_to(controller(pa), (pair_count, dyn.m))
-    k_b = np.broadcast_to(controller(pb), (pair_count, dyn.m))
-    lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, pa)[1], (pair_count, dyn.m))
-    lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, pb)[1], (pair_count, dyn.m))
+    pa = region.sample(rng, _PAIR_COUNT)
+    pb = region.sample(rng, _PAIR_COUNT)
+    k_a = np.broadcast_to(controller(pa), (_PAIR_COUNT, dyn.m))
+    k_b = np.broadcast_to(controller(pb), (_PAIR_COUNT, dyn.m))
+    lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, pa)[1], (_PAIR_COUNT, dyn.m))
+    lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, pb)[1], (_PAIR_COUNT, dyn.m))
     l_k = _pair_quotients(k_a, k_b, pa, pb)
     m_lip = _pair_quotients(lgh_a, lgh_b, pa, pb)
 
-    shape = (lattice_per_axis,) * n
+    shape = (per_axis,) * n
     k_lat = k_vals[len(box):].reshape(shape + (dyn.m,))
     lgh_lat = lgh_vals[len(box):].reshape(shape + (dyn.m,))
     x_lat = lattice.reshape(shape + (n,))
@@ -423,8 +428,6 @@ def check_assumptions(
     dyn: ControlAffineDynamics,
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
-    *,
-    envelope_bins: int = 16,
 ) -> Report:
     """Empirical evidence report for the standing assumptions.
 
@@ -432,7 +435,8 @@ def check_assumptions(
     Lipschitz estimate, a non-degenerate actuation margin on the safe-set
     boundary, a finite Lipschitz estimate for the barrier-gradient actuation
     row, and a monotone lower envelope for h as a function of distance to the
-    boundary (evidence that h qualifies as a proper measure of clearance).
+    boundary over 16 distance bins (evidence that h qualifies as a proper
+    measure of clearance).
     """
     rng = np.random.default_rng(region.seed)
     pts = region.sample(rng)
@@ -457,7 +461,7 @@ def check_assumptions(
     ))
 
     try:
-        bpts = boundary_points(region, barrier, 512, rng)
+        bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
     except BoundarySamplingError as exc:
         checks.append(Check("boundary_actuation", "fail", str(exc)))
         checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
@@ -488,14 +492,14 @@ def check_assumptions(
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     safe = pts[hs >= 0.0]
     safe_h = hs[hs >= 0.0]
-    if len(safe) < envelope_bins:
+    if len(safe) < _ENVELOPE_BINS:
         checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
         return Report(tuple(checks))
     dists, _ = cKDTree(bpts).query(safe)
-    edges = np.linspace(0.0, float(np.max(dists)), envelope_bins + 1)
+    edges = np.linspace(0.0, float(np.max(dists)), _ENVELOPE_BINS + 1)
     env, lefts = [], []
-    for b in range(envelope_bins):
-        hi = dists <= edges[b + 1] if b == envelope_bins - 1 else dists < edges[b + 1]
+    for b in range(_ENVELOPE_BINS):
+        hi = dists <= edges[b + 1] if b == _ENVELOPE_BINS - 1 else dists < edges[b + 1]
         mask = (dists >= edges[b]) & hi
         if np.any(mask):
             env.append(float(np.min(safe_h[mask])))

@@ -26,37 +26,31 @@ class ConfigurationError(SafeholdError):
     malformed config documents. The message names the offending field."""
 
 
-class InfeasibleFilterError(SafeholdError):
+class _StateError(SafeholdError):
+    """A failure at a state, and at a simulation time when mid-run."""
+
+    def __init__(self, message: str, state=None, time: float | None = None):
+        super().__init__(message)
+        self.state = state
+        self.time = time
+
+
+class InfeasibleFilterError(_StateError):
     """The barrier constraint cannot be satisfied by any input at this state.
 
     Raised instead of clamping or guessing. Carries the state and, when the
     failure happens mid-run, the simulation time.
     """
 
-    def __init__(self, message: str, state=None, time: float | None = None):
-        super().__init__(message)
-        self.state = state
-        self.time = time
 
-
-class DivergenceError(SafeholdError):
+class DivergenceError(_StateError):
     """State became non-finite during integration. Carries the last finite
     state and the time at which the check failed."""
 
-    def __init__(self, message: str, state=None, time: float | None = None):
-        super().__init__(message)
-        self.state = state
-        self.time = time
 
-
-class RegionExitError(SafeholdError):
+class RegionExitError(_StateError):
     """Trajectory left the declared operating region, so estimated bounds no
     longer certify anything. Carries the state and time of exit."""
-
-    def __init__(self, message: str, state=None, time: float | None = None):
-        super().__init__(message)
-        self.state = state
-        self.time = time
 
 
 class BoundarySamplingError(SafeholdError):

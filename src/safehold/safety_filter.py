@@ -51,15 +51,19 @@ __all__ = [
     "validate_tuning",
 ]
 
+# Boundary points sampled by the activation-band check; the box sample
+# searched for band points is 16 times larger.
+_BAND_BOUNDARY_POINTS = 256
+
 
 @dataclass(frozen=True)
 class NominalController:
     """Performance controller: a state-to-input law returning an (m,) float
-    array, and (k, m) for a (k, n) stack of states. Its shape is checked
-    once, with the plant's, before a run or an estimation starts."""
+    array, and (k, m) for a (k, n) stack of states, m being the plant's
+    input count. Its shape is checked once, with the plant's, before a run
+    or an estimation starts."""
 
     law: Callable[[np.ndarray], np.ndarray]
-    m: int
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.law(x)
@@ -84,10 +88,6 @@ class CbfQpFilter:
         if self.dynamics.m != 1:
             raise ConfigurationError(
                 f"closed-form filter requires a single input channel, got m={self.dynamics.m}"
-            )
-        if self.nominal.m != self.dynamics.m:
-            raise ConfigurationError(
-                f"nominal controller has m={self.nominal.m}, dynamics m={self.dynamics.m}"
             )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -204,7 +204,6 @@ def validate_tuning(
     dynamics: ControlAffineDynamics | None = None,
     barrier: BarrierFunction | None = None,
     region: OperatingRegion | None = None,
-    band_count: int = 256,
 ) -> Report:
     """Check the tuning against its certificate side conditions.
 
@@ -213,7 +212,8 @@ def validate_tuning(
     enough for the boundary actuation margin to reject worst-case drift
     (epsilon <= mu^2 / (4 * margin)), and the actuation row must stay above
     half its boundary floor throughout the activation band {0 <= h < delta}.
-    The band check samples the actual system, so it runs only when dynamics,
+    The band check samples the actual system (256 boundary points plus the
+    band's share of 4096 box samples), so it runs only when dynamics,
     barrier, and region are all supplied; otherwise it reports "skipped".
     """
     checks = []
@@ -242,8 +242,8 @@ def validate_tuning(
 
     _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
     rng = np.random.default_rng(region.seed)
-    bpts = boundary_points(region, barrier, band_count, rng)
-    box = region.sample(rng, 16 * band_count)
+    bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
+    box = region.sample(rng, 16 * _BAND_BOUNDARY_POINTS)
     hs = np.broadcast_to(barrier.value(box), (len(box),))
     band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])
     floor = bounds.mu / 2.0

@@ -49,13 +49,15 @@ __all__ = [
     "RunSummary",
     "Scenario",
     "rk4_step",
-    "rk4_step_closed_loop",
     "trigger_value",
     "run",
     "analyze",
 ]
 
 _MODES = ("continuous", "periodic", "event")
+
+# A state whose norm exceeds this (or is not finite) aborts the run.
+_DIVERGENCE_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class HoldSchedule:
 
 @dataclass
 class Trace:
-    """Recorded closed-loop run. Arrays share length; events holds the
-    sampling instants (empty for continuous runs)."""
+    """Recorded closed-loop run. Arrays share length; ``event`` flags the
+    rows where the input was sampled."""
 
     t: np.ndarray
     x: np.ndarray
@@ -124,10 +126,14 @@ class Trace:
     hdot: np.ndarray
     trigger: np.ndarray
     event: np.ndarray
-    events: tuple[float, ...] = ()
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def events(self) -> tuple[float, ...]:
+        """The sampling instants (empty for continuous runs)."""
+        return tuple(self.t[self.event == 1].tolist())
 
     def to_csv(self, path) -> None:
         n = self.x.shape[1]
@@ -162,8 +168,7 @@ class Trace:
         u = data[:, 1 + n:1 + n + m]
         h, hdot, trig = data[:, -4], data[:, -3], data[:, -2]
         ev = data[:, -1].astype(int)
-        events = tuple(float(v) for v in t[ev == 1])
-        return cls(t=t, x=x, u=u, h=h, hdot=hdot, trigger=trig, event=ev, events=events)
+        return cls(t=t, x=x, u=u, h=h, hdot=hdot, trigger=trig, event=ev)
 
 
 @dataclass(frozen=True)
@@ -198,15 +203,10 @@ class Scenario:
     schedule: HoldSchedule
     region: OperatingRegion | None = None
     trigger_c: float = 0.0
-    divergence_limit: float = 1e8
 
     def __post_init__(self):
         if not (math.isfinite(self.trigger_c) and self.trigger_c >= 0.0):
             raise ConfigurationError(f"trigger_c must be >= 0, got {self.trigger_c}")
-        if not (math.isfinite(self.divergence_limit) and self.divergence_limit > 0.0):
-            raise ConfigurationError(
-                f"divergence_limit must be > 0, got {self.divergence_limit}"
-            )
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (self.dynamics.n,):
             raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({self.dynamics.n},)")
@@ -224,7 +224,7 @@ def rk4_step(
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def rk4_step_closed_loop(
+def _rk4_step_closed_loop(
     dyn: ControlAffineDynamics,
     controller: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
@@ -271,12 +271,12 @@ def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _check_state(
-    sc: Scenario, x: np.ndarray, t: float, lo: np.ndarray | None, hi: np.ndarray | None
+    x: np.ndarray, t: float, lo: np.ndarray | None, hi: np.ndarray | None
 ) -> None:
     """Divergence first, then the region box [lo, hi] (skipped when None)."""
     norm = math.sqrt(x @ x)
     # Also true for inf and nan entries, whose norm is not <= any limit.
-    if not norm <= sc.divergence_limit:
+    if not norm <= _DIVERGENCE_LIMIT:
         raise DivergenceError(
             f"state diverged at t={t:.6g}: |x|={norm:.6g}",
             state=x,
@@ -307,7 +307,7 @@ def run(sc: Scenario) -> Trace:
     lo = hi = None
     if sc.region is not None:
         lo, hi = sc.region.lower_arr, sc.region.upper_arr
-    _check_state(sc, x0, 0.0, lo, hi)
+    _check_state(x0, 0.0, lo, hi)
 
     t_arr = np.arange(steps + 1) * dt
     X = np.empty((steps + 1, n))
@@ -318,7 +318,6 @@ def run(sc: Scenario) -> Trace:
     EV = np.zeros(steps + 1, dtype=int)
 
     mode = sc.schedule.mode
-    events: list[float] = []
     x = x0.copy()
 
     if mode == "periodic":
@@ -353,7 +352,6 @@ def run(sc: Scenario) -> Trace:
             if sample_now:
                 u_held = _checked_sample(sc, x, t)
                 last_sample_step = i
-                events.append(t)
                 EV[i] = 1
             u_row = u_held
 
@@ -366,14 +364,12 @@ def run(sc: Scenario) -> Trace:
 
         if i < steps:
             if mode == "continuous":
-                x = rk4_step_closed_loop(dyn, sc.controller, x, dt)
+                x = _rk4_step_closed_loop(dyn, sc.controller, x, dt)
             else:
                 x = rk4_step(dyn, x, u_row, dt)
-            _check_state(sc, x, float(t_arr[i + 1]), lo, hi)
+            _check_state(x, float(t_arr[i + 1]), lo, hi)
 
-    return Trace(
-        t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV, events=tuple(events)
-    )
+    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
 
 
 def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:
@@ -393,9 +389,10 @@ def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:
     below = np.flatnonzero(trace.h < -violation_tol)
     violation_time = float(trace.t[below[0]]) if len(below) else None
 
-    num_events = len(trace.events)
+    marks = np.flatnonzero(trace.event == 1)
+    num_events = len(marks)
     if num_events >= 2:
-        gaps = np.diff(np.asarray(trace.events))
+        gaps = np.diff(trace.t[marks])
         miet = float(np.min(gaps))
         mean_iet = float(np.mean(gaps))
         max_iet = float(np.max(gaps))
@@ -404,8 +401,7 @@ def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:
 
     # Hold error per row: distance from the state at the latest sampling
     # instant at or before that row. Rows before any event contribute zero.
-    marks = np.flatnonzero(trace.event == 1)
-    if len(marks):
+    if num_events:
         idx = np.zeros(len(trace), dtype=int) - 1
         idx[marks] = marks
         idx = np.maximum.accumulate(idx)

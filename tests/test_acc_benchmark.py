@@ -7,7 +7,6 @@ import pytest
 
 from safehold.acc_benchmark import (
     SWEEP_FREQUENCIES,
-    TUNINGS,
     X0_FAR,
     X0_NEAR,
     AccParams,
@@ -142,12 +141,6 @@ class TestRegions:
 
 
 class TestTuningPresets:
-    def test_registry_and_factories_agree(self):
-        assert set(TUNINGS) == {"thin-band", "wide-band", "certified"}
-        assert TUNINGS["thin-band"]() == thin_band_tuning()
-        assert TUNINGS["wide-band"]() == wide_band_tuning()
-        assert TUNINGS["certified"]() == certified_tuning()
-
     def test_thin_band_values(self):
         t = thin_band_tuning()
         assert (t.c, t.delta, t.band, t.epsilon, t.margin) == (9.18, 5e-4, 5e-3, 1.0, 0.004)
@@ -171,8 +164,6 @@ class TestBuildScenario:
             build_scenario("periodic")
         with pytest.raises(ConfigurationError, match="setting"):
             build_scenario("event", setting="nope")
-        with pytest.raises(ConfigurationError, match="tuning"):
-            build_scenario("event", tuning="nope")
 
     def test_periodic_defaults_to_the_near_start(self):
         sc = build_scenario("periodic", period=0.5)

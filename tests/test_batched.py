@@ -41,7 +41,7 @@ def _plane_filter() -> CbfQpFilter:
     dyn, barrier = _plane_system()
     return CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+        nominal=NominalController(law=lambda x: np.zeros(1)),
     )
 
 
@@ -58,7 +58,7 @@ def _linear_filter() -> CbfQpFilter:
     barrier = BarrierFunction(value=lambda x: np.vecdot(x, c), gradient=lambda x: c)
     return CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-        nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None], m=1),
+        nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
     )
 
 
@@ -153,7 +153,7 @@ def test_stack_with_an_infeasible_row_names_that_row(k, data):
     barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+        nominal=NominalController(law=lambda x: np.zeros(1)),
     )
     first = data.draw(st.integers(0, k - 1))
     xs = np.full((k, 1), 2.0)

@@ -52,11 +52,7 @@ class TestClassKappa:
         assert alpha(3.0) == 6.0
         assert alpha.inverse(-6.0) == -3.0
 
-    def test_invalid_kind_and_coef(self):
-        with pytest.raises(ConfigurationError):
-            ClassKappa(kind="nope")
-        with pytest.raises(ConfigurationError):
-            ClassKappa(kind="cubic")
+    def test_invalid_coef(self):
         with pytest.raises(ConfigurationError):
             ClassKappa.linear(-1.0)
         with pytest.raises(ConfigurationError):
@@ -207,8 +203,8 @@ class TestLieDerivatives:
         )
         region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         cases = {
-            r"barrier value failed on a 2-row stack .*TypeError": lambda x: float(x[0]),
-            r"barrier value returned shape \(2, 1\) on a 2-row stack": lambda x: x[..., :1],
+            r"barrier value failed on a 3-row stack .*TypeError": lambda x: float(x[0]),
+            r"barrier value returned shape \(3, 1\) on a 3-row stack": lambda x: x[..., :1],
         }
         for message, value in cases.items():
             barrier = BarrierFunction(value=value, gradient=lambda x: np.array([1.0, 0.0]))
@@ -223,6 +219,27 @@ class TestLieDerivatives:
             with pytest.raises(ConfigurationError, match=message):
                 estimate_bounds(region, dyn, controller, barrier)
             assert calls == []
+
+    def test_single_state_drift_is_rejected_for_two_states(self):
+        # With n == 2 a 2-row stack is square, so ``A @ x`` would take it
+        # without error; the probe stack has n + 1 rows, where the drift
+        # fails before the controller is ever called.
+        dyn, barrier = _linear_system()
+        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+        dyn = ControlAffineDynamics(drift=lambda x: A @ x, actuation=dyn.actuation, n=2, m=1)
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), sample_count=256)
+        calls = []
+
+        def controller(x):
+            calls.append(x)
+            return np.zeros(1)
+
+        message = r"drift failed on a 3-row stack .*ValueError"
+        with pytest.raises(ConfigurationError, match=message):
+            _probe_scenario(dyn, barrier, controller)
+        with pytest.raises(ConfigurationError, match=message):
+            estimate_bounds(region, dyn, controller, barrier)
+        assert calls == []
 
 
 def _probe_scenario(dyn, barrier, controller) -> Scenario:

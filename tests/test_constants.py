@@ -97,7 +97,7 @@ class TestEstimateBounds:
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         b = estimate_bounds(
             reg, dyn, lambda x: np.zeros(1), barrier,
-            safety_factor=1.0, pair_count=2000, lattice_per_axis=8, boundary_count=64,
+            safety_factor=1.0,
         )
         assert b.b_f == pytest.approx(1.0, rel=1e-12)
         assert b.b_g == 1.0
@@ -113,7 +113,7 @@ class TestEstimateBounds:
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         b = estimate_bounds(
             reg, dyn, lambda x: np.zeros(1), barrier,
-            safety_factor=1.1, pair_count=2000, lattice_per_axis=8, boundary_count=64,
+            safety_factor=1.1,
         )
         # maxima inflated, the boundary minimum deflated
         assert b.lam == pytest.approx(1.1, rel=1e-12)
@@ -128,9 +128,8 @@ class TestEstimateBounds:
     def test_deterministic_given_seed(self):
         filt = acc_filter()
         reg = ride_region(sample_count=256)
-        kw = dict(pair_count=2000, lattice_per_axis=6, boundary_count=64)
-        b1 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier, **kw)
-        b2 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier, **kw)
+        b1 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
+        b2 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
         assert b1 == b2
 
     def test_cruise_box_matches_dense_reference_within_5pct(self, ride_bounds):
@@ -158,11 +157,10 @@ class TestEstimateBounds:
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         from safehold.cbf_core import SigmoidGain
-        kw = dict(pair_count=2000, lattice_per_axis=8, boundary_count=64)
-        plain = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier, **kw)
+        plain = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
         gated = estimate_bounds(
             reg, dyn, lambda x: np.zeros(1), barrier,
-            sigmoid=SigmoidGain(epsilon=0.5, delta=1.0, band=2.0), **kw,
+            sigmoid=SigmoidGain(epsilon=0.5, delta=1.0, band=2.0),
         )
         assert gated.l_sigma == 100.0 / (4.0 * 0.5)
         for key in ("b_f", "b_g", "b_k", "lam", "mu", "l_k", "m_lip"):

@@ -46,7 +46,7 @@ def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
         dynamics=dyn,
         barrier=barrier,
         alpha=alpha or ClassKappa.linear(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+        nominal=NominalController(law=lambda x: np.zeros(1)),
     )
 
 
@@ -70,7 +70,7 @@ class TestSolveCbfQp:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-            nominal=NominalController(law=lambda x: np.array([7.0]), m=1),
+            nominal=NominalController(law=lambda x: np.array([7.0])),
         )
         # drift alone satisfies the decrease condition; u passes through
         assert solve_cbf_qp(filt, np.array([0.5]))[0] == 7.0
@@ -84,7 +84,7 @@ class TestSolveCbfQp:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+            nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         with pytest.raises(InfeasibleFilterError):
             solve_cbf_qp(filt, np.array([0.0]))
@@ -120,7 +120,7 @@ class TestSolveCbfQp:
         with pytest.raises(ConfigurationError):
             CbfQpFilter(
                 dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-                nominal=NominalController(law=lambda x: np.zeros(2), m=2),
+                nominal=NominalController(law=lambda x: np.zeros(2)),
             )
 
     def test_nominal_shape_mismatch_surfaces(self):
@@ -130,7 +130,7 @@ class TestSolveCbfQp:
         filt = _scalar_filter(0.0)
         filt = CbfQpFilter(
             dynamics=filt.dynamics, barrier=filt.barrier, alpha=filt.alpha,
-            nominal=NominalController(law=lambda x: np.zeros(2), m=1),
+            nominal=NominalController(law=lambda x: np.zeros(2)),
         )
         boosted = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0,
@@ -188,7 +188,7 @@ class TestAdjustedControl:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-            nominal=NominalController(law=lambda x: np.array([3.0]), m=1),
+            nominal=NominalController(law=lambda x: np.array([3.0])),
         )
         assert tunable_control(filt, _saturated(0.5), np.array([1.0]))[0] == 3.0
 

@@ -105,7 +105,7 @@ def _scalar_scenario(mode: str, *, drift_rate=0.0, x0=1.0, horizon=1.0,
     alpha = ClassKappa.linear(1.0)
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=alpha,
-        nominal=NominalController(law=nominal or (lambda x: np.zeros(1)), m=1),
+        nominal=NominalController(law=nominal or (lambda x: np.zeros(1))),
     )
     return Scenario(
         name=f"scalar-{mode}",
@@ -193,7 +193,7 @@ class TestRun:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+            nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         sc = Scenario(
             name="blowup", dynamics=dyn, barrier=barrier,
@@ -211,7 +211,7 @@ class TestRun:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1), m=1),
+            nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         sc = Scenario(
             name="stuck", dynamics=dyn, barrier=barrier,
@@ -261,7 +261,7 @@ def _synthetic_trace(h: np.ndarray, t: np.ndarray | None = None) -> Trace:
     t = np.arange(n, dtype=float) / 10.0 if t is None else t
     return Trace(
         t=t, x=np.zeros((n, 1)), u=np.zeros((n, 1)), h=np.asarray(h, dtype=float),
-        hdot=np.zeros(n), trigger=np.zeros(n), event=np.zeros(n, dtype=int), events=(),
+        hdot=np.zeros(n), trigger=np.zeros(n), event=np.zeros(n, dtype=int),
     )
 
 
