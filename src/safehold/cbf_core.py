@@ -18,7 +18,8 @@ An output that does not depend on the state may be returned as is, to
 broadcast against the stack (a constant actuation (n, m), say). Reading the
 i-th coordinate as ``x.T[i]`` serves both shapes at the single-state cost.
 The certification stages evaluate whole stacks, one call each; the
-simulator evaluates one state at a time through the same functions. When
+simulator integrates one state at a time and evaluates the event trigger
+and the recorded barrier columns on stacks of the integrated states. When
 the callables compute each row as they would alone, a stacked call equals
 the row-by-row single calls bit for bit: the library's own reductions are
 one dot per row (``np.vecdot``), not a matrix product, whose summation order
@@ -118,10 +119,6 @@ class SigmoidGain:
         # Only the upper clip matters: below -37, 1 + exp(z) rounds to 1.
         z = np.minimum(z, _EXP_SATURATION)
         return 1.0 / (self.epsilon * (1.0 + np.asarray(_libm_exp(z), dtype=float)))
-
-    @property
-    def plateau(self) -> float:
-        return 1.0 / self.epsilon
 
     @property
     def slope_bound(self) -> float:

@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.spatial import cKDTree
 
 from .cbf_core import (
     BarrierFunction,
@@ -102,10 +100,6 @@ class OperatingRegion:
     @property
     def scale(self) -> float:
         return float(np.max(self.upper_arr - self.lower_arr))
-
-    def contains(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        return bool(np.all(x >= self.lower_arr) and np.all(x <= self.upper_arr))
 
     def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
         """Uniform points in the box, shape (count, n)."""
@@ -194,6 +188,10 @@ def boundary_points(
     barrier's sampled magnitude. Raises ``BoundarySamplingError`` when the
     box never straddles the boundary.
     """
+    # SciPy is imported here and in check_assumptions, not at module level,
+    # so that importing the package and running simulations never load it.
+    from scipy.optimize import brentq
+
     if rng is None:
         rng = np.random.default_rng(region.seed)
     pts = region.sample(rng, max(8 * count, 2048))
@@ -495,6 +493,8 @@ def check_assumptions(
     if len(safe) < _ENVELOPE_BINS:
         checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
         return Report(tuple(checks))
+    from scipy.spatial import cKDTree
+
     dists, _ = cKDTree(bpts).query(safe)
     edges = np.linspace(0.0, float(np.max(dists)), _ENVELOPE_BINS + 1)
     env, lefts = [], []

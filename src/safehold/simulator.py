@@ -17,6 +17,19 @@ input applied from that instant forward, and the barrier value, barrier
 rate, and trigger evaluated for that state-input pair. Runs abort loudly on
 region exit, state divergence, or filter infeasibility; the raised error
 carries the offending time and state.
+
+A run is integrated hold by hold. After each sample, ``rk4_step`` advances
+the state one substep at a time under the held input, and every new state
+passes the run's state check before any callable sees it. Only the sampled
+law runs inside that loop (at every stage, in continuous mode). The barrier
+value, barrier rate and trigger columns are recorded afterwards, in stacked
+evaluations over blocks of the trace (see the batch contract in
+``cbf_core``), bit for bit equal to evaluating each row alone. In event
+mode a hold is integrated in segments, and the held-input trigger is
+evaluated as one stack per segment; the run resamples at the first row
+where it fires and integrates the rest of that segment again under the
+new input. An error raised past that row is the discarded tail's, not the
+run's.
 """
 
 from __future__ import annotations
@@ -58,6 +71,15 @@ _MODES = ("continuous", "periodic", "event")
 
 # A state whose norm exceeds this (or is not finite) aborts the run.
 _DIVERGENCE_LIMIT = 1e8
+
+# Rows per stacked evaluation of the recorded h, hdot and trigger columns;
+# bounds the temporaries of one evaluation whatever the horizon.
+_RECORD_BLOCK = 4096
+
+# Longest speculative segment of an event-mode hold, in substeps. A stacked
+# trigger evaluation costs about one RK4 substep, so at this length it adds
+# under 2% to a long hold, while a firing row discards at most 63 substeps.
+_SEGMENT_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -225,26 +247,49 @@ def rk4_step(
 
 
 def _rk4_step_closed_loop(
-    dyn: ControlAffineDynamics,
-    controller: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    dt: float,
+    sc: Scenario, x: np.ndarray, u: np.ndarray, t: float, dt: float
 ) -> np.ndarray:
-    """One RK4 step with the control law re-evaluated at every stage.
+    """One RK4 step from the state x at time t with the control law
+    re-evaluated at every stage; u is the law's input at x, so stage 1
+    reuses it.
 
     This is what "continuous" mode means here: holding the input even across
     one substep leaves a first-order input error that shows up as a small
     barrier penetration, so the ideal loop must close at stage resolution.
+    An infeasible filter at a later stage is reported with that stage's time
+    and state.
     """
-
-    def rate(s: np.ndarray) -> np.ndarray:
-        return dyn.rate(s, controller(s))
-
-    k1 = rate(x)
-    k2 = rate(x + 0.5 * dt * k1)
-    k3 = rate(x + 0.5 * dt * k2)
-    k4 = rate(x + dt * k3)
+    dyn = sc.dynamics
+    k1 = dyn.rate(x, u)
+    s = x + 0.5 * dt * k1
+    k2 = dyn.rate(s, _checked_sample(sc, s, t + 0.5 * dt))
+    s = x + 0.5 * dt * k2
+    k3 = dyn.rate(s, _checked_sample(sc, s, t + 0.5 * dt))
+    s = x + dt * k3
+    k4 = dyn.rate(s, _checked_sample(sc, s, t + dt))
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _barrier_rates(
+    dyn: ControlAffineDynamics,
+    barrier: BarrierFunction,
+    alpha: ClassKappa,
+    c: float,
+    x: np.ndarray,
+    u: np.ndarray,
+) -> tuple:
+    """Barrier value, barrier rate under the input u, and trigger at one
+    state or at each state of a (k, n) stack, from one Lie evaluation.
+
+    u is (m,) or, on a stack, (m,) held for every row or (k, m). Stacked
+    outputs may come back broadcastable rather than (k,) (see the batch
+    contract in ``cbf_core``); each row equals the single-state value bit
+    for bit.
+    """
+    lfh, lgh = lie_derivatives(dyn, barrier, x)
+    h = barrier.value(x)
+    hdot = lfh + np.vecdot(lgh, u)
+    return h, hdot, hdot + (1.0 + c) * alpha(h)
 
 
 def trigger_value(
@@ -254,12 +299,19 @@ def trigger_value(
     c: float,
     x: np.ndarray,
     u: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Barrier rate under the given (held) input plus the amplified decrease
-    term. Resampling is due when this reaches zero."""
-    lfh, lgh = lie_derivatives(dyn, barrier, x)
-    h = barrier.value(x)
-    return lfh + float(lgh @ u) + (1.0 + c) * alpha(h)
+    term. Resampling is due when this reaches zero.
+
+    A float for one state x of shape (n,); shape (k,) for a (k, n) stack,
+    under one held input u of shape (m,) or one input per row, (k, m). The
+    event decision and the recorded trigger column share this definition.
+    """
+    trig = _barrier_rates(dyn, barrier, alpha, c, x, u)[2]
+    if np.ndim(x) == 1:
+        return float(trig)
+    rows = np.shape(x)[:-1]
+    return trig if np.shape(trig) == rows else np.broadcast_to(trig, rows)
 
 
 def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
@@ -292,6 +344,30 @@ def _check_state(
         )
 
 
+def _state_gate(t_arr: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None, n: int):
+    """The per-row state check of a run: ``check(x, row)`` raises what
+    ``_check_state`` raises for the state x at ``t_arr[row]``, and passes
+    exactly the states it passes.
+
+    Most states pass a cheaper test first: every coordinate within the box
+    and within 0.99 * limit / sqrt(n) of zero, as plain float comparisons.
+    Such a state is finite, inside the box, and its squared norm, rounding
+    included, stays below limit**2, so ``_check_state`` would pass it. Any
+    other state (nan fails every comparison) goes to ``_check_state``.
+    """
+    reach = 0.99 * _DIVERGENCE_LIMIT / math.sqrt(n)
+    lows = [-reach] * n if lo is None else [max(-reach, v) for v in lo.tolist()]
+    highs = [reach] * n if hi is None else [min(reach, v) for v in hi.tolist()]
+
+    def check(x: np.ndarray, row: int) -> None:
+        for a, v, b in zip(lows, x.tolist(), highs):
+            if not a <= v <= b:
+                _check_state(x, float(t_arr[row]), lo, hi)
+                return
+
+    return check
+
+
 def run(sc: Scenario) -> Trace:
     """Integrate the scenario and return the recorded trace.
 
@@ -312,64 +388,127 @@ def run(sc: Scenario) -> Trace:
     t_arr = np.arange(steps + 1) * dt
     X = np.empty((steps + 1, n))
     U = np.empty((steps + 1, m))
-    H = np.empty(steps + 1)
-    HD = np.empty(steps + 1)
-    TR = np.empty(steps + 1)
     EV = np.zeros(steps + 1, dtype=int)
+    X[0] = x0
+    check = _state_gate(t_arr, lo, hi, n)
 
     mode = sc.schedule.mode
-    x = x0.copy()
-
-    if mode == "periodic":
+    if mode == "continuous":
+        _run_continuous(sc, X, U, t_arr, check)
+    elif mode == "periodic":
         hold_steps = int(math.floor(sc.schedule.period / dt + 1e-9))
         if hold_steps < 1:
             raise ConfigurationError(
                 f"hold period {sc.schedule.period} is shorter than the substep {dt}"
             )
-    floor_steps = int(math.ceil(sc.schedule.floor / dt - 1e-9)) if sc.schedule.floor > 0 else 0
+        _run_periodic(sc, X, U, EV, t_arr, check, hold_steps)
+    else:
+        floor = sc.schedule.floor
+        floor_steps = int(math.ceil(floor / dt - 1e-9)) if floor > 0 else 0
+        _run_event(sc, X, U, EV, t_arr, check, max(1, floor_steps))
 
-    u_held: np.ndarray | None = None
-    last_sample_step = 0
+    H = np.empty(steps + 1)
+    HD = np.empty(steps + 1)
+    TR = np.empty(steps + 1)
+    for a in range(0, steps + 1, _RECORD_BLOCK):
+        b = a + _RECORD_BLOCK
+        H[a:b], HD[a:b], TR[a:b] = _barrier_rates(
+            dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b], U[a:b]
+        )
+    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
 
+
+def _run_continuous(sc: Scenario, X, U, t_arr, check) -> None:
+    """Fill X and U, re-evaluating the law at every row and RK4 stage."""
+    dt = sc.integrator.substep
+    steps = len(t_arr) - 1
+    x = X[0]
     for i in range(steps + 1):
         t = float(t_arr[i])
-        # One Lie evaluation per row feeds both the event trigger and the
-        # recorded hdot/trigger columns, in trigger_value's operation order.
-        lfh, lgh = lie_derivatives(dyn, sc.barrier, x)
-        h = sc.barrier.value(x)
-        amplified = (1.0 + sc.trigger_c) * sc.alpha(h)
-        if mode == "continuous":
-            u_row = _checked_sample(sc, x, t)
-        else:
-            sample_now = False
-            if i < steps:  # the terminal row never resamples
-                if u_held is None:
-                    sample_now = True
-                elif mode == "periodic":
-                    sample_now = i % hold_steps == 0
-                elif i - last_sample_step >= max(1, floor_steps):
-                    sample_now = lfh + float(lgh @ u_held) + amplified <= 0.0
-            if sample_now:
-                u_held = _checked_sample(sc, x, t)
-                last_sample_step = i
-                EV[i] = 1
-            u_row = u_held
-
-        hd = lfh + float(lgh @ u_row)
-        X[i] = x
-        U[i] = u_row
-        H[i] = h
-        HD[i] = hd
-        TR[i] = hd + amplified
-
+        u = _checked_sample(sc, x, t)
+        U[i] = u
         if i < steps:
-            if mode == "continuous":
-                x = _rk4_step_closed_loop(dyn, sc.controller, x, dt)
-            else:
-                x = rk4_step(dyn, x, u_row, dt)
-            _check_state(x, float(t_arr[i + 1]), lo, hi)
+            x = _rk4_step_closed_loop(sc, x, u, t, dt)
+            check(x, i + 1)
+            X[i + 1] = x
 
-    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
+
+def _run_periodic(sc: Scenario, X, U, EV, t_arr, check, hold_steps: int) -> None:
+    """Fill X, U and EV with holds of hold_steps substeps; the terminal row
+    keeps the last input."""
+    dyn, dt = sc.dynamics, sc.integrator.substep
+    steps = len(t_arr) - 1
+    x = X[0]
+    for i in range(0, steps, hold_steps):
+        u = _checked_sample(sc, x, float(t_arr[i]))
+        EV[i] = 1
+        stop = min(i + hold_steps, steps)
+        for row in range(i + 1, stop + 1):
+            x = rk4_step(dyn, x, u, dt)
+            check(x, row)
+            X[row] = x
+        U[i:stop] = u
+    U[steps] = u
+
+
+def _run_event(sc: Scenario, X, U, EV, t_arr, check, first_check: int) -> None:
+    """Fill X, U and EV, resampling at the first row, first_check or more
+    substeps after the last sample, where the held-input trigger is <= 0.
+
+    Each hold is integrated in segments whose trigger values are evaluated
+    as one stack. The first segment of a hold reaches as far as the previous
+    hold lasted (at least to the first row the trigger may fire, at most
+    ``_SEGMENT_CAP`` substeps); later ones start at the floor's length and
+    double up to the cap. Rows past a firing row are discarded and
+    integrated again under the new input.
+    """
+    i, last_hold = 0, first_check
+    while True:
+        u = _checked_sample(sc, X[i], float(t_arr[i]))
+        EV[i] = 1
+        fired = _hold(sc, X, u, i, t_arr, check, first_check, last_hold)
+        if fired is None:
+            U[i:] = u
+            return
+        U[i:fired] = u
+        i, last_hold = fired, fired - i
+
+
+def _hold(sc: Scenario, X, u, i: int, t_arr, check, first_check: int, reach: int) -> int | None:
+    """Integrate from the sample row i under the held input u; return the
+    first row where the trigger fires, or None when the run ends first.
+
+    An exception raised while integrating a segment stands only if the
+    trigger fires at no row up to the one the failing step started from.
+    A one-row segment is evaluated as a single state, at a third of the
+    cost of a stacked call.
+    """
+    dyn, dt = sc.dynamics, sc.integrator.substep
+    steps = len(t_arr) - 1
+    x = X[i]
+    done, length, grow = i, max(first_check, min(reach, _SEGMENT_CAP)), first_check
+    while done < steps:
+        stop = min(done + length, steps)
+        pending = None
+        try:
+            for row in range(done + 1, stop + 1):
+                x = rk4_step(dyn, x, u, dt)
+                check(x, row)
+                X[row] = x
+        except Exception as exc:
+            pending, stop = exc, row - 1
+        a, b = max(done + 1, i + first_check), min(stop, steps - 1)
+        if a == b:
+            if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a], u) <= 0.0:
+                return a
+        elif a <= b:
+            fire = trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1], u) <= 0.0
+            if fire.any():
+                return a + int(fire.argmax())
+        if pending is not None:
+            raise pending
+        done, length, grow = stop, grow, min(2 * grow, _SEGMENT_CAP)
+    return None
 
 
 def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:

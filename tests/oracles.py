@@ -1,15 +1,28 @@
 """Independent reference computations the tests compare the library against.
 
 Nothing here imports the code paths under test: the filter reference works
-from direct inner products plus bisection and a brute-force grid, and the
-benchmark bound reference works from vectorized closed-form field formulas.
+from direct inner products plus bisection and a brute-force grid, the
+benchmark bound reference works from vectorized closed-form field formulas,
+and the run reference is the row-by-row simulation loop, built on the
+single-state primitives ``rk4_step`` and ``lie_derivatives`` with its own
+state check, scheduling and trigger arithmetic.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from safehold.acc_benchmark import AccParams
+from safehold.cbf_core import lie_derivatives
+from safehold.errors import (
+    ConfigurationError,
+    DivergenceError,
+    InfeasibleFilterError,
+    RegionExitError,
+)
+from safehold.simulator import Trace, rk4_step
 
 
 def qp_reference(filt, x, *, grid_step: float = 1e-3, grid_span: float = 1.5):
@@ -105,3 +118,97 @@ def dense_acc_bounds(lo, hi, params: AccParams | None = None,
     l_k = float(np.max(np.sqrt(kv**2 + kg**2)))
     m_lip = 2.0 * p.headway / p.mass
     return dict(b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu, l_k=l_k, m_lip=m_lip)
+
+
+DIVERGENCE_LIMIT = 1e8
+
+
+def _sample(sc, x, t):
+    try:
+        return sc.controller(x)
+    except InfeasibleFilterError as exc:
+        msg = exc.args[0] if exc.args else "safety filter infeasible"
+        raise InfeasibleFilterError(msg, state=x, time=t) from exc
+
+
+def _check(x, t, lo, hi):
+    norm = math.sqrt(x @ x)
+    if not norm <= DIVERGENCE_LIMIT:
+        raise DivergenceError(f"state diverged at t={t:.6g}: |x|={norm:.6g}", state=x, time=t)
+    if lo is not None and not ((x >= lo).all() and (x <= hi).all()):
+        off = [i for i in range(len(x)) if x[i] < lo[i] or x[i] > hi[i]]
+        raise RegionExitError(
+            f"state left the certified region at t={t:.6g} on axis(es) {off}; "
+            "bounds no longer cover the trajectory",
+            state=x,
+            time=t,
+        )
+
+
+def _closed_loop_step(sc, x, t, dt):
+    """RK4 with the law evaluated at every stage, each stage at its time."""
+    def rate(s, ts):
+        return sc.dynamics.rate(s, _sample(sc, s, ts))
+
+    k1 = rate(x, t)
+    k2 = rate(x + 0.5 * dt * k1, t + 0.5 * dt)
+    k3 = rate(x + 0.5 * dt * k2, t + 0.5 * dt)
+    k4 = rate(x + dt * k3, t + dt)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def run_reference(sc) -> Trace:
+    """The closed-loop run, one row at a time: at each row the Lie
+    derivatives, the schedule decision, the recorded columns, then one
+    RK4 step and the state check of the next row."""
+    dyn = sc.dynamics
+    x = np.asarray(sc.x0, dtype=float).copy()
+    steps, dt = sc.integrator.steps, sc.integrator.substep
+    lo = hi = None
+    if sc.region is not None:
+        lo, hi = sc.region.lower_arr, sc.region.upper_arr
+    _check(x, 0.0, lo, hi)
+    t_arr = np.arange(steps + 1) * dt
+    X = np.empty((steps + 1, dyn.n))
+    U = np.empty((steps + 1, dyn.m))
+    H, HD, TR = np.empty(steps + 1), np.empty(steps + 1), np.empty(steps + 1)
+    EV = np.zeros(steps + 1, dtype=int)
+    mode = sc.schedule.mode
+    if mode == "periodic":
+        hold_steps = int(math.floor(sc.schedule.period / dt + 1e-9))
+        if hold_steps < 1:
+            raise ConfigurationError(
+                f"hold period {sc.schedule.period} is shorter than the substep {dt}"
+            )
+    floor = sc.schedule.floor
+    floor_steps = int(math.ceil(floor / dt - 1e-9)) if floor > 0 else 0
+    u_held, last = None, 0
+    for i in range(steps + 1):
+        t = float(t_arr[i])
+        lfh, lgh = lie_derivatives(dyn, sc.barrier, x)
+        h = sc.barrier.value(x)
+        amplified = (1.0 + sc.trigger_c) * sc.alpha(h)
+        if mode == "continuous":
+            u_row = _sample(sc, x, t)
+        else:
+            sample_now = False
+            if i < steps:
+                if u_held is None:
+                    sample_now = True
+                elif mode == "periodic":
+                    sample_now = i % hold_steps == 0
+                elif i - last >= max(1, floor_steps):
+                    sample_now = lfh + float(lgh @ u_held) + amplified <= 0.0
+            if sample_now:
+                u_held, last = _sample(sc, x, t), i
+                EV[i] = 1
+            u_row = u_held
+        hd = lfh + float(lgh @ u_row)
+        X[i], U[i], H[i], HD[i], TR[i] = x, u_row, h, hd, hd + amplified
+        if i < steps:
+            if mode == "continuous":
+                x = _closed_loop_step(sc, x, t, dt)
+            else:
+                x = rk4_step(dyn, x, u_row, dt)
+            _check(x, float(t_arr[i + 1]), lo, hi)
+    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)

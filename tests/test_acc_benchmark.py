@@ -137,7 +137,8 @@ class TestRegions:
 
     def test_named_starts_live_in_the_approach_box(self):
         a = approach_region()
-        assert a.contains(np.asarray(X0_FAR)) and a.contains(np.asarray(X0_NEAR))
+        for x0 in (X0_FAR, X0_NEAR):
+            assert all(lo <= v <= hi for lo, v, hi in zip(a.lower, x0, a.upper))
 
 
 class TestTuningPresets:

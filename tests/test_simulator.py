@@ -3,11 +3,18 @@ trigger evaluation, trace analysis, and CSV persistence."""
 
 from __future__ import annotations
 
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from safehold.acc_benchmark import build_scenario, certified_tuning
+import safehold
+from safehold.acc_benchmark import acc_filter, build_scenario, certified_tuning, ride_region
 from safehold.cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
 from safehold.constants import OperatingRegion
 from safehold.errors import (
@@ -28,6 +35,8 @@ from safehold.simulator import (
     run,
     trigger_value,
 )
+
+from oracles import run_reference
 
 
 def _decay() -> ControlAffineDynamics:
@@ -357,3 +366,267 @@ class TestNumericalBehavior:
         s = analyze(run(sc), violation_tol=1e-6)
         assert s.violation_time is None
         assert s.min_h >= -1e-6
+
+
+# ---------------------------------------------------------------------------
+# hold-segment core against the row-by-row reference loop
+
+PROPERTY = settings(max_examples=40, deadline=None)
+
+PLANTS = ("acc", "constant", "linear", "twin", "blowup", "blind")
+
+COLUMNS = ("t", "x", "u", "h", "hdot", "trigger", "event")
+
+
+def _outcome(fn, sc):
+    try:
+        return fn(sc)
+    except (ConfigurationError, DivergenceError, InfeasibleFilterError, RegionExitError) as exc:
+        return exc
+
+
+def _assert_same_outcome(sc):
+    got, want = _outcome(run, sc), _outcome(run_reference, sc)
+    if isinstance(want, Exception):
+        assert type(got) is type(want), (got, want)
+        assert got.args == want.args
+        assert getattr(got, "time", None) == getattr(want, "time", None)
+        assert np.array_equal(getattr(got, "state", None), getattr(want, "state", None))
+        return want
+    assert isinstance(got, Trace), got
+    for name in COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name
+    return want
+
+
+def _blind_plant() -> CbfQpFilter:
+    """xdot = 1 + g(x) u with the input cut off past x = 0.5001, h = 1 - x:
+    the filter turns infeasible once the state crosses the cut-off."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.ones(np.shape(x)),
+        actuation=lambda x: np.where(x.T[0] < 0.5001, 1.0, 0.0)[..., None, None],
+        n=1, m=1,
+    )
+    barrier = BarrierFunction(value=lambda x: 1.0 - x.T[0], gradient=lambda x: -np.ones(np.shape(x)))
+    return CbfQpFilter(
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        nominal=NominalController(law=lambda x: np.zeros(np.shape(x))),
+    )
+
+
+@st.composite
+def plants(draw, kind: str) -> dict:
+    """Scenario fields of one test plant, x0 and region included. Several
+    return outputs that broadcast against a stack instead of stacking."""
+    if kind == "acc":
+        filt = acc_filter()
+        controller = certified_tuning().controller(filt) if draw(st.booleans()) else filt
+        speed = draw(st.floats(17.0, 20.0))
+        gap = min(1.8 * speed * speed + draw(st.floats(0.0, 40.0)), 739.0)
+        x0 = (draw(st.floats(0.0, 50.0)), speed, gap)
+        region = draw(st.sampled_from((None, "ride", "tight")))
+        if region == "ride":
+            region = ride_region()
+        elif region == "tight":
+            w = draw(st.sampled_from(((5.0, 0.01, 1.0), (1.0, 0.1, 0.5), (20.0, 1.0, 10.0))))
+            region = OperatingRegion(
+                lower=tuple(v - d for v, d in zip(x0, w)), upper=tuple(v + d for v, d in zip(x0, w)),
+            )
+        return dict(dynamics=filt.dynamics, barrier=filt.barrier, controller=controller,
+                    x0=x0, region=region)
+    if kind == "constant":
+        # drift, gradient, actuation and nominal law ignore the stack
+        d = draw(st.sampled_from((-1.0, -0.5, 0.3)))
+        u0 = draw(st.sampled_from((0.0, 1.0, -2.0)))
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.array([d]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+        )
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        filt = CbfQpFilter(
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            nominal=NominalController(law=lambda x: np.array([u0])),
+        )
+        x0 = draw(st.floats(0.05, 3.0))
+        region = draw(st.sampled_from((None, (0.0, 3.5), (x0 - 0.2, x0 + 0.2))))
+        region = None if region is None else OperatingRegion(lower=(region[0],), upper=(region[1],))
+        return dict(dynamics=dyn, barrier=barrier, controller=filt, x0=(x0,), region=region)
+    if kind == "linear":
+        # per-row drift and nominal law, constant actuation and gradient
+        a = np.array([[-0.4, 1.0], [-1.0, -0.2]])
+        c, k = np.array([0.3, -1.0]), np.array([0.5, 1.5])
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.vecdot(x[..., None, :], a),
+            actuation=lambda x: np.array([[0.2], [1.0]]), n=2, m=1,
+        )
+        barrier = BarrierFunction(value=lambda x: 1.0 + np.vecdot(x, c), gradient=lambda x: c)
+        filt = CbfQpFilter(
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(2.0),
+            nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
+        )
+        x0 = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
+        region = draw(st.sampled_from((None, 1.2, 3.0)))
+        region = None if region is None else OperatingRegion(lower=(-region,) * 2, upper=(region,) * 2)
+        return dict(dynamics=dyn, barrier=barrier, controller=filt, x0=x0, region=region)
+    if kind == "twin":
+        # two inputs, so the recorded rate sums two products per row
+        g = np.array([[1.0, 0.3], [-0.2, 0.5]])
+        dyn = ControlAffineDynamics(
+            drift=lambda x: -0.3 * x, actuation=lambda x: g, n=2, m=2,
+        )
+        barrier = BarrierFunction(
+            value=lambda x: 4.0 - np.vecdot(x, x), gradient=lambda x: -2.0 * x,
+        )
+        x0 = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
+        return dict(dynamics=dyn, barrier=barrier, controller=lambda x: np.sin(x) - 0.7 * x,
+                    x0=x0, region=None)
+    if kind == "blowup":
+        dyn = ControlAffineDynamics(
+            drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+        )
+        barrier = BarrierFunction(value=lambda x: 2.0 - x.T[0], gradient=lambda x: -np.ones(1))
+        return dict(dynamics=dyn, barrier=barrier, controller=lambda x: np.zeros(1),
+                    x0=(draw(st.floats(2.5, 40.0)),), region=None)
+    filt = _blind_plant()
+    return dict(dynamics=filt.dynamics, barrier=filt.barrier, controller=filt,
+                x0=(draw(st.floats(0.3, 0.5)),), region=None)
+
+
+@st.composite
+def scenarios(draw, kind: str) -> Scenario:
+    fields = draw(plants(kind))
+    substep = draw(st.sampled_from((1e-3, 2.5e-3, 1e-2)))
+    horizon = draw(st.floats(substep, 0.5))
+    mode = draw(st.sampled_from(("continuous", "periodic", "event")))
+    if mode == "periodic":
+        multiple = draw(st.sampled_from((0.5, 1.0, 1.37, 2.0, 7.0, 25.0, 100.0)))
+        schedule = HoldSchedule.periodic(multiple * substep)
+    elif mode == "event":
+        schedule = HoldSchedule.event(floor=draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 20.0))) * substep)
+    else:
+        schedule = HoldSchedule.continuous()
+    return Scenario(
+        name="property", alpha=ClassKappa.linear(1.0),
+        integrator=IntegratorConfig(horizon=horizon, substep=substep), schedule=schedule,
+        trigger_c=draw(st.sampled_from((0.0, 1e-6, 0.01, 3.0))), **fields,
+    )
+
+
+def _ramp(lower: float, horizon: float) -> Scenario:
+    """xdot = u, h = x, nominal u = -1, trigger amplification c = 1: from
+    x0 = 0.9 the filter holds u = -x at each sample, and each hold ends when
+    x has fallen to half its sampled value. A speculative segment that runs past that row keeps
+    falling at the old rate toward the box's lower face."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.zeros(np.shape(x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+    )
+    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    filt = CbfQpFilter(
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        nominal=NominalController(law=lambda x: -np.ones(np.shape(x))),
+    )
+    return Scenario(
+        name="ramp", dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        controller=filt, x0=(0.9,), integrator=IntegratorConfig(horizon=horizon, substep=0.02),
+        schedule=HoldSchedule.event(), region=OperatingRegion(lower=(lower,), upper=(1.0,)),
+        trigger_c=1.0,
+    )
+
+
+class TestHoldCore:
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_equals_the_row_by_row_reference(self, kind):
+        @PROPERTY
+        @given(scenarios(kind))
+        def check(sc):
+            _assert_same_outcome(sc)
+
+        check()
+
+    def test_error_in_a_discarded_tail_is_not_raised(self):
+        # First hold: x falls from 0.9 at rate 0.9 and the trigger fires at
+        # x = 0.45, 0.5 s in (row 25); the segment holding that row runs on
+        # at the old rate and leaves the box at row 29 (x = 0.378), but the
+        # run resamples at row 25 and stays inside to the end at row 30.
+        sc = _ramp(lower=0.38, horizon=0.6)
+        trace = _assert_same_outcome(sc)
+        assert isinstance(trace, Trace)
+        assert trace.events == (0.0, 0.5)
+        assert trace.x.min() > 0.4
+
+    def test_region_exit_after_a_speculative_segment(self):
+        # The same discarded tail; the run itself, falling at rate 0.45
+        # after the resample, leaves the box at row 33.
+        sc = _ramp(lower=0.38, horizon=1.0)
+        err = _assert_same_outcome(sc)
+        assert isinstance(err, RegionExitError)
+        assert err.time == 33 * 0.02
+
+    def test_continuous_stage_infeasibility_carries_stage_time(self):
+        # The filter's input at x0 = 0.5 is -0.5, so stage 2 sits at
+        # 0.5 + 0.5e-3 * 0.5, past the actuation cut-off, at t = 0.5e-3.
+        filt = _blind_plant()
+        sc = Scenario(
+            name="blind", dynamics=filt.dynamics, barrier=filt.barrier, alpha=filt.alpha,
+            controller=filt, x0=(0.5,), integrator=IntegratorConfig(horizon=0.1, substep=1e-3),
+            schedule=HoldSchedule.continuous(),
+        )
+        err = _assert_same_outcome(sc)
+        assert isinstance(err, InfeasibleFilterError)
+        assert err.time == 0.5e-3
+        assert np.array_equal(err.state, [0.50025])
+
+    def test_continuous_substep_calls_the_law_four_times(self):
+        calls = []
+        filt = acc_filter()
+
+        def law(x):
+            calls.append(1)
+            return filt(x)
+
+        sc = dataclasses.replace(
+            build_scenario("continuous", setting="ride", horizon=0.01), controller=law,
+        )
+        calls.clear()
+        trace = run(sc)
+        # one call per row, plus stages 2-4 of each substep
+        assert len(calls) == len(trace) + 3 * (len(trace) - 1)
+
+    def test_trigger_value_on_a_stack_equals_single_states(self):
+        sc = build_scenario("event", setting="ride", horizon=0.2)
+        trace = run(sc)
+        args = (sc.dynamics, sc.barrier, sc.alpha, sc.trigger_c)
+        stacked = trigger_value(*args, trace.x, trace.u)
+        assert stacked.shape == (len(trace),)
+        single = [trigger_value(*args, x, u) for x, u in zip(trace.x, trace.u)]
+        assert all(type(v) is float for v in single)
+        assert np.array_equal(stacked, single)
+        assert np.array_equal(stacked, trace.trigger)
+        held = trigger_value(*args, trace.x, trace.u[0])
+        assert np.array_equal(held, [trigger_value(*args, x, trace.u[0]) for x in trace.x])
+
+    def test_trigger_value_broadcasts_constant_fields(self):
+        sc = _scalar_scenario("event", drift_rate=-0.5)
+        xs = np.array([[0.2], [1.0], [3.0]])
+        got = trigger_value(sc.dynamics, sc.barrier, sc.alpha, 2.0, xs, np.array([0.25]))
+        assert got.shape == (3,)
+        assert np.array_equal(got, (-0.5 + 0.25) + 3.0 * xs[:, 0])
+
+
+def test_importing_the_package_and_running_leaves_scipy_unloaded():
+    src = str(Path(safehold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = (
+        "import sys\n"
+        "import safehold.cli\n"
+        "from safehold.acc_benchmark import build_scenario\n"
+        "from safehold.simulator import run\n"
+        "run(build_scenario('event', setting='ride', horizon=0.01))\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:5]\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
