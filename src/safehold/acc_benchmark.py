@@ -167,25 +167,15 @@ def acc_closed_form_lie(params: AccParams, x: np.ndarray) -> tuple[float, np.nda
     return lfh, lgh
 
 
-def approach_region(sample_count: int = 4096, seed: int = 0) -> OperatingRegion:
+def approach_region() -> OperatingRegion:
     """Wide box: full cruise envelope. Speed stays above 1 m/s because the
     barrier loses input authority at standstill."""
-    return OperatingRegion(
-        lower=(0.0, 1.0, 5.0),
-        upper=(2000.0, 30.0, 1200.0),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return OperatingRegion(lower=(0.0, 1.0, 5.0), upper=(2000.0, 30.0, 1200.0))
 
 
-def ride_region(sample_count: int = 4096, seed: int = 0) -> OperatingRegion:
+def ride_region() -> OperatingRegion:
     """Narrow box around the constraint-riding trajectory."""
-    return OperatingRegion(
-        lower=(0.0, 16.5, 590.0),
-        upper=(500.0, 20.5, 740.0),
-        sample_count=sample_count,
-        seed=seed,
-    )
+    return OperatingRegion(lower=(0.0, 16.5, 590.0), upper=(500.0, 20.5, 740.0))
 
 
 def thin_band_tuning() -> TunableControllerConfig:
@@ -277,13 +267,9 @@ def build_scenario(
         schedule = HoldSchedule.continuous()
         controller = filt
     elif kind == "periodic":
-        if period is None:
-            raise ConfigurationError("periodic scenarios need a period")
         schedule = HoldSchedule.periodic(period)
         controller = filt
     elif kind == "periodic-boosted":
-        if period is None:
-            raise ConfigurationError("periodic scenarios need a period")
         schedule = HoldSchedule.periodic(period)
         controller = cfg.controller(filt)
     else:

@@ -102,16 +102,14 @@ class SigmoidGain:
     sharpness: float | None = None
 
     def __post_init__(self):
-        if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
-            raise ConfigurationError(f"sigmoid epsilon must be finite and > 0, got {self.epsilon}")
-        if not (self.delta > 0.0 and math.isfinite(self.delta)):
-            raise ConfigurationError(f"sigmoid delta must be finite and > 0, got {self.delta}")
-        if not (self.band > 0.0 and math.isfinite(self.band)):
-            raise ConfigurationError(f"sigmoid band must be finite and > 0, got {self.band}")
+        for name in ("epsilon", "delta", "band"):
+            v = getattr(self, name)
+            if not (v > 0.0 and math.isfinite(v)):
+                raise ConfigurationError(f"{name} must be > 0 and finite, got {v}")
         if self.sharpness is None:
             object.__setattr__(self, "sharpness", 200.0 / self.band)
-        elif not (self.sharpness > 0.0):
-            raise ConfigurationError(f"sigmoid sharpness must be > 0, got {self.sharpness}")
+        elif not (self.sharpness > 0.0 and math.isfinite(self.sharpness)):
+            raise ConfigurationError(f"sharpness must be > 0 and finite, got {self.sharpness}")
 
     def __call__(self, r):
         """Gain at barrier value(s) r, a float or an array."""

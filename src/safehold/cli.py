@@ -20,7 +20,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import default_region, filter_from_config, load_config, scenario_from_config
+from .config import filter_from_config, load_config, scenario_from_config
 from .constants import (
     BoundSet,
     check_assumptions,
@@ -29,7 +29,7 @@ from .constants import (
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
-from .simulator import RunSummary, Trace, analyze, run
+from .simulator import HoldSchedule, RunSummary, Trace, analyze, run
 from .safety_filter import validate_tuning
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
@@ -135,7 +135,7 @@ def cmd_sweep(args) -> int:
 
     results = []
     for freq in freqs:
-        per_cfg = dataclasses.replace(cfg, mode="periodic", period=1.0 / freq)
+        per_cfg = dataclasses.replace(cfg, schedule=HoldSchedule.periodic(1.0 / freq))
         trace = run(scenario_from_config(per_cfg))
         results.append((trace, analyze(trace, violation_tol=VIOLATION_TOL)))
 
@@ -164,21 +164,16 @@ def cmd_sweep(args) -> int:
 
 
 def _bound_lines(bounds: BoundSet) -> list[str]:
-    return [
-        f"bounds.{name}={_g(getattr(bounds, name))}"
-        for name in (
-            "b_f", "b_g", "b_k", "lam", "mu", "m_lip", "l_k", "l_sigma", "safety_factor",
-        )
-    ]
+    return [f"bounds.{f.name}={_g(getattr(bounds, f.name))}" for f in dataclasses.fields(bounds)]
 
 
-def _estimate(cfg, filt, region) -> BoundSet:
-    """Regional bounds of the plain filtered controller over the region.
+def _estimate(cfg, filt) -> BoundSet:
+    """Regional bounds of the plain filtered controller over the config's box.
 
     The boosted controller's extra authority enters the budget formulas
     through epsilon, not through b_k."""
     return estimate_bounds(
-        region, filt.dynamics, filt, filt.barrier,
+        cfg.region, filt.dynamics, filt, filt.barrier,
         sigmoid=cfg.tuning.sigmoid, safety_factor=cfg.safety_factor,
     )
 
@@ -193,24 +188,21 @@ def cmd_constants(args) -> int:
         bounds = cfg.bounds
         report = validate_tuning(cfg.tuning, bounds, filt.alpha)
     else:
-        region = default_region(cfg)
-        assumptions = check_assumptions(
-            region, filt.dynamics, filt, filt.barrier
-        )
+        assumptions = check_assumptions(cfg.region, filt.dynamics, filt, filt.barrier)
         if not assumptions.passed:
             for check in assumptions.checks:
                 print(f"assumption {check.name}: {check.status} ({check.detail})")
             failed = ", ".join(c.name for c in assumptions.checks if c.status == "fail")
             print(f"assumption failure: {failed}", file=sys.stderr)
             return EXIT_ASSUMPTION
-        bounds = _estimate(cfg, filt, region)
+        bounds = _estimate(cfg, filt)
         for line in _bound_lines(bounds):
             print(line)
         for check in assumptions.checks:
             print(f"assumption {check.name}: {check.status} ({check.detail})")
         report = validate_tuning(
             cfg.tuning, bounds, filt.alpha,
-            dynamics=filt.dynamics, barrier=filt.barrier, region=region,
+            dynamics=filt.dynamics, barrier=filt.barrier, region=cfg.region,
         )
     for check in report.checks:
         print(f"tuning {check.name}: {check.status} ({check.detail})")
@@ -232,11 +224,17 @@ def cmd_compare(args) -> int:
     if cfg.bounds is not None:
         bounds = cfg.bounds
     else:
-        bounds = _estimate(cfg, filter_from_config(cfg), default_region(cfg))
+        bounds = _estimate(cfg, filter_from_config(cfg))
     t_star = violation_free_sampling_time(bounds, cfg.tuning.epsilon, cfg.tuning.margin)
-    substep = min(cfg.substep, t_star / 2.0)
-    periodic_cfg = dataclasses.replace(cfg, mode="periodic", period=t_star, substep=substep)
-    event_cfg = dataclasses.replace(cfg, mode="event", period=None, substep=substep)
+    integrator = dataclasses.replace(
+        cfg.integrator, substep=min(cfg.integrator.substep, t_star / 2.0)
+    )
+    periodic_cfg = dataclasses.replace(
+        cfg, schedule=HoldSchedule.periodic(t_star), integrator=integrator
+    )
+    event_cfg = dataclasses.replace(
+        cfg, schedule=HoldSchedule.event(cfg.schedule.floor), integrator=integrator
+    )
 
     trace_p = run(scenario_from_config(periodic_cfg))
     sum_p = analyze(trace_p, violation_tol=VIOLATION_TOL)

@@ -1,21 +1,26 @@
-"""Structured run configuration: YAML documents in, scenarios out.
+"""Structured run configuration: YAML documents in, validated types out.
 
-A run config is a mapping with five sections: ``scenario`` (benchmark
+A run config is a mapping with six sections: ``scenario`` (benchmark
 preset, controller flavor, optional start state and plant overrides),
-``tuning`` (boost gate and certificate margin), ``sim`` (update mode,
-horizon, substep, period or event floor), ``region`` (certification box,
-sampling budget, safety factor), and ``output`` (trace and summary paths).
-``region``, ``bounds``, and ``output`` are optional; ``bounds`` supplies an
-explicit regional bound set for workflows that skip estimation.
+``tuning`` (boost gate, certificate margin, decrease rate), ``sim`` (update
+mode, horizon, substep, period or event floor), ``region`` (certification
+box, sampling seed, safety factor), ``bounds`` (an explicit regional bound
+set for workflows that skip estimation) and ``output`` (trace and summary
+paths). Only ``scenario`` and ``sim`` are required.
 
-Validation is strict in both directions: unknown keys are rejected and
-missing required keys are reported by their full dotted path, so a typo
-fails loudly instead of silently running defaults. Serialization round-trips:
-``parse_config(dump_config(cfg))`` reproduces ``cfg`` exactly.
+Parsing is a thin adapter onto the library's own types: ``AccParams``,
+``TunableControllerConfig``, ``ClassKappa``, ``HoldSchedule``,
+``IntegratorConfig``, ``OperatingRegion`` and ``BoundSet`` each check their
+values once, at construction, and a failing check is re-raised under its
+dotted key. What the preset supplies (start state, certification box) is
+resolved here, so every field of a ``RunConfig`` is final. Unknown keys are
+rejected and missing required keys reported by their full dotted path, so
+a typo fails loudly instead of silently running defaults.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -35,7 +40,7 @@ from .acc_benchmark import (
     thin_band_tuning,
 )
 from .cbf_core import ClassKappa
-from .constants import BoundSet, OperatingRegion
+from .constants import DEFAULT_SAFETY_FACTOR, BoundSet, OperatingRegion
 from .errors import ConfigurationError
 from .safety_filter import CbfQpFilter, TunableControllerConfig
 from .simulator import HoldSchedule, IntegratorConfig, Scenario
@@ -44,47 +49,43 @@ __all__ = [
     "RunConfig",
     "load_config",
     "parse_config",
-    "dump_config",
-    "save_config",
-    "default_region",
     "filter_from_config",
     "scenario_from_config",
     "apply_overrides",
 ]
 
-SCENARIO_NAMES = ("acc-approach", "acc-ride")
-_PRESET_REGIONS = {"acc-approach": approach_region, "acc-ride": ride_region}
+# Each preset's certification box and start state.
+_PRESETS = {"acc-approach": (approach_region, X0_FAR), "acc-ride": (ride_region, X0_NEAR)}
 CONTROLLER_FLAVORS = ("plain", "boosted")
+
+
+def _fields(cls) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
 
 _SECTIONS = {
     "scenario": ("name", "controller", "x0", "plant"),
-    "tuning": ("c", "delta", "band", "epsilon", "sharpness", "margin", "alpha_slope"),
-    "sim": ("mode", "horizon", "substep", "period", "floor"),
-    "region": ("lower", "upper", "sample_count", "seed", "safety_factor"),
-    "bounds": (
-        "b_f", "b_g", "b_k", "lam", "mu", "m_lip", "l_k", "l_sigma", "safety_factor",
-    ),
+    "tuning": _fields(TunableControllerConfig) + ("alpha_slope",),
+    "sim": _fields(HoldSchedule) + _fields(IntegratorConfig),
+    "region": _fields(OperatingRegion) + ("safety_factor",),
+    "bounds": _fields(BoundSet),
     "output": ("trace", "summary"),
 }
-_PLANT_KEYS = tuple(f.name for f in dataclasses.fields(AccParams))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Parsed and validated run configuration."""
+    """Parsed run configuration, each part already validated by its type."""
 
     scenario_name: str
     controller: str
-    x0: tuple[float, ...] | None
+    x0: tuple[float, ...]
     plant: AccParams
     tuning: TunableControllerConfig
-    alpha_slope: float
-    mode: str
-    horizon: float
-    substep: float
-    period: float | None
-    floor: float
-    region: OperatingRegion | None
+    alpha: ClassKappa
+    schedule: HoldSchedule
+    integrator: IntegratorConfig
+    region: OperatingRegion
     safety_factor: float
     bounds: BoundSet | None
     trace_path: str | None
@@ -101,6 +102,15 @@ def _reject_unknown(section: Mapping, name: str, allowed: tuple[str, ...]) -> No
     for key in section:
         if key not in allowed:
             raise ConfigurationError(f"unknown key: {name}.{key}")
+
+
+def _section(doc: Mapping, name: str) -> dict:
+    """A section's entries with null values dropped; absent means empty."""
+    if doc.get(name) is None:
+        return {}
+    section = _require_mapping(doc[name], name)
+    _reject_unknown(section, name, _SECTIONS[name])
+    return {key: value for key, value in section.items() if value is not None}
 
 
 def _as_float(value: Any, path: str) -> float:
@@ -122,10 +132,8 @@ def _as_float(value: Any, path: str) -> float:
     return out
 
 
-def _as_int(value: Any, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path} must be an integer, got {value!r}")
-    return value
+def _as_floats(section: Mapping, name: str) -> dict:
+    return {key: _as_float(value, f"{name}.{key}") for key, value in section.items()}
 
 
 def _as_str(value: Any, path: str, choices: tuple[str, ...] | None = None) -> str:
@@ -143,16 +151,39 @@ def _as_vector(value: Any, path: str) -> tuple[float, ...]:
 
 
 def _get(section: Mapping, name: str, key: str) -> Any:
-    if key not in section or section[key] is None:
+    if key not in section:
         raise ConfigurationError(f"missing required key: {name}.{key}")
     return section[key]
+
+
+@contextlib.contextmanager
+def _errors_under(prefix: str):
+    """Re-raise a constructor's ConfigurationError with ``prefix`` in front."""
+    try:
+        yield
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{prefix}{exc}") from None
+
+
+def _build(cls, section: Mapping, name: str, **preset):
+    """``cls`` from the section's keys that name its fields, the rest from
+    ``preset`` or the field defaults. The constructors' messages start with
+    the offending field, so a failed check reads as its dotted key."""
+    kwargs = dict(preset)
+    for f in dataclasses.fields(cls):
+        if f.name in section:
+            kwargs[f.name] = section[f.name]
+        elif f.name not in kwargs and f.default is dataclasses.MISSING:
+            raise ConfigurationError(f"missing required key: {name}.{f.name}")
+    with _errors_under(f"{name}."):
+        return cls(**kwargs)
 
 
 def parse_config(doc: Any) -> RunConfig:
     """Validate a parsed mapping into a RunConfig.
 
     Raises ``ConfigurationError`` with the full dotted path of the first
-    unknown or missing key encountered.
+    unknown, missing or invalid key encountered.
     """
     doc = _require_mapping(doc, "config")
     for key in doc:
@@ -162,120 +193,55 @@ def parse_config(doc: Any) -> RunConfig:
         if required not in doc:
             raise ConfigurationError(f"missing required key: {required}")
 
-    sc = _require_mapping(doc["scenario"], "scenario")
-    _reject_unknown(sc, "scenario", _SECTIONS["scenario"])
-    name = _as_str(_get(sc, "scenario", "name"), "scenario.name", SCENARIO_NAMES)
+    sc = _section(doc, "scenario")
+    name = _as_str(_get(sc, "scenario", "name"), "scenario.name", tuple(_PRESETS))
     controller = _as_str(
         _get(sc, "scenario", "controller"), "scenario.controller", CONTROLLER_FLAVORS
     )
-    x0 = _as_vector(sc["x0"], "scenario.x0") if sc.get("x0") is not None else None
+    preset_region, preset_x0 = _PRESETS[name]
+    x0 = _as_vector(sc["x0"], "scenario.x0") if "x0" in sc else preset_x0
+    plant = _require_mapping(sc.get("plant", {}), "scenario.plant")
+    _reject_unknown(plant, "scenario.plant", _fields(AccParams))
+    params = _build(AccParams, _as_floats(plant, "scenario.plant"), "scenario.plant")
 
-    plant_kwargs = {}
-    if sc.get("plant") is not None:
-        plant = _require_mapping(sc["plant"], "scenario.plant")
-        _reject_unknown(plant, "scenario.plant", _PLANT_KEYS)
-        plant_kwargs = {k: _as_float(v, f"scenario.plant.{k}") for k, v in plant.items()}
-    try:
-        params = AccParams(**plant_kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"scenario.plant: {exc}") from None
-
-    tun = _require_mapping(doc.get("tuning", {}), "tuning")
-    _reject_unknown(tun, "tuning", _SECTIONS["tuning"])
-    defaults = thin_band_tuning()
-    alpha_slope = (
-        _as_float(tun["alpha_slope"], "tuning.alpha_slope")
-        if tun.get("alpha_slope") is not None
-        else 1.0
+    tun = _as_floats(_section(doc, "tuning"), "tuning")
+    with _errors_under("tuning.alpha_slope: "):
+        alpha = ClassKappa.linear(tun.pop("alpha_slope", 1.0))
+    tuning = _build(
+        TunableControllerConfig, tun, "tuning", **dataclasses.asdict(thin_band_tuning())
     )
-    tuning_kwargs = {
-        "c": defaults.c,
-        "delta": defaults.delta,
-        "band": defaults.band,
-        "epsilon": defaults.epsilon,
-        "margin": defaults.margin,
-        "sharpness": defaults.sharpness,
+
+    sim = {
+        key: value if key == "mode" else _as_float(value, f"sim.{key}")
+        for key, value in _section(doc, "sim").items()
     }
-    for key in ("c", "delta", "band", "epsilon", "sharpness", "margin"):
-        if tun.get(key) is not None:
-            value = _as_float(tun[key], f"tuning.{key}")
-            if value <= 0.0:
-                raise ConfigurationError(f"tuning.{key} must be > 0, got {value}")
-            tuning_kwargs[key] = value
-    try:
-        tuning = TunableControllerConfig(**tuning_kwargs)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"tuning: {exc}") from None
-    if alpha_slope <= 0.0:
-        raise ConfigurationError(f"tuning.alpha_slope must be > 0, got {alpha_slope}")
+    schedule = _build(HoldSchedule, sim, "sim")
+    integrator = _build(IntegratorConfig, sim, "sim")
 
-    sim = _require_mapping(doc["sim"], "sim")
-    _reject_unknown(sim, "sim", _SECTIONS["sim"])
-    mode = _as_str(_get(sim, "sim", "mode"), "sim.mode", ("continuous", "periodic", "event"))
-    horizon = _as_float(_get(sim, "sim", "horizon"), "sim.horizon")
-    substep = _as_float(sim["substep"], "sim.substep") if sim.get("substep") is not None else 1e-3
-    period = _as_float(sim["period"], "sim.period") if sim.get("period") is not None else None
-    if mode == "periodic" and period is None:
-        raise ConfigurationError("missing required key: sim.period")
-    if mode != "periodic" and period is not None:
-        raise ConfigurationError(f"sim.period is only valid in periodic mode, not {mode!r}")
-    floor = _as_float(sim["floor"], "sim.floor") if sim.get("floor") is not None else 0.0
-
-    region = None
-    safety_factor = 1.1
-    if doc.get("region") is not None:
-        reg = _require_mapping(doc["region"], "region")
-        _reject_unknown(reg, "region", _SECTIONS["region"])
-        if reg.get("safety_factor") is not None:
-            safety_factor = _as_float(reg["safety_factor"], "region.safety_factor")
-        # The box may be omitted, keeping the preset's, while still setting
-        # the sampling keys or the safety factor; a half-specified box is an
-        # error. Only the safety factor leaves the region to the preset.
-        has_box = reg.get("lower") is not None or reg.get("upper") is not None
-        if has_box or reg.get("sample_count") is not None or reg.get("seed") is not None:
-            if has_box:
-                lower = _as_vector(_get(reg, "region", "lower"), "region.lower")
-                upper = _as_vector(_get(reg, "region", "upper"), "region.upper")
-            else:
-                preset = _PRESET_REGIONS[name]()
-                lower, upper = preset.lower, preset.upper
-            sample_count = (
-                _as_int(reg["sample_count"], "region.sample_count")
-                if reg.get("sample_count") is not None
-                else 4096
-            )
-            seed = _as_int(reg["seed"], "region.seed") if reg.get("seed") is not None else 0
-            try:
-                region = OperatingRegion(
-                    lower=lower, upper=upper, sample_count=sample_count, seed=seed
-                )
-            except ConfigurationError as exc:
-                raise ConfigurationError(f"region: {exc}") from None
+    reg = _section(doc, "region")
+    safety_factor = (
+        _as_float(reg["safety_factor"], "region.safety_factor")
+        if "safety_factor" in reg
+        else DEFAULT_SAFETY_FACTOR
+    )
+    # The box may be omitted, keeping the preset's; a half-specified box is
+    # an error.
+    if "lower" in reg or "upper" in reg:
+        box = {}
+        for key in ("lower", "upper"):
+            reg[key] = _as_vector(_get(reg, "region", key), f"region.{key}")
+    else:
+        preset = preset_region()
+        box = {"lower": preset.lower, "upper": preset.upper}
+    region = _build(OperatingRegion, reg, "region", **box)
 
     bounds = None
     if doc.get("bounds") is not None:
-        bnd = _require_mapping(doc["bounds"], "bounds")
-        _reject_unknown(bnd, "bounds", _SECTIONS["bounds"])
-        kwargs = {}
-        for key in _SECTIONS["bounds"]:
-            if key == "safety_factor":
-                if bnd.get(key) is not None:
-                    kwargs[key] = _as_float(bnd[key], f"bounds.{key}")
-                continue
-            kwargs[key] = _as_float(_get(bnd, "bounds", key), f"bounds.{key}")
-        try:
-            bounds = BoundSet(**kwargs)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"bounds: {exc}") from None
+        bounds = _build(BoundSet, _as_floats(_section(doc, "bounds"), "bounds"), "bounds")
 
-    trace_path = summary_path = None
-    if doc.get("output") is not None:
-        out = _require_mapping(doc["output"], "output")
-        _reject_unknown(out, "output", _SECTIONS["output"])
-        if out.get("trace") is not None:
-            trace_path = _as_str(out["trace"], "output.trace")
-        if out.get("summary") is not None:
-            summary_path = _as_str(out["summary"], "output.summary")
+    out = _section(doc, "output")
+    trace_path = _as_str(out["trace"], "output.trace") if "trace" in out else None
+    summary_path = _as_str(out["summary"], "output.summary") if "summary" in out else None
 
     return RunConfig(
         scenario_name=name,
@@ -283,12 +249,9 @@ def parse_config(doc: Any) -> RunConfig:
         x0=x0,
         plant=params,
         tuning=tuning,
-        alpha_slope=alpha_slope,
-        mode=mode,
-        horizon=horizon,
-        substep=substep,
-        period=period,
-        floor=floor,
+        alpha=alpha,
+        schedule=schedule,
+        integrator=integrator,
         region=region,
         safety_factor=safety_factor,
         bounds=bounds,
@@ -312,115 +275,30 @@ def load_config(path, overrides=()) -> RunConfig:
     return parse_config(doc)
 
 
-def dump_config(cfg: RunConfig) -> dict:
-    """RunConfig back to a plain mapping that parses to an equal RunConfig."""
-    doc: dict[str, Any] = {
-        "scenario": {
-            "name": cfg.scenario_name,
-            "controller": cfg.controller,
-        },
-        "tuning": {
-            "c": cfg.tuning.c,
-            "delta": cfg.tuning.delta,
-            "band": cfg.tuning.band,
-            "epsilon": cfg.tuning.epsilon,
-            "sharpness": cfg.tuning.sharpness,
-            "margin": cfg.tuning.margin,
-            "alpha_slope": cfg.alpha_slope,
-        },
-        "sim": {
-            "mode": cfg.mode,
-            "horizon": cfg.horizon,
-            "substep": cfg.substep,
-        },
-    }
-    if cfg.x0 is not None:
-        doc["scenario"]["x0"] = list(cfg.x0)
-    if cfg.plant != AccParams():
-        doc["scenario"]["plant"] = {
-            k: getattr(cfg.plant, k)
-            for k in _PLANT_KEYS
-            if getattr(cfg.plant, k) != getattr(AccParams(), k)
-        }
-    if cfg.period is not None:
-        doc["sim"]["period"] = cfg.period
-    if cfg.floor != 0.0:
-        doc["sim"]["floor"] = cfg.floor
-    if cfg.region is not None or cfg.safety_factor != 1.1:
-        region: dict[str, Any] = {}
-        if cfg.region is not None:
-            region.update(
-                lower=list(cfg.region.lower),
-                upper=list(cfg.region.upper),
-                sample_count=cfg.region.sample_count,
-                seed=cfg.region.seed,
-            )
-        if cfg.safety_factor != 1.1:
-            region["safety_factor"] = cfg.safety_factor
-        doc["region"] = region
-    if cfg.bounds is not None:
-        doc["bounds"] = {
-            k: getattr(cfg.bounds, k) for k in _SECTIONS["bounds"]
-        }
-    if cfg.trace_path is not None or cfg.summary_path is not None:
-        out: dict[str, Any] = {}
-        if cfg.trace_path is not None:
-            out["trace"] = cfg.trace_path
-        if cfg.summary_path is not None:
-            out["summary"] = cfg.summary_path
-        doc["output"] = out
-    return doc
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(dump_config(cfg), fh, sort_keys=False)
-
-
-def default_region(cfg: RunConfig) -> OperatingRegion:
-    """The config's certification box, or its preset's when none is given."""
-    if cfg.region is not None:
-        return cfg.region
-    return _PRESET_REGIONS[cfg.scenario_name]()
-
-
 def filter_from_config(cfg: RunConfig) -> CbfQpFilter:
     """The plain safety filter over the configured plant and decrease rate."""
     return CbfQpFilter(
         dynamics=acc_dynamics(cfg.plant),
         barrier=acc_barrier(cfg.plant),
-        alpha=ClassKappa.linear(cfg.alpha_slope),
+        alpha=cfg.alpha,
         nominal=acc_nominal(cfg.plant),
     )
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:
-    """Assemble the runnable Scenario a config describes.
-
-    A region given explicitly overrides the preset's certification box; the
-    preset's start state is used when scenario.x0 is absent.
-    """
+    """Assemble the runnable Scenario a config describes."""
     filt = filter_from_config(cfg)
     controller = filt if cfg.controller == "plain" else cfg.tuning.controller(filt)
-    if cfg.mode == "continuous":
-        schedule = HoldSchedule.continuous()
-    elif cfg.mode == "periodic":
-        schedule = HoldSchedule.periodic(cfg.period)
-    else:
-        schedule = HoldSchedule.event(floor=cfg.floor)
-    x0 = cfg.x0
-    if x0 is None:
-        x0 = X0_FAR if cfg.scenario_name == "acc-approach" else X0_NEAR
     return Scenario(
-        name=f"{cfg.scenario_name}-{cfg.controller}-{cfg.mode}",
+        name=f"{cfg.scenario_name}-{cfg.controller}-{cfg.schedule.mode}",
         dynamics=filt.dynamics,
         barrier=filt.barrier,
         alpha=filt.alpha,
         controller=controller,
-        x0=tuple(x0),
-        integrator=IntegratorConfig(horizon=cfg.horizon, substep=cfg.substep),
-        schedule=schedule,
-        region=default_region(cfg),
+        x0=cfg.x0,
+        integrator=cfg.integrator,
+        schedule=cfg.schedule,
+        region=cfg.region,
         trigger_c=cfg.tuning.c,
     )
 

@@ -18,6 +18,7 @@ by a safety factor (default 1.1) to hedge the finite sampling.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -53,9 +54,11 @@ DEFAULT_SAFETY_FACTOR = 1.1
 # degenerate: mu below this fraction of lambda fails the boundary check.
 _MU_DEGENERACY_RATIO = 0.01
 
-# Sampling sizes of the estimation: root-found boundary points, random
-# point pairs for the difference quotients, and the lattice's target point
-# count (rounded to a whole number of points per axis, at least 2).
+# Sampling sizes of the estimation: uniform box samples, root-found
+# boundary points, random point pairs for the difference quotients, and the
+# lattice's target point count (rounded to a whole number of points per
+# axis, at least 2).
+_SAMPLE_COUNT = 4096
 _BOUNDARY_COUNT = 512
 _PAIR_COUNT = 100_000
 _LATTICE_POINTS = 30_000
@@ -66,24 +69,24 @@ _ENVELOPE_BINS = 16
 
 @dataclass(frozen=True)
 class OperatingRegion:
-    """Axis-aligned box over which bounds are estimated and runs certified."""
+    """Axis-aligned box over which bounds are estimated and runs certified.
+    ``seed`` seeds the estimators' sampling of the box."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
-    sample_count: int = 4096
     seed: int = 0
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
         hi = np.asarray(self.upper, dtype=float)
         if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ConfigurationError("region lower/upper must be 1-d and the same length")
+            raise ConfigurationError("lower and upper must be 1-d and the same length")
         if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ConfigurationError("region bounds must be finite")
+            raise ConfigurationError("lower and upper must be finite")
         if not np.all(lo < hi):
-            raise ConfigurationError("region must satisfy lower < upper on every axis")
-        if self.sample_count < 2:
-            raise ConfigurationError("region sample_count must be >= 2")
+            raise ConfigurationError("lower must be < upper on every axis")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
+            raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @property
     def dimension(self) -> int:
@@ -101,10 +104,9 @@ class OperatingRegion:
     def scale(self) -> float:
         return float(np.max(self.upper_arr - self.lower_arr))
 
-    def sample(self, rng: np.random.Generator, count: int | None = None) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform points in the box, shape (count, n)."""
-        k = self.sample_count if count is None else count
-        return rng.uniform(self.lower_arr, self.upper_arr, size=(k, self.dimension))
+        return rng.uniform(self.lower_arr, self.upper_arr, size=(count, self.dimension))
 
     def lattice(self, per_axis: int) -> np.ndarray:
         """Regular grid including the box faces, shape (per_axis**n, n)."""
@@ -137,13 +139,13 @@ class BoundSet:
     safety_factor: float = DEFAULT_SAFETY_FACTOR
 
     def __post_init__(self):
-        for name in ("b_f", "b_g", "b_k", "lam", "mu", "m_lip", "l_k", "l_sigma"):
-            v = getattr(self, name)
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
             if not (math.isfinite(v) and v >= 0.0):
-                raise ConfigurationError(f"bound {name} must be finite and >= 0, got {v}")
+                raise ConfigurationError(f"{f.name} must be finite and >= 0, got {v}")
         if self.mu > self.lam:
             raise ConfigurationError(
-                f"boundary margin mu={self.mu} cannot exceed its upper bound lam={self.lam}"
+                f"mu cannot exceed its upper bound lam, got mu={self.mu}, lam={self.lam}"
             )
         if self.safety_factor < 1.0:
             raise ConfigurationError(f"safety_factor must be >= 1, got {self.safety_factor}")
@@ -323,7 +325,7 @@ def estimate_bounds(
 
     per_axis = max(2, int(round(_LATTICE_POINTS ** (1.0 / n))))
     lattice = region.lattice(per_axis)
-    box = region.sample(rng)
+    box = region.sample(rng, _SAMPLE_COUNT)
     _probe_shapes(dyn, barrier, box[0], controller)
     base = np.vstack([box, lattice])
 
@@ -437,7 +439,7 @@ def check_assumptions(
     measure of clearance).
     """
     rng = np.random.default_rng(region.seed)
-    pts = region.sample(rng)
+    pts = region.sample(rng, _SAMPLE_COUNT)
     _probe_shapes(dyn, barrier, pts[0], controller)
     f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(pts, dyn, controller, barrier)
     k_norm = float(np.max(np.linalg.norm(k_arr, axis=1)))

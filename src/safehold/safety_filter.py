@@ -171,12 +171,11 @@ class TunableControllerConfig:
     sharpness: float | None = None
 
     def __post_init__(self):
-        for name in ("c", "delta", "band", "epsilon", "margin"):
+        for name in ("c", "margin"):
             v = getattr(self, name)
-            if not (np.isfinite(v) and v > 0.0):
-                raise ConfigurationError(f"tuning field {name} must be finite and > 0, got {v}")
-        if self.sharpness is not None and not (np.isfinite(self.sharpness) and self.sharpness > 0.0):
-            raise ConfigurationError(f"sharpness must be finite and > 0, got {self.sharpness}")
+            if not (v > 0.0 and np.isfinite(v)):
+                raise ConfigurationError(f"{name} must be > 0 and finite, got {v}")
+        self.sigmoid  # the gate's constructor checks delta, band, epsilon, sharpness
 
     @property
     def sigmoid(self) -> SigmoidGain:

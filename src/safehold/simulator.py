@@ -94,7 +94,7 @@ class IntegratorConfig:
             raise ConfigurationError(f"substep must be finite and > 0, got {self.substep}")
         if self.substep > self.horizon:
             raise ConfigurationError(
-                f"substep {self.substep} exceeds horizon {self.horizon}"
+                f"substep must not exceed horizon {self.horizon}, got {self.substep}"
             )
 
     @property
@@ -112,14 +112,18 @@ class HoldSchedule:
 
     def __post_init__(self):
         if self.mode not in _MODES:
-            raise ConfigurationError(f"unknown hold mode {self.mode!r}, expected one of {_MODES}")
+            raise ConfigurationError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.mode == "periodic":
             if self.period is None or not (math.isfinite(self.period) and self.period > 0.0):
-                raise ConfigurationError(f"periodic mode needs period > 0, got {self.period}")
+                raise ConfigurationError(
+                    f"period must be finite and > 0 in periodic mode, got {self.period}"
+                )
         elif self.period is not None:
-            raise ConfigurationError(f"{self.mode} mode takes no period")
+            raise ConfigurationError(f"period is only valid in periodic mode, not {self.mode!r}")
         if not (math.isfinite(self.floor) and self.floor >= 0.0):
-            raise ConfigurationError(f"floor must be >= 0, got {self.floor}")
+            raise ConfigurationError(f"floor must be finite and >= 0, got {self.floor}")
+        if self.floor > 0.0 and self.mode != "event":
+            raise ConfigurationError(f"floor is only valid in event mode, not {self.mode!r}")
 
     @classmethod
     def continuous(cls) -> "HoldSchedule":
@@ -172,25 +176,6 @@ class Trace:
         ])
         fmt = ["%.17g"] * (len(names) - 1) + ["%d"]
         np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(names), comments="")
-
-    @classmethod
-    def from_csv(cls, path) -> "Trace":
-        with open(path, "r", encoding="utf-8") as fh:
-            names = fh.readline().strip().split(",")
-        expected_tail = ["h", "hdot", "trigger", "event"]
-        if names[:1] != ["t"] or names[-4:] != expected_tail:
-            raise ConfigurationError(f"unrecognized trace header: {names}")
-        n = sum(1 for s in names if s.startswith("x") and s[1:].isdigit())
-        m = sum(1 for s in names if s.startswith("u") and s[1:].isdigit())
-        if 1 + n + m + 4 != len(names):
-            raise ConfigurationError(f"trace header does not partition into columns: {names}")
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        t = data[:, 0]
-        x = data[:, 1:1 + n]
-        u = data[:, 1 + n:1 + n + m]
-        h, hdot, trig = data[:, -4], data[:, -3], data[:, -2]
-        ev = data[:, -1].astype(int)
-        return cls(t=t, x=x, u=u, h=h, hdot=hdot, trigger=trig, event=ev)
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,11 @@ DELETED = (
     "rk4_step_closed_loop",
     "OperatingRegion.contains",
     "SigmoidGain.plateau",
+    "dump_config",
+    "save_config",
+    "default_region",
+    "Trace.from_csv",
+    "OperatingRegion.sample_count",
 )
 
 # Every parameter and field here has a caller that varies it (or is a
@@ -50,6 +55,8 @@ PARAMETERS = {
         "cfg", "bounds", "alpha", "dynamics", "barrier", "region",
     ),
     constants.boundary_points: ("region", "barrier", "count", "rng"),
+    acc_benchmark.approach_region: (),
+    acc_benchmark.ride_region: (),
     acc_benchmark.build_scenario: (
         "kind", "period", "horizon", "substep", "setting", "tuning", "params", "floor", "x0",
     ),
@@ -63,6 +70,11 @@ FIELDS = {
         "schedule", "region", "trigger_c",
     ),
     simulator.Trace: ("t", "x", "u", "h", "hdot", "trigger", "event"),
+    constants.OperatingRegion: ("lower", "upper", "seed"),
+    config.RunConfig: (
+        "scenario_name", "controller", "x0", "plant", "tuning", "alpha", "schedule",
+        "integrator", "region", "safety_factor", "bounds", "trace_path", "summary_path",
+    ),
 }
 
 

@@ -228,7 +228,7 @@ class TestLieDerivatives:
         dyn, barrier = _linear_system()
         A = np.array([[0.0, 1.0], [-2.0, -3.0]])
         dyn = ControlAffineDynamics(drift=lambda x: A @ x, actuation=dyn.actuation, n=2, m=1)
-        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), sample_count=256)
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         calls = []
 
         def controller(x):

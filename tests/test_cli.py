@@ -56,6 +56,14 @@ class TestConstants:
         err = capsys.readouterr().err
         assert "config error" in err and "tuning.epsilon" in err
 
+    def test_negative_region_seed_is_a_config_error(self, capsys):
+        code = main([
+            "constants", str(CONFIGS / "ride-certified.yaml"), "--set", "region.seed=-1",
+        ])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "region.seed" in err
+
     def test_degenerate_region_fails_the_assumption_gate(self, tmp_path, capsys):
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain}\n"
@@ -127,6 +135,12 @@ class TestSimulate:
         assert main(["simulate", cfg, "--set", f"output.trace={b}"]) == EXIT_OK
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+
+    def test_floor_outside_event_mode_is_a_config_error(self, capsys):
+        code = main(["simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", "sim.floor=0.5"])
+        assert code == EXIT_CONFIG
+        assert "sim.floor is only valid in event mode" in capsys.readouterr().err
 
 
 class TestSweep:

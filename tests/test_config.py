@@ -1,4 +1,4 @@
-"""Config parsing, serialization round-trips, overrides, scenario assembly."""
+"""Config parsing into the library's types, file loading, overrides, scenario assembly."""
 
 from __future__ import annotations
 
@@ -6,19 +6,27 @@ import dataclasses
 
 import numpy as np
 import pytest
+import yaml
 
-from safehold.acc_benchmark import X0_FAR, X0_NEAR, acc_filter, ride_region
+from safehold.acc_benchmark import (
+    X0_FAR,
+    X0_NEAR,
+    AccParams,
+    acc_filter,
+    approach_region,
+    ride_region,
+)
+from safehold.cbf_core import ClassKappa
 from safehold.config import (
-    RunConfig,
     apply_overrides,
-    dump_config,
     load_config,
     parse_config,
-    save_config,
     scenario_from_config,
 )
+from safehold.constants import BoundSet, OperatingRegion
 from safehold.errors import ConfigurationError
-from safehold.safety_filter import CbfQpFilter, tunable_control
+from safehold.safety_filter import CbfQpFilter, TunableControllerConfig, tunable_control
+from safehold.simulator import HoldSchedule, IntegratorConfig
 
 
 def _doc() -> dict:
@@ -33,9 +41,12 @@ class TestParse:
         cfg = parse_config(_doc())
         assert cfg.scenario_name == "acc-approach"
         assert cfg.controller == "plain"
-        assert cfg.x0 is None and cfg.region is None and cfg.bounds is None
-        assert cfg.substep == 1e-3 and cfg.floor == 0.0
-        assert cfg.alpha_slope == 1.0 and cfg.safety_factor == 1.1
+        # the preset fills in the start state and the certification box
+        assert cfg.x0 == X0_FAR and cfg.region == approach_region()
+        assert cfg.bounds is None
+        assert cfg.schedule == HoldSchedule.periodic(0.5)
+        assert cfg.integrator == IntegratorConfig(horizon=6.0, substep=1e-3)
+        assert cfg.alpha == ClassKappa.linear(1.0) and cfg.safety_factor == 1.1
         assert cfg.tuning.c == 9.18  # thin-band defaults
         assert cfg.trace_path is None and cfg.summary_path is None
 
@@ -66,7 +77,9 @@ class TestParse:
     def test_periodic_mode_requires_period(self):
         doc = _doc()
         del doc["sim"]["period"]
-        with pytest.raises(ConfigurationError, match="missing required key: sim.period"):
+        with pytest.raises(
+            ConfigurationError, match="sim.period must be finite and > 0 in periodic mode"
+        ):
             parse_config(doc)
 
     def test_period_outside_periodic_mode_rejected(self):
@@ -78,7 +91,7 @@ class TestParse:
     def test_numeric_strings_accepted(self):
         doc = _doc()
         doc["sim"]["substep"] = "1e-3"  # the YAML 1.1 scalar quirk
-        assert parse_config(doc).substep == 1e-3
+        assert parse_config(doc).integrator.substep == 1e-3
 
     def test_boolean_is_not_a_number(self):
         doc = _doc()
@@ -114,17 +127,13 @@ class TestParse:
         doc = _doc()
         doc["region"] = {"safety_factor": 1.25}
         cfg = parse_config(doc)
-        assert cfg.region is None and cfg.safety_factor == 1.25
+        assert cfg.region == approach_region() and cfg.safety_factor == 1.25
 
     def test_region_sampling_keys_apply_to_the_preset_box(self):
         doc = _doc()
         doc["scenario"]["name"] = "acc-ride"
         doc["region"] = {"seed": 3}
-        cfg = parse_config(doc)
-        assert cfg.region == ride_region(seed=3)
-        assert parse_config(dump_config(cfg)) == cfg
-        doc["region"] = {"sample_count": 512}
-        assert parse_config(doc).region == ride_region(sample_count=512)
+        assert parse_config(doc).region == dataclasses.replace(ride_region(), seed=3)
 
     def test_bounds_section_requires_every_bound(self):
         doc = _doc()
@@ -157,7 +166,7 @@ def _rich_doc() -> dict:
         "sim": {"mode": "event", "horizon": 12.0, "substep": 1e-3, "floor": 0.01},
         "region": {
             "lower": [0.0, 16.5, 590.0], "upper": [500.0, 20.5, 740.0],
-            "sample_count": 2048, "seed": 7, "safety_factor": 1.2,
+            "seed": 7, "safety_factor": 1.2,
         },
         "bounds": {
             "b_f": 24.0, "b_g": 7e-4, "b_k": 7800.0, "lam": 0.05, "mu": 0.035,
@@ -167,21 +176,73 @@ def _rich_doc() -> dict:
     }
 
 
-class TestRoundTrip:
-    def test_parse_dump_parse_is_identity(self):
+class TestParseIntoTypes:
+    def test_every_section_builds_its_own_type(self):
         cfg = parse_config(_rich_doc())
-        assert parse_config(dump_config(cfg)) == cfg
+        assert cfg.x0 == (0.0, 18.0, 700.0)
+        assert cfg.plant == AccParams(mass=1500.0)
+        assert cfg.tuning == TunableControllerConfig(
+            c=3.0, delta=1.0, band=10.0, epsilon=1.5e-4, margin=2.0, sharpness=20.0,
+        )
+        assert cfg.alpha == ClassKappa.linear(1.0)
+        assert cfg.schedule == HoldSchedule.event(floor=0.01)
+        assert cfg.integrator == IntegratorConfig(horizon=12.0, substep=1e-3)
+        assert cfg.region == OperatingRegion(
+            lower=(0.0, 16.5, 590.0), upper=(500.0, 20.5, 740.0), seed=7,
+        )
+        assert cfg.safety_factor == 1.2
+        assert cfg.bounds == BoundSet(
+            b_f=24.0, b_g=7e-4, b_k=7800.0, lam=0.05, mu=0.035,
+            m_lip=0.0024, l_k=2300.0, l_sigma=33333.0, safety_factor=1.0,
+        )
+        assert (cfg.trace_path, cfg.summary_path) == ("out/run.csv", "out/run.txt")
 
-    def test_minimal_round_trip(self):
-        cfg = parse_config(_doc())
-        assert parse_config(dump_config(cfg)) == cfg
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("tuning", "band", 0.0, "tuning.band must be > 0"),
+        ("tuning", "sharpness", -1.0, "tuning.sharpness must be > 0"),
+        ("tuning", "margin", 0.0, "tuning.margin must be > 0"),
+        ("sim", "horizon", -1.0, "sim.horizon must be finite and > 0"),
+        ("sim", "substep", 20.0, "sim.substep must not exceed horizon"),
+        ("sim", "mode", "sometimes", "sim.mode must be one of"),
+        ("region", "seed", -1, "region.seed must be an integer >= 0"),
+        ("region", "seed", 1.5, "region.seed must be an integer >= 0"),
+        ("region", "lower", [600.0, 16.5, 590.0], "region.lower must be < upper"),
+        ("bounds", "mu", 1.0, "bounds.mu cannot exceed its upper bound lam"),
+        ("bounds", "b_f", -1.0, "bounds.b_f must be finite and >= 0"),
+    ])
+    def test_constructor_errors_name_the_dotted_key(self, section, key, value, message):
+        doc = _rich_doc()
+        doc[section][key] = value
+        with pytest.raises(ConfigurationError, match=message):
+            parse_config(doc)
+
+    def test_floor_outside_event_mode_rejected(self):
+        doc = _doc()
+        doc["sim"]["floor"] = 0.5
+        with pytest.raises(ConfigurationError, match="sim.floor is only valid in event mode"):
+            parse_config(doc)
+        doc["sim"]["floor"] = 0.0  # a zero floor is no floor
+        assert parse_config(doc).schedule == HoldSchedule.periodic(0.5)
+
+    def test_sample_count_is_not_a_region_key(self):
+        doc = _doc()
+        doc["region"] = {"sample_count": 512}
+        with pytest.raises(ConfigurationError, match="unknown key: region.sample_count"):
+            parse_config(doc)
+
+
+class TestRoundTrip:
+    """Documents through YAML files and back into configs."""
 
     def test_file_round_trip(self, tmp_path):
-        cfg = parse_config(_rich_doc())
+        doc = _rich_doc()
         path = tmp_path / "cfg.yaml"
-        save_config(cfg, path)
-        assert load_config(path) == cfg
-        assert load_config(path, ["sim.horizon=3.0"]) == dataclasses.replace(cfg, horizon=3.0)
+        path.write_text(yaml.safe_dump(doc), encoding="utf-8")
+        cfg = load_config(path)
+        assert cfg == parse_config(doc)
+        assert load_config(path, ["sim.horizon=3.0"]) == dataclasses.replace(
+            cfg, integrator=IntegratorConfig(horizon=3.0, substep=1e-3),
+        )
 
     def test_unquoted_scientific_notation_survives_a_file(self, tmp_path):
         path = tmp_path / "cfg.yaml"
@@ -189,7 +250,7 @@ class TestRoundTrip:
             "scenario: {name: acc-approach, controller: plain}\n"
             "sim: {mode: periodic, horizon: 6.0, period: 0.5, substep: 1e-3}\n"
         )
-        assert load_config(path).substep == 1e-3
+        assert load_config(path).integrator.substep == 1e-3
 
     def test_load_errors_are_configuration_errors(self, tmp_path):
         with pytest.raises(ConfigurationError, match="cannot read"):

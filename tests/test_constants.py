@@ -53,7 +53,7 @@ class TestOperatingRegion:
         with pytest.raises(ConfigurationError):
             OperatingRegion(lower=(0.0, 0.0), upper=(1.0,))
         with pytest.raises(ConfigurationError):
-            OperatingRegion(lower=(0.0,), upper=(1.0,), sample_count=1)
+            OperatingRegion(lower=(0.0,), upper=(1.0,), seed=-1)
 
     def test_contains_and_scale(self):
         reg = OperatingRegion(lower=(0.0, -1.0), upper=(2.0, 1.0))
@@ -128,7 +128,7 @@ class TestEstimateBounds:
 
     def test_deterministic_given_seed(self):
         filt = acc_filter()
-        reg = ride_region(sample_count=256)
+        reg = ride_region()
         b1 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
         b2 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
         assert b1 == b2
@@ -265,7 +265,7 @@ class TestHoldBudgets:
 class TestCheckAssumptions:
     def test_plane_system_passes_all_five(self):
         dyn, barrier = _plane_system()
-        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), sample_count=1024)
+        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
         names = [c.name for c in report.checks]
         assert names == [
@@ -284,7 +284,7 @@ class TestCheckAssumptions:
         barrier = BarrierFunction(
             value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
-        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), sample_count=1024)
+        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
         assert report["boundary_actuation"].status == "fail"
         assert not report.passed

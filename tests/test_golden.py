@@ -1,0 +1,51 @@
+"""Golden CLI outputs: stdout, stderr and exit code, byte for byte.
+
+Covers every line ``constants`` prints on the shipped configs (bounds,
+assumption and tuning detail lines, budgets) and the ``sweep`` table, where
+the benchmark compares only ``key=value`` lines and table rows. A change
+to any printed digit or word fails here; rewrite a file under
+``tests/golden/`` only for an intended change of output.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from safehold.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+CASES = {
+    "constants-approach-boosted": ["constants", "configs/approach-boosted.yaml"],
+    "constants-approach-plain-sweep": ["constants", "configs/approach-plain-sweep.yaml"],
+    "constants-ride-certified": ["constants", "configs/ride-certified.yaml"],
+    "constants-unit-bounds": ["constants", "configs/unit-bounds.yaml"],
+    "sweep-approach-plain-sweep": [
+        "sweep", "configs/approach-plain-sweep.yaml", "0.5", "1", "2", "5", "10",
+    ],
+}
+
+
+def render(argv: list[str]) -> str:
+    """Run the CLI in process on argv (config paths relative to the repo
+    root) and lay out the command, exit code, stdout and stderr as text."""
+    out, err = io.StringIO(), io.StringIO()
+    command = [arg if not arg.endswith(".yaml") else str(ROOT / arg) for arg in argv]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(command)
+    return (
+        f"$ safehold {' '.join(argv)}\nexit={code}\n"
+        f"--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    )
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_matches_the_golden_file(case, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the sweep writes its traces under ./out
+    expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
+    assert render(CASES[case]) == expected

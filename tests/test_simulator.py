@@ -185,6 +185,13 @@ class TestRun:
         with pytest.raises(ConfigurationError):
             run(_scalar_scenario("periodic", period=1e-4, substep=1e-3))
 
+    def test_floor_only_in_event_mode(self):
+        for mode, period in (("continuous", None), ("periodic", 0.5)):
+            with pytest.raises(ConfigurationError, match="floor is only valid in event mode"):
+                HoldSchedule(mode=mode, period=period, floor=0.5)
+            assert HoldSchedule(mode=mode, period=period, floor=0.0).floor == 0.0
+        assert HoldSchedule.event(floor=0.5).floor == 0.5
+
     def test_region_exit_raises_with_location(self):
         reg = OperatingRegion(lower=(0.0,), upper=(1.5,))
         sc = _scalar_scenario(
@@ -332,15 +339,17 @@ class TestCsvRoundTrip:
         tr = run(sc)
         path = tmp_path / "trace.csv"
         tr.to_csv(path)
-        back = Trace.from_csv(path)
-        assert np.array_equal(tr.t, back.t)
-        assert np.array_equal(tr.x, back.x)
-        assert np.array_equal(tr.u, back.u)
-        assert np.array_equal(tr.h, back.h)
-        assert np.array_equal(tr.hdot, back.hdot)
-        assert np.array_equal(tr.trigger, back.trigger)
-        assert np.array_equal(tr.event, back.event)
-        assert back.events == tr.events
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        # columns: t, x0..x2, u0, h, hdot, trigger, event
+        assert data.shape == (len(tr), 9)
+        assert np.array_equal(data[:, 0], tr.t)
+        assert np.array_equal(data[:, 1:4], tr.x)
+        assert np.array_equal(data[:, 4:5], tr.u)
+        assert np.array_equal(data[:, 5], tr.h)
+        assert np.array_equal(data[:, 6], tr.hdot)
+        assert np.array_equal(data[:, 7], tr.trigger)
+        assert np.array_equal(data[:, 8], tr.event)
+        assert tr.events and set(np.unique(data[:, 8])) == {0.0, 1.0}
 
     def test_header_names_the_columns(self, tmp_path):
         tr = run(_scalar_scenario("periodic", period=0.5, horizon=1.0, substep=0.25))
