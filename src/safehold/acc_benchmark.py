@@ -8,8 +8,9 @@ above a braking-distance envelope quadratic in the follower's speed, which
 conflicts with the cruise objective whenever the desired speed exceeds the
 lead's.
 
-Everything here is closed form, including the barrier's Lie derivatives, so
-tests can cross-check the generic machinery against hand-derived values.
+Everything here is closed form, so tests can cross-check the generic
+machinery, the barrier's Lie derivatives included, against hand-derived
+values.
 
 Two settings are provided:
 
@@ -41,14 +42,12 @@ __all__ = [
     "acc_barrier",
     "acc_nominal",
     "acc_filter",
-    "acc_closed_form_lie",
     "approach_region",
     "ride_region",
     "thin_band_tuning",
     "wide_band_tuning",
     "certified_tuning",
     "SCENARIO_KINDS",
-    "SWEEP_FREQUENCIES",
     "build_scenario",
     "X0_FAR",
     "X0_NEAR",
@@ -61,8 +60,6 @@ X0_FAR = (0.0, 20.0, 1000.0)
 X0_NEAR = (0.0, 20.0, 735.0)
 
 SCENARIO_KINDS = ("continuous", "periodic", "periodic-boosted", "event")
-
-SWEEP_FREQUENCIES = (0.5, 1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -145,26 +142,14 @@ def acc_nominal(params: AccParams | None = None) -> NominalController:
     return NominalController(law=law)
 
 
-def acc_filter(
-    params: AccParams | None = None, alpha: ClassKappa | None = None
-) -> CbfQpFilter:
+def acc_filter(params: AccParams | None = None) -> CbfQpFilter:
     p = params or AccParams()
     return CbfQpFilter(
         dynamics=acc_dynamics(p),
         barrier=acc_barrier(p),
-        alpha=alpha or ClassKappa.linear(),
+        alpha=ClassKappa.linear(),
         nominal=acc_nominal(p),
     )
-
-
-def acc_closed_form_lie(params: AccParams, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Hand-derived barrier Lie derivatives, independent of the generic
-    gradient-times-field route."""
-    p = params
-    speed = float(x[1])
-    lfh = (p.lead_speed - speed) + 2.0 * p.headway * speed * p.resistance(speed) / p.mass
-    lgh = np.array([-2.0 * p.headway * speed / p.mass])
-    return lfh, lgh
 
 
 def approach_region() -> OperatingRegion:

@@ -173,8 +173,7 @@ def _estimate(cfg, filt) -> BoundSet:
     The boosted controller's extra authority enters the budget formulas
     through epsilon, not through b_k."""
     return estimate_bounds(
-        cfg.region, filt.dynamics, filt, filt.barrier,
-        sigmoid=cfg.tuning.sigmoid, safety_factor=cfg.safety_factor,
+        cfg.region, filt.dynamics, filt, filt.barrier, sigmoid=cfg.tuning.sigmoid
     )
 
 

@@ -40,7 +40,7 @@ from .acc_benchmark import (
     thin_band_tuning,
 )
 from .cbf_core import ClassKappa
-from .constants import DEFAULT_SAFETY_FACTOR, BoundSet, OperatingRegion
+from .constants import BoundSet, OperatingRegion
 from .errors import ConfigurationError
 from .safety_filter import CbfQpFilter, TunableControllerConfig
 from .simulator import HoldSchedule, IntegratorConfig, Scenario
@@ -67,7 +67,7 @@ _SECTIONS = {
     "scenario": ("name", "controller", "x0", "plant"),
     "tuning": _fields(TunableControllerConfig) + ("alpha_slope",),
     "sim": _fields(HoldSchedule) + _fields(IntegratorConfig),
-    "region": _fields(OperatingRegion) + ("safety_factor",),
+    "region": _fields(OperatingRegion),
     "bounds": _fields(BoundSet),
     "output": ("trace", "summary"),
 }
@@ -86,7 +86,6 @@ class RunConfig:
     schedule: HoldSchedule
     integrator: IntegratorConfig
     region: OperatingRegion
-    safety_factor: float
     bounds: BoundSet | None
     trace_path: str | None
     summary_path: str | None
@@ -144,12 +143,6 @@ def _as_str(value: Any, path: str, choices: tuple[str, ...] | None = None) -> st
     return value
 
 
-def _as_vector(value: Any, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{path} must be a list of numbers")
-    return tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
 def _get(section: Mapping, name: str, key: str) -> Any:
     if key not in section:
         raise ConfigurationError(f"missing required key: {name}.{key}")
@@ -199,7 +192,6 @@ def parse_config(doc: Any) -> RunConfig:
         _get(sc, "scenario", "controller"), "scenario.controller", CONTROLLER_FLAVORS
     )
     preset_region, preset_x0 = _PRESETS[name]
-    x0 = _as_vector(sc["x0"], "scenario.x0") if "x0" in sc else preset_x0
     plant = _require_mapping(sc.get("plant", {}), "scenario.plant")
     _reject_unknown(plant, "scenario.plant", _fields(AccParams))
     params = _build(AccParams, _as_floats(plant, "scenario.plant"), "scenario.plant")
@@ -219,21 +211,26 @@ def parse_config(doc: Any) -> RunConfig:
     integrator = _build(IntegratorConfig, sim, "sim")
 
     reg = _section(doc, "region")
-    safety_factor = (
-        _as_float(reg["safety_factor"], "region.safety_factor")
-        if "safety_factor" in reg
-        else DEFAULT_SAFETY_FACTOR
-    )
+    if "safety_factor" in reg:
+        reg["safety_factor"] = _as_float(reg["safety_factor"], "region.safety_factor")
+    # The start state and the box have one entry per state of the preset
+    # plant, as the preset's own start state does.
+    n = len(preset_x0)
+    for section, path in ((sc, "scenario.x0"), (reg, "region.lower"), (reg, "region.upper")):
+        key = path.partition(".")[2]
+        if key not in section:
+            continue
+        value = section[key]
+        if not isinstance(value, (list, tuple)) or len(value) != n:
+            raise ConfigurationError(f"{path} must be a list of {n} numbers, one per state")
+        section[key] = tuple(_as_float(v, f"{path}[{i}]") for i, v in enumerate(value))
+    x0 = sc.get("x0", preset_x0)
     # The box may be omitted, keeping the preset's; a half-specified box is
     # an error.
-    if "lower" in reg or "upper" in reg:
-        box = {}
-        for key in ("lower", "upper"):
-            reg[key] = _as_vector(_get(reg, "region", key), f"region.{key}")
-    else:
+    if "lower" not in reg and "upper" not in reg:
         preset = preset_region()
-        box = {"lower": preset.lower, "upper": preset.upper}
-    region = _build(OperatingRegion, reg, "region", **box)
+        reg.update(lower=preset.lower, upper=preset.upper)
+    region = _build(OperatingRegion, reg, "region")
 
     bounds = None
     if doc.get("bounds") is not None:
@@ -253,7 +250,6 @@ def parse_config(doc: Any) -> RunConfig:
         schedule=schedule,
         integrator=integrator,
         region=region,
-        safety_factor=safety_factor,
         bounds=bounds,
         trace_path=trace_path,
         summary_path=summary_path,

@@ -13,7 +13,7 @@ and evaluates the two budget formulas:
   controller keeps the original safe set invariant.
 
 Every estimated maximum is inflated, and every estimated minimum deflated,
-by a safety factor (default 1.1) to hedge the finite sampling.
+by the region's safety factor (default 1.1) to hedge the finite sampling.
 """
 
 from __future__ import annotations
@@ -70,11 +70,14 @@ _ENVELOPE_BINS = 16
 @dataclass(frozen=True)
 class OperatingRegion:
     """Axis-aligned box over which bounds are estimated and runs certified.
-    ``seed`` seeds the estimators' sampling of the box."""
+    ``seed`` seeds the estimators' sampling of the box; ``safety_factor``
+    (at least 1) inflates each maximum they estimate and deflates each
+    minimum, to hedge that finite sampling."""
 
     lower: tuple[float, ...]
     upper: tuple[float, ...]
     seed: int = 0
+    safety_factor: float = DEFAULT_SAFETY_FACTOR
 
     def __post_init__(self):
         lo = np.asarray(self.lower, dtype=float)
@@ -87,6 +90,8 @@ class OperatingRegion:
             raise ConfigurationError("lower must be < upper on every axis")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ConfigurationError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1.0):
+            raise ConfigurationError(f"safety_factor must be >= 1, got {self.safety_factor}")
 
     @property
     def dimension(self) -> int:
@@ -179,8 +184,8 @@ class Report:
 def boundary_points(
     region: OperatingRegion,
     barrier: BarrierFunction,
-    count: int = _BOUNDARY_COUNT,
-    rng: np.random.Generator | None = None,
+    count: int,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Points on the safe-set boundary inside the region, shape (k, n).
 
@@ -194,8 +199,6 @@ def boundary_points(
     # so that importing the package and running simulations never load it.
     from scipy.optimize import brentq
 
-    if rng is None:
-        rng = np.random.default_rng(region.seed)
     pts = region.sample(rng, max(8 * count, 2048))
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     pos = pts[hs > 0.0]
@@ -306,7 +309,6 @@ def estimate_bounds(
     barrier: BarrierFunction,
     *,
     sigmoid: SigmoidGain | None = None,
-    safety_factor: float = DEFAULT_SAFETY_FACTOR,
 ) -> BoundSet:
     """Estimate a BoundSet over the region by deterministic seeded sampling.
 
@@ -314,12 +316,11 @@ def estimate_bounds(
     box samples, a lattice of about 30,000 points, and difference quotients
     over 100,000 random point pairs plus all lattice nearest-neighbor pairs;
     the boundary minimum mu comes from 512 root-found boundary points.
-    Maxima are inflated and mu deflated by ``safety_factor``. The boost-gain
-    slope bound l_sigma is analytic, ``sharpness / (4 * epsilon)``, and is
-    zero when no sigmoid is supplied.
+    Maxima are inflated and mu deflated by the region's ``safety_factor``.
+    The boost-gain slope bound l_sigma is analytic, ``sharpness / (4 *
+    epsilon)``, and is zero when no sigmoid is supplied.
     """
-    if safety_factor < 1.0:
-        raise ConfigurationError(f"safety_factor must be >= 1, got {safety_factor}")
+    safety_factor = region.safety_factor
     rng = np.random.default_rng(region.seed)
     n = region.dimension
 
@@ -460,10 +461,19 @@ def check_assumptions(
         f"sampled difference quotient {l_k_raw:.6g}", l_k_raw,
     ))
 
+    m_raw = _pair_quotients(
+        lgh_arr[:half], lgh_arr[half:2 * half], pts[:half], pts[half:2 * half]
+    )
+    gradient_check = Check(
+        "gradient_actuation_lipschitz", "pass" if math.isfinite(m_raw) else "fail",
+        f"sampled difference quotient {m_raw:.6g}", m_raw,
+    )
+
     try:
         bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
     except BoundarySamplingError as exc:
         checks.append(Check("boundary_actuation", "fail", str(exc)))
+        checks.append(gradient_check)
         checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
         return Report(tuple(checks))
 
@@ -480,14 +490,7 @@ def check_assumptions(
         f"(degenerate at or below {_MU_DEGENERACY_RATIO:g} ratio)",
         mu_raw,
     ))
-
-    m_raw = _pair_quotients(
-        lgh_arr[:half], lgh_arr[half:2 * half], pts[:half], pts[half:2 * half]
-    )
-    checks.append(Check(
-        "gradient_actuation_lipschitz", "pass" if math.isfinite(m_raw) else "fail",
-        f"sampled difference quotient {m_raw:.6g}", m_raw,
-    ))
+    checks.append(gradient_check)
 
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     safe = pts[hs >= 0.0]

@@ -214,9 +214,12 @@ class Scenario:
     def __post_init__(self):
         if not (math.isfinite(self.trigger_c) and self.trigger_c >= 0.0):
             raise ConfigurationError(f"trigger_c must be >= 0, got {self.trigger_c}")
+        n = self.dynamics.n
         x0 = np.asarray(self.x0, dtype=float)
-        if x0.shape != (self.dynamics.n,):
-            raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({self.dynamics.n},)")
+        if x0.shape != (n,):
+            raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},)")
+        if self.region is not None and self.region.dimension != n:
+            raise ConfigurationError(f"region has dimension {self.region.dimension}, expected {n}")
         _probe_shapes(self.dynamics, self.barrier, x0, self.controller)
 
 
@@ -307,48 +310,46 @@ def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
         raise InfeasibleFilterError(msg, state=x, time=t) from exc
 
 
-def _check_state(
-    x: np.ndarray, t: float, lo: np.ndarray | None, hi: np.ndarray | None
-) -> None:
-    """Divergence first, then the region box [lo, hi] (skipped when None)."""
-    norm = math.sqrt(x @ x)
-    # Also true for inf and nan entries, whose norm is not <= any limit.
-    if not norm <= _DIVERGENCE_LIMIT:
-        raise DivergenceError(
-            f"state diverged at t={t:.6g}: |x|={norm:.6g}",
-            state=x,
-            time=t,
-        )
-    if lo is not None and not ((x >= lo).all() and (x <= hi).all()):
-        off = [i for i in range(len(x)) if x[i] < lo[i] or x[i] > hi[i]]
-        raise RegionExitError(
-            f"state left the certified region at t={t:.6g} on axis(es) {off}; "
-            "bounds no longer cover the trajectory",
-            state=x,
-            time=t,
-        )
-
-
-def _state_gate(t_arr: np.ndarray, lo: np.ndarray | None, hi: np.ndarray | None, n: int):
-    """The per-row state check of a run: ``check(x, row)`` raises what
-    ``_check_state`` raises for the state x at ``t_arr[row]``, and passes
-    exactly the states it passes.
+def _state_gate(sc: Scenario, t_arr: np.ndarray):
+    """The state check of a run: ``check(x, row)`` raises ``DivergenceError``
+    for a state x at ``t_arr[row]`` whose norm exceeds the limit or is not
+    finite, else ``RegionExitError`` for one outside the scenario's region
+    (when it has one).
 
     Most states pass a cheaper test first: every coordinate within the box
     and within 0.99 * limit / sqrt(n) of zero, as plain float comparisons.
     Such a state is finite, inside the box, and its squared norm, rounding
-    included, stays below limit**2, so ``_check_state`` would pass it. Any
-    other state (nan fails every comparison) goes to ``_check_state``.
+    included, stays below limit**2. Only the other states (nan fails every
+    comparison) have their norm and box tested.
     """
+    n = sc.dynamics.n
     reach = 0.99 * _DIVERGENCE_LIMIT / math.sqrt(n)
-    lows = [-reach] * n if lo is None else [max(-reach, v) for v in lo.tolist()]
-    highs = [reach] * n if hi is None else [min(reach, v) for v in hi.tolist()]
+    lo = hi = None
+    lows, highs = [-reach] * n, [reach] * n
+    if sc.region is not None:
+        lo, hi = sc.region.lower_arr, sc.region.upper_arr
+        lows = [max(-reach, v) for v in lo.tolist()]
+        highs = [min(reach, v) for v in hi.tolist()]
 
     def check(x: np.ndarray, row: int) -> None:
         for a, v, b in zip(lows, x.tolist(), highs):
             if not a <= v <= b:
-                _check_state(x, float(t_arr[row]), lo, hi)
-                return
+                break
+        else:
+            return  # the cheaper test passed
+        t = float(t_arr[row])
+        norm = math.sqrt(x @ x)
+        # Also true for inf and nan entries, whose norm is not <= any limit.
+        if not norm <= _DIVERGENCE_LIMIT:
+            raise DivergenceError(f"state diverged at t={t:.6g}: |x|={norm:.6g}", state=x, time=t)
+        if lo is not None and not ((x >= lo).all() and (x <= hi).all()):
+            off = [i for i in range(n) if x[i] < lo[i] or x[i] > hi[i]]
+            raise RegionExitError(
+                f"state left the certified region at t={t:.6g} on axis(es) {off}; "
+                "bounds no longer cover the trajectory",
+                state=x,
+                time=t,
+            )
 
     return check
 
@@ -365,17 +366,14 @@ def run(sc: Scenario) -> Trace:
     x0 = np.asarray(sc.x0, dtype=float)
     steps = sc.integrator.steps
     dt = sc.integrator.substep
-    lo = hi = None
-    if sc.region is not None:
-        lo, hi = sc.region.lower_arr, sc.region.upper_arr
-    _check_state(x0, 0.0, lo, hi)
-
     t_arr = np.arange(steps + 1) * dt
+    check = _state_gate(sc, t_arr)
+    check(x0, 0)
+
     X = np.empty((steps + 1, n))
     U = np.empty((steps + 1, m))
     EV = np.zeros(steps + 1, dtype=int)
     X[0] = x0
-    check = _state_gate(t_arr, lo, hi, n)
 
     mode = sc.schedule.mode
     if mode == "continuous":

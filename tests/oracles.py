@@ -2,8 +2,8 @@
 
 Nothing here imports the code paths under test: the filter reference works
 from direct inner products plus bisection and a brute-force grid, the
-benchmark bound reference works from vectorized closed-form field formulas,
-and the run reference is the row-by-row simulation loop, built on the
+benchmark's Lie derivatives and bound reference work from closed-form field
+formulas, and the run reference is the row-by-row simulation loop, built on the
 single-state primitives ``rk4_step`` and ``lie_derivatives`` with its own
 state check, scheduling and trigger arithmetic.
 """
@@ -76,6 +76,16 @@ def qp_reference(filt, x, *, grid_step: float = 1e-3, grid_span: float = 1.5):
     cands = np.concatenate(([u_des], hi + offsets))
     feasible = cands[a + b * cands >= 0.0]
     return float(feasible[np.argmin(np.abs(feasible - u_des))])
+
+
+def acc_closed_form_lie(params: AccParams, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Hand-derived barrier Lie derivatives of the cruise benchmark,
+    independent of the generic gradient-times-field route."""
+    p = params
+    speed = float(x[1])
+    lfh = (p.lead_speed - speed) + 2.0 * p.headway * speed * p.resistance(speed) / p.mass
+    lgh = np.array([-2.0 * p.headway * speed / p.mass])
+    return lfh, lgh
 
 
 def dense_acc_bounds(lo, hi, params: AccParams | None = None,

@@ -5,13 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oracles import acc_closed_form_lie
 from safehold.acc_benchmark import (
-    SWEEP_FREQUENCIES,
     X0_FAR,
     X0_NEAR,
     AccParams,
     acc_barrier,
-    acc_closed_form_lie,
     acc_dynamics,
     acc_filter,
     acc_nominal,
@@ -105,7 +104,7 @@ class TestBarrier:
 
     def test_boundary_points_obey_the_parabola(self):
         barrier = acc_barrier()
-        pts = boundary_points(approach_region(), barrier, 128)
+        pts = boundary_points(approach_region(), barrier, 128, np.random.default_rng(0))
         for p in pts:
             assert p[2] == pytest.approx(1.8 * p[1] ** 2, rel=1e-9)
 
@@ -185,8 +184,7 @@ class TestBuildScenario:
 
 class TestScenarioFamily:
     def test_sweep_frequencies_cover_both_controllers(self):
-        assert SWEEP_FREQUENCIES == (0.5, 1.0, 2.0, 5.0, 10.0)
-        for f in SWEEP_FREQUENCIES:
+        for f in (0.5, 1.0, 2.0, 5.0, 10.0):
             plain, boosted = (
                 build_scenario(kind, period=1.0 / f, x0=X0_NEAR)
                 for kind in ("periodic", "periodic-boosted")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
+from pathlib import Path
 
 import safehold
 from safehold import (
@@ -41,6 +43,8 @@ DELETED = (
     "default_region",
     "Trace.from_csv",
     "OperatingRegion.sample_count",
+    "acc_closed_form_lie",
+    "SWEEP_FREQUENCIES",
 )
 
 # Every parameter and field here has a caller that varies it (or is a
@@ -48,13 +52,14 @@ DELETED = (
 # constants.
 PARAMETERS = {
     constants.estimate_bounds: (
-        "region", "dyn", "controller", "barrier", "sigmoid", "safety_factor",
+        "region", "dyn", "controller", "barrier", "sigmoid",
     ),
     constants.check_assumptions: ("region", "dyn", "controller", "barrier"),
     safety_filter.validate_tuning: (
         "cfg", "bounds", "alpha", "dynamics", "barrier", "region",
     ),
     constants.boundary_points: ("region", "barrier", "count", "rng"),
+    acc_benchmark.acc_filter: ("params",),
     acc_benchmark.approach_region: (),
     acc_benchmark.ride_region: (),
     acc_benchmark.build_scenario: (
@@ -70,12 +75,18 @@ FIELDS = {
         "schedule", "region", "trigger_c",
     ),
     simulator.Trace: ("t", "x", "u", "h", "hdot", "trigger", "event"),
-    constants.OperatingRegion: ("lower", "upper", "seed"),
+    constants.OperatingRegion: ("lower", "upper", "seed", "safety_factor"),
     config.RunConfig: (
         "scenario_name", "controller", "x0", "plant", "tuning", "alpha", "schedule",
-        "integrator", "region", "safety_factor", "bounds", "trace_path", "summary_path",
+        "integrator", "region", "bounds", "trace_path", "summary_path",
     ),
 }
+
+# Every value a caller can set: each function parameter except self and cls
+# (nested functions and private helpers included, * and ** catch-alls not)
+# plus each dataclass field, over the package's modules. A change that adds
+# a knob raises this number in the same diff and says why in CHANGES.md.
+SETTABLE_VALUES = 305
 
 
 def test_all_is_the_union_of_the_submodules():
@@ -109,3 +120,22 @@ def test_signatures_show_only_what_callers_vary():
         assert tuple(f.name for f in dataclasses.fields(cls)) == names, cls.__name__
     # The sampling instants are read from the event flags, never stored.
     assert isinstance(simulator.Trace.events, property)
+
+
+def _settable_values() -> int:
+    total = 0
+    for path in sorted(Path(safehold.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                total += sum(name not in ("self", "cls") for name in names)
+            elif isinstance(node, ast.ClassDef) and any(
+                "dataclass" in ast.unparse(d) for d in node.decorator_list
+            ):
+                total += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    return total
+
+
+def test_the_number_of_settable_values_is_pinned():
+    assert _settable_values() == SETTABLE_VALUES

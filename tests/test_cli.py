@@ -64,6 +64,35 @@ class TestConstants:
         err = capsys.readouterr().err
         assert err.startswith("config error:") and "region.seed" in err
 
+    def test_region_safety_factor_below_one_is_a_config_error(self, capsys):
+        for config in ("ride-certified.yaml", "unit-bounds.yaml"):
+            for command in ("constants", "simulate"):
+                code = main([
+                    command, str(CONFIGS / config), "--set", "region.safety_factor=0.5",
+                ])
+                assert code == EXIT_CONFIG
+                captured = capsys.readouterr()
+                assert captured.out == ""
+                assert captured.err == (
+                    "config error: region.safety_factor must be >= 1, got 0.5\n"
+                )
+
+    def test_box_off_the_boundary_reports_all_five_checks(self, capsys):
+        code = main([
+            "constants", str(CONFIGS / "ride-certified.yaml"),
+            "--set", "region.lower=[0,16.5,900]", "--set", "region.upper=[500,20.5,1000]",
+        ])
+        assert code == EXIT_ASSUMPTION
+        captured = capsys.readouterr()
+        assert captured.err == "assumption failure: boundary_actuation\n"
+        names = [line.split(":")[0] for line in captured.out.splitlines()]
+        assert names == [
+            "assumption bounded_fields", "assumption controller_lipschitz",
+            "assumption boundary_actuation", "assumption gradient_actuation_lipschitz",
+            "assumption barrier_envelope",
+        ]
+        assert "assumption barrier_envelope: skipped (no boundary points)" in captured.out
+
     def test_degenerate_region_fails_the_assumption_gate(self, tmp_path, capsys):
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain}\n"
@@ -136,6 +165,45 @@ class TestSimulate:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    def test_start_state_of_the_wrong_length_is_a_config_error(self, capsys):
+        code = main([
+            "simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", "scenario.x0=[1,2]",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: scenario.x0 must be a list of 3 numbers, one per state\n"
+        )
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "1"]])
+    def test_a_two_axis_box_is_a_config_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            command[0], str(CONFIGS / "approach-plain-sweep.yaml"), *command[1:],
+            "--set", "region.lower=[1,5]", "--set", "region.upper=[30,1200]",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: region.lower must be a list of 3 numbers, one per state\n"
+        )
+
+    def test_a_run_that_leaves_the_region_aborts_with_its_location(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "simulate", str(CONFIGS / "approach-plain-sweep.yaml"),
+            "--set", "scenario.x0=[0,40,735]",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "RegionExitError: state left the certified region at t=0 on axis(es) [1]"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_floor_outside_event_mode_is_a_config_error(self, capsys):
         code = main(["simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", "sim.floor=0.5"])
@@ -207,3 +275,20 @@ class TestCompare:
         _, periodic, event = samples.split()
         assert int(event) == 1
         assert int(periodic) > 1000
+
+    def test_bounds_too_small_certify_a_hold_that_violates(self, tmp_path, capsys):
+        # Made-up bounds certify a hold far beyond the horizon: periodic mode
+        # samples once and the held input carries the car through the
+        # boundary, while the event trigger keeps it safe.
+        cfg = _write(tmp_path, (
+            "scenario: {name: acc-ride, controller: boosted}\n"
+            "tuning: {c: 3.0, delta: 1.0, band: 10.0, epsilon: 1.5e-4, margin: 2.0}\n"
+            "sim: {mode: event, horizon: 2.0, substep: 1.0e-3}\n"
+            "bounds: {b_f: 1.0e-3, b_g: 1.0e-3, b_k: 1.0e-3, lam: 1.0e-3, mu: 1.0e-3,\n"
+            "         m_lip: 1.0e-8, l_k: 1.0e-3, l_sigma: 1.0e-3, safety_factor: 1.0}\n"
+        ))
+        assert main(["compare", cfg]) == EXIT_VIOLATION
+        rows = {line.split()[0]: line.split()[1:] for line in capsys.readouterr().out.splitlines()}
+        assert rows["samples"][0] == "1"
+        periodic_min_h, event_min_h = map(float, rows["min_h"])
+        assert periodic_min_h < 0.0 < event_min_h

@@ -46,7 +46,7 @@ class TestParse:
         assert cfg.bounds is None
         assert cfg.schedule == HoldSchedule.periodic(0.5)
         assert cfg.integrator == IntegratorConfig(horizon=6.0, substep=1e-3)
-        assert cfg.alpha == ClassKappa.linear(1.0) and cfg.safety_factor == 1.1
+        assert cfg.alpha == ClassKappa.linear(1.0) and cfg.region.safety_factor == 1.1
         assert cfg.tuning.c == 9.18  # thin-band defaults
         assert cfg.trace_path is None and cfg.summary_path is None
 
@@ -127,7 +127,7 @@ class TestParse:
         doc = _doc()
         doc["region"] = {"safety_factor": 1.25}
         cfg = parse_config(doc)
-        assert cfg.region == approach_region() and cfg.safety_factor == 1.25
+        assert cfg.region == dataclasses.replace(approach_region(), safety_factor=1.25)
 
     def test_region_sampling_keys_apply_to_the_preset_box(self):
         doc = _doc()
@@ -188,9 +188,8 @@ class TestParseIntoTypes:
         assert cfg.schedule == HoldSchedule.event(floor=0.01)
         assert cfg.integrator == IntegratorConfig(horizon=12.0, substep=1e-3)
         assert cfg.region == OperatingRegion(
-            lower=(0.0, 16.5, 590.0), upper=(500.0, 20.5, 740.0), seed=7,
+            lower=(0.0, 16.5, 590.0), upper=(500.0, 20.5, 740.0), seed=7, safety_factor=1.2,
         )
-        assert cfg.safety_factor == 1.2
         assert cfg.bounds == BoundSet(
             b_f=24.0, b_g=7e-4, b_k=7800.0, lam=0.05, mu=0.035,
             m_lip=0.0024, l_k=2300.0, l_sigma=33333.0, safety_factor=1.0,
@@ -207,6 +206,7 @@ class TestParseIntoTypes:
         ("region", "seed", -1, "region.seed must be an integer >= 0"),
         ("region", "seed", 1.5, "region.seed must be an integer >= 0"),
         ("region", "lower", [600.0, 16.5, 590.0], "region.lower must be < upper"),
+        ("region", "safety_factor", 0.5, "region.safety_factor must be >= 1, got 0.5"),
         ("bounds", "mu", 1.0, "bounds.mu cannot exceed its upper bound lam"),
         ("bounds", "b_f", -1.0, "bounds.b_f must be finite and >= 0"),
     ])
@@ -214,6 +214,21 @@ class TestParseIntoTypes:
         doc = _rich_doc()
         doc[section][key] = value
         with pytest.raises(ConfigurationError, match=message):
+            parse_config(doc)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("scenario", "x0", [1.0, 2.0]),
+        ("scenario", "x0", [0.0, 18.0, 700.0, 1.0]),
+        ("scenario", "x0", 3.0),
+        ("region", "lower", [0.0, 16.5]),
+        ("region", "upper", [500.0, 20.5]),
+    ])
+    def test_state_vectors_have_the_plant_state_count(self, section, key, value):
+        doc = _rich_doc()
+        doc[section][key] = value
+        with pytest.raises(
+            ConfigurationError, match=f"{section}.{key} must be a list of 3 numbers, one per state"
+        ):
             parse_config(doc)
 
     def test_floor_outside_event_mode_rejected(self):

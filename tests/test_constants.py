@@ -79,7 +79,7 @@ class TestBoundaryPoints:
     def test_points_sit_on_the_boundary(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        pts = boundary_points(reg, barrier, 64)
+        pts = boundary_points(reg, barrier, 64, np.random.default_rng(0))
         assert len(pts) == 64
         for p in pts:
             assert abs(barrier.value(p)) <= 1e-9
@@ -89,17 +89,14 @@ class TestBoundaryPoints:
         _, barrier = _plane_system()
         reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
         with pytest.raises(BoundarySamplingError):
-            boundary_points(reg, barrier, 64)
+            boundary_points(reg, barrier, 64, np.random.default_rng(0))
 
 
 class TestEstimateBounds:
     def test_plane_system_exact_values(self):
         dyn, barrier = _plane_system()
-        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        b = estimate_bounds(
-            reg, dyn, lambda x: np.zeros(1), barrier,
-            safety_factor=1.0,
-        )
+        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.0)
+        b = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
         assert b.b_f == pytest.approx(1.0, rel=1e-12)
         assert b.b_g == 1.0
         assert b.b_k == 0.0
@@ -111,20 +108,17 @@ class TestEstimateBounds:
 
     def test_safety_factor_direction(self):
         dyn, barrier = _plane_system()
-        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        b = estimate_bounds(
-            reg, dyn, lambda x: np.zeros(1), barrier,
-            safety_factor=1.1,
-        )
+        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.1)
+        b = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
         # maxima inflated, the boundary minimum deflated
         assert b.lam == pytest.approx(1.1, rel=1e-12)
         assert b.mu == pytest.approx(1.0 / 1.1, rel=1e-12)
 
     def test_rejects_safety_factor_below_one(self):
-        dyn, barrier = _plane_system()
-        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        with pytest.raises(ConfigurationError):
-            estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier, safety_factor=0.9)
+        # The region carries the factor, so its constructor is the one check.
+        for factor in (0.9, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match=f">= 1, got {factor}$"):
+                OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=factor)
 
     def test_deterministic_given_seed(self):
         filt = acc_filter()
@@ -274,6 +268,16 @@ class TestCheckAssumptions:
         ]
         assert report.passed
         assert all(c.status == "pass" for c in report.checks)
+
+    def test_box_off_the_boundary_still_reports_all_five(self):
+        dyn, barrier = _plane_system()
+        reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
+        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
+        assert [(c.name, c.status) for c in report.checks] == [
+            ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
+            ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
+            ("barrier_envelope", "skipped"),
+        ]
 
     def test_no_input_authority_fails_boundary_check(self):
         dyn = ControlAffineDynamics(

@@ -192,6 +192,13 @@ class TestRun:
             assert HoldSchedule(mode=mode, period=period, floor=0.0).floor == 0.0
         assert HoldSchedule.event(floor=0.5).floor == 0.5
 
+    def test_scenario_checks_start_state_and_region_against_the_plant(self):
+        with pytest.raises(ConfigurationError, match=r"x0 has shape \(2,\), expected \(1,\)"):
+            dataclasses.replace(_scalar_scenario("continuous"), x0=(1.0, 2.0))
+        plane = OperatingRegion(lower=(0.0, 0.0), upper=(2.0, 2.0))
+        with pytest.raises(ConfigurationError, match="region has dimension 2, expected 1"):
+            _scalar_scenario("continuous", region=plane)
+
     def test_region_exit_raises_with_location(self):
         reg = OperatingRegion(lower=(0.0,), upper=(1.5,))
         sc = _scalar_scenario(
