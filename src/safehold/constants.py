@@ -14,6 +14,13 @@ and evaluates the two budget formulas:
 
 Every estimated maximum is inflated, and every estimated minimum deflated,
 by the region's safety factor (default 1.1) to hedge the finite sampling.
+
+The boundary of the safe set is sampled by root-finding h along segments
+between box samples of opposite barrier sign. All segments run one stacked
+Brent iteration together (a numpy port of SciPy's ``brentq``, whose roots it
+reproduces bit for bit), so each iteration makes one stacked barrier call.
+Nearest-boundary distances are exact brute-force minima, summed in the
+order SciPy's ``cKDTree`` uses, so SciPy is needed by no code path.
 """
 
 from __future__ import annotations
@@ -65,6 +72,18 @@ _LATTICE_POINTS = 30_000
 
 # Distance bins of the barrier-envelope check.
 _ENVELOPE_BINS = 16
+
+# Brent root-finding along boundary segments, with the SciPy brentq
+# settings whose roots it reproduces: absolute and relative tolerances on
+# the segment parameter (the relative one just above brentq's floor of four
+# machine epsilons) and brentq's default iteration cap.
+_BRENT_XTOL = 1e-14
+_BRENT_RTOL = 8.882e-16
+_BRENT_MAXITER = 100
+
+# Elements in each temporary of the nearest-boundary distance pass: 2 MB of
+# float64, however many safe samples and boundary points there are.
+_DISTANCE_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -192,13 +211,13 @@ def boundary_points(
     Works by pairing sampled points of opposite barrier sign (from
     max(8 * count, 2048) box samples) and root-finding along the connecting
     segments, so each returned point satisfies |h| <= 1e-9 relative to the
-    barrier's sampled magnitude. Raises ``BoundarySamplingError`` when the
-    box never straddles the boundary.
+    barrier's sampled magnitude. The segments are solved together by a
+    stacked Brent iteration, one stacked barrier call per iteration, whose
+    roots equal SciPy ``brentq``'s (xtol 1e-14, rtol 8.882e-16) bit for bit.
+    Raises ``BoundarySamplingError`` when the box never straddles the
+    boundary, when the barrier is not finite at an iterate, or when a
+    segment is still open after 100 iterations.
     """
-    # SciPy is imported here and in check_assumptions, not at module level,
-    # so that importing the package and running simulations never load it.
-    from scipy.optimize import brentq
-
     pts = region.sample(rng, max(8 * count, 2048))
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     pos = pts[hs > 0.0]
@@ -209,16 +228,134 @@ def boundary_points(
             f"({len(pos)} inside, {len(neg)} outside)"
         )
     h_scale = max(float(np.max(np.abs(hs))), 1.0)
-    roots = np.empty((count, region.dimension))
-    for i in range(count):
-        a = pos[i % len(pos)]
-        b = neg[i % len(neg)]
-        seg = lambda t: barrier.value(a + t * (b - a))
-        t_root = brentq(seg, 0.0, 1.0, xtol=1e-14, rtol=8.882e-16)
-        roots[i] = a + t_root * (b - a)
+    pair = np.arange(count)
+    a = pos[pair % len(pos)]
+    b = neg[pair % len(neg)]
+    t_root = _brent_roots(barrier.value, a, b)
+    roots = a + t_root[:, None] * (b - a)
     out = roots[np.abs(np.broadcast_to(barrier.value(roots), (count,))) <= 1e-9 * h_scale]
     if not len(out):
         raise BoundarySamplingError("boundary refinement produced no converged points")
+    return out
+
+
+def _brent_roots(
+    value: Callable[[np.ndarray], np.ndarray],
+    a: np.ndarray,
+    b: np.ndarray,
+) -> np.ndarray:
+    """Root t in [0, 1] of value(a + t (b - a)) on each row's segment, (k,).
+
+    SciPy's ``brentq`` (its C core, brentq.c) on every segment at
+    once: each step of brentq.c is a mask over the segments still open, in
+    its operation order, and each iteration evaluates those segments in one
+    stacked ``value`` call. On a callable that keeps the batch contract,
+    each root equals ``brentq(lambda t: value(a + t * (b - a)), 0, 1,
+    xtol=1e-14, rtol=8.882e-16)`` bit for bit. The segment ends must have
+    barrier values of opposite sign, or one must be zero. Raises
+    ``BoundarySamplingError`` naming the state where a value is not finite,
+    and for a segment still open after 100 iterations.
+    """
+    step = b - a
+
+    def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        x = a[rows] + t[:, None] * step[rows]
+        fx = np.broadcast_to(value(x), (len(rows),))
+        bad = ~np.isfinite(fx)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise BoundarySamplingError(
+                f"barrier value {fx[i]} at state {x[i].tolist()} on a boundary "
+                "segment; root-finding cannot continue"
+            )
+        return fx
+
+    rows = np.arange(len(a))
+    xpre, xcur = np.zeros(len(a)), np.ones(len(a))
+    fpre, fcur = evaluate(xpre, rows), evaluate(xcur, rows)
+    # An end where the barrier is zero is the root.
+    roots = np.where(fpre == 0.0, 0.0, 1.0)
+    bracket = (fpre != 0.0) & (fcur != 0.0)
+    same = bracket & (np.signbit(fpre) == np.signbit(fcur))
+    if np.any(same):
+        i = int(np.argmax(same))
+        raise BoundarySamplingError(
+            f"barrier has one sign at both ends of the segment from {a[i].tolist()} "
+            f"to {b[i].tolist()}"
+        )
+    rows, xpre, xcur, fpre, fcur = (v[bracket] for v in (rows, xpre, xcur, fpre, fcur))
+    xblk, fblk, spre, scur = (np.zeros(len(rows)) for _ in range(4))
+    for _ in range(_BRENT_MAXITER):
+        # Keep the root bracketed by [xcur, xblk], with xcur the better end.
+        flip = (fpre != 0.0) & (fcur != 0.0) & (np.signbit(fpre) != np.signbit(fcur))
+        xblk = np.where(flip, xpre, xblk)
+        fblk = np.where(flip, fpre, fblk)
+        spre = np.where(flip, xcur - xpre, spre)
+        scur = np.where(flip, xcur - xpre, scur)
+        swap = np.abs(fblk) < np.abs(fcur)
+        xpre, xcur, xblk = (
+            np.where(swap, xcur, xpre), np.where(swap, xblk, xcur), np.where(swap, xcur, xblk)
+        )
+        fpre, fcur, fblk = (
+            np.where(swap, fcur, fpre), np.where(swap, fblk, fcur), np.where(swap, fcur, fblk)
+        )
+
+        delta = (_BRENT_XTOL + _BRENT_RTOL * np.abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        done = (fcur == 0.0) | (np.abs(sbis) < delta)
+        if np.any(done):
+            roots[rows[done]] = xcur[done]
+            keep = ~done
+            rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis = (
+                v[keep]
+                for v in (rows, xpre, xcur, xblk, fpre, fcur, fblk, spre, scur, delta, sbis)
+            )
+        if not len(rows):
+            return roots
+
+        # brentq.c's interpolation (a secant, when xpre is the bracket end)
+        # or extrapolation (inverse quadratic), taken only when short;
+        # otherwise bisect.
+        with np.errstate(all="ignore"):
+            secant = -fcur * (xcur - xpre) / (fcur - fpre)
+            dpre = (fpre - fcur) / (xpre - xcur)
+            dblk = (fblk - fcur) / (xblk - xcur)
+            quadratic = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        stry = np.where(xpre == xblk, secant, quadratic)
+        reach = np.abs(spre)
+        cap = 3 * np.abs(sbis) - delta
+        short = (
+            (reach > delta)
+            & (np.abs(fcur) < np.abs(fpre))
+            & (2 * np.abs(stry) < np.where(reach < cap, reach, cap))
+        )
+        spre, scur = np.where(short, scur, sbis), np.where(short, stry, sbis)
+
+        xpre, fpre = xcur, fcur
+        xcur = xcur + np.where(np.abs(scur) > delta, scur, np.where(sbis > 0, delta, -delta))
+        fcur = evaluate(xcur, rows)
+    x = a[rows[0]] + xcur[0] * step[rows[0]]
+    raise BoundarySamplingError(
+        f"boundary segment root not converged after {_BRENT_MAXITER} iterations "
+        f"(last iterate at state {x.tolist()})"
+    )
+
+
+def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Euclidean distance from each row of pts to its nearest row of
+    targets, shape (k,), equal to SciPy ``cKDTree(targets).query(pts)``'s
+    distances bit for bit: squared differences are summed axis by axis in
+    axis order (as cKDTree does below 8 axes), minimised, then rooted.
+    Rows go in chunks, so that each temporary holds about 2 MB."""
+    rows = max(1, _DISTANCE_CHUNK // len(targets))
+    out = np.empty(len(pts))
+    for start in range(0, len(pts), rows):
+        block = pts[start:start + rows]
+        sq = np.zeros((len(block), len(targets)))
+        for axis in range(pts.shape[1]):
+            d = block[:, axis, None] - targets[:, axis]
+            sq += d * d
+        out[start:start + rows] = np.sqrt(np.min(sq, axis=1))
     return out
 
 
@@ -498,9 +635,7 @@ def check_assumptions(
     if len(safe) < _ENVELOPE_BINS:
         checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
         return Report(tuple(checks))
-    from scipy.spatial import cKDTree
-
-    dists, _ = cKDTree(bpts).query(safe)
+    dists = _nearest_distances(safe, bpts)
     edges = np.linspace(0.0, float(np.max(dists)), _ENVELOPE_BINS + 1)
     env, lefts = [], []
     for b in range(_ENVELOPE_BINS):

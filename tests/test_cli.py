@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,6 +15,8 @@ import pytest
 from safehold.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write(tmp_path: Path, text: str) -> str:
@@ -292,3 +300,46 @@ class TestCompare:
         assert rows["samples"][0] == "1"
         periodic_min_h, event_min_h = map(float, rows["min_h"])
         assert periodic_min_h < 0.0 < event_min_h
+
+
+# Runs main() on each argv of a JSON list with SciPy unimportable (a None
+# entry in sys.modules makes every ``import scipy...`` raise ImportError),
+# and prints each exit code and stdout as JSON.
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from safehold.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def test_certification_runs_with_scipy_blocked(tmp_path):
+    """`constants` prints every shipped config's golden stdout, and a short
+    `compare` (bound estimation included) prints what it prints in process,
+    in an interpreter that cannot import SciPy."""
+    shipped = sorted(CONFIGS.glob("*.yaml"))
+    compare = ["compare", str(CONFIGS / "ride-certified.yaml"), "--set", "sim.horizon=0.2"]
+    argvs = [["constants", str(path)] for path in shipped] + [compare]
+    env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED, json.dumps(argvs)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads(proc.stdout)
+    for path, (code, out) in zip(shipped, results):
+        golden = (GOLDEN / f"constants-{path.stem}.txt").read_text(encoding="utf-8")
+        head, _, rest = golden.partition("--- stdout\n")
+        assert f"exit={code}\n" in head, path.name
+        assert out == rest.partition("--- stderr\n")[0], path.name
+    expected = io.StringIO()
+    with contextlib.redirect_stdout(expected):
+        code = main(compare)
+    assert results[-1] == [code, expected.getvalue()]
+    assert code == EXIT_OK and expected.getvalue().startswith("violation_free_sampling_time=")

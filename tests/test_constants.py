@@ -46,6 +46,15 @@ def _plane_system():
     return dyn, barrier
 
 
+def _nan_band_barrier():
+    """h = 0.5 - x1, undefined (NaN) on the band 0.4 < x1 < 0.6 that every
+    segment from the safe side to the unsafe side of the unit box crosses."""
+    return BarrierFunction(
+        value=lambda x: np.where((x.T[0] > 0.4) & (x.T[0] < 0.6), np.nan, 0.5 - x.T[0]),
+        gradient=lambda x: np.array([-1.0, 0.0]),
+    )
+
+
 class TestOperatingRegion:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -90,6 +99,14 @@ class TestBoundaryPoints:
         reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
         with pytest.raises(BoundarySamplingError):
             boundary_points(reg, barrier, 64, np.random.default_rng(0))
+
+    def test_a_barrier_nan_on_a_segment_names_the_state(self):
+        reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
+        with pytest.raises(BoundarySamplingError, match=r"barrier value nan at state \[0\.[45]"):
+            boundary_points(reg, _nan_band_barrier(), 16, np.random.default_rng(0))
+        dyn, _ = _plane_system()
+        with pytest.raises(BoundarySamplingError, match="root-finding cannot continue"):
+            estimate_bounds(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
 
 
 class TestEstimateBounds:
@@ -278,6 +295,17 @@ class TestCheckAssumptions:
             ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
             ("barrier_envelope", "skipped"),
         ]
+
+    def test_a_barrier_nan_on_the_segments_fails_boundary_check(self):
+        dyn, _ = _plane_system()
+        reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
+        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        assert [(c.name, c.status) for c in report.checks] == [
+            ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
+            ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
+            ("barrier_envelope", "skipped"),
+        ]
+        assert "barrier value nan at state" in report["boundary_actuation"].detail
 
     def test_no_input_authority_fails_boundary_check(self):
         dyn = ControlAffineDynamics(

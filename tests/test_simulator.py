@@ -631,7 +631,12 @@ class TestHoldCore:
         assert np.array_equal(got, (-0.5 + 0.25) + 3.0 * xs[:, 0])
 
 
+CERTIFIED = Path(__file__).resolve().parents[1] / "configs" / "ride-certified.yaml"
+
+
 def test_importing_the_package_and_running_leaves_scipy_unloaded():
+    """Neither a simulation nor certification (`constants`: bound
+    estimation, assumption checks, tuning validation) imports SciPy."""
     src = str(Path(safehold.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     code = (
@@ -640,6 +645,9 @@ def test_importing_the_package_and_running_leaves_scipy_unloaded():
         "from safehold.acc_benchmark import build_scenario\n"
         "from safehold.simulator import run\n"
         "run(build_scenario('event', setting='ride', horizon=0.01))\n"
+        "import contextlib, io\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert safehold.cli.main(['constants', {str(CERTIFIED)!r}]) == 0\n"
         "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)[:5]\n"
     )
     proc = subprocess.run(
