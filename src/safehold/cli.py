@@ -29,7 +29,7 @@ from .constants import (
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
-from .simulator import HoldSchedule, RunSummary, Trace, analyze, run
+from .simulator import HoldSchedule, RunSummary, analyze, run
 from .safety_filter import validate_tuning
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
@@ -52,11 +52,11 @@ def _g(value) -> str:
     return str(value)
 
 
-def _write_trace(trace: Trace, path: str) -> None:
+def _with_parent(path: str) -> Path:
+    """The path, once its parent directory exists."""
     p = Path(path)
-    if p.parent != Path(""):
-        p.parent.mkdir(parents=True, exist_ok=True)
-    trace.to_csv(p)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    return p
 
 
 def _summary_lines(name: str, summary: RunSummary) -> list[str]:
@@ -75,18 +75,12 @@ def _emit_summary(lines: list[str], path: str | None) -> None:
     for line in lines:
         print(line)
     if path is not None:
-        p = Path(path)
-        if p.parent != Path(""):
-            p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _with_parent(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _barrier_column(trace: Trace) -> int:
-    # CSV layout: t, state columns, input columns, then h.
-    return 1 + trace.x.shape[1] + trace.u.shape[1] + 1
-
-
-def _write_plot_script(path: str, traces: list[tuple[str, str]], hcol: int) -> None:
+def _write_plot_script(path: str, traces: list[tuple[str, str]], columns: list[str]) -> None:
+    """A gnuplot script plotting the h column of each (label, CSV file)."""
+    hcol = columns.index("h") + 1
     plots = ", ".join(
         f'"{file}" using 1:{hcol} with lines title "{label}"' for label, file in traces
     )
@@ -107,11 +101,9 @@ def cmd_simulate(args) -> int:
     trace = run(scenario)
     summary = analyze(trace, violation_tol=VIOLATION_TOL)
     if cfg.trace_path is not None:
-        _write_trace(trace, cfg.trace_path)
+        trace.to_csv(_with_parent(cfg.trace_path))
         if args.plot_script is not None:
-            _write_plot_script(
-                args.plot_script, [(scenario.name, cfg.trace_path)], _barrier_column(trace)
-            )
+            _write_plot_script(args.plot_script, [(scenario.name, cfg.trace_path)], trace.columns)
     elif args.plot_script is not None:
         raise ConfigurationError("--plot-script needs output.trace set in the config")
     _emit_summary(_summary_lines(scenario.name, summary), cfg.summary_path)
@@ -139,18 +131,16 @@ def cmd_sweep(args) -> int:
         trace = run(scenario_from_config(per_cfg))
         results.append((trace, analyze(trace, violation_tol=VIOLATION_TOL)))
 
-    hcol = None
     plot_refs = []
     for freq, (trace, _) in zip(freqs, results):
         if cfg.trace_path is not None:
             path = _sweep_trace_path(cfg.trace_path, freq)
-            _write_trace(trace, path)
+            trace.to_csv(_with_parent(path))
             plot_refs.append((f"{freq:g} Hz", path))
-            hcol = _barrier_column(trace)
     if args.plot_script is not None:
         if not plot_refs:
             raise ConfigurationError("--plot-script needs output.trace set in the config")
-        _write_plot_script(args.plot_script, plot_refs, hcol)
+        _write_plot_script(args.plot_script, plot_refs, results[0][0].columns)
 
     print(f"{'frequency_hz':>12}  {'min_h':>22}  {'violation_time':>22}  {'num_events':>10}")
     for freq, (_, summary) in zip(freqs, results):

@@ -318,7 +318,7 @@ def apply_overrides(doc: Any, overrides: list[str]) -> Any:
         try:
             value = yaml.safe_load(raw)
         except yaml.YAMLError:
-            raise ConfigurationError(f"override value {raw!r} is not a YAML scalar") from None
+            raise ConfigurationError(f"{section}.{field} value {raw!r} is not valid YAML") from None
         current = doc.get(section)
         section_map = dict(_require_mapping(current, section)) if current is not None else {}
         section_map[field] = value

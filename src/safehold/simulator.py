@@ -5,12 +5,15 @@ input follows one of three update disciplines:
 
 * ``continuous``: the control law is re-evaluated at every integrator stage,
   approximating the ideal closed loop the continuous-time theory assumes.
-* ``periodic``: the input is sampled on a fixed period and held constant in
-  between. Periods are quantized down to whole substeps, which only shortens
-  holds and therefore never weakens a hold-period certificate.
-* ``event``: the input is held until the monitored trigger (held-input
-  barrier rate plus the amplified decrease term) reaches zero, then
-  resampled.
+* ``periodic`` and ``event``: the input is sampled and held. Both follow one
+  rule: after each sample, resample at the first row at least ``first_check``
+  substeps later where resampling is due. A periodic schedule's
+  ``first_check`` is its period in whole substeps, quantized down (which only
+  shortens holds and so never weakens a hold-period certificate), and
+  resampling is always due. An event schedule's ``first_check`` is its floor
+  in whole substeps, rounded up and at least one, and resampling is due where
+  the monitored trigger (held-input barrier rate plus the amplified decrease
+  term) is <= 0.
 
 Each recorded row is a consistent snapshot: the state at that instant, the
 input applied from that instant forward, and the barrier value, barrier
@@ -24,12 +27,12 @@ passes the run's state check before any callable sees it. Only the sampled
 law runs inside that loop (at every stage, in continuous mode). The barrier
 value, barrier rate and trigger columns are recorded afterwards, in stacked
 evaluations over blocks of the trace (see the batch contract in
-``cbf_core``), bit for bit equal to evaluating each row alone. In event
-mode a hold is integrated in segments, and the held-input trigger is
-evaluated as one stack per segment; the run resamples at the first row
-where it fires and integrates the rest of that segment again under the
-new input. An error raised past that row is the discarded tail's, not the
-run's.
+``cbf_core``), bit for bit equal to evaluating each row alone. A hold is
+integrated in segments, and the due test is evaluated as one stack per
+segment; the run resamples at the first due row and integrates the rest of
+that segment again under the new input. An error raised past that row is
+the discarded tail's, not the run's. A periodic hold is a single segment
+whose due test is its last row, so it evaluates no trigger.
 """
 
 from __future__ import annotations
@@ -161,15 +164,18 @@ class Trace:
         """The sampling instants (empty for continuous runs)."""
         return tuple(self.t[self.event == 1].tolist())
 
-    def to_csv(self, path) -> None:
-        n = self.x.shape[1]
-        m = self.u.shape[1]
-        names = (
+    @property
+    def columns(self) -> list[str]:
+        """The CSV column names, in order."""
+        return (
             ["t"]
-            + [f"x{i}" for i in range(n)]
-            + [f"u{j}" for j in range(m)]
+            + [f"x{i}" for i in range(self.x.shape[1])]
+            + [f"u{j}" for j in range(self.u.shape[1])]
             + ["h", "hdot", "trigger", "event"]
         )
+
+    def to_csv(self, path) -> None:
+        names = self.columns
         data = np.column_stack([
             self.t, self.x, self.u, self.h, self.hdot, self.trigger,
             self.event.astype(float),
@@ -375,20 +381,10 @@ def run(sc: Scenario) -> Trace:
     EV = np.zeros(steps + 1, dtype=int)
     X[0] = x0
 
-    mode = sc.schedule.mode
-    if mode == "continuous":
+    if sc.schedule.mode == "continuous":
         _run_continuous(sc, X, U, t_arr, check)
-    elif mode == "periodic":
-        hold_steps = int(math.floor(sc.schedule.period / dt + 1e-9))
-        if hold_steps < 1:
-            raise ConfigurationError(
-                f"hold period {sc.schedule.period} is shorter than the substep {dt}"
-            )
-        _run_periodic(sc, X, U, EV, t_arr, check, hold_steps)
     else:
-        floor = sc.schedule.floor
-        floor_steps = int(math.ceil(floor / dt - 1e-9)) if floor > 0 else 0
-        _run_event(sc, X, U, EV, t_arr, check, max(1, floor_steps))
+        _run_held(sc, X, U, EV, t_arr, check)
 
     H = np.empty(steps + 1)
     HD = np.empty(steps + 1)
@@ -416,82 +412,71 @@ def _run_continuous(sc: Scenario, X, U, t_arr, check) -> None:
             X[i + 1] = x
 
 
-def _run_periodic(sc: Scenario, X, U, EV, t_arr, check, hold_steps: int) -> None:
-    """Fill X, U and EV with holds of hold_steps substeps; the terminal row
-    keeps the last input."""
+def _run_held(sc: Scenario, X, U, EV, t_arr, check) -> None:
+    """Fill X, U and EV under the module's sample-and-hold rule; the
+    terminal row keeps the last input.
+
+    Each hold is integrated in segments whose due test is evaluated as one
+    stack. The first segment of a hold reaches as far as the previous hold
+    lasted (at least to the first row resampling may be due, otherwise at
+    most ``_SEGMENT_CAP`` substeps); later ones start at ``first_check``
+    substeps and double up to the cap. An exception raised while
+    integrating a segment stands only if resampling is due at no row up to
+    the one the failing step started from.
+    """
     dyn, dt = sc.dynamics, sc.integrator.substep
     steps = len(t_arr) - 1
-    x = X[0]
-    for i in range(0, steps, hold_steps):
+    schedule = sc.schedule
+    if schedule.mode == "periodic":
+        first_check = int(math.floor(schedule.period / dt + 1e-9))
+        if first_check < 1:
+            raise ConfigurationError(
+                f"hold period {schedule.period} is shorter than the substep {dt}"
+            )
+
+        def due(rows):
+            return np.True_  # at one state or at every row of a stack
+
+    else:
+        first_check = max(1, int(math.ceil(schedule.floor / dt - 1e-9)))
+
+        def due(rows):
+            # u is the input held since the current hold's sample.
+            return trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, rows, u) <= 0.0
+
+    i, reach = 0, first_check
+    while True:
+        x = X[i]
         u = _checked_sample(sc, x, float(t_arr[i]))
         EV[i] = 1
-        stop = min(i + hold_steps, steps)
-        for row in range(i + 1, stop + 1):
-            x = rk4_step(dyn, x, u, dt)
-            check(x, row)
-            X[row] = x
-        U[i:stop] = u
-    U[steps] = u
-
-
-def _run_event(sc: Scenario, X, U, EV, t_arr, check, first_check: int) -> None:
-    """Fill X, U and EV, resampling at the first row, first_check or more
-    substeps after the last sample, where the held-input trigger is <= 0.
-
-    Each hold is integrated in segments whose trigger values are evaluated
-    as one stack. The first segment of a hold reaches as far as the previous
-    hold lasted (at least to the first row the trigger may fire, at most
-    ``_SEGMENT_CAP`` substeps); later ones start at the floor's length and
-    double up to the cap. Rows past a firing row are discarded and
-    integrated again under the new input.
-    """
-    i, last_hold = 0, first_check
-    while True:
-        u = _checked_sample(sc, X[i], float(t_arr[i]))
-        EV[i] = 1
-        fired = _hold(sc, X, u, i, t_arr, check, first_check, last_hold)
+        done, length, grow = i, max(first_check, min(reach, _SEGMENT_CAP)), first_check
+        fired = None
+        while fired is None and done < steps:
+            stop = min(done + length, steps)
+            pending = None
+            try:
+                for row in range(done + 1, stop + 1):
+                    x = rk4_step(dyn, x, u, dt)
+                    check(x, row)
+                    X[row] = x
+            except Exception as exc:
+                pending, stop = exc, row - 1
+            a, b = max(done + 1, i + first_check), min(stop, steps - 1)
+            if a == b:  # one state costs a third of a stacked evaluation
+                if due(X[a]):
+                    fired = a
+            elif a < b:
+                fire = due(X[a:b + 1])
+                if fire.any():
+                    fired = a + int(fire.argmax())
+            if fired is None and pending is not None:
+                raise pending
+            done, length, grow = stop, grow, min(2 * grow, _SEGMENT_CAP)
         if fired is None:
             U[i:] = u
             return
         U[i:fired] = u
-        i, last_hold = fired, fired - i
-
-
-def _hold(sc: Scenario, X, u, i: int, t_arr, check, first_check: int, reach: int) -> int | None:
-    """Integrate from the sample row i under the held input u; return the
-    first row where the trigger fires, or None when the run ends first.
-
-    An exception raised while integrating a segment stands only if the
-    trigger fires at no row up to the one the failing step started from.
-    A one-row segment is evaluated as a single state, at a third of the
-    cost of a stacked call.
-    """
-    dyn, dt = sc.dynamics, sc.integrator.substep
-    steps = len(t_arr) - 1
-    x = X[i]
-    done, length, grow = i, max(first_check, min(reach, _SEGMENT_CAP)), first_check
-    while done < steps:
-        stop = min(done + length, steps)
-        pending = None
-        try:
-            for row in range(done + 1, stop + 1):
-                x = rk4_step(dyn, x, u, dt)
-                check(x, row)
-                X[row] = x
-        except Exception as exc:
-            pending, stop = exc, row - 1
-        a, b = max(done + 1, i + first_check), min(stop, steps - 1)
-        if a == b:
-            if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a], u) <= 0.0:
-                return a
-        elif a <= b:
-            fire = trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1], u) <= 0.0
-            if fire.any():
-                return a + int(fire.argmax())
-        if pending is not None:
-            raise pending
-        done, length, grow = stop, grow, min(2 * grow, _SEGMENT_CAP)
-    return None
+        i, reach = fired, fired - i
 
 
 def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:

@@ -45,6 +45,7 @@ DELETED = (
     "OperatingRegion.sample_count",
     "acc_closed_form_lie",
     "SWEEP_FREQUENCIES",
+    "Check.value",
 )
 
 # Every parameter and field here has a caller that varies it (or is a
@@ -86,7 +87,7 @@ FIELDS = {
 # (nested functions and private helpers included, * and ** catch-alls not)
 # plus each dataclass field, over the package's modules. A change that adds
 # a knob raises this number in the same diff and says why in CHANGES.md.
-SETTABLE_VALUES = 312
+SETTABLE_VALUES = 292
 
 
 def test_all_is_the_union_of_the_submodules():

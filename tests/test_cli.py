@@ -161,6 +161,31 @@ class TestSimulate:
         assert code == EXIT_CONFIG
         assert "plot-script" in capsys.readouterr().err
 
+    def test_plot_script_plots_the_h_column_of_the_trace(self, tmp_path, capsys):
+        trace, plot = tmp_path / "run.csv", tmp_path / "plot.gp"
+        code = main([
+            "simulate", _boosted_ride(tmp_path), "--set", "sim.horizon=0.05",
+            "--set", f"output.trace={trace}", "--plot-script", str(plot),
+        ])
+        assert code == EXIT_OK
+        capsys.readouterr()
+        header = trace.read_text().splitlines()[0].split(",")
+        assert f'"{trace}" using 1:{header.index("h") + 1} with lines' in plot.read_text()
+
+    @pytest.mark.parametrize("override, message", [
+        ("sim.horizon=abc", "sim.horizon must be a number, got 'abc'"),
+        ("sim.horizon=.inf", "sim.horizon must be finite, got inf"),
+        ("sim.horizon=[1]", "sim.horizon must be a number, got list"),
+        ("output.trace=5", "output.trace must be a string, got int"),
+        ("sim.horizon=[1", "sim.horizon value '[1' is not valid YAML"),
+    ])
+    def test_bad_override_values_name_the_key(self, override, message, capsys):
+        code = main(["simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", override])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {message}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.yaml")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
@@ -245,6 +270,18 @@ class TestSweep:
         text = plot.read_text()
         assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
 
+    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys):
+        cfg = _write(tmp_path, (
+            "scenario: {name: acc-approach, controller: plain, x0: [0, 20, 735]}\n"
+            "sim: {mode: periodic, horizon: 0.1, period: 1.0}\n"
+        ))
+        code = main(["sweep", cfg, "1", "--plot-script", str(tmp_path / "plot.gp")])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
+        assert not (tmp_path / "plot.gp").exists()
+
     def test_no_frequencies_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", self._cfg(tmp_path)]) == EXIT_CONFIG
         assert "at least one frequency" in capsys.readouterr().err
@@ -300,6 +337,23 @@ class TestCompare:
         assert rows["samples"][0] == "1"
         periodic_min_h, event_min_h = map(float, rows["min_h"])
         assert periodic_min_h < 0.0 < event_min_h
+
+    def test_more_event_samples_than_periodic_exits_one(self, tmp_path, capsys):
+        # The same made-up bounds over a shorter horizon: the single periodic
+        # hold stays safe, while the trigger fires once at 0.747 s.
+        cfg = _write(tmp_path, (
+            "scenario: {name: acc-ride, controller: boosted}\n"
+            "tuning: {c: 3.0, delta: 1.0, band: 10.0, epsilon: 1.5e-4, margin: 2.0}\n"
+            "sim: {mode: event, horizon: 0.8, substep: 1.0e-3}\n"
+            "bounds: {b_f: 1.0e-3, b_g: 1.0e-3, b_k: 1.0e-3, lam: 1.0e-3, mu: 1.0e-3,\n"
+            "         m_lip: 1.0e-8, l_k: 1.0e-3, l_sigma: 1.0e-3, safety_factor: 1.0}\n"
+        ))
+        assert main(["compare", cfg]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        rows = {line.split()[0]: line.split()[1:] for line in captured.out.splitlines()}
+        assert rows["samples"] == ["1", "2"]
+        assert min(map(float, rows["min_h"])) > 0.0
+        assert captured.err == "event mode used more samples than periodic\n"
 
 
 # Runs main() on each argv of a JSON list with SciPy unimportable (a None

@@ -16,8 +16,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from safehold.acc_benchmark import acc_barrier, approach_region
-from safehold.constants import _DISTANCE_CHUNK, _brent_roots, _nearest_distances
-from safehold.errors import BoundarySamplingError
+from safehold.cbf_core import BarrierFunction
+from safehold.constants import (
+    _DISTANCE_CHUNK,
+    OperatingRegion,
+    _brent_roots,
+    _nearest_distances,
+    boundary_points,
+)
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
 scipy_spatial = pytest.importorskip("scipy.spatial")
@@ -113,18 +119,31 @@ def test_one_fixed_segment_per_branch_equals_brentq():
             assert info.function_calls == 2 and root == (label == "zero-at-b")
 
 
-def test_a_segment_brentq_cannot_close_raises_instead():
+def test_a_segment_brentq_cannot_close_gives_its_last_iterate():
     """At the cubic's triple root brentq is still open after 100
-    iterations and raises RuntimeError; the stacked solver raises
-    ``BoundarySamplingError`` there."""
+    iterations; with ``disp=False`` it returns its last iterate, and so does
+    the stacked solver. ``boundary_points`` then keeps the crossings whose
+    |h| passes its filter instead of failing the whole sample."""
     value = _leveled(FAMILIES["cubic"][2])
     a, b = np.array([[-1.0, 0.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])
-    with pytest.raises(RuntimeError, match="100 iterations"):
-        scipy_optimize.brentq(
-            lambda t: value(a[0] + t * (b[0] - a[0])), 0.0, 1.0, xtol=1e-14, rtol=8.882e-16,
-        )
-    with pytest.raises(BoundarySamplingError, match="not converged after 100 iterations"):
-        _brent_roots(value, a, b)
+    root, info = scipy_optimize.brentq(
+        lambda t: value(a[0] + t * (b[0] - a[0])), 0.0, 1.0,
+        xtol=1e-14, rtol=8.882e-16, full_output=True, disp=False,
+    )
+    assert not info.converged
+    assert float(_brent_roots(value, a, b)[0]).hex() == root.hex()
+
+    # The same triple root on the box, as a plane barrier in two states.
+    barrier = BarrierFunction(
+        value=lambda x: (x.T[0] - 0.2) * (x.T[0] - 0.2) * (x.T[0] - 0.2),
+        gradient=lambda x: np.stack([3.0 * (x.T[0] - 0.2) ** 2, 0.0 * x.T[1]], axis=-1),
+    )
+    pts = boundary_points(
+        OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), barrier, 64,
+        np.random.default_rng(0),
+    )
+    assert len(pts) > 0
+    assert np.all(np.abs(barrier.value(pts)) <= 1e-9)
 
 
 @st.composite
