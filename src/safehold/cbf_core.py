@@ -18,12 +18,13 @@ An output that does not depend on the state may be returned as is, to
 broadcast against the stack (a constant actuation (n, m), say). Reading the
 i-th coordinate as ``x.T[i]`` serves both shapes at the single-state cost.
 The certification stages evaluate whole stacks, one call each; the
-simulator integrates one state at a time and evaluates the event trigger
-and the recorded barrier columns on stacks of the integrated states. When
-the callables compute each row as they would alone, a stacked call equals
-the row-by-row single calls bit for bit: the library's own reductions are
-one dot per row (``np.vecdot``), not a matrix product, whose summation order
-over a stack differs. The callables are probed once, on one state and on
+simulator's ``run_many`` steps a stack of scenarios, one state per row, and
+evaluates the event trigger and the recorded barrier columns on stacks of
+the integrated states. When the callables compute each row as they would
+alone, a stacked call equals the row-by-row single calls bit for bit: the
+library's own reductions are one dot or one matrix-vector product per row
+(``np.vecdot``, ``np.matvec``), not a matrix product over the stack, whose
+summation order differs. The callables are probed once, on one state and on
 an (n + 1)-row stack of it, when a scenario is built or an estimation
 starts; every evaluation after that is plain arithmetic on arrays.
 """
@@ -145,8 +146,14 @@ class ControlAffineDynamics:
             raise ConfigurationError(f"dynamics dimensions must be >= 1, got n={self.n}, m={self.m}")
 
     def rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """State derivative under input u."""
-        return self.drift(x) + self.actuation(x) @ u
+        """State derivative under input u: at one state (n,) or at each row of
+        a (k, n) stack, under one input (m,) or one input per row (k, m).
+
+        Each row is one matrix-vector product (``np.matvec``), so a stack
+        equals its rows evaluated alone bit for bit, and one state equals
+        ``actuation(x) @ u``.
+        """
+        return self.drift(x) + np.matvec(self.actuation(x), u)
 
 
 @dataclass(frozen=True)

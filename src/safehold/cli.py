@@ -29,7 +29,7 @@ from .constants import (
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
-from .simulator import HoldSchedule, RunSummary, analyze, run
+from .simulator import HoldSchedule, RunSummary, analyze, run, run_many
 from .safety_filter import validate_tuning
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
@@ -95,17 +95,23 @@ def _write_plot_script(path: str, traces: list[tuple[str, str]], columns: list[s
     Path(path).write_text(text, encoding="utf-8")
 
 
+def _check_plot_script(args, cfg) -> None:
+    """A plot script plots the trace files, so it needs one; checked before
+    anything is integrated."""
+    if args.plot_script is not None and cfg.trace_path is None:
+        raise ConfigurationError("--plot-script needs output.trace set in the config")
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = scenario_from_config(cfg)
+    _check_plot_script(args, cfg)
     trace = run(scenario)
     summary = analyze(trace, violation_tol=VIOLATION_TOL)
     if cfg.trace_path is not None:
         trace.to_csv(_with_parent(cfg.trace_path))
         if args.plot_script is not None:
             _write_plot_script(args.plot_script, [(scenario.name, cfg.trace_path)], trace.columns)
-    elif args.plot_script is not None:
-        raise ConfigurationError("--plot-script needs output.trace set in the config")
     _emit_summary(_summary_lines(scenario.name, summary), cfg.summary_path)
     return EXIT_OK if summary.violation_time is None else EXIT_VIOLATION
 
@@ -125,11 +131,14 @@ def cmd_sweep(args) -> int:
             raise ConfigurationError(f"sweep frequencies must be > 0 Hz, got {f:g}")
     freqs = sorted(set(freqs))
 
-    results = []
-    for freq in freqs:
-        per_cfg = dataclasses.replace(cfg, schedule=HoldSchedule.periodic(1.0 / freq))
-        trace = run(scenario_from_config(per_cfg))
-        results.append((trace, analyze(trace, violation_tol=VIOLATION_TOL)))
+    # One scenario, so one dynamics object: the frequencies run as one stack.
+    scenario = scenario_from_config(cfg)
+    _check_plot_script(args, cfg)
+    traces = run_many(
+        dataclasses.replace(scenario, schedule=HoldSchedule.periodic(1.0 / freq))
+        for freq in freqs
+    )
+    results = [(trace, analyze(trace, violation_tol=VIOLATION_TOL)) for trace in traces]
 
     plot_refs = []
     for freq, (trace, _) in zip(freqs, results):
@@ -138,8 +147,6 @@ def cmd_sweep(args) -> int:
             trace.to_csv(_with_parent(path))
             plot_refs.append((f"{freq:g} Hz", path))
     if args.plot_script is not None:
-        if not plot_refs:
-            raise ConfigurationError("--plot-script needs output.trace set in the config")
         _write_plot_script(args.plot_script, plot_refs, results[0][0].columns)
 
     print(f"{'frequency_hz':>12}  {'min_h':>22}  {'violation_time':>22}  {'num_events':>10}")

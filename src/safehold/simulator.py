@@ -21,18 +21,24 @@ rate, and trigger evaluated for that state-input pair. Runs abort loudly on
 region exit, state divergence, or filter infeasibility; the raised error
 carries the offending time and state.
 
-A run is integrated hold by hold. After each sample, ``rk4_step`` advances
-the state one substep at a time under the held input, and every new state
-passes the run's state check before any callable sees it. Only the sampled
-law runs inside that loop (at every stage, in continuous mode). The barrier
-value, barrier rate and trigger columns are recorded afterwards, in stacked
-evaluations over blocks of the trace (see the batch contract in
-``cbf_core``), bit for bit equal to evaluating each row alone. A hold is
-integrated in segments, and the due test is evaluated as one stack per
-segment; the run resamples at the first due row and integrates the rest of
-that segment again under the new input. An error raised past that row is
-the discarded tail's, not the run's. A periodic hold is a single segment
-whose due test is its last row, so it evaluates no trigger.
+``run_many`` runs a group of sampled scenarios that share one plant and one
+integrator in lockstep: their states form one (k, n) stack, and
+``rk4_step`` advances it one substep at a time, each row under its own
+scenario's held input (see the batch contract in ``cbf_core``). Each
+scenario keeps its own schedule, samples, due tests and errors, and every
+new row passes its scenario's state check before any callable sees it.
+``run`` of a sampled scenario is the group of one, whose stack is its (n,)
+state. Only the sampled laws run inside that loop (at every stage, in
+continuous mode). The barrier value, barrier rate and trigger columns are
+recorded afterwards, in stacked evaluations over blocks of each trace, bit
+for bit equal to evaluating each row alone.
+
+Holds are integrated in segments. After each segment, each scenario's due
+test covers its rows of the segment as one stack; the group resumes from
+the earliest due row, where the scenarios due there resample, and
+integrates the rest of that segment again. An error raised past a
+scenario's due row is the discarded tail's, not its run's. A periodic
+schedule's due row is known in advance, so it evaluates no trigger.
 """
 
 from __future__ import annotations
@@ -67,6 +73,7 @@ __all__ = [
     "rk4_step",
     "trigger_value",
     "run",
+    "run_many",
     "analyze",
 ]
 
@@ -317,16 +324,17 @@ def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
 
 
 def _state_gate(sc: Scenario, t_arr: np.ndarray):
-    """The state check of a run: ``check(x, row)`` raises ``DivergenceError``
-    for a state x at ``t_arr[row]`` whose norm exceeds the limit or is not
-    finite, else ``RegionExitError`` for one outside the scenario's region
-    (when it has one).
+    """The state check of a run, as ``(lows, highs, check)``.
 
-    Most states pass a cheaper test first: every coordinate within the box
-    and within 0.99 * limit / sqrt(n) of zero, as plain float comparisons.
-    Such a state is finite, inside the box, and its squared norm, rounding
+    ``check(x, row)`` raises ``DivergenceError`` for a state x at
+    ``t_arr[row]`` whose norm exceeds the limit or is not finite, else
+    ``RegionExitError`` for one outside the scenario's region (when it has
+    one). Most states pass a cheaper test first (``_inside``): every
+    coordinate within the box and within 0.99 * limit / sqrt(n) of zero, as
+    plain float comparisons against the lists ``lows`` and ``highs``. Such a
+    state is finite, inside the box, and its squared norm, rounding
     included, stays below limit**2. Only the other states (nan fails every
-    comparison) have their norm and box tested.
+    comparison) need ``check``.
     """
     n = sc.dynamics.n
     reach = 0.99 * _DIVERGENCE_LIMIT / math.sqrt(n)
@@ -338,11 +346,6 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
         highs = [min(reach, v) for v in hi.tolist()]
 
     def check(x: np.ndarray, row: int) -> None:
-        for a, v, b in zip(lows, x.tolist(), highs):
-            if not a <= v <= b:
-                break
-        else:
-            return  # the cheaper test passed
         t = float(t_arr[row])
         norm = math.sqrt(x @ x)
         # Also true for inf and nan entries, whose norm is not <= any limit.
@@ -357,7 +360,30 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
                 time=t,
             )
 
-    return check
+    return lows, highs, check
+
+
+def _inside(lows: list, highs: list, x: np.ndarray) -> bool:
+    """The cheaper state test, on one state or on a stack whose rows'
+    bounds are concatenated in ``lows`` and ``highs``."""
+    for a, v, b in zip(lows, x.ravel().tolist(), highs):
+        if not a <= v <= b:
+            return False
+    return True
+
+
+def _record(sc: Scenario, t_arr, X, U, EV) -> Trace:
+    """The trace of a run whose states, inputs and event flags are filled:
+    the barrier value, barrier rate and trigger columns are evaluated in
+    stacked blocks."""
+    rows = len(t_arr)
+    H, HD, TR = np.empty(rows), np.empty(rows), np.empty(rows)
+    for a in range(0, rows, _RECORD_BLOCK):
+        b = a + _RECORD_BLOCK
+        H[a:b], HD[a:b], TR[a:b] = _barrier_rates(
+            sc.dynamics, sc.barrier, sc.alpha, sc.trigger_c, X[a:b], U[a:b]
+        )
+    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
 
 
 def run(sc: Scenario) -> Trace:
@@ -367,116 +393,231 @@ def run(sc: Scenario) -> Trace:
     ``InfeasibleFilterError`` (each carrying time and state) when the run
     cannot be certified past that point.
     """
-    dyn = sc.dynamics
-    n, m = dyn.n, dyn.m
-    x0 = np.asarray(sc.x0, dtype=float)
-    steps = sc.integrator.steps
-    dt = sc.integrator.substep
-    t_arr = np.arange(steps + 1) * dt
-    check = _state_gate(sc, t_arr)
-    check(x0, 0)
-
-    X = np.empty((steps + 1, n))
-    U = np.empty((steps + 1, m))
-    EV = np.zeros(steps + 1, dtype=int)
-    X[0] = x0
-
     if sc.schedule.mode == "continuous":
-        _run_continuous(sc, X, U, t_arr, check)
-    else:
-        _run_held(sc, X, U, EV, t_arr, check)
-
-    H = np.empty(steps + 1)
-    HD = np.empty(steps + 1)
-    TR = np.empty(steps + 1)
-    for a in range(0, steps + 1, _RECORD_BLOCK):
-        b = a + _RECORD_BLOCK
-        H[a:b], HD[a:b], TR[a:b] = _barrier_rates(
-            dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b], U[a:b]
-        )
-    return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
+        return _run_continuous(sc)
+    return _run_held([sc])[0]
 
 
-def _run_continuous(sc: Scenario, X, U, t_arr, check) -> None:
-    """Fill X and U, re-evaluating the law at every row and RK4 stage."""
-    dt = sc.integrator.substep
-    steps = len(t_arr) - 1
-    x = X[0]
+def run_many(scenarios) -> list[Trace]:
+    """Run sampled scenarios that share one plant and one integrator in
+    lockstep, as one stack, and return ``[run(sc) for sc in scenarios]``
+    bit for bit.
+
+    Every scenario must hold its input (periodic or event schedule), use
+    the first one's ``dynamics`` object and an equal ``integrator``; the
+    other fields (start state, controller, barrier, schedule, region,
+    trigger amplification) are free. A member that breaks this, or a hold
+    period shorter than the substep, raises ``ConfigurationError`` before
+    anything is integrated. Otherwise the error raised is that of the first
+    scenario, in list order, whose run raises, and the scenarios after it
+    stop when it does.
+    """
+    scs = list(scenarios)
+    for j, sc in enumerate(scs):
+        if sc.dynamics is not scs[0].dynamics:
+            raise ConfigurationError(f"scenario {j} has another dynamics object than scenario 0")
+        if sc.integrator != scs[0].integrator:
+            raise ConfigurationError(f"scenario {j} has another integrator than scenario 0")
+        if sc.schedule.mode == "continuous":
+            raise ConfigurationError(
+                f"scenario {j} is continuous; run_many takes periodic and event schedules"
+            )
+    return _run_held(scs) if scs else []
+
+
+def _run_continuous(sc: Scenario) -> Trace:
+    """The run of a continuous schedule: the law is re-evaluated at every
+    row and RK4 stage."""
+    dyn, dt, steps = sc.dynamics, sc.integrator.substep, sc.integrator.steps
+    t_arr = np.arange(steps + 1) * dt
+    lows, highs, check = _state_gate(sc, t_arr)
+    x = np.asarray(sc.x0, dtype=float)
+    check(x, 0)
+    X = np.empty((steps + 1, dyn.n))
+    U = np.empty((steps + 1, dyn.m))
+    X[0] = x
     for i in range(steps + 1):
         t = float(t_arr[i])
         u = _checked_sample(sc, x, t)
         U[i] = u
         if i < steps:
             x = _rk4_step_closed_loop(sc, x, u, t, dt)
-            check(x, i + 1)
+            if not _inside(lows, highs, x):
+                check(x, i + 1)
             X[i + 1] = x
+    return _record(sc, t_arr, X, U, np.zeros(steps + 1, dtype=int))
 
 
-def _run_held(sc: Scenario, X, U, EV, t_arr, check) -> None:
-    """Fill X, U and EV under the module's sample-and-hold rule; the
-    terminal row keeps the last input.
-
-    Each hold is integrated in segments whose due test is evaluated as one
-    stack. The first segment of a hold reaches as far as the previous hold
-    lasted (at least to the first row resampling may be due, otherwise at
-    most ``_SEGMENT_CAP`` substeps); later ones start at ``first_check``
-    substeps and double up to the cap. An exception raised while
-    integrating a segment stands only if resampling is due at no row up to
-    the one the failing step started from.
-    """
-    dyn, dt = sc.dynamics, sc.integrator.substep
-    steps = len(t_arr) - 1
-    schedule = sc.schedule
+def _first_check(schedule: HoldSchedule, dt: float) -> int:
+    """Substeps after a sample before resampling may be due."""
     if schedule.mode == "periodic":
-        first_check = int(math.floor(schedule.period / dt + 1e-9))
-        if first_check < 1:
+        first = int(math.floor(schedule.period / dt + 1e-9))
+        if first < 1:
             raise ConfigurationError(
                 f"hold period {schedule.period} is shorter than the substep {dt}"
             )
+        return first
+    return max(1, int(math.ceil(schedule.floor / dt - 1e-9)))
 
-        def due(rows):
-            return np.True_  # at one state or at every row of a stack
 
-    else:
-        first_check = max(1, int(math.ceil(schedule.floor / dt - 1e-9)))
+def _run_held(scs: list[Scenario]) -> list[Trace]:
+    """The runs of sampled scenarios sharing one plant and integrator, under
+    the module's sample-and-hold rule, in lockstep; the terminal row keeps
+    the last input.
 
-        def due(rows):
-            # u is the input held since the current hold's sample.
-            return trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, rows, u) <= 0.0
+    Before anything is integrated, each member in list order has its start
+    state checked (a failure is that member's error, as below) and its
+    period checked against the substep. The stack advances through
+    segments: each member plans where its current segment ends, and the
+    stack integrates to the earliest plan. A member's first segment of a
+    hold reaches as far as its previous hold lasted (at least to the first
+    row resampling may be due, otherwise at most ``_SEGMENT_CAP`` substeps);
+    later ones start at ``first_check`` substeps and double up to the cap.
+    Each member's due test then covers its rows of the segment, as one stack
+    (a periodic member is due at its first eligible row and evaluates
+    nothing). The stack resumes from the earliest row where some member is
+    due, after those members resample; the rows past it are integrated
+    again, and the batch contract makes the others' repeated rows identical.
+    A stacked step that raises, or a row that fails the cheaper state test,
+    is stepped again one member at a time. A member's integration error
+    stands only if it is due at no row up to the one its failing step
+    started from; an error of its sample or due test stands at once. An
+    error that stands stops that member and those after it in the list, and
+    is raised once the members before it have finished, unless one of them
+    raises. With one member left, the stack is its (n,) state.
+    """
+    k = len(scs)
+    dyn, integrator = scs[0].dynamics, scs[0].integrator
+    dt, steps = integrator.substep, integrator.steps
+    t_arr = np.arange(steps + 1) * dt
+    X = np.empty((steps + 1, k, dyn.n))
+    U = np.empty((steps + 1, k, dyn.m))
+    EV = np.zeros((steps + 1, k), dtype=int)
+    gates, first = [], []
+    active, error = k, None  # members [0, active) run; error is the next to raise
 
-    i, reach = 0, first_check
-    while True:
-        x = X[i]
-        u = _checked_sample(sc, x, float(t_arr[i]))
-        EV[i] = 1
-        done, length, grow = i, max(first_check, min(reach, _SEGMENT_CAP)), first_check
-        fired = None
-        while fired is None and done < steps:
-            stop = min(done + length, steps)
-            pending = None
+    def stop(j: int, exc: Exception) -> None:
+        nonlocal active, error
+        if j < active:
+            active, error = j, exc
+
+    for j, sc in enumerate(scs):
+        gates.append(_state_gate(sc, t_arr))
+        X[0, j] = sc.x0
+        try:
+            gates[j][2](X[0, j], 0)
+        except Exception as exc:
+            stop(j, exc)
+            break
+        first.append(_first_check(sc.schedule, dt))
+
+    periodic = [sc.schedule.mode == "periodic" for sc in scs]
+    # Per member: the held input, the first row where resampling may be due,
+    # the planned end of the current segment, and the length of the next one.
+    held, opens, plan, grow = [None] * active, [0] * active, [0] * active, first[:active]
+
+    def restep(row: int):
+        """Step ``row`` one member at a time: the states, stacked, or None
+        and each failing member's error."""
+        states, failures = [], {}
+        for j in range(active):
             try:
-                for row in range(done + 1, stop + 1):
-                    x = rk4_step(dyn, x, u, dt)
-                    check(x, row)
-                    X[row] = x
+                x = rk4_step(dyn, X[row - 1, j], held[j], dt)
+                gates[j][2](x, row)
+                states.append(x)
             except Exception as exc:
-                pending, stop = exc, row - 1
-            a, b = max(done + 1, i + first_check), min(stop, steps - 1)
-            if a == b:  # one state costs a third of a stacked evaluation
-                if due(X[a]):
-                    fired = a
-            elif a < b:
-                fire = due(X[a:b + 1])
-                if fire.any():
-                    fired = a + int(fire.argmax())
-            if fired is None and pending is not None:
-                raise pending
-            done, length, grow = stop, grow, min(2 * grow, _SEGMENT_CAP)
-        if fired is None:
-            U[i:] = u
-            return
-        U[i:fired] = u
-        i, reach = fired, fired - i
+                failures[j] = exc
+        if failures:
+            return None, failures
+        return (states[0] if active == 1 else np.array(states)), failures
+
+    frontier, shaped, due = 0, None, dict.fromkeys(range(active), 0)
+    while True:
+        # In list order: the members due at the frontier resample (one that
+        # raises stops itself and those after it), the others whose planned
+        # segment ended there plan the next one.
+        for j in range(active):
+            if due.get(j) == frontier:
+                try:
+                    u = _checked_sample(scs[j], X[frontier, j], float(t_arr[frontier]))
+                except Exception as exc:
+                    stop(j, exc)
+                    break
+                span = frontier + first[j] - opens[j]  # the hold ending here, if any
+                if span > _SEGMENT_CAP:
+                    span = _SEGMENT_CAP
+                held[j], U[frontier, j], EV[frontier, j] = u, u, 1
+                opens[j] = frontier + first[j]
+                plan[j] = frontier + (span if span > first[j] else first[j])
+                grow[j] = first[j]
+            elif plan[j] <= frontier:
+                plan[j] += grow[j]
+                grow[j] = min(2 * grow[j], _SEGMENT_CAP)
+        if not active or frontier == steps:
+            break
+
+        if shaped != active:  # the stack's views and bounds, per membership
+            shaped = active
+            Xa = X[:, 0] if active == 1 else X[:, :active]
+            lows = [v for j in range(active) for v in gates[j][0]]
+            highs = [v for j in range(active) for v in gates[j][1]]
+        us = held[0] if active == 1 else np.array(held[:active])
+        xs = Xa[frontier]
+        reached, failures = min(plan[:active]), None
+        if reached > steps:
+            reached = steps
+        for row in range(frontier + 1, reached + 1):
+            try:
+                xs = rk4_step(dyn, xs, us, dt)
+            except Exception:
+                xs = None
+            if xs is None or not _inside(lows, highs, xs):
+                xs, failures = restep(row)
+                if failures:
+                    reached = row - 1
+                    break
+            Xa[row] = xs
+
+        due, b = {}, reached if reached < steps else steps - 1
+        for j in range(active):
+            a = opens[j] if opens[j] > frontier else frontier + 1
+            if a > b:
+                continue
+            if periodic[j]:
+                due[j] = a
+                continue
+            sc, u = scs[j], held[j]  # the input held since member j's last sample
+            try:
+                if a == b:  # one state costs a third of a stacked evaluation
+                    if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a, j], u) <= 0.0:
+                        due[j] = a
+                else:
+                    fire = trigger_value(
+                        dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1, j], u
+                    ) <= 0.0
+                    if fire.any():
+                        due[j] = a + int(fire.argmax())
+            except Exception as exc:
+                stop(j, exc)
+                break
+        if failures:
+            for j, exc in failures.items():
+                if j not in due:
+                    stop(j, exc)
+        frontier = reached
+        for j, row in due.items():
+            if row < frontier and j < active:
+                frontier = row
+
+    if error is not None:
+        raise error
+    traces = []
+    for j, sc in enumerate(scs):
+        # Each input holds from its sample row to the next, the last to the end.
+        rows = np.flatnonzero(EV[:, j])
+        U[:, j] = U[np.repeat(rows, np.diff(rows, append=steps + 1)), j]
+        traces.append(_record(sc, t_arr, X[:, j], U[:, j], EV[:, j]))
+    return traces
 
 
 def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:

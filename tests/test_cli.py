@@ -25,6 +25,11 @@ def _write(tmp_path: Path, text: str) -> str:
     return str(path)
 
 
+def _no_integration(*args):
+    """Stands in for ``rk4_step`` where a config error must come first."""
+    raise AssertionError("integrated before the config error")
+
+
 def _boosted_ride(tmp_path: Path, extra: str = "") -> str:
     return _write(tmp_path, (
         "scenario: {name: acc-ride, controller: boosted}\n"
@@ -155,11 +160,14 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "violation_time=0.997" in out
 
-    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys):
+    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
         cfg = _boosted_ride(tmp_path)
         code = main(["simulate", cfg, "--plot-script", str(tmp_path / "plot.gp")])
         assert code == EXIT_CONFIG
-        assert "plot-script" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
 
     def test_plot_script_plots_the_h_column_of_the_trace(self, tmp_path, capsys):
         trace, plot = tmp_path / "run.csv", tmp_path / "plot.gp"
@@ -270,7 +278,8 @@ class TestSweep:
         text = plot.read_text()
         assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
 
-    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys):
+    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain, x0: [0, 20, 735]}\n"
             "sim: {mode: periodic, horizon: 0.1, period: 1.0}\n"
@@ -281,6 +290,19 @@ class TestSweep:
         assert captured.out == ""
         assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
         assert not (tmp_path / "plot.gp").exists()
+
+    def test_a_period_shorter_than_the_substep_fails_before_integrating(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        code = main([
+            "sweep", str(CONFIGS / "approach-plain-sweep.yaml"), "0.5", "1", "2", "5", "10", "2000",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: hold period 0.0005 is shorter than the substep 0.001\n"
+        assert not (tmp_path / "out").exists()
 
     def test_no_frequencies_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", self._cfg(tmp_path)]) == EXIT_CONFIG

@@ -33,6 +33,7 @@ from safehold.simulator import (
     analyze,
     rk4_step,
     run,
+    run_many,
     trigger_value,
 )
 
@@ -402,7 +403,12 @@ def _outcome(fn, sc):
 
 
 def _assert_same_outcome(sc):
-    got, want = _outcome(run, sc), _outcome(run_reference, sc)
+    return _assert_matches(_outcome(run, sc), _outcome(run_reference, sc))
+
+
+def _assert_matches(got, want):
+    """got equals want bit for bit: the same error (type, message, time and
+    state) or a trace with the same seven columns."""
     if isinstance(want, Exception):
         assert type(got) is type(want), (got, want)
         assert got.args == want.args
@@ -629,6 +635,159 @@ class TestHoldCore:
         got = trigger_value(sc.dynamics, sc.barrier, sc.alpha, 2.0, xs, np.array([0.25]))
         assert got.shape == (3,)
         assert np.array_equal(got, (-0.5 + 0.25) + 3.0 * xs[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# lockstep: a stack of states, and a group of scenarios run as one stack
+
+
+@st.composite
+def stacks(draw, kind: str):
+    """A test plant with a (k, n) stack of states around its start state and
+    one input per row."""
+    fields = draw(plants(kind))
+    dyn = fields["dynamics"]
+    x0 = np.asarray(fields["x0"])
+    k = draw(st.integers(1, 6))
+    unit = st.floats(-1.0, 1.0)
+    xs = x0 + np.array([[draw(unit) for _ in range(dyn.n)] for _ in range(k)]) * (
+        0.05 * np.abs(x0) + 0.1
+    )
+    scale = 2000.0 if kind == "acc" else 3.0
+    us = scale * np.array([[draw(unit) for _ in range(dyn.m)] for _ in range(k)])
+    return dyn, xs, us
+
+
+@st.composite
+def groups(draw, kind: str) -> list[Scenario]:
+    """One to four sampled scenarios sharing one plant object, substep and
+    horizon, each with its own start state, region, controller, schedule
+    and trigger amplification. No period is shorter than the substep."""
+    substep = draw(st.sampled_from((1e-3, 2.5e-3, 1e-2)))
+    integrator = IntegratorConfig(horizon=draw(st.floats(substep, 0.5)), substep=substep)
+    members, dyn = [], None
+    for _ in range(draw(st.integers(1, 4))):
+        fields = draw(plants(kind))
+        dyn = fields["dynamics"] if dyn is None else dyn
+        if draw(st.booleans()):
+            multiple = draw(st.sampled_from((1.0, 1.37, 2.0, 7.0, 25.0, 100.0)))
+            schedule = HoldSchedule.periodic(multiple * substep)
+        else:
+            floor = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 20.0)))
+            schedule = HoldSchedule.event(floor=floor * substep)
+        members.append(Scenario(
+            name="member", alpha=ClassKappa.linear(1.0), integrator=integrator,
+            schedule=schedule, trigger_c=draw(st.sampled_from((0.0, 1e-6, 0.01, 3.0))),
+            **{**fields, "dynamics": dyn},
+        ))
+    return members
+
+
+def _reference_group(group):
+    """What ``[run(sc) for sc in group]`` gives: every trace, or the error of
+    the first scenario whose run raises."""
+    traces = []
+    for sc in group:
+        out = _outcome(run_reference, sc)
+        if isinstance(out, Exception):
+            return out
+        traces.append(out)
+    return traces
+
+
+def _assert_group_matches(group):
+    got, want = _outcome(run_many, group), _reference_group(group)
+    if isinstance(want, Exception):
+        return _assert_matches(got, want)
+    assert isinstance(got, list) and len(got) == len(want), got
+    for a, b in zip(got, want):
+        _assert_matches(a, b)
+    return want
+
+
+def _no_integration(*args):
+    raise AssertionError("rk4_step called")
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_stacked_step_equals_its_rows_stepped_alone(self, kind):
+        @PROPERTY
+        @given(stacks(kind), st.sampled_from((1e-3, 2.5e-2)))
+        def check(case, dt):
+            dyn, xs, us = case
+            rows = np.array([rk4_step(dyn, x, u, dt) for x, u in zip(xs, us)])
+            assert rk4_step(dyn, xs, us, dt).tobytes() == rows.tobytes()
+            rows = np.array([rk4_step(dyn, x, us[0], dt) for x in xs])
+            assert rk4_step(dyn, xs, us[0], dt).tobytes() == rows.tobytes()
+            for x, u in zip(xs, us):  # one state: the matrix product
+                want = dyn.drift(x) + dyn.actuation(x) @ u
+                assert dyn.rate(x, u).tobytes() == want.tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_run_many_equals_the_row_by_row_reference(self, kind):
+        @settings(max_examples=25, deadline=None)
+        @given(groups(kind))
+        def check(group):
+            _assert_group_matches(group)
+
+        check()
+
+    def _exits(self):
+        """x rises at 1.3 per second inside the box [0, 1.5]: from 1.0 it
+        leaves 0.385 s in, from 1.4 after 0.077 s."""
+        slow = _scalar_scenario(
+            "periodic", period=0.25, horizon=2.0, x0=1.0, drift_rate=0.3,
+            region=OperatingRegion(lower=(0.0,), upper=(1.5,)), nominal=lambda x: np.array([1.0]),
+        )
+        return slow, dataclasses.replace(slow, x0=(1.4,))
+
+    def test_the_first_member_error_is_raised_though_a_later_one_fails_sooner(self):
+        slow, fast = self._exits()
+        err = _assert_group_matches([slow, fast])
+        assert isinstance(err, RegionExitError)
+        assert err.time == pytest.approx(0.385, abs=1e-3)
+        with pytest.raises(RegionExitError) as sooner:
+            run(fast)
+        assert sooner.value.time < err.time
+
+    def test_a_completed_first_member_leaves_the_second_error(self):
+        slow, fast = self._exits()
+        err = _assert_group_matches([dataclasses.replace(slow, region=None), fast])
+        assert isinstance(err, RegionExitError)
+        assert err.time == pytest.approx(0.077, abs=1e-3)
+
+    def test_members_after_a_failed_one_stop(self):
+        slow, fast = self._exits()
+        calls = []
+        counted = dataclasses.replace(
+            slow, region=None, controller=lambda x: calls.append(1) or slow.controller(x),
+        )
+        calls.clear()
+        with pytest.raises(RegionExitError):
+            run_many([dataclasses.replace(slow, region=None), fast, counted])
+        assert len(calls) == 1  # its sample at t = 0; the next was due at 0.25
+
+    def test_group_errors_name_the_member(self, monkeypatch):
+        base = _scalar_scenario("periodic", period=0.25)
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        cases = [
+            (_scalar_scenario("periodic", period=0.25), "scenario 1 has another dynamics object"),
+            (dataclasses.replace(base, integrator=IntegratorConfig(horizon=0.5)),
+             "scenario 1 has another integrator"),
+            (dataclasses.replace(base, schedule=HoldSchedule.continuous()),
+             "scenario 1 is continuous"),
+            (dataclasses.replace(base, schedule=HoldSchedule.periodic(1e-4)),
+             "hold period 0.0001 is shorter than the substep 0.001"),
+        ]
+        for member, message in cases:
+            with pytest.raises(ConfigurationError, match=message):
+                run_many([base, member])
+        assert run_many([]) == []
 
 
 CERTIFIED = Path(__file__).resolve().parents[1] / "configs" / "ride-certified.yaml"
