@@ -232,10 +232,9 @@ def cmd_compare(args) -> int:
         cfg, schedule=HoldSchedule.event(cfg.schedule.floor), integrator=integrator
     )
 
-    trace_p = run(scenario_from_config(periodic_cfg))
-    sum_p = analyze(trace_p, violation_tol=VIOLATION_TOL)
-    trace_e = run(scenario_from_config(event_cfg))
-    sum_e = analyze(trace_e, violation_tol=VIOLATION_TOL)
+    # Keep only the summaries, so no trace outlives its analysis.
+    sum_p = analyze(run(scenario_from_config(periodic_cfg)), violation_tol=VIOLATION_TOL)
+    sum_e = analyze(run(scenario_from_config(event_cfg)), violation_tol=VIOLATION_TOL)
 
     print(f"violation_free_sampling_time={_g(t_star)}")
     print(f"{'metric':>12}  {'periodic':>22}  {'event':>22}")

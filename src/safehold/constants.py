@@ -21,6 +21,13 @@ Brent iteration together (a numpy port of SciPy's ``brentq``, whose roots it
 reproduces bit for bit), so each iteration makes one stacked barrier call.
 Nearest-boundary distances are exact brute-force minima, summed in the
 order SciPy's ``cKDTree`` uses, so SciPy is needed by no code path.
+
+Every sample set is evaluated in blocks of 4096 rows, and each block is
+reduced to its maxima before the next is made. So beyond the 100,000 random
+point pairs themselves, which are drawn whole to keep their order in the
+generator's stream, memory does not grow with the sample counts. A maximum
+of block maxima is exact, and under the batch contract each row's value is
+its value alone, so the bounds equal those of one stacked call bit for bit.
 """
 
 from __future__ import annotations
@@ -81,9 +88,13 @@ _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 8.882e-16
 _BRENT_MAXITER = 100
 
-# Elements in each temporary of the nearest-boundary distance pass: 2 MB of
-# float64, however many safe samples and boundary points there are.
-_DISTANCE_CHUNK = 1 << 18
+# Elements in each temporary of the nearest-boundary distance pass: 512 KiB
+# of float64, however many safe samples and boundary points there are.
+_DISTANCE_CHUNK = 1 << 16
+
+# Rows per stacked evaluation of a sample set (here) and of a trace (in the
+# simulator); bounds the temporaries of one evaluation whatever the count.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -339,12 +350,18 @@ def _brent_roots(
     return roots
 
 
+def _row_blocks(count: int) -> list[slice]:
+    """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering
+    ``count`` rows."""
+    return [slice(a, a + _BLOCK_ROWS) for a in range(0, count, _BLOCK_ROWS)]
+
+
 def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Euclidean distance from each row of pts to its nearest row of
     targets, shape (k,), equal to SciPy ``cKDTree(targets).query(pts)``'s
     distances bit for bit: squared differences are summed axis by axis in
     axis order (as cKDTree does below 8 axes), minimised, then rooted.
-    Rows go in chunks, so that each temporary holds about 2 MB."""
+    Rows go in chunks, so that each temporary holds about 512 KiB."""
     rows = max(1, _DISTANCE_CHUNK // len(targets))
     out = np.empty(len(pts))
     for start in range(0, len(pts), rows):
@@ -408,17 +425,24 @@ def _evaluate_box(
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Fields at every point, each in one stacked call: the largest drift
-    norm, the largest actuation spectral norm, and the controller and
-    actuation-row values per point, shapes (k, m)."""
-    k, n, m = len(pts), dyn.n, dyn.m
-    f_max = float(np.max(_row_norms(np.broadcast_to(dyn.drift(pts), (k, n)))))
-    # Singular values of each actuation matrix, as np.linalg.norm(g, 2)
-    # takes them; a constant matrix is decomposed once.
-    g_max = float(np.max(np.linalg.svd(dyn.actuation(pts), compute_uv=False)))
-    k_vals = np.broadcast_to(controller(pts), (k, m))
-    lgh_vals = np.broadcast_to(lie_derivatives(dyn, barrier, pts)[1], (k, m))
-    return f_max, g_max, k_vals, lgh_vals
+    """Fields at every point, one stacked call each per block of rows: the
+    largest drift norm, the largest actuation spectral norm, and the
+    controller and actuation-row values per point, shapes (k, m)."""
+    f_max, g_max, k_vals, lgh_vals = [], [], [], []
+    for rows in _row_blocks(len(pts)):
+        x = pts[rows]
+        k, n, m = len(x), dyn.n, dyn.m
+        f_max.append(np.max(_row_norms(np.broadcast_to(dyn.drift(x), (k, n)))))
+        # Singular values of each actuation matrix, as np.linalg.norm(g, 2)
+        # takes them; a constant matrix is decomposed once per block.
+        g_max.append(np.max(np.linalg.svd(dyn.actuation(x), compute_uv=False)))
+        k_vals.append(np.broadcast_to(controller(x), (k, m)))
+        lgh_vals.append(np.broadcast_to(lie_derivatives(dyn, barrier, x)[1], (k, m)))
+    # np.max, not max, so that a NaN block maximum propagates.
+    return (
+        float(np.max(f_max)), float(np.max(g_max)),
+        np.concatenate(k_vals), np.concatenate(lgh_vals),
+    )
 
 
 def _max_quotient(df: np.ndarray, dx: np.ndarray) -> float:
@@ -476,15 +500,22 @@ def estimate_bounds(
     mu = _min_lgh_norm(dyn, barrier, bpts) / safety_factor
 
     # Difference quotients: random pairs spread over the box, lattice
-    # neighbors capture local slopes the random pairs dilute.
+    # neighbors capture local slopes the random pairs dilute. The pairs are
+    # drawn whole, since the bounds depend on their order in the stream.
     pa = region.sample(rng, _PAIR_COUNT)
     pb = region.sample(rng, _PAIR_COUNT)
-    k_a = np.broadcast_to(controller(pa), (_PAIR_COUNT, dyn.m))
-    k_b = np.broadcast_to(controller(pb), (_PAIR_COUNT, dyn.m))
-    lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, pa)[1], (_PAIR_COUNT, dyn.m))
-    lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, pb)[1], (_PAIR_COUNT, dyn.m))
-    l_k = _max_quotient(k_a - k_b, pa - pb)
-    m_lip = _max_quotient(lgh_a - lgh_b, pa - pb)
+    l_k, m_lip = [], []
+    for rows in _row_blocks(_PAIR_COUNT):
+        a, b = pa[rows], pb[rows]
+        out_shape = (len(a), dyn.m)
+        k_a = np.broadcast_to(controller(a), out_shape)
+        k_b = np.broadcast_to(controller(b), out_shape)
+        lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, a)[1], out_shape)
+        lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, b)[1], out_shape)
+        dx = a - b
+        l_k.append(_max_quotient(k_a - k_b, dx))
+        m_lip.append(_max_quotient(lgh_a - lgh_b, dx))
+    l_k, m_lip = float(np.max(l_k)), float(np.max(m_lip))
 
     shape = (per_axis,) * n
     k_lat = k_vals[len(box):].reshape(shape + (dyn.m,))

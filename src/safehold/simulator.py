@@ -56,7 +56,7 @@ from .cbf_core import (
     _probe_shapes,
     lie_derivatives,
 )
-from .constants import OperatingRegion
+from .constants import OperatingRegion, _row_blocks
 from .errors import (
     ConfigurationError,
     DivergenceError,
@@ -81,10 +81,6 @@ _MODES = ("continuous", "periodic", "event")
 
 # A state whose norm exceeds this (or is not finite) aborts the run.
 _DIVERGENCE_LIMIT = 1e8
-
-# Rows per stacked evaluation of the recorded h, hdot and trigger columns;
-# bounds the temporaries of one evaluation whatever the horizon.
-_RECORD_BLOCK = 4096
 
 # Longest speculative segment of an event-mode hold, in substeps. A stacked
 # trigger evaluation costs about one RK4 substep, so at this length it adds
@@ -378,10 +374,9 @@ def _record(sc: Scenario, t_arr, X, U, EV) -> Trace:
     stacked blocks."""
     rows = len(t_arr)
     H, HD, TR = np.empty(rows), np.empty(rows), np.empty(rows)
-    for a in range(0, rows, _RECORD_BLOCK):
-        b = a + _RECORD_BLOCK
-        H[a:b], HD[a:b], TR[a:b] = _barrier_rates(
-            sc.dynamics, sc.barrier, sc.alpha, sc.trigger_c, X[a:b], U[a:b]
+    for block in _row_blocks(rows):
+        H[block], HD[block], TR[block] = _barrier_rates(
+            sc.dynamics, sc.barrier, sc.alpha, sc.trigger_c, X[block], U[block]
         )
     return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
 
@@ -649,18 +644,16 @@ def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:
 
     # Hold error per row: distance from the state at the latest sampling
     # instant at or before that row. Rows before any event contribute zero.
+    # Each block of rows is reduced to its maximum before the next is made;
+    # np.max, not max, so that a NaN state propagates.
+    err = [0.0]
     if num_events:
-        idx = np.zeros(len(trace), dtype=int) - 1
-        idx[marks] = marks
-        idx = np.maximum.accumulate(idx)
-        covered = idx >= 0
-        err = np.zeros(len(trace))
-        err[covered] = np.linalg.norm(
-            trace.x[covered] - trace.x[idx[covered]], axis=1
-        )
-        max_hold_error = float(np.max(err))
-    else:
-        max_hold_error = 0.0
+        states = trace.x[marks[0]:]
+        last = np.repeat(marks, np.diff(marks, append=len(trace)))
+        for block in _row_blocks(len(states)):
+            gap = states[block] - trace.x[last[block]]
+            err.append(np.max(np.linalg.norm(gap, axis=1)))
+    max_hold_error = float(np.max(err))
 
     return RunSummary(
         min_h=min_h,

@@ -2,15 +2,22 @@
 
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import dense_acc_bounds
+from safehold import constants
 from safehold.acc_benchmark import (
     acc_barrier,
     acc_dynamics,
     acc_filter,
+    approach_region,
+    certified_tuning,
     ride_region,
+    wide_band_tuning,
 )
 from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
 from safehold.constants import (
@@ -25,6 +32,7 @@ from safehold.constants import (
     violation_free_sampling_time,
 )
 from safehold.errors import BoundarySamplingError, ConfigurationError
+from safehold.safety_filter import validate_tuning
 from safehold.simulator import rk4_step
 
 ALL_ONES = BoundSet(
@@ -340,3 +348,72 @@ class TestCheckAssumptions:
         report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
         with pytest.raises(KeyError):
             report["nope"]
+
+
+def _state_actuation_system():
+    """A circular barrier under an actuation that varies with the state, so
+    that each row's singular values are taken in its own block."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.stack([x.T[1], -x.T[0]], axis=-1),
+        actuation=lambda x: np.stack([1.0 + x.T[0] ** 2, 0.5 * x.T[1]], axis=-1)[..., None],
+        n=2, m=1,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: 0.25 - x.T[0] ** 2 - x.T[1] ** 2,
+        gradient=lambda x: -2.0 * x,
+    )
+    return dyn, barrier, lambda x: (np.sin(3.0 * x.T[0]) * x.T[1])[..., None]
+
+
+def _certification(case):
+    """The bounds and reports of one certification, with each bound as its
+    exact hex string."""
+    if case == "state_actuation":
+        dyn, barrier, controller = _state_actuation_system()
+        region, tuning = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), None
+    else:
+        filt = acc_filter()
+        dyn, barrier, controller = filt.dynamics, filt.barrier, filt
+        region, tuning = {
+            "ride": (ride_region(), certified_tuning()),
+            "approach": (approach_region(), wide_band_tuning()),
+        }[case]
+    bounds = estimate_bounds(region, dyn, controller, barrier)
+    reports = [check_assumptions(region, dyn, controller, barrier)]
+    if tuning is not None:
+        reports.append(validate_tuning(
+            tuning, bounds, filt.alpha, dynamics=dyn, barrier=barrier, region=region,
+        ))
+    hexes = {f.name: float(getattr(bounds, f.name)).hex() for f in dataclasses.fields(bounds)}
+    return hexes, reports
+
+
+class TestBlockedEvaluation:
+    """Sample sets are evaluated in blocks of rows, and each block is
+    reduced before the next. The block size must not move any bound."""
+
+    @pytest.mark.parametrize("case", ["ride", "approach", "state_actuation"])
+    def test_a_block_size_dividing_no_sample_count_gives_equal_results(
+        self, case, monkeypatch,
+    ):
+        at_default = _certification(case)
+        # 997 divides neither the 100,000 pairs nor the 33,887 box and
+        # lattice points, so every pass ends on a short block.
+        monkeypatch.setattr(constants, "_BLOCK_ROWS", 997)
+        assert _certification(case) == at_default
+
+    def test_estimation_memory_stays_bounded(self):
+        # Peak traced allocation on the ride box. One full-height stacked
+        # call per sample set peaks at about 17 MiB and 7 MiB.
+        filt = acc_filter()
+        args = (ride_region(), filt.dynamics, filt, filt.barrier)
+        for fn, limit_mib in ((estimate_bounds, 11.0), (check_assumptions, 4.0)):
+            fn(*args)  # the first call loads modules and fills caches
+            tracemalloc.start()
+            try:
+                base, _ = tracemalloc.get_traced_memory()
+                fn(*args)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (peak - base) / 2**20 < limit_mib, fn.__name__

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import safehold
 from safehold.acc_benchmark import acc_filter, build_scenario, certified_tuning, ride_region
 from safehold.cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
-from safehold.constants import OperatingRegion
+from safehold.constants import _BLOCK_ROWS, OperatingRegion
 from safehold.errors import (
     ConfigurationError,
     DivergenceError,
@@ -337,6 +337,33 @@ class TestAnalyze:
     def test_no_events_means_zero_hold_error(self):
         s = analyze(_synthetic_trace(np.ones(5)))
         assert s.max_hold_error == 0.0
+
+    @pytest.mark.parametrize("case", ["late_first_event", "no_events", "nan_state", "long"])
+    def test_blocked_hold_error_equals_the_whole_trace_formula(self, case):
+        # Traces of two blocks and of more, each block reduced before the
+        # next; the reference is one full-height pass over the trace.
+        rows = {"long": 3 * _BLOCK_ROWS + 5}.get(case, _BLOCK_ROWS + 7)
+        rng = np.random.default_rng(3)
+        event = (rng.random(rows) < 0.01).astype(int)
+        event[:100] = 0
+        if case == "no_events":
+            event[:] = 0
+        x = rng.normal(size=(rows, 3))
+        if case == "nan_state":
+            x[_BLOCK_ROWS + 3, 1] = np.nan
+        trace = dataclasses.replace(_synthetic_trace(np.ones(rows)), x=x, event=event)
+
+        marks = np.flatnonzero(event == 1)
+        want = 0.0
+        if len(marks):
+            idx = np.maximum.accumulate(np.where(event == 1, np.arange(rows), -1))
+            covered = idx >= 0
+            err = np.zeros(rows)
+            err[covered] = np.linalg.norm(x[covered] - x[idx[covered]], axis=1)
+            want = float(np.max(err))
+        got = analyze(trace).max_hold_error
+        assert float(got).hex() == float(want).hex()
+        assert np.isnan(got) == (case == "nan_state")
 
 
 class TestCsvRoundTrip:
