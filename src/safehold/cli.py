@@ -10,7 +10,7 @@ certified periodic schedule and the event-triggered schedule side by side.
 Exit codes are part of the contract: 0 for a completed, violation-free run;
 1 for configuration or runtime errors; 2 when a run completed but the
 barrier went negative (beyond integrator tolerance); 3 when an assumption
-check fails in ``constants``.
+check behind estimated bounds fails, in ``constants`` or ``compare``.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from pathlib import Path
 from .config import filter_from_config, load_config, scenario_from_config
 from .constants import (
     BoundSet,
-    check_assumptions,
-    estimate_bounds,
+    Report,
+    certify_region,
     practical_sampling_time,
     violation_free_sampling_time,
 )
@@ -116,11 +116,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK if summary.violation_time is None else EXIT_VIOLATION
 
 
-def _sweep_trace_path(base: str, freq: float) -> str:
-    p = Path(base)
-    return str(p.with_name(f"{p.stem}-f{freq:g}{p.suffix or '.csv'}"))
-
-
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config, args.set)
     freqs = list(args.frequencies)
@@ -130,6 +125,15 @@ def cmd_sweep(args) -> int:
         if not f > 0.0:
             raise ConfigurationError(f"sweep frequencies must be > 0 Hz, got {f:g}")
     freqs = sorted(set(freqs))
+    # Each frequency's label names its trace file, plot title and table row,
+    # so no two may share one; sorted, any that do are neighbours.
+    labels = [f"{f:g}" for f in freqs]
+    for i in range(1, len(freqs)):
+        if labels[i] == labels[i - 1]:
+            raise ConfigurationError(
+                f"sweep frequencies {freqs[i - 1]!r} and {freqs[i]!r} Hz both print as "
+                f"{labels[i]}; their traces would share one file"
+            )
 
     # One scenario, so one dynamics object: the frequencies run as one stack.
     scenario = scenario_from_config(cfg)
@@ -141,18 +145,19 @@ def cmd_sweep(args) -> int:
     results = [(trace, analyze(trace, violation_tol=VIOLATION_TOL)) for trace in traces]
 
     plot_refs = []
-    for freq, (trace, _) in zip(freqs, results):
+    for label, (trace, _) in zip(labels, results):
         if cfg.trace_path is not None:
-            path = _sweep_trace_path(cfg.trace_path, freq)
+            base = Path(cfg.trace_path)
+            path = str(base.with_name(f"{base.stem}-f{label}{base.suffix or '.csv'}"))
             trace.to_csv(_with_parent(path))
-            plot_refs.append((f"{freq:g} Hz", path))
+            plot_refs.append((f"{label} Hz", path))
     if args.plot_script is not None:
         _write_plot_script(args.plot_script, plot_refs, results[0][0].columns)
 
     print(f"{'frequency_hz':>12}  {'min_h':>22}  {'violation_time':>22}  {'num_events':>10}")
-    for freq, (_, summary) in zip(freqs, results):
+    for label, (_, summary) in zip(labels, results):
         print(
-            f"{freq:>12g}  {summary.min_h:>22.15g}  "
+            f"{label:>12}  {summary.min_h:>22.15g}  "
             f"{_g(summary.violation_time):>22}  {summary.num_events:>10}"
         )
     safe = [f for f, (_, s) in zip(freqs, results) if s.min_h >= -VIOLATION_TOL]
@@ -160,40 +165,36 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _bound_lines(bounds: BoundSet) -> list[str]:
-    return [f"bounds.{f.name}={_g(getattr(bounds, f.name))}" for f in dataclasses.fields(bounds)]
+def _bounds(cfg, filt) -> tuple[Report | None, BoundSet | None]:
+    """The config's bounds with no report, or ``certify_region``'s report and
+    bounds over its box for the plain filter: the boosted controller's extra
+    authority enters the budget formulas through epsilon, not through b_k."""
+    if cfg.bounds is not None:
+        return None, cfg.bounds
+    return certify_region(cfg.region, filt.dynamics, filt, filt.barrier, sigmoid=cfg.tuning.sigmoid)
 
 
-def _estimate(cfg, filt) -> BoundSet:
-    """Regional bounds of the plain filtered controller over the config's box.
-
-    The boosted controller's extra authority enters the budget formulas
-    through epsilon, not through b_k."""
-    return estimate_bounds(
-        cfg.region, filt.dynamics, filt, filt.barrier, sigmoid=cfg.tuning.sigmoid
-    )
+def _assumption_failure(report: Report) -> int:
+    """Print a failing assumption report, its failed checks named on stderr."""
+    for check in report.checks:
+        print(f"assumption {check.name}: {check.status} ({check.detail})")
+    failed = ", ".join(c.name for c in report.checks if c.status == "fail")
+    print(f"assumption failure: {failed}", file=sys.stderr)
+    return EXIT_ASSUMPTION
 
 
 def cmd_constants(args) -> int:
     cfg = load_config(args.config, args.set)
     filt = filter_from_config(cfg)
-    if cfg.bounds is not None:
-        for line in _bound_lines(cfg.bounds):
-            print(line)
+    assumptions, bounds = _bounds(cfg, filt)
+    if bounds is None:
+        return _assumption_failure(assumptions)
+    for f in dataclasses.fields(bounds):
+        print(f"bounds.{f.name}={_g(getattr(bounds, f.name))}")
+    if assumptions is None:
         print("assumption checks skipped: bounds supplied explicitly")
-        bounds = cfg.bounds
         report = validate_tuning(cfg.tuning, bounds, filt.alpha)
     else:
-        assumptions = check_assumptions(cfg.region, filt.dynamics, filt, filt.barrier)
-        if not assumptions.passed:
-            for check in assumptions.checks:
-                print(f"assumption {check.name}: {check.status} ({check.detail})")
-            failed = ", ".join(c.name for c in assumptions.checks if c.status == "fail")
-            print(f"assumption failure: {failed}", file=sys.stderr)
-            return EXIT_ASSUMPTION
-        bounds = _estimate(cfg, filt)
-        for line in _bound_lines(bounds):
-            print(line)
         for check in assumptions.checks:
             print(f"assumption {check.name}: {check.status} ({check.detail})")
         report = validate_tuning(
@@ -217,10 +218,9 @@ def cmd_compare(args) -> int:
             "compare requires the boosted controller (set scenario.controller: boosted); "
             "the event trigger's hold-period floor is only certified for it"
         )
-    if cfg.bounds is not None:
-        bounds = cfg.bounds
-    else:
-        bounds = _estimate(cfg, filter_from_config(cfg))
+    assumptions, bounds = _bounds(cfg, filter_from_config(cfg))
+    if bounds is None:
+        return _assumption_failure(assumptions)
     t_star = violation_free_sampling_time(bounds, cfg.tuning.epsilon, cfg.tuning.margin)
     integrator = dataclasses.replace(
         cfg.integrator, substep=min(cfg.integrator.substep, t_star / 2.0)

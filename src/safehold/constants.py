@@ -14,6 +14,9 @@ and evaluates the two budget formulas:
 
 Every estimated maximum is inflated, and every estimated minimum deflated,
 by the region's safety factor (default 1.1) to hedge the finite sampling.
+``certify_region`` samples the box once, for the assumption report and, only
+when it passes, the bounds; so the CLI's ``constants`` and ``compare`` both
+exit 3 on a box that fails its checks.
 
 The boundary of the safe set is sampled by root-finding h along segments
 between box samples of opposite barrier sign. All segments run one stacked
@@ -53,13 +56,12 @@ __all__ = [
     "BoundSet",
     "Check",
     "Report",
-    "estimate_bounds",
+    "certify_region",
     "boundary_points",
     "error_bound_plain",
     "error_bound_tunable",
     "practical_sampling_time",
     "violation_free_sampling_time",
-    "check_assumptions",
 ]
 
 DEFAULT_SAFETY_FACTOR = 1.1
@@ -462,42 +464,45 @@ def _min_lgh_norm(dyn: ControlAffineDynamics, barrier: BarrierFunction, pts: np.
     return float(np.min(_row_norms(lgh)))
 
 
-def estimate_bounds(
+def certify_region(
     region: OperatingRegion,
     dyn: ControlAffineDynamics,
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
     *,
     sigmoid: SigmoidGain | None = None,
-) -> BoundSet:
-    """Estimate a BoundSet over the region by deterministic seeded sampling.
+) -> tuple[Report, BoundSet | None]:
+    """Assumption report and regional bounds over the region, from one
+    deterministic seeded sampling; the bounds are None when the report fails.
 
-    Maxima (b_f, b_g, b_k, lam, l_k, m_lip) come from the region's uniform
-    box samples, a lattice of about 30,000 points, and difference quotients
-    over 100,000 random point pairs plus all lattice nearest-neighbor pairs;
-    the boundary minimum mu comes from 512 root-found boundary points.
-    Maxima are inflated and mu deflated by the region's ``safety_factor``.
-    The boost-gain slope bound l_sigma is analytic, ``sharpness / (4 *
-    epsilon)``, and is zero when no sigmoid is supplied.
+    The report's five checks: finite field and controller bounds, finite
+    Lipschitz estimates of the controller and of the barrier-gradient
+    actuation row, a non-degenerate actuation margin on the safe-set
+    boundary, and a monotone lower envelope of h over distance to the
+    boundary in 16 bins (evidence that h measures clearance). The maxima
+    b_f, b_g, b_k, lam, l_k and m_lip come from 4096 uniform box samples, a
+    lattice of about 30,000 points, and difference quotients over 100,000
+    random point pairs and all lattice neighbors; mu from 512 root-found
+    boundary points. Maxima are inflated and mu deflated by the region's
+    ``safety_factor``. l_sigma is analytic, ``sharpness / (4 * epsilon)``,
+    or zero when no sigmoid is supplied.
     """
-    safety_factor = region.safety_factor
     rng = np.random.default_rng(region.seed)
+    report, raw = _assumption_report(region, dyn, controller, barrier, rng)
+    if not report.passed:
+        return report, None
+    f_max, g_max, k_max, lgh_max, mu = raw
+    safety_factor = region.safety_factor
     n = region.dimension
 
     per_axis = max(2, int(round(_LATTICE_POINTS ** (1.0 / n))))
     lattice = region.lattice(per_axis)
-    box = region.sample(rng, _SAMPLE_COUNT)
-    _probe_shapes(dyn, barrier, box[0], controller)
-    base = np.vstack([box, lattice])
-
-    f_max, g_max, k_vals, lgh_vals = _evaluate_box(base, dyn, controller, barrier)
-    b_f = safety_factor * f_max
-    b_g = safety_factor * g_max
-    b_k = safety_factor * float(np.max(np.linalg.norm(k_vals, axis=1)))
-    lam = safety_factor * float(np.max(np.linalg.norm(lgh_vals, axis=1)))
-
-    bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
-    mu = _min_lgh_norm(dyn, barrier, bpts) / safety_factor
+    f_lat, g_lat, k_lat, lgh_lat = _evaluate_box(lattice, dyn, controller, barrier)
+    # np.max, not max, so that a NaN on the lattice propagates.
+    b_f = safety_factor * float(np.max([f_max, f_lat]))
+    b_g = safety_factor * float(np.max([g_max, g_lat]))
+    b_k = safety_factor * float(np.max([k_max, np.max(np.linalg.norm(k_lat, axis=1))]))
+    lam = safety_factor * float(np.max([lgh_max, np.max(np.linalg.norm(lgh_lat, axis=1))]))
 
     # Difference quotients: random pairs spread over the box, lattice
     # neighbors capture local slopes the random pairs dilute. The pairs are
@@ -518,22 +523,107 @@ def estimate_bounds(
     l_k, m_lip = float(np.max(l_k)), float(np.max(m_lip))
 
     shape = (per_axis,) * n
-    k_lat = k_vals[len(box):].reshape(shape + (dyn.m,))
-    lgh_lat = lgh_vals[len(box):].reshape(shape + (dyn.m,))
+    k_lat = k_lat.reshape(shape + (dyn.m,))
+    lgh_lat = lgh_lat.reshape(shape + (dyn.m,))
     x_lat = lattice.reshape(shape + (n,))
     for axis in range(n):
         dx = np.diff(x_lat, axis=axis)
         l_k = max(l_k, _max_quotient(np.diff(k_lat, axis=axis), dx))
         m_lip = max(m_lip, _max_quotient(np.diff(lgh_lat, axis=axis), dx))
 
-    l_k *= safety_factor
-    m_lip *= safety_factor
-    l_sigma = sigmoid.slope_bound if sigmoid is not None else 0.0
-
-    return BoundSet(
-        b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu,
-        m_lip=m_lip, l_k=l_k, l_sigma=l_sigma, safety_factor=safety_factor,
+    return report, BoundSet(
+        b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu / safety_factor, m_lip=safety_factor * m_lip,
+        l_k=safety_factor * l_k, l_sigma=sigmoid.slope_bound if sigmoid is not None else 0.0,
+        safety_factor=safety_factor,
     )
+
+
+def _assumption_report(
+    region: OperatingRegion,
+    dyn: ControlAffineDynamics,
+    controller: Callable[[np.ndarray], np.ndarray],
+    barrier: BarrierFunction,
+    rng: np.random.Generator,
+) -> tuple[Report, tuple[float, ...] | None]:
+    """The five checks of ``certify_region`` from the first draws of rng (4096
+    box samples, then the boundary points root-found from 4096 more), and
+    what the bounds reuse, unhedged: the box maxima of |f|, |g|, |k| and
+    |lgh| and the smallest root-found boundary |lgh|, or None without
+    boundary points. The checks' temporaries are freed on return."""
+    pts = region.sample(rng, _SAMPLE_COUNT)
+    _probe_shapes(dyn, barrier, pts[0], controller)
+    f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(pts, dyn, controller, barrier)
+    k_norm = float(np.max(np.linalg.norm(k_arr, axis=1)))
+    lam_raw = float(np.max(np.linalg.norm(lgh_arr, axis=1)))
+
+    checks = []
+    ok = all(math.isfinite(v) for v in (f_norm, g_norm, k_norm))
+    checks.append(Check(
+        "bounded_fields", "pass" if ok else "fail",
+        f"max|f|={f_norm:.6g}, max|g|={g_norm:.6g}, max|k|={k_norm:.6g}",
+    ))
+
+    half = len(pts) // 2
+    dx = pts[:half] - pts[half:2 * half]
+    l_k_raw = _max_quotient(k_arr[:half] - k_arr[half:2 * half], dx)
+    checks.append(Check(
+        "controller_lipschitz", "pass" if math.isfinite(l_k_raw) else "fail",
+        f"sampled difference quotient {l_k_raw:.6g}",
+    ))
+
+    m_raw = _max_quotient(lgh_arr[:half] - lgh_arr[half:2 * half], dx)
+    gradient_check = Check(
+        "gradient_actuation_lipschitz", "pass" if math.isfinite(m_raw) else "fail",
+        f"sampled difference quotient {m_raw:.6g}",
+    )
+
+    try:
+        bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
+    except BoundarySamplingError as exc:
+        checks.append(Check("boundary_actuation", "fail", str(exc)))
+        checks.append(gradient_check)
+        checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
+        return Report(tuple(checks)), None
+    raw = (f_norm, g_norm, k_norm, lam_raw, _min_lgh_norm(dyn, barrier, bpts))
+
+    # Root-found crossings follow the boundary's bulk; Newton projection of
+    # the box samples also reaches thin slivers (for the cruise-control
+    # barrier, the zero-speed corner where actuation authority vanishes).
+    proj = _project_to_boundary(region, barrier, pts)
+    mu_raw = _min_lgh_norm(dyn, barrier, np.vstack([bpts, proj]))
+    degenerate = not mu_raw > _MU_DEGENERACY_RATIO * lam_raw
+    checks.append(Check(
+        "boundary_actuation", "fail" if degenerate else "pass",
+        f"min |lgh|={mu_raw:.6g} over {len(bpts)} root-found + {len(proj)} projected "
+        f"boundary points vs max |lgh|={lam_raw:.6g} "
+        f"(degenerate at or below {_MU_DEGENERACY_RATIO:g} ratio)",
+    ))
+    checks.append(gradient_check)
+
+    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
+    safe = pts[hs >= 0.0]
+    safe_h = hs[hs >= 0.0]
+    if len(safe) < _ENVELOPE_BINS:
+        checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
+        return Report(tuple(checks)), raw
+    dists = _nearest_distances(safe, bpts)
+    edges = np.linspace(0.0, float(np.max(dists)), _ENVELOPE_BINS + 1)
+    env, lefts = [], []
+    for b in range(_ENVELOPE_BINS):
+        hi = dists <= edges[b + 1] if b == _ENVELOPE_BINS - 1 else dists < edges[b + 1]
+        mask = (dists >= edges[b]) & hi
+        if np.any(mask):
+            env.append(float(np.min(safe_h[mask])))
+            lefts.append(float(edges[b]))
+    iso = np.minimum.accumulate(env[::-1])[::-1]  # monotone lower envelope
+    interior = [v for left, v in zip(lefts, iso) if left > 0.0]
+    env_ok = len(interior) > 0 and min(interior) > 0.0 and iso[0] >= -1e-12
+    knots = ", ".join(f"({l:.4g}, {v:.4g})" for l, v in zip(lefts, iso))
+    checks.append(Check(
+        "barrier_envelope", "pass" if env_ok else "fail",
+        f"monotone envelope knots: {knots}",
+    ))
+    return Report(tuple(checks)), raw
 
 
 def error_bound_plain(bounds: BoundSet, t_hold: float) -> float:
@@ -578,94 +668,3 @@ def violation_free_sampling_time(bounds: BoundSet, epsilon: float, d: float) -> 
     if denom == 0.0:
         raise ConfigurationError("degenerate bounds: zero denominator in hold-period budget")
     return d / denom
-
-
-def check_assumptions(
-    region: OperatingRegion,
-    dyn: ControlAffineDynamics,
-    controller: Callable[[np.ndarray], np.ndarray],
-    barrier: BarrierFunction,
-) -> Report:
-    """Empirical evidence report for the standing assumptions.
-
-    Five checks: finite field and controller bounds, a finite controller
-    Lipschitz estimate, a non-degenerate actuation margin on the safe-set
-    boundary, a finite Lipschitz estimate for the barrier-gradient actuation
-    row, and a monotone lower envelope for h as a function of distance to the
-    boundary over 16 distance bins (evidence that h qualifies as a proper
-    measure of clearance).
-    """
-    rng = np.random.default_rng(region.seed)
-    pts = region.sample(rng, _SAMPLE_COUNT)
-    _probe_shapes(dyn, barrier, pts[0], controller)
-    f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(pts, dyn, controller, barrier)
-    k_norm = float(np.max(np.linalg.norm(k_arr, axis=1)))
-    lam_raw = float(np.max(np.linalg.norm(lgh_arr, axis=1)))
-
-    checks = []
-    ok = all(math.isfinite(v) for v in (f_norm, g_norm, k_norm))
-    checks.append(Check(
-        "bounded_fields", "pass" if ok else "fail",
-        f"max|f|={f_norm:.6g}, max|g|={g_norm:.6g}, max|k|={k_norm:.6g}",
-    ))
-
-    half = len(pts) // 2
-    dx = pts[:half] - pts[half:2 * half]
-    l_k_raw = _max_quotient(k_arr[:half] - k_arr[half:2 * half], dx)
-    checks.append(Check(
-        "controller_lipschitz", "pass" if math.isfinite(l_k_raw) else "fail",
-        f"sampled difference quotient {l_k_raw:.6g}",
-    ))
-
-    m_raw = _max_quotient(lgh_arr[:half] - lgh_arr[half:2 * half], dx)
-    gradient_check = Check(
-        "gradient_actuation_lipschitz", "pass" if math.isfinite(m_raw) else "fail",
-        f"sampled difference quotient {m_raw:.6g}",
-    )
-
-    try:
-        bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
-    except BoundarySamplingError as exc:
-        checks.append(Check("boundary_actuation", "fail", str(exc)))
-        checks.append(gradient_check)
-        checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
-        return Report(tuple(checks))
-
-    # Root-found crossings follow the boundary's bulk; Newton projection of
-    # the box samples also reaches thin slivers (for the cruise-control
-    # barrier, the zero-speed corner where actuation authority vanishes).
-    proj = _project_to_boundary(region, barrier, pts)
-    mu_raw = _min_lgh_norm(dyn, barrier, np.vstack([bpts, proj]))
-    degenerate = not mu_raw > _MU_DEGENERACY_RATIO * lam_raw
-    checks.append(Check(
-        "boundary_actuation", "fail" if degenerate else "pass",
-        f"min |lgh|={mu_raw:.6g} over {len(bpts)} root-found + {len(proj)} projected "
-        f"boundary points vs max |lgh|={lam_raw:.6g} "
-        f"(degenerate at or below {_MU_DEGENERACY_RATIO:g} ratio)",
-    ))
-    checks.append(gradient_check)
-
-    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
-    safe = pts[hs >= 0.0]
-    safe_h = hs[hs >= 0.0]
-    if len(safe) < _ENVELOPE_BINS:
-        checks.append(Check("barrier_envelope", "skipped", "too few safe samples"))
-        return Report(tuple(checks))
-    dists = _nearest_distances(safe, bpts)
-    edges = np.linspace(0.0, float(np.max(dists)), _ENVELOPE_BINS + 1)
-    env, lefts = [], []
-    for b in range(_ENVELOPE_BINS):
-        hi = dists <= edges[b + 1] if b == _ENVELOPE_BINS - 1 else dists < edges[b + 1]
-        mask = (dists >= edges[b]) & hi
-        if np.any(mask):
-            env.append(float(np.min(safe_h[mask])))
-            lefts.append(float(edges[b]))
-    iso = np.minimum.accumulate(env[::-1])[::-1]  # monotone lower envelope
-    interior = [v for left, v in zip(lefts, iso) if left > 0.0]
-    env_ok = len(interior) > 0 and min(interior) > 0.0 and iso[0] >= -1e-12
-    knots = ", ".join(f"({l:.4g}, {v:.4g})" for l, v in zip(lefts, iso))
-    checks.append(Check(
-        "barrier_envelope", "pass" if env_ok else "fail",
-        f"monotone envelope knots: {knots}",
-    ))
-    return Report(tuple(checks))

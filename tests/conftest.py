@@ -22,7 +22,7 @@ from safehold.acc_benchmark import (
     wide_band_tuning,
 )
 from safehold.constants import (
-    estimate_bounds,
+    certify_region,
     practical_sampling_time,
     violation_free_sampling_time,
 )
@@ -47,10 +47,10 @@ def timed(fn: Callable[[], Any]) -> Timed:
 def ride_bounds() -> Timed:
     """Estimated bounds for the cruise box under the certified tuning."""
     filt = acc_filter()
-    return timed(lambda: estimate_bounds(
+    return timed(lambda: certify_region(
         ride_region(), filt.dynamics, filt, filt.barrier,
         sigmoid=certified_tuning().sigmoid,
-    ))
+    )[1])
 
 
 @pytest.fixture(scope="session")

@@ -28,9 +28,9 @@ from safehold.acc_benchmark import (
 from safehold.cbf_core import lie_derivatives
 from safehold.constants import (
     BoundSet,
+    certify_region,
     error_bound_plain,
     error_bound_tunable,
-    estimate_bounds,
     practical_sampling_time,
     violation_free_sampling_time,
 )
@@ -183,7 +183,7 @@ def test_criterion_08_hold_deviation_stays_under_analytic_bound():
     filt = acc_filter()
     reg = approach_region()
     wcfg = wide_band_tuning()
-    bounds = estimate_bounds(
+    _, bounds = certify_region(
         reg, filt.dynamics, filt, filt.barrier, sigmoid=wcfg.sigmoid,
     )
     boost = wcfg.controller(filt)

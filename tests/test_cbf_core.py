@@ -16,7 +16,7 @@ from safehold.cbf_core import (
     lie_derivatives,
 )
 from safehold.acc_benchmark import acc_barrier, acc_dynamics, approach_region
-from safehold.constants import OperatingRegion, estimate_bounds
+from safehold.constants import OperatingRegion, certify_region
 from safehold.errors import ConfigurationError
 from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, trigger_value
 
@@ -184,11 +184,11 @@ class TestLieDerivatives:
             with pytest.raises(ConfigurationError, match=message):
                 _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
             with pytest.raises(ConfigurationError, match=message):
-                estimate_bounds(region, dyn, lambda x: np.zeros(1), barrier)
+                certify_region(region, dyn, lambda x: np.zeros(1), barrier)
         with pytest.raises(ConfigurationError, match="controller returned shape"):
             _probe_scenario(good_dyn, good_barrier, lambda x: np.zeros(2))
         with pytest.raises(ConfigurationError, match="state has shape"):
-            estimate_bounds(
+            certify_region(
                 OperatingRegion(lower=(0.0,), upper=(1.0,)),
                 good_dyn, lambda x: np.zeros(1), good_barrier,
             )
@@ -218,7 +218,7 @@ class TestLieDerivatives:
             with pytest.raises(ConfigurationError, match=message):
                 _probe_scenario(dyn, barrier, controller)
             with pytest.raises(ConfigurationError, match=message):
-                estimate_bounds(region, dyn, controller, barrier)
+                certify_region(region, dyn, controller, barrier)
             assert calls == []
 
     def test_single_state_drift_is_rejected_for_two_states(self):
@@ -239,7 +239,7 @@ class TestLieDerivatives:
         with pytest.raises(ConfigurationError, match=message):
             _probe_scenario(dyn, barrier, controller)
         with pytest.raises(ConfigurationError, match=message):
-            estimate_bounds(region, dyn, controller, barrier)
+            certify_region(region, dyn, controller, barrier)
         assert calls == []
 
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from safehold import constants, safety_filter
 from safehold.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -38,6 +39,12 @@ def _boosted_ride(tmp_path: Path, extra: str = "") -> str:
         + extra
     ))
 
+
+# A ride box wholly inside the safe set: boundary sampling fails there.
+OFF_BOUNDARY = [
+    "--set", "scenario.x0=[0,20,1000]",
+    "--set", "region.lower=[0,19,990]", "--set", "region.upper=[500,21,1010]",
+]
 
 RIDE_BOUNDS_YAML = (
     "bounds:\n"
@@ -131,6 +138,21 @@ class TestConstants:
             assert f"tuning {name}: pass" in out
         assert "practical_sampling_time=0.00061875351355183451" in out
         assert "violation_free_sampling_time=0.00035558221703683811" in out
+
+    def test_the_box_is_sampled_once(self, monkeypatch):
+        # One boundary sampling certifies the box; the tuning's band check
+        # draws its own, smaller one.
+        calls = []
+        original = constants.boundary_points
+
+        def spy(region, barrier, count, rng):
+            calls.append(count)
+            return original(region, barrier, count, rng)
+
+        for module in (constants, safety_filter):
+            monkeypatch.setattr(module, "boundary_points", spy)
+        assert main(["constants", str(CONFIGS / "ride-certified.yaml")]) == EXIT_OK
+        assert calls == [constants._BOUNDARY_COUNT, safety_filter._BAND_BOUNDARY_POINTS]
 
 
 class TestSimulate:
@@ -318,6 +340,20 @@ class TestSweep:
         rows = [l for l in out.splitlines() if l.strip() and l.split()[0] == "2"]
         assert len(rows) == 1
 
+    def test_frequencies_that_print_alike_are_rejected_before_integrating(
+        self, tmp_path, capsys, monkeypatch,
+    ):
+        # Both would be labelled 1: one trace file, two table rows "1".
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        assert main(["sweep", self._cfg(tmp_path), "1", "1.0000001"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: sweep frequencies 1.0 and 1.0000001 Hz both print as 1; "
+            "their traces would share one file\n"
+        )
+        assert not list(tmp_path.glob("sweep-f*.csv"))
+
 
 class TestCompare:
     def test_plain_controller_rejected(self, tmp_path, capsys):
@@ -327,6 +363,15 @@ class TestCompare:
         ))
         assert main(["compare", cfg]) == EXIT_CONFIG
         assert "boosted" in capsys.readouterr().err
+
+    def test_a_box_failing_its_checks_exits_3_as_constants_does(self, capsys, monkeypatch):
+        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        ride = str(CONFIGS / "ride-certified.yaml")
+        assert main(["constants", ride, *OFF_BOUNDARY]) == EXIT_ASSUMPTION
+        printed = capsys.readouterr()
+        assert printed.err == "assumption failure: boundary_actuation\n"
+        assert main(["compare", ride, *OFF_BOUNDARY]) == EXIT_ASSUMPTION
+        assert capsys.readouterr() == printed
 
     def test_event_beats_periodic_and_floor_pins_one_sample(self, tmp_path, capsys):
         cfg = _write(tmp_path, (

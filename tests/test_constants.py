@@ -24,10 +24,9 @@ from safehold.constants import (
     BoundSet,
     OperatingRegion,
     boundary_points,
-    check_assumptions,
+    certify_region,
     error_bound_plain,
     error_bound_tunable,
-    estimate_bounds,
     practical_sampling_time,
     violation_free_sampling_time,
 )
@@ -113,15 +112,16 @@ class TestBoundaryPoints:
         with pytest.raises(BoundarySamplingError, match=r"barrier value nan at state \[0\.[45]"):
             boundary_points(reg, _nan_band_barrier(), 16, np.random.default_rng(0))
         dyn, _ = _plane_system()
-        with pytest.raises(BoundarySamplingError, match="root-finding cannot continue"):
-            estimate_bounds(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        report, bounds = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        assert bounds is None
+        assert "root-finding cannot continue" in report["boundary_actuation"].detail
 
 
 class TestEstimateBounds:
     def test_plane_system_exact_values(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.0)
-        b = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, b = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert b.b_f == pytest.approx(1.0, rel=1e-12)
         assert b.b_g == 1.0
         assert b.b_k == 0.0
@@ -134,7 +134,7 @@ class TestEstimateBounds:
     def test_safety_factor_direction(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.1)
-        b = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, b = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         # maxima inflated, the boundary minimum deflated
         assert b.lam == pytest.approx(1.1, rel=1e-12)
         assert b.mu == pytest.approx(1.0 / 1.1, rel=1e-12)
@@ -148,8 +148,8 @@ class TestEstimateBounds:
     def test_deterministic_given_seed(self):
         filt = acc_filter()
         reg = ride_region()
-        b1 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
-        b2 = estimate_bounds(reg, filt.dynamics, filt, filt.barrier)
+        _, b1 = certify_region(reg, filt.dynamics, filt, filt.barrier)
+        _, b2 = certify_region(reg, filt.dynamics, filt, filt.barrier)
         assert b1 == b2
 
     def test_cruise_box_matches_dense_reference_within_5pct(self, ride_bounds):
@@ -177,8 +177,8 @@ class TestEstimateBounds:
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         from safehold.cbf_core import SigmoidGain
-        plain = estimate_bounds(reg, dyn, lambda x: np.zeros(1), barrier)
-        gated = estimate_bounds(
+        _, plain = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, gated = certify_region(
             reg, dyn, lambda x: np.zeros(1), barrier,
             sigmoid=SigmoidGain(epsilon=0.5, delta=1.0, band=2.0),
         )
@@ -285,7 +285,7 @@ class TestCheckAssumptions:
     def test_plane_system_passes_all_five(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         names = [c.name for c in report.checks]
         assert names == [
             "bounded_fields", "controller_lipschitz", "boundary_actuation",
@@ -297,7 +297,7 @@ class TestCheckAssumptions:
     def test_box_off_the_boundary_still_reports_all_five(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
-        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert [(c.name, c.status) for c in report.checks] == [
             ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
             ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
@@ -307,7 +307,7 @@ class TestCheckAssumptions:
     def test_a_barrier_nan_on_the_segments_fails_boundary_check(self):
         dyn, _ = _plane_system()
         reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
-        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
         assert [(c.name, c.status) for c in report.checks] == [
             ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
             ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
@@ -325,37 +325,42 @@ class TestCheckAssumptions:
             value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, bounds = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert report["boundary_actuation"].status == "fail"
         assert not report.passed
+        assert bounds is None
 
     def test_zero_speed_cruise_box_fails_boundary_check(self):
         # The standstill corner of the boundary has no barrier actuation;
         # the projected boundary samples must find that sliver.
         filt = acc_filter()
         reg = OperatingRegion(lower=(0.0, 0.0, 0.0), upper=(2000.0, 30.0, 1200.0))
-        report = check_assumptions(reg, filt.dynamics, filt, filt.barrier)
+        report, _ = certify_region(reg, filt.dynamics, filt, filt.barrier)
         assert report["boundary_actuation"].status == "fail"
 
     def test_cruise_box_passes(self):
         filt = acc_filter()
-        report = check_assumptions(ride_region(), filt.dynamics, filt, filt.barrier)
+        report, _ = certify_region(ride_region(), filt.dynamics, filt, filt.barrier)
         assert report.passed
 
     def test_unknown_check_name_raises(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report = check_assumptions(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         with pytest.raises(KeyError):
             report["nope"]
 
 
 def _state_actuation_system():
     """A circular barrier under an actuation that varies with the state, so
-    that each row's singular values are taken in its own block."""
+    that each row's singular values are taken in its own block. On the
+    circle |lgh| = 2 (0.25 + x0^2 x1^2) >= 0.5, so the report passes and
+    the bounds are built."""
     dyn = ControlAffineDynamics(
         drift=lambda x: np.stack([x.T[1], -x.T[0]], axis=-1),
-        actuation=lambda x: np.stack([1.0 + x.T[0] ** 2, 0.5 * x.T[1]], axis=-1)[..., None],
+        actuation=lambda x: np.stack(
+            [x.T[0] * (1.0 + x.T[1] ** 2), x.T[1]], axis=-1,
+        )[..., None],
         n=2, m=1,
     )
     barrier = BarrierFunction(
@@ -367,7 +372,8 @@ def _state_actuation_system():
 
 def _certification(case):
     """The bounds and reports of one certification, with each bound as its
-    exact hex string."""
+    exact hex string. One ``certify_region`` call gives the assumption
+    report and the bounds."""
     if case == "state_actuation":
         dyn, barrier, controller = _state_actuation_system()
         region, tuning = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), None
@@ -378,8 +384,8 @@ def _certification(case):
             "ride": (ride_region(), certified_tuning()),
             "approach": (approach_region(), wide_band_tuning()),
         }[case]
-    bounds = estimate_bounds(region, dyn, controller, barrier)
-    reports = [check_assumptions(region, dyn, controller, barrier)]
+    report, bounds = certify_region(region, dyn, controller, barrier)
+    reports = [report]
     if tuning is not None:
         reports.append(validate_tuning(
             tuning, bounds, filt.alpha, dynamics=dyn, barrier=barrier, region=region,
@@ -397,23 +403,61 @@ class TestBlockedEvaluation:
         self, case, monkeypatch,
     ):
         at_default = _certification(case)
-        # 997 divides neither the 100,000 pairs nor the 33,887 box and
-        # lattice points, so every pass ends on a short block.
+        # 997 divides neither the 100,000 pairs, the 4,096 box points nor
+        # the 29,791 lattice points, so every pass ends on a short block.
         monkeypatch.setattr(constants, "_BLOCK_ROWS", 997)
         assert _certification(case) == at_default
 
+    def test_state_actuation_values_are_pinned(self):
+        # Captured from the separate estimator and assumption checks that
+        # certify_region replaced.
+        hexes, (report,) = _certification("state_actuation")
+        assert hexes == {
+            "b_f": "0x1.8e3e170bf282fp+0",
+            "b_g": "0x1.3ad69f7f3f386p+1",
+            "b_k": "0x1.19998fd4ee74fp+0",
+            "lam": "0x1.a666666666667p+2",
+            "mu": "0x1.d17460b0fa820p-2",
+            "m_lip": "0x1.6221638d297adp+3",
+            "l_k": "0x1.a650786880f1bp+1",
+            "l_sigma": "0x0.0p+0",
+            "safety_factor": "0x1.199999999999ap+0",
+        }
+        assert [(c.name, c.status, c.detail) for c in report.checks] == [
+            ("bounded_fields", "pass", "max|f|=1.40065, max|g|=2.20011, max|k|=0.994497"),
+            ("controller_lipschitz", "pass", "sampled difference quotient 2.65166"),
+            ("boundary_actuation", "pass",
+             "min |lgh|=0.5 over 512 root-found + 4095 projected boundary points vs "
+             "max |lgh|=5.84773 (degenerate at or below 0.01 ratio)"),
+            ("gradient_actuation_lipschitz", "pass", "sampled difference quotient 9.34392"),
+            ("barrier_envelope", "pass",
+             "monotone envelope knots: (0, 0.0003252), (0.03082, 0.03016), "
+             "(0.06165, 0.05799), (0.09247, 0.0841), (0.1233, 0.1087), (0.1541, 0.1301), "
+             "(0.1849, 0.1508), (0.2158, 0.1695), (0.2466, 0.1858), (0.2774, 0.2006), "
+             "(0.3082, 0.214), (0.3391, 0.2242), (0.3699, 0.2333), (0.4007, 0.2403), "
+             "(0.4315, 0.2454), (0.4624, 0.249)"),
+        ]
+
     def test_estimation_memory_stays_bounded(self):
-        # Peak traced allocation on the ride box. One full-height stacked
-        # call per sample set peaks at about 17 MiB and 7 MiB.
+        # Peak traced allocation on the ride box: the whole certification,
+        # and the report, whose temporaries are freed before the pair draw.
+        # One full-height stacked call per sample set peaks at about 17 MiB
+        # and 7 MiB.
         filt = acc_filter()
         args = (ride_region(), filt.dynamics, filt, filt.barrier)
-        for fn, limit_mib in ((estimate_bounds, 11.0), (check_assumptions, 4.0)):
-            fn(*args)  # the first call loads modules and fills caches
+        calls = {
+            "certify_region": (lambda: certify_region(*args), 11.0),
+            "_assumption_report": (
+                lambda: constants._assumption_report(*args, np.random.default_rng(0)), 4.0,
+            ),
+        }
+        for name, (call, limit_mib) in calls.items():
+            call()  # the first call loads modules and fills caches
             tracemalloc.start()
             try:
                 base, _ = tracemalloc.get_traced_memory()
-                fn(*args)
+                call()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert (peak - base) / 2**20 < limit_mib, fn.__name__
+            assert (peak - base) / 2**20 < limit_mib, name

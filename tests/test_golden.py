@@ -1,10 +1,12 @@
 """Golden CLI outputs: stdout, stderr and exit code, byte for byte.
 
 Covers every line ``constants`` prints on the shipped configs (bounds,
-assumption and tuning detail lines, budgets) and the ``sweep`` table, where
-the benchmark compares only ``key=value`` lines and table rows. A change
-to any printed digit or word fails here; rewrite a file under
-``tests/golden/`` only for an intended change of output.
+assumption and tuning detail lines, budgets), the ``sweep`` table and a
+short ``compare``, where the benchmark compares only ``key=value`` lines and
+table rows; and ``compare`` on a box that fails its assumption checks, which
+exits 3 as ``constants`` does. A change to any printed digit or word fails
+here; rewrite a file under ``tests/golden/`` only for an intended change of
+output.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ from safehold.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+# A box wholly inside the safe set, whose boundary sampling fails.
+OFF_BOUNDARY = [
+    "--set", "scenario.x0=[0,20,1000]",
+    "--set", "region.lower=[0,19,990]", "--set", "region.upper=[500,21,1010]",
+]
+
 CASES = {
+    "compare-box-off-the-boundary": ["compare", "configs/ride-certified.yaml", *OFF_BOUNDARY],
+    "compare-ride-certified": ["compare", "configs/ride-certified.yaml", "--set", "sim.horizon=0.2"],
     "constants-approach-boosted": ["constants", "configs/approach-boosted.yaml"],
     "constants-approach-plain-sweep": ["constants", "configs/approach-plain-sweep.yaml"],
     "constants-ride-certified": ["constants", "configs/ride-certified.yaml"],

@@ -22,7 +22,7 @@ from safehold.cbf_core import (
     SigmoidGain,
     lie_derivatives,
 )
-from safehold.constants import BoundSet, OperatingRegion, estimate_bounds
+from safehold.constants import BoundSet, OperatingRegion, certify_region
 from safehold.errors import ConfigurationError, InfeasibleFilterError
 from safehold.safety_filter import (
     CbfQpFilter,
@@ -144,7 +144,7 @@ class TestSolveCbfQp:
                     schedule=HoldSchedule.continuous(),
                 )
         with pytest.raises(ConfigurationError, match="nominal controller returned shape"):
-            estimate_bounds(
+            certify_region(
                 OperatingRegion(lower=(-1.0,), upper=(1.0,)), filt.dynamics, filt, filt.barrier,
             )
 
