@@ -26,19 +26,21 @@ Nearest-boundary distances are exact brute-force minima, summed in the
 order SciPy's ``cKDTree`` uses, so SciPy is needed by no code path.
 
 Every sample set is evaluated in blocks of 4096 rows, and each block is
-reduced to its maxima before the next is made. So beyond the 100,000 random
-point pairs themselves, which are drawn whole to keep their order in the
-generator's stream, memory does not grow with the sample counts. A maximum
-of block maxima is exact, and under the batch contract each row's value is
-its value alone, so the bounds equal those of one stacked call bit for bit.
+reduced to its maxima before the next is made. The random point pairs and
+the lattice points are also made block by block, so beyond the lattice's
+controller and actuation-row values, memory does not grow with the sample
+counts. A maximum of block maxima is exact, and under the batch contract
+each row's value is its value alone, so the bounds equal those of one
+stacked call bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -90,9 +92,9 @@ _BRENT_XTOL = 1e-14
 _BRENT_RTOL = 8.882e-16
 _BRENT_MAXITER = 100
 
-# Elements in each temporary of the nearest-boundary distance pass: 512 KiB
+# Elements in each temporary of the nearest-boundary distance pass: 128 KiB
 # of float64, however many safe samples and boundary points there are.
-_DISTANCE_CHUNK = 1 << 16
+_DISTANCE_CHUNK = 1 << 14
 
 # Rows per stacked evaluation of a sample set (here) and of a trace (in the
 # simulator); bounds the temporaries of one evaluation whatever the count.
@@ -144,14 +146,6 @@ class OperatingRegion:
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         """Uniform points in the box, shape (count, n)."""
         return rng.uniform(self.lower_arr, self.upper_arr, size=(count, self.dimension))
-
-    def lattice(self, per_axis: int) -> np.ndarray:
-        """Regular grid including the box faces, shape (per_axis**n, n)."""
-        axes = [
-            np.linspace(self.lower[i], self.upper[i], per_axis) for i in range(self.dimension)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
 
 
 @dataclass(frozen=True)
@@ -354,8 +348,36 @@ def _brent_roots(
 
 def _row_blocks(count: int) -> list[slice]:
     """Consecutive slices of at most ``_BLOCK_ROWS`` rows covering
-    ``count`` rows."""
-    return [slice(a, a + _BLOCK_ROWS) for a in range(0, count, _BLOCK_ROWS)]
+    ``count`` rows; each stops at or before ``count``."""
+    return [slice(a, min(a + _BLOCK_ROWS, count)) for a in range(0, count, _BLOCK_ROWS)]
+
+
+def _lattice_rows(axes: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
+    """Points of the regular grid over the per-axis coordinates ``axes``
+    at the C-order flat indices ``flat``, shape (len(flat), n): the rows
+    of the flattened ``np.meshgrid(*axes, indexing="ij")`` grid."""
+    idx = np.unravel_index(flat, tuple(len(a) for a in axes))
+    return np.stack([a[i] for a, i in zip(axes, idx)], axis=1)
+
+
+def _pair_blocks(
+    region: OperatingRegion,
+    rng: np.random.Generator,
+    count: int,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``count`` random point pairs (a, b) in the box, made block by block
+    over ``_row_blocks(count)``. The a rows continue rng's stream; the b
+    rows come from a copy of it advanced past all ``count`` a rows (a
+    uniform draw takes one step of the stream per coordinate). So the a
+    blocks concatenate to ``region.sample(rng, count)`` and the b blocks to
+    the draw that follows it, whatever the block size; rng ends after the a
+    rows."""
+    rng_b = np.random.Generator(
+        copy.deepcopy(rng.bit_generator).advance(count * region.dimension)
+    )
+    for rows in _row_blocks(count):
+        k = rows.stop - rows.start
+        yield region.sample(rng, k), region.sample(rng_b, k)
 
 
 def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -422,17 +444,16 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
 
 
 def _evaluate_box(
-    pts: np.ndarray,
+    blocks: Iterable[np.ndarray],
     dyn: ControlAffineDynamics,
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Fields at every point, one stacked call each per block of rows: the
-    largest drift norm, the largest actuation spectral norm, and the
-    controller and actuation-row values per point, shapes (k, m)."""
+    """Fields at every point of the blocks of rows, one stacked call each
+    per block: the largest drift norm, the largest actuation spectral norm,
+    and the controller and actuation-row values per point, shapes (k, m)."""
     f_max, g_max, k_vals, lgh_vals = [], [], [], []
-    for rows in _row_blocks(len(pts)):
-        x = pts[rows]
+    for x in blocks:
         k, n, m = len(x), dyn.n, dyn.m
         f_max.append(np.max(_row_norms(np.broadcast_to(dyn.drift(x), (k, n)))))
         # Singular values of each actuation matrix, as np.linalg.norm(g, 2)
@@ -496,8 +517,12 @@ def certify_region(
     n = region.dimension
 
     per_axis = max(2, int(round(_LATTICE_POINTS ** (1.0 / n))))
-    lattice = region.lattice(per_axis)
-    f_lat, g_lat, k_lat, lgh_lat = _evaluate_box(lattice, dyn, controller, barrier)
+    size = per_axis ** n
+    axes = [np.linspace(region.lower[i], region.upper[i], per_axis) for i in range(n)]
+    f_lat, g_lat, k_lat, lgh_lat = _evaluate_box(
+        (_lattice_rows(axes, np.arange(r.start, r.stop)) for r in _row_blocks(size)),
+        dyn, controller, barrier,
+    )
     # np.max, not max, so that a NaN on the lattice propagates.
     b_f = safety_factor * float(np.max([f_max, f_lat]))
     b_g = safety_factor * float(np.max([g_max, g_lat]))
@@ -505,13 +530,9 @@ def certify_region(
     lam = safety_factor * float(np.max([lgh_max, np.max(np.linalg.norm(lgh_lat, axis=1))]))
 
     # Difference quotients: random pairs spread over the box, lattice
-    # neighbors capture local slopes the random pairs dilute. The pairs are
-    # drawn whole, since the bounds depend on their order in the stream.
-    pa = region.sample(rng, _PAIR_COUNT)
-    pb = region.sample(rng, _PAIR_COUNT)
+    # neighbors capture local slopes the random pairs dilute.
     l_k, m_lip = [], []
-    for rows in _row_blocks(_PAIR_COUNT):
-        a, b = pa[rows], pb[rows]
+    for a, b in _pair_blocks(region, rng, _PAIR_COUNT):
         out_shape = (len(a), dyn.m)
         k_a = np.broadcast_to(controller(a), out_shape)
         k_b = np.broadcast_to(controller(b), out_shape)
@@ -522,14 +543,20 @@ def certify_region(
         m_lip.append(_max_quotient(lgh_a - lgh_b, dx))
     l_k, m_lip = float(np.max(l_k)), float(np.max(m_lip))
 
-    shape = (per_axis,) * n
-    k_lat = k_lat.reshape(shape + (dyn.m,))
-    lgh_lat = lgh_lat.reshape(shape + (dyn.m,))
-    x_lat = lattice.reshape(shape + (n,))
+    # Each lattice point p off the last plane of an axis pairs with its
+    # neighbor q = p + stride along that axis, as np.diff along it would.
     for axis in range(n):
-        dx = np.diff(x_lat, axis=axis)
-        l_k = max(l_k, _max_quotient(np.diff(k_lat, axis=axis), dx))
-        m_lip = max(m_lip, _max_quotient(np.diff(lgh_lat, axis=axis), dx))
+        stride = per_axis ** (n - 1 - axis)
+        l_k_axis, m_lip_axis = [], []
+        for rows in _row_blocks(size):
+            p = np.arange(rows.start, rows.stop)
+            p = p[p // stride % per_axis < per_axis - 1]
+            q = p + stride
+            dx = _lattice_rows(axes, q) - _lattice_rows(axes, p)
+            l_k_axis.append(_max_quotient(k_lat[q] - k_lat[p], dx))
+            m_lip_axis.append(_max_quotient(lgh_lat[q] - lgh_lat[p], dx))
+        l_k = max(l_k, float(np.max(l_k_axis)))
+        m_lip = max(m_lip, float(np.max(m_lip_axis)))
 
     return report, BoundSet(
         b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu / safety_factor, m_lip=safety_factor * m_lip,
@@ -552,7 +579,9 @@ def _assumption_report(
     boundary points. The checks' temporaries are freed on return."""
     pts = region.sample(rng, _SAMPLE_COUNT)
     _probe_shapes(dyn, barrier, pts[0], controller)
-    f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(pts, dyn, controller, barrier)
+    f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(
+        (pts[rows] for rows in _row_blocks(len(pts))), dyn, controller, barrier,
+    )
     k_norm = float(np.max(np.linalg.norm(k_arr, axis=1)))
     lam_raw = float(np.max(np.linalg.norm(lgh_arr, axis=1)))
 

@@ -44,6 +44,7 @@ schedule's due row is known in advance, so it evaluates no trigger.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -386,8 +387,10 @@ def run(sc: Scenario) -> Trace:
 
     Raises ``RegionExitError``, ``DivergenceError``, or
     ``InfeasibleFilterError`` (each carrying time and state) when the run
-    cannot be certified past that point.
+    cannot be certified past that point, and ``ConfigurationError`` before
+    anything is allocated when its trace would not fit in physical memory.
     """
+    _check_storage([sc])
     if sc.schedule.mode == "continuous":
         return _run_continuous(sc)
     return _run_held([sc])[0]
@@ -401,9 +404,10 @@ def run_many(scenarios) -> list[Trace]:
     Every scenario must hold its input (periodic or event schedule), use
     the first one's ``dynamics`` object and an equal ``integrator``; the
     other fields (start state, controller, barrier, schedule, region,
-    trigger amplification) are free. A member that breaks this, or a hold
-    period shorter than the substep, raises ``ConfigurationError`` before
-    anything is integrated. Otherwise the error raised is that of the first
+    trigger amplification) are free. A member that breaks this, a hold
+    period shorter than the substep, or traces that would not fit in
+    physical memory raise ``ConfigurationError`` before anything is
+    integrated. Otherwise the error raised is that of the first
     scenario, in list order, whose run raises, and the scenarios after it
     stop when it does.
     """
@@ -417,7 +421,35 @@ def run_many(scenarios) -> list[Trace]:
             raise ConfigurationError(
                 f"scenario {j} is continuous; run_many takes periodic and event schedules"
             )
-    return _run_held(scs) if scs else []
+    if not scs:
+        return []
+    _check_storage(scs)
+    return _run_held(scs)
+
+
+def _check_storage(scs: list[Scenario]) -> None:
+    """Raise ``ConfigurationError`` when the traces of the scenarios, which
+    share one integrator, would not fit in physical memory; called before
+    any of their arrays is allocated."""
+    integrator = scs[0].integrator
+    rows = integrator.steps + 1
+    # Per trace row: t, h, hdot, trigger, the state and the input as float64,
+    # and the event flag.
+    row_bytes = sum(
+        np.dtype(float).itemsize * (4 + sc.dynamics.n + sc.dynamics.m) + np.dtype(int).itemsize
+        for sc in scs
+    )
+    try:
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return  # no sysconf here: the allocation itself reports a shortage
+    if rows * row_bytes > memory:
+        raise ConfigurationError(
+            f"horizon {integrator.horizon:g} s at substep {integrator.substep:g} s gives "
+            f"{rows:,} rows, whose traces need {rows * row_bytes / 2**30:.1f} GiB, more than "
+            f"the {memory / 2**30:.1f} GiB of physical memory; use a longer substep or a "
+            "shorter horizon"
+        )
 
 
 def _run_continuous(sc: Scenario) -> Trace:

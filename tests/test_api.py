@@ -48,6 +48,7 @@ DELETED = (
     "Check.value",
     "estimate_bounds",
     "check_assumptions",
+    "OperatingRegion.lattice",
 )
 
 # Every parameter and field here has a caller that varies it (or is a
@@ -89,7 +90,7 @@ FIELDS = {
 # (nested functions and private helpers included, * and ** catch-alls not)
 # plus each dataclass field, over the package's modules. A change that adds
 # a knob raises this number in the same diff and says why in CHANGES.md.
-SETTABLE_VALUES = 297
+SETTABLE_VALUES = 302
 
 
 def test_all_is_the_union_of_the_submodules():

@@ -31,6 +31,16 @@ def _no_integration(*args):
     raise AssertionError("integrated before the config error")
 
 
+def _no_allocation(monkeypatch) -> None:
+    """Makes the simulator's run loops, whose first act is to allocate the
+    trace, fail the test: a run too long to store is refused before them."""
+    def refuse(*args):
+        raise AssertionError("allocated the trace before the config error")
+
+    for name in ("_run_held", "_run_continuous"):
+        monkeypatch.setattr(f"safehold.simulator.{name}", refuse)
+
+
 def _boosted_ride(tmp_path: Path, extra: str = "") -> str:
     return _write(tmp_path, (
         "scenario: {name: acc-ride, controller: boosted}\n"
@@ -191,6 +201,18 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
 
+    def test_a_run_too_long_to_store_is_a_config_error(self, capsys, monkeypatch):
+        # 12 s at 1 ns: 1.2e10 rows, hundreds of GiB of trace.
+        _no_allocation(monkeypatch)
+        code = main(["simulate", str(CONFIGS / "ride-certified.yaml"), "--set", "sim.substep=1e-9"])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            "config error: horizon 12 s at substep 1e-09 s gives 12,000,000,001 rows, "
+        )
+
     def test_plot_script_plots_the_h_column_of_the_trace(self, tmp_path, capsys):
         trace, plot = tmp_path / "run.csv", tmp_path / "plot.gp"
         code = main([
@@ -326,6 +348,16 @@ class TestSweep:
         assert captured.err == "config error: hold period 0.0005 is shorter than the substep 0.001\n"
         assert not (tmp_path / "out").exists()
 
+    def test_a_sweep_too_long_to_store_is_a_config_error(self, capsys, monkeypatch):
+        _no_allocation(monkeypatch)
+        sweep = str(CONFIGS / "approach-plain-sweep.yaml")
+        assert main(["sweep", sweep, "1", "2", "--set", "sim.substep=1e-9"]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "config error: horizon 6 s at substep 1e-09 s gives 6,000,000,001 rows, "
+        )
+
     def test_no_frequencies_is_a_config_error(self, tmp_path, capsys):
         assert main(["sweep", self._cfg(tmp_path)]) == EXIT_CONFIG
         assert "at least one frequency" in capsys.readouterr().err
@@ -372,6 +404,18 @@ class TestCompare:
         assert printed.err == "assumption failure: boundary_actuation\n"
         assert main(["compare", ride, *OFF_BOUNDARY]) == EXIT_ASSUMPTION
         assert capsys.readouterr() == printed
+
+    def test_a_budget_too_short_to_store_is_a_config_error(self, capsys, monkeypatch):
+        # The approach box certifies t* = 9.87e-9 s, so the runs step at
+        # t*/2 over 60 s.
+        _no_allocation(monkeypatch)
+        assert main(["compare", str(CONFIGS / "approach-boosted.yaml")]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(
+            "config error: horizon 60 s at substep 4.93504e-09 s gives 12,157,949,166 rows, "
+        )
 
     def test_event_beats_periodic_and_floor_pins_one_sample(self, tmp_path, capsys):
         cfg = _write(tmp_path, (

@@ -84,12 +84,6 @@ class TestOperatingRegion:
         assert pts.shape == (500, 2)
         assert np.all(pts >= reg.lower_arr) and np.all(pts <= reg.upper_arr)
 
-    def test_lattice_includes_faces(self):
-        reg = OperatingRegion(lower=(0.0, -1.0), upper=(2.0, 1.0))
-        lat = reg.lattice(3)
-        assert lat.shape == (9, 2)
-        assert [0.0, -1.0] in lat.tolist() and [2.0, 1.0] in lat.tolist()
-
 
 class TestBoundaryPoints:
     def test_points_sit_on_the_boundary(self):
@@ -408,6 +402,36 @@ class TestBlockedEvaluation:
         monkeypatch.setattr(constants, "_BLOCK_ROWS", 997)
         assert _certification(case) == at_default
 
+    @pytest.mark.parametrize("block_rows", [4096, 997])
+    def test_pair_blocks_are_two_whole_draws(self, block_rows, monkeypatch):
+        monkeypatch.setattr(constants, "_BLOCK_ROWS", block_rows)
+        for seed in (0, 7, 15):
+            for n in range(1, 5):
+                region = OperatingRegion(
+                    lower=tuple(-1.0 - i for i in range(n)),
+                    upper=tuple(2.0 * i + 1 for i in range(n)),
+                )
+                for count in (1, 4095, 4096, 4097, 100_000):
+                    whole = np.random.default_rng(seed)
+                    pa, pb = region.sample(whole, count), region.sample(whole, count)
+                    rng = np.random.default_rng(seed)
+                    blocks = list(constants._pair_blocks(region, rng, count))
+                    assert np.array_equal(np.concatenate([a for a, _ in blocks]), pa)
+                    assert np.array_equal(np.concatenate([b for _, b in blocks]), pb)
+
+    def test_blocked_lattice_rows_are_the_meshgrid_grid(self, monkeypatch):
+        axes = [np.linspace(0.0, 2.0, 3), np.linspace(-1.0, 1.0, 4), np.linspace(5.0, 6.0, 5)]
+        grid = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+        for block_rows in (4096, 7, 1):
+            monkeypatch.setattr(constants, "_BLOCK_ROWS", block_rows)
+            rows = np.concatenate([
+                constants._lattice_rows(axes, np.arange(r.start, r.stop))
+                for r in constants._row_blocks(len(grid))
+            ])
+            assert np.array_equal(rows, grid)
+        corners = rows.tolist()
+        assert [0.0, -1.0, 5.0] in corners and [2.0, 1.0, 6.0] in corners
+
     def test_state_actuation_values_are_pinned(self):
         # Captured from the separate estimator and assumption checks that
         # certify_region replaced.
@@ -442,22 +466,37 @@ class TestBlockedEvaluation:
         # Peak traced allocation on the ride box: the whole certification,
         # and the report, whose temporaries are freed before the pair draw.
         # One full-height stacked call per sample set peaks at about 17 MiB
-        # and 7 MiB.
+        # and 7 MiB; whole pair draws and a whole lattice at about 8 MiB.
         filt = acc_filter()
         args = (ride_region(), filt.dynamics, filt, filt.barrier)
         calls = {
-            "certify_region": (lambda: certify_region(*args), 11.0),
+            "certify_region": (lambda: certify_region(*args), 2.0),
             "_assumption_report": (
-                lambda: constants._assumption_report(*args, np.random.default_rng(0)), 4.0,
+                lambda: constants._assumption_report(*args, np.random.default_rng(0)), 2.0,
             ),
         }
         for name, (call, limit_mib) in calls.items():
-            call()  # the first call loads modules and fills caches
-            tracemalloc.start()
-            try:
-                base, _ = tracemalloc.get_traced_memory()
-                call()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert (peak - base) / 2**20 < limit_mib, name
+            assert _traced_peak_mib(call) < limit_mib, name
+
+    def test_estimation_memory_is_flat_in_the_pair_count(self, monkeypatch):
+        # Whole pair draws grow the peak by about 4.6 MiB per 100,000 pairs
+        # on the three-axis ride box.
+        filt = acc_filter()
+        args = (ride_region(), filt.dynamics, filt, filt.barrier)
+        at_default = _traced_peak_mib(lambda: certify_region(*args))
+        monkeypatch.setattr(constants, "_PAIR_COUNT", 400_000)
+        assert _traced_peak_mib(lambda: certify_region(*args)) - at_default < 0.25
+
+
+def _traced_peak_mib(call) -> float:
+    """Peak traced allocation of the second of two calls, in MiB; the first
+    loads modules and fills caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / 2**20
