@@ -26,11 +26,11 @@ from .constants import (
     Report,
     certify_region,
     practical_sampling_time,
+    validate_tuning,
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
 from .simulator import HoldSchedule, RunSummary, analyze, run, run_many
-from .safety_filter import validate_tuning
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
 
@@ -92,7 +92,7 @@ def _write_plot_script(path: str, traces: list[tuple[str, str]], columns: list[s
         f"plot {plots}, 0 notitle with lines dashtype 2 linecolor \"gray\"",
         "",
     ])
-    Path(path).write_text(text, encoding="utf-8")
+    _with_parent(path).write_text(text, encoding="utf-8")
 
 
 def _check_plot_script(args, cfg) -> None:
@@ -193,14 +193,11 @@ def cmd_constants(args) -> int:
         print(f"bounds.{f.name}={_g(getattr(bounds, f.name))}")
     if assumptions is None:
         print("assumption checks skipped: bounds supplied explicitly")
-        report = validate_tuning(cfg.tuning, bounds, filt.alpha)
     else:
         for check in assumptions.checks:
             print(f"assumption {check.name}: {check.status} ({check.detail})")
-        report = validate_tuning(
-            cfg.tuning, bounds, filt.alpha,
-            dynamics=filt.dynamics, barrier=filt.barrier, region=cfg.region,
-        )
+    # Explicit bounds come with no box sampling, so the band check is skipped.
+    report = validate_tuning(cfg.tuning, bounds, filt, None if assumptions is None else cfg.region)
     for check in report.checks:
         print(f"tuning {check.name}: {check.status} ({check.detail})")
     print(f"practical_sampling_time={_g(practical_sampling_time(bounds, cfg.tuning.margin))}")

@@ -16,7 +16,9 @@ Every estimated maximum is inflated, and every estimated minimum deflated,
 by the region's safety factor (default 1.1) to hedge the finite sampling.
 ``certify_region`` samples the box once, for the assumption report and, only
 when it passes, the bounds; so the CLI's ``constants`` and ``compare`` both
-exit 3 on a box that fails its checks.
+exit 3 on a box that fails its checks. ``validate_tuning`` checks the side
+conditions under which the boosted controller's violation-free budget is
+honest, against those bounds.
 
 The boundary of the safe set is sampled by root-finding h along segments
 between box samples of opposite barrier sign. All segments run one stacked
@@ -40,7 +42,7 @@ import copy
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -53,12 +55,16 @@ from .cbf_core import (
 )
 from .errors import BoundarySamplingError, ConfigurationError
 
+if TYPE_CHECKING:
+    from .safety_filter import CbfQpFilter, TunableControllerConfig
+
 __all__ = [
     "OperatingRegion",
     "BoundSet",
     "Check",
     "Report",
     "certify_region",
+    "validate_tuning",
     "boundary_points",
     "error_bound_plain",
     "error_bound_tunable",
@@ -80,6 +86,10 @@ _SAMPLE_COUNT = 4096
 _BOUNDARY_COUNT = 512
 _PAIR_COUNT = 100_000
 _LATTICE_POINTS = 30_000
+
+# Boundary points sampled by the tuning's activation-band check; the box
+# sample searched for band points is 16 times larger.
+_BAND_BOUNDARY_POINTS = 256
 
 # Distance bins of the barrier-envelope check.
 _ENVELOPE_BINS = 16
@@ -385,7 +395,7 @@ def _nearest_distances(pts: np.ndarray, targets: np.ndarray) -> np.ndarray:
     targets, shape (k,), equal to SciPy ``cKDTree(targets).query(pts)``'s
     distances bit for bit: squared differences are summed axis by axis in
     axis order (as cKDTree does below 8 axes), minimised, then rooted.
-    Rows go in chunks, so that each temporary holds about 512 KiB."""
+    Rows go in chunks, so that each temporary holds about 128 KiB."""
     rows = max(1, _DISTANCE_CHUNK // len(targets))
     out = np.empty(len(pts))
     for start in range(0, len(pts), rows):
@@ -653,6 +663,65 @@ def _assumption_report(
         f"monotone envelope knots: {knots}",
     ))
     return Report(tuple(checks)), raw
+
+
+def validate_tuning(
+    cfg: TunableControllerConfig,
+    bounds: BoundSet,
+    filt: CbfQpFilter,
+    region: OperatingRegion | None = None,
+) -> Report:
+    """Check the tuning against its certificate side conditions, for the
+    plain filter ``filt`` it boosts.
+
+    Three checks: the amplified decrease rate must out-run the margin at the
+    activation height (c * alpha(delta) > margin), the plateau must be strong
+    enough for the boundary actuation margin to reject worst-case drift
+    (epsilon <= mu^2 / (4 * margin)), and the actuation row must stay above
+    half its boundary floor throughout the activation band {0 <= h < delta}.
+    The band check samples the filter's plant and barrier over the region
+    (256 boundary points plus the band's share of 4096 box samples), so
+    without a region it reports "skipped".
+    """
+    checks = []
+
+    amplified = cfg.c * filt.alpha(cfg.delta)
+    checks.append(Check(
+        "amplification_covers_margin",
+        "pass" if amplified > cfg.margin else "fail",
+        f"c * alpha(delta) = {amplified:.6g} vs margin = {cfg.margin:.6g}",
+    ))
+
+    budget = bounds.mu ** 2 / (4.0 * cfg.margin)
+    checks.append(Check(
+        "plateau_budget",
+        "pass" if cfg.epsilon <= budget else "fail",
+        f"epsilon = {cfg.epsilon:.6g} vs mu^2/(4*margin) = {budget:.6g}",
+    ))
+
+    if region is None:
+        checks.append(Check(
+            "activation_band_gain", "skipped",
+            "needs dynamics, barrier, and region to sample the band",
+        ))
+        return Report(tuple(checks))
+
+    dynamics, barrier = filt.dynamics, filt.barrier
+    _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
+    rng = np.random.default_rng(region.seed)
+    bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
+    box = region.sample(rng, 16 * _BAND_BOUNDARY_POINTS)
+    hs = np.broadcast_to(barrier.value(box), (len(box),))
+    band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])
+    floor = bounds.mu / 2.0
+    worst = _min_lgh_norm(dynamics, barrier, band_pts)
+    checks.append(Check(
+        "activation_band_gain",
+        "pass" if worst >= floor else "fail",
+        f"min |lgh| over the band = {worst:.6g} vs mu/2 = {floor:.6g} "
+        f"({len(band_pts)} band points)",
+    ))
+    return Report(tuple(checks))
 
 
 def error_bound_plain(bounds: BoundSet, t_hold: float) -> float:

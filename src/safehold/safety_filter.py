@@ -12,9 +12,6 @@ updates and the continuous-time guarantee no longer applies.
 gradient (strength up to 1/epsilon), gated through a decreasing sigmoid of
 the barrier value, so the boost engages only inside a band around the
 boundary and fades to nothing deep inside the safe set.
-
-``validate_tuning`` collects the side conditions under which the boosted
-controller's violation-free hold-period budget is honest.
 """
 
 from __future__ import annotations
@@ -29,16 +26,7 @@ from .cbf_core import (
     ClassKappa,
     ControlAffineDynamics,
     SigmoidGain,
-    _probe_shapes,
     lie_derivatives,
-)
-from .constants import (
-    BoundSet,
-    Check,
-    OperatingRegion,
-    Report,
-    _min_lgh_norm,
-    boundary_points,
 )
 from .errors import ConfigurationError, InfeasibleFilterError
 
@@ -48,12 +36,7 @@ __all__ = [
     "TunableControllerConfig",
     "solve_cbf_qp",
     "tunable_control",
-    "validate_tuning",
 ]
-
-# Boundary points sampled by the activation-band check; the box sample
-# searched for band points is 16 times larger.
-_BAND_BOUNDARY_POINTS = 256
 
 
 @dataclass(frozen=True)
@@ -193,64 +176,3 @@ class TunableControllerConfig:
         # Lets the shape probe check the nominal law behind the boost.
         law.nominal = filt.nominal
         return law
-
-
-def validate_tuning(
-    cfg: TunableControllerConfig,
-    bounds: BoundSet,
-    alpha: ClassKappa,
-    *,
-    dynamics: ControlAffineDynamics | None = None,
-    barrier: BarrierFunction | None = None,
-    region: OperatingRegion | None = None,
-) -> Report:
-    """Check the tuning against its certificate side conditions.
-
-    Three checks: the amplified decrease rate must out-run the margin at the
-    activation height (c * alpha(delta) > margin), the plateau must be strong
-    enough for the boundary actuation margin to reject worst-case drift
-    (epsilon <= mu^2 / (4 * margin)), and the actuation row must stay above
-    half its boundary floor throughout the activation band {0 <= h < delta}.
-    The band check samples the actual system (256 boundary points plus the
-    band's share of 4096 box samples), so it runs only when dynamics,
-    barrier, and region are all supplied; otherwise it reports "skipped".
-    """
-    checks = []
-
-    a_delta = alpha(cfg.delta)
-    amplified = cfg.c * a_delta
-    checks.append(Check(
-        "amplification_covers_margin",
-        "pass" if amplified > cfg.margin else "fail",
-        f"c * alpha(delta) = {amplified:.6g} vs margin = {cfg.margin:.6g}",
-    ))
-
-    budget = bounds.mu ** 2 / (4.0 * cfg.margin)
-    checks.append(Check(
-        "plateau_budget",
-        "pass" if cfg.epsilon <= budget else "fail",
-        f"epsilon = {cfg.epsilon:.6g} vs mu^2/(4*margin) = {budget:.6g}",
-    ))
-
-    if dynamics is None or barrier is None or region is None:
-        checks.append(Check(
-            "activation_band_gain", "skipped",
-            "needs dynamics, barrier, and region to sample the band",
-        ))
-        return Report(tuple(checks))
-
-    _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
-    rng = np.random.default_rng(region.seed)
-    bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
-    box = region.sample(rng, 16 * _BAND_BOUNDARY_POINTS)
-    hs = np.broadcast_to(barrier.value(box), (len(box),))
-    band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])
-    floor = bounds.mu / 2.0
-    worst = _min_lgh_norm(dynamics, barrier, band_pts)
-    checks.append(Check(
-        "activation_band_gain",
-        "pass" if worst >= floor else "fail",
-        f"min |lgh| over the band = {worst:.6g} vs mu/2 = {floor:.6g} "
-        f"({len(band_pts)} band points)",
-    ))
-    return Report(tuple(checks))

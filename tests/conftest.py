@@ -9,7 +9,7 @@ time against their own wall-clock budget instead of getting it for free.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable
 
 import pytest
@@ -26,7 +26,7 @@ from safehold.constants import (
     practical_sampling_time,
     violation_free_sampling_time,
 )
-from safehold.simulator import RunSummary, Trace, analyze, run
+from safehold.simulator import HoldSchedule, RunSummary, Trace, analyze, run, run_many
 
 SWEEP_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 
@@ -95,32 +95,25 @@ def ride_event(ride_budgets: dict[str, float]) -> Timed:
     return timed(go)
 
 
+def _sweep(base) -> dict[float, RunSummary]:
+    """The base scenario's summary at each grid frequency, the frequencies
+    stepped as one stack."""
+    traces = run_many(
+        replace(base, schedule=HoldSchedule.periodic(1.0 / f)) for f in SWEEP_GRID
+    )
+    return {f: analyze(tr) for f, tr in zip(SWEEP_GRID, traces)}
+
+
 @pytest.fixture(scope="session")
 def plain_sweep() -> Timed:
     """Plain periodic sweep, 6 s horizon, start just inside the boundary."""
-
-    def go() -> dict[float, RunSummary]:
-        out = {}
-        for f in SWEEP_GRID:
-            sc = build_scenario("periodic", period=1.0 / f, horizon=6.0)
-            out[f] = analyze(run(sc))
-        return out
-
-    return timed(go)
+    return timed(lambda: _sweep(build_scenario("periodic", period=1.0, horizon=6.0)))
 
 
 @pytest.fixture(scope="session")
 def boosted_sweep() -> Timed:
     """Boosted periodic sweep, 60 s horizon, same start as the plain sweep."""
-
-    def go() -> dict[float, RunSummary]:
-        out = {}
-        for f in SWEEP_GRID:
-            sc = build_scenario("periodic-boosted", period=1.0 / f)
-            out[f] = analyze(run(sc))
-        return out
-
-    return timed(go)
+    return timed(lambda: _sweep(build_scenario("periodic-boosted", period=1.0)))
 
 
 @pytest.fixture(scope="session")

@@ -32,9 +32,10 @@ from safehold.constants import (
     error_bound_plain,
     error_bound_tunable,
     practical_sampling_time,
+    validate_tuning,
     violation_free_sampling_time,
 )
-from safehold.safety_filter import solve_cbf_qp, validate_tuning
+from safehold.safety_filter import solve_cbf_qp
 from safehold.simulator import analyze, rk4_step, run
 
 
@@ -142,10 +143,7 @@ def test_criterion_06_certified_period_never_violates(ride_bounds, ride_periodic
     t0 = time.perf_counter()
     filt = acc_filter()
     cfg = certified_tuning()
-    report = validate_tuning(
-        cfg, ride_bounds.value, filt.alpha,
-        dynamics=filt.dynamics, barrier=filt.barrier, region=ride_region(),
-    )
+    report = validate_tuning(cfg, ride_bounds.value, filt, ride_region())
     assert report.passed
     trace, summary = ride_periodic_star.value
     assert summary.min_h >= -1e-9

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from safehold import constants, safety_filter
+from safehold import constants
 from safehold.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -159,10 +159,9 @@ class TestConstants:
             calls.append(count)
             return original(region, barrier, count, rng)
 
-        for module in (constants, safety_filter):
-            monkeypatch.setattr(module, "boundary_points", spy)
+        monkeypatch.setattr(constants, "boundary_points", spy)
         assert main(["constants", str(CONFIGS / "ride-certified.yaml")]) == EXIT_OK
-        assert calls == [constants._BOUNDARY_COUNT, safety_filter._BAND_BOUNDARY_POINTS]
+        assert calls == [constants._BOUNDARY_COUNT, constants._BAND_BOUNDARY_POINTS]
 
 
 class TestSimulate:
@@ -214,15 +213,17 @@ class TestSimulate:
         )
 
     def test_plot_script_plots_the_h_column_of_the_trace(self, tmp_path, capsys):
-        trace, plot = tmp_path / "run.csv", tmp_path / "plot.gp"
-        code = main([
-            "simulate", _boosted_ride(tmp_path), "--set", "sim.horizon=0.05",
-            "--set", f"output.trace={trace}", "--plot-script", str(plot),
-        ])
-        assert code == EXIT_OK
-        capsys.readouterr()
-        header = trace.read_text().splitlines()[0].split(",")
-        assert f'"{trace}" using 1:{header.index("h") + 1} with lines' in plot.read_text()
+        trace = tmp_path / "run.csv"
+        # A plot script's directory is made like the trace's.
+        for plot in (tmp_path / "plot.gp", tmp_path / "plots" / "nested" / "plot.gp"):
+            code = main([
+                "simulate", _boosted_ride(tmp_path), "--set", "sim.horizon=0.05",
+                "--set", f"output.trace={trace}", "--plot-script", str(plot),
+            ])
+            assert code == EXIT_OK
+            assert capsys.readouterr().out.startswith("name=")
+            header = trace.read_text().splitlines()[0].split(",")
+            assert f'"{trace}" using 1:{header.index("h") + 1} with lines' in plot.read_text()
 
     @pytest.mark.parametrize("override, message", [
         ("sim.horizon=abc", "sim.horizon must be a number, got 'abc'"),
@@ -308,19 +309,20 @@ class TestSweep:
         ))
 
     def test_table_traces_and_plot_script(self, tmp_path, capsys):
-        plot = tmp_path / "plot.gp"
-        code = main(["sweep", self._cfg(tmp_path), "5", "2", "--plot-script", str(plot)])
-        assert code == EXIT_OK
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert lines[0].split() == ["frequency_hz", "min_h", "violation_time", "num_events"]
-        # rows come back sorted by frequency regardless of argument order
-        assert lines[1].split()[0] == "2" and lines[2].split()[0] == "5"
-        assert any(l.startswith("smallest_safe_frequency_hz=") for l in lines)
-        assert (tmp_path / "sweep-f2.csv").exists()
-        assert (tmp_path / "sweep-f5.csv").exists()
-        text = plot.read_text()
-        assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
+        # A plot script's directory is made like the traces'.
+        for plot in (tmp_path / "plot.gp", tmp_path / "plots" / "nested" / "plot.gp"):
+            code = main(["sweep", self._cfg(tmp_path), "5", "2", "--plot-script", str(plot)])
+            assert code == EXIT_OK
+            out = capsys.readouterr().out
+            lines = out.splitlines()
+            assert lines[0].split() == ["frequency_hz", "min_h", "violation_time", "num_events"]
+            # rows come back sorted by frequency regardless of argument order
+            assert lines[1].split()[0] == "2" and lines[2].split()[0] == "5"
+            assert any(l.startswith("smallest_safe_frequency_hz=") for l in lines)
+            assert (tmp_path / "sweep-f2.csv").exists()
+            assert (tmp_path / "sweep-f5.csv").exists()
+            text = plot.read_text()
+            assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
 
     def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)

@@ -28,10 +28,10 @@ from safehold.constants import (
     error_bound_plain,
     error_bound_tunable,
     practical_sampling_time,
+    validate_tuning,
     violation_free_sampling_time,
 )
 from safehold.errors import BoundarySamplingError, ConfigurationError
-from safehold.safety_filter import validate_tuning
 from safehold.simulator import rk4_step
 
 ALL_ONES = BoundSet(
@@ -381,9 +381,7 @@ def _certification(case):
     report, bounds = certify_region(region, dyn, controller, barrier)
     reports = [report]
     if tuning is not None:
-        reports.append(validate_tuning(
-            tuning, bounds, filt.alpha, dynamics=dyn, barrier=barrier, region=region,
-        ))
+        reports.append(validate_tuning(tuning, bounds, filt, region))
     hexes = {f.name: float(getattr(bounds, f.name)).hex() for f in dataclasses.fields(bounds)}
     return hexes, reports
 

@@ -22,7 +22,7 @@ from safehold.cbf_core import (
     SigmoidGain,
     lie_derivatives,
 )
-from safehold.constants import BoundSet, OperatingRegion, certify_region
+from safehold.constants import BoundSet, OperatingRegion, certify_region, validate_tuning
 from safehold.errors import ConfigurationError, InfeasibleFilterError
 from safehold.safety_filter import (
     CbfQpFilter,
@@ -30,7 +30,6 @@ from safehold.safety_filter import (
     TunableControllerConfig,
     solve_cbf_qp,
     tunable_control,
-    validate_tuning,
 )
 from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario
 
@@ -277,12 +276,12 @@ class TestValidateTuning:
 
     def test_amplification_pass(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
         assert report["amplification_covers_margin"].status == "pass"
 
     def test_amplification_fail(self):
         cfg = TunableControllerConfig(c=1.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
         assert report["amplification_covers_margin"].status == "fail"
         assert not report.passed
 
@@ -291,7 +290,7 @@ class TestValidateTuning:
         cfg = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=mu * mu / (4.0 * d), margin=d,
         )
-        report = validate_tuning(cfg, self._bounds(mu=mu), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=mu), _scalar_filter(0.0))
         assert report["plateau_budget"].status == "pass"
 
     def test_plateau_budget_fails_just_past_boundary(self):
@@ -299,17 +298,17 @@ class TestValidateTuning:
         cfg = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=mu * mu / (4.0 * d) * 1.01, margin=d,
         )
-        report = validate_tuning(cfg, self._bounds(mu=mu), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=mu), _scalar_filter(0.0))
         assert report["plateau_budget"].status == "fail"
 
     def test_band_check_skipped_without_region(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
         assert report["activation_band_gain"].status == "skipped"
         assert report.passed  # skipped does not fail the report
 
     def test_unknown_check_name_raises(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), ClassKappa.linear(1.0))
+        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
         with pytest.raises(KeyError):
             report["nope"]
