@@ -12,7 +12,8 @@ Everything here is closed form, so tests can cross-check the generic
 machinery, the barrier's Lie derivatives included, against hand-derived
 values.
 
-Two settings are provided:
+Two settings are provided, each the certification box, start state and
+tuning of a preset that ``safehold.config`` assembles into a scenario:
 
 * "approach": a wide operating box and a start far behind the lead, so the
   closed loop sweeps from unconstrained cruising into the constraint.
@@ -34,7 +35,7 @@ from .cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
 from .constants import OperatingRegion
 from .errors import ConfigurationError
 from .safety_filter import CbfQpFilter, NominalController, TunableControllerConfig
-from .simulator import HoldSchedule, IntegratorConfig, Scenario
+from .simulator import Scenario
 
 __all__ = [
     "AccParams",
@@ -47,7 +48,6 @@ __all__ = [
     "thin_band_tuning",
     "wide_band_tuning",
     "certified_tuning",
-    "SCENARIO_KINDS",
     "build_scenario",
     "X0_FAR",
     "X0_NEAR",
@@ -58,8 +58,6 @@ __all__ = [
 # sampling bites in the first intervals. Also inside the ride box.
 X0_FAR = (0.0, 20.0, 1000.0)
 X0_NEAR = (0.0, 20.0, 735.0)
-
-SCENARIO_KINDS = ("continuous", "periodic", "periodic-boosted", "event")
 
 
 @dataclass(frozen=True)
@@ -193,88 +191,26 @@ def certified_tuning() -> TunableControllerConfig:
     )
 
 
-def _default_tuning(kind: str, setting: str) -> TunableControllerConfig:
-    if setting == "ride":
-        return certified_tuning()
-    if kind in ("periodic-boosted", "event"):
-        return wide_band_tuning()
-    return thin_band_tuning()
+# Each kind's controller flavor and hold mode.
+_KINDS = {
+    "continuous": ("plain", "continuous"),
+    "periodic": ("plain", "periodic"),
+    "periodic-boosted": ("boosted", "periodic"),
+    "event": ("boosted", "event"),
+}
 
 
-def build_scenario(
-    kind: str,
-    *,
-    period: float | None = None,
-    horizon: float | None = None,
-    substep: float = 1e-3,
-    setting: str = "approach",
-    tuning: TunableControllerConfig | None = None,
-    params: AccParams | None = None,
-    floor: float = 0.0,
-    x0: tuple[float, ...] | None = None,
-) -> Scenario:
-    """Assemble a ready-to-run ACC scenario.
+def build_scenario(kind: str, *, period: float | None, horizon: float, setting: str) -> Scenario:
+    """The ``acc-<setting>`` preset's scenario under a hold ``kind``: the
+    preset's start state, box and tuning, held periodically at ``period``
+    or by the event trigger (kinds ``periodic``, ``periodic-boosted``,
+    ``event``, ``continuous``)."""
+    from .config import parse_config, scenario_from_config  # config imports this module
 
-    kind picks the update discipline and controller flavor; setting picks
-    box, start state, and default horizon ("approach": wide box, 60 s;
-    "ride": narrow box near the boundary, 12 s). In the approach setting the
-    periodic kinds default to the near start: a far start under slow holds
-    swings the state out of any physical box before the interesting part.
-    Without a tuning, the ride setting uses the certified tuning, the
-    boosted approach kinds the wide band and the plain ones the thin band;
-    plain kinds still need one because its amplification feeds the recorded
-    trigger signal. The scenario is named
-    ``acc-<setting>-<kind>[-<period>s]``.
-    """
-    if kind not in SCENARIO_KINDS:
-        raise ConfigurationError(
-            f"unknown scenario kind {kind!r}, expected one of {SCENARIO_KINDS}"
-        )
-    if setting not in ("approach", "ride"):
-        raise ConfigurationError(
-            f"unknown setting {setting!r}, expected 'approach' or 'ride'"
-        )
-    p = params or AccParams()
-    filt = acc_filter(p)
-    cfg = tuning if tuning is not None else _default_tuning(kind, setting)
-
-    if setting == "approach":
-        region = approach_region()
-        default_x0 = X0_NEAR if kind.startswith("periodic") else X0_FAR
-        horizon = 60.0 if horizon is None else horizon
-    else:
-        region, default_x0 = ride_region(), X0_NEAR
-        horizon = 12.0 if horizon is None else horizon
-    if x0 is None:
-        x0 = default_x0
-
-    if kind == "continuous":
-        schedule = HoldSchedule.continuous()
-        controller = filt
-    elif kind == "periodic":
-        schedule = HoldSchedule.periodic(period)
-        controller = filt
-    elif kind == "periodic-boosted":
-        schedule = HoldSchedule.periodic(period)
-        controller = cfg.controller(filt)
-    else:
-        schedule = HoldSchedule.event(floor=floor)
-        controller = cfg.controller(filt)
-
-    name = f"acc-{setting}-{kind}"
-    if period is not None:
-        name += f"-{period:g}s"
-
-    return Scenario(
-        name=name,
-        dynamics=filt.dynamics,
-        barrier=filt.barrier,
-        alpha=filt.alpha,
-        controller=controller,
-        x0=x0,
-        integrator=IntegratorConfig(horizon=horizon, substep=substep),
-        schedule=schedule,
-        region=region,
-        trigger_c=cfg.c,
-    )
-
+    if kind not in _KINDS:
+        raise ConfigurationError(f"unknown scenario kind {kind!r}, expected one of {tuple(_KINDS)}")
+    controller, mode = _KINDS[kind]
+    return scenario_from_config(parse_config({
+        "scenario": {"name": f"acc-{setting}", "controller": controller},
+        "sim": {"mode": mode, "period": period, "horizon": horizon},
+    }))

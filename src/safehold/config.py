@@ -12,8 +12,9 @@ Parsing is a thin adapter onto the library's own types: ``AccParams``,
 ``TunableControllerConfig``, ``ClassKappa``, ``HoldSchedule``,
 ``IntegratorConfig``, ``OperatingRegion`` and ``BoundSet`` each check their
 values once, at construction, and a failing check is re-raised under its
-dotted key. What the preset supplies (start state, certification box) is
-resolved here, so every field of a ``RunConfig`` is final. Unknown keys are
+dotted key. What the preset supplies (start state, certification box,
+tuning) is resolved here, so every field of a ``RunConfig`` is final:
+absent ``tuning`` keys take the preset tuning's values. Unknown keys are
 rejected and missing required keys reported by their full dotted path, so
 a typo fails loudly instead of silently running defaults.
 """
@@ -36,6 +37,7 @@ from .acc_benchmark import (
     acc_dynamics,
     acc_nominal,
     approach_region,
+    certified_tuning,
     ride_region,
     thin_band_tuning,
 )
@@ -54,8 +56,11 @@ __all__ = [
     "apply_overrides",
 ]
 
-# Each preset's certification box and start state.
-_PRESETS = {"acc-approach": (approach_region, X0_FAR), "acc-ride": (ride_region, X0_NEAR)}
+# Each preset's certification box, start state and default tuning.
+_PRESETS = {
+    "acc-approach": (approach_region, X0_FAR, thin_band_tuning),
+    "acc-ride": (ride_region, X0_NEAR, certified_tuning),
+}
 CONTROLLER_FLAVORS = ("plain", "boosted")
 
 
@@ -191,7 +196,7 @@ def parse_config(doc: Any) -> RunConfig:
     controller = _as_str(
         _get(sc, "scenario", "controller"), "scenario.controller", CONTROLLER_FLAVORS
     )
-    preset_region, preset_x0 = _PRESETS[name]
+    preset_region, preset_x0, preset_tuning = _PRESETS[name]
     plant = _require_mapping(sc.get("plant", {}), "scenario.plant")
     _reject_unknown(plant, "scenario.plant", _fields(AccParams))
     params = _build(AccParams, _as_floats(plant, "scenario.plant"), "scenario.plant")
@@ -200,7 +205,7 @@ def parse_config(doc: Any) -> RunConfig:
     with _errors_under("tuning.alpha_slope: "):
         alpha = ClassKappa.linear(tun.pop("alpha_slope", 1.0))
     tuning = _build(
-        TunableControllerConfig, tun, "tuning", **dataclasses.asdict(thin_band_tuning())
+        TunableControllerConfig, tun, "tuning", **dataclasses.asdict(preset_tuning())
     )
 
     sim = {

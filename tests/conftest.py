@@ -10,17 +10,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from pathlib import Path
 from typing import Any, Callable
 
 import pytest
 
-from safehold.acc_benchmark import (
-    acc_filter,
-    build_scenario,
-    certified_tuning,
-    ride_region,
-    wide_band_tuning,
-)
+from safehold.acc_benchmark import acc_filter, certified_tuning, ride_region
+from safehold.config import load_config, scenario_from_config
 from safehold.constants import (
     certify_region,
     practical_sampling_time,
@@ -29,6 +25,7 @@ from safehold.constants import (
 from safehold.simulator import HoldSchedule, RunSummary, Trace, analyze, run, run_many
 
 SWEEP_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @dataclass(frozen=True)
@@ -69,10 +66,11 @@ def ride_periodic_star(ride_budgets: dict[str, float]) -> Timed:
     ts = ride_budgets["t_star"]
 
     def go() -> tuple[Trace, RunSummary]:
-        sc = build_scenario(
-            "periodic-boosted", setting="ride", tuning=certified_tuning(),
-            period=ts, substep=ts / 2,
-        )
+        cfg = load_config(CONFIGS / "ride-certified.yaml")
+        sc = scenario_from_config(replace(
+            cfg, schedule=HoldSchedule.periodic(ts),
+            integrator=replace(cfg.integrator, substep=ts / 2),
+        ))
         tr = run(sc)
         return tr, analyze(tr)
 
@@ -86,8 +84,9 @@ def ride_event(ride_budgets: dict[str, float]) -> Timed:
     ts = ride_budgets["t_star"]
 
     def go() -> tuple[Trace, RunSummary]:
-        sc = build_scenario(
-            "event", setting="ride", tuning=certified_tuning(), substep=ts / 2,
+        cfg = load_config(CONFIGS / "ride-certified.yaml")
+        sc = scenario_from_config(
+            replace(cfg, integrator=replace(cfg.integrator, substep=ts / 2))
         )
         tr = run(sc)
         return tr, analyze(tr)
@@ -107,21 +106,22 @@ def _sweep(base) -> dict[float, RunSummary]:
 @pytest.fixture(scope="session")
 def plain_sweep() -> Timed:
     """Plain periodic sweep, 6 s horizon, start just inside the boundary."""
-    return timed(lambda: _sweep(build_scenario("periodic", period=1.0, horizon=6.0)))
+    return timed(lambda: _sweep(
+        scenario_from_config(load_config(CONFIGS / "approach-plain-sweep.yaml"))
+    ))
 
 
 @pytest.fixture(scope="session")
 def boosted_sweep() -> Timed:
     """Boosted periodic sweep, 60 s horizon, same start as the plain sweep."""
-    return timed(lambda: _sweep(build_scenario("periodic-boosted", period=1.0)))
+    return timed(lambda: _sweep(scenario_from_config(load_config(
+        CONFIGS / "approach-boosted.yaml", ["sim.period=1.0", "scenario.x0=[0.0,20.0,735.0]"],
+    ))))
 
 
 @pytest.fixture(scope="session")
 def plain_at_1hz_60s() -> Timed:
     """Plain periodic at the boosted sweep's threshold frequency, full 60 s."""
-    return timed(lambda: analyze(run(build_scenario("periodic", period=1.0))))
-
-
-@pytest.fixture(scope="session")
-def wide_band_cfg():
-    return wide_band_tuning()
+    return timed(lambda: analyze(run(scenario_from_config(
+        load_config(CONFIGS / "approach-plain-sweep.yaml", ["sim.horizon=60.0"])
+    ))))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,12 @@ from safehold.acc_benchmark import (
     wide_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
+from safehold.config import load_config, parse_config, scenario_from_config
 from safehold.constants import boundary_points
 from safehold.errors import ConfigurationError
 from safehold.simulator import analyze, run
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 class TestParams:
@@ -157,36 +162,49 @@ class TestTuningPresets:
 
 
 class TestBuildScenario:
+    """The preset lookup the benchmark's run() probes build from."""
+
     def test_error_paths_name_the_problem(self):
         with pytest.raises(ConfigurationError, match="kind"):
-            build_scenario("nope")
+            build_scenario("nope", period=None, horizon=0.5, setting="ride")
         with pytest.raises(ConfigurationError, match="period"):
-            build_scenario("periodic")
-        with pytest.raises(ConfigurationError, match="setting"):
-            build_scenario("event", setting="nope")
+            build_scenario("periodic", period=None, horizon=0.5, setting="ride")
+        with pytest.raises(ConfigurationError, match="scenario.name"):
+            build_scenario("event", period=None, horizon=0.5, setting="nope")
 
-    def test_periodic_defaults_to_the_near_start(self):
-        sc = build_scenario("periodic", period=0.5)
-        assert tuple(sc.x0) == X0_NEAR
+    @pytest.mark.parametrize("setting", ["approach", "ride"])
+    def test_kind_picks_flavor_and_mode_on_the_preset(self, setting):
+        preset = parse_config({
+            "scenario": {"name": f"acc-{setting}", "controller": "plain"},
+            "sim": {"mode": "continuous", "horizon": 0.5},
+        })
+        for kind, flavor, mode in (
+            ("continuous", "plain", "continuous"),
+            ("periodic", "plain", "periodic"),
+            ("periodic-boosted", "boosted", "periodic"),
+            ("event", "boosted", "event"),
+        ):
+            period = 0.05 if mode == "periodic" else None
+            sc = build_scenario(kind, period=period, horizon=0.5, setting=setting)
+            assert sc.name == f"acc-{setting}-{flavor}-{mode}"
+            assert sc.schedule.period == period
+            assert tuple(sc.x0) == preset.x0 and sc.region == preset.region
+            assert sc.integrator == preset.integrator
 
     def test_event_on_approach_defaults_to_the_far_start(self):
-        sc = build_scenario("event")
+        sc = build_scenario("event", period=None, horizon=0.5, setting="approach")
         assert tuple(sc.x0) == X0_FAR
 
     def test_amplification_reaches_the_trigger(self):
-        sc = build_scenario("event")
-        assert sc.trigger_c == wide_band_tuning().c
-
-    def test_floor_is_wired_through(self):
-        sc = build_scenario("event", floor=0.25)
-        assert sc.schedule.floor == 0.25
+        sc = build_scenario("event", period=None, horizon=0.5, setting="ride")
+        assert sc.trigger_c == certified_tuning().c
 
 
 class TestScenarioFamily:
     def test_sweep_frequencies_cover_both_controllers(self):
         for f in (0.5, 1.0, 2.0, 5.0, 10.0):
             plain, boosted = (
-                build_scenario(kind, period=1.0 / f, x0=X0_NEAR)
+                build_scenario(kind, period=1.0 / f, horizon=6.0, setting="approach")
                 for kind in ("periodic", "periodic-boosted")
             )
             # controlled comparison: same schedule, same start, same plant
@@ -194,18 +212,29 @@ class TestScenarioFamily:
             assert tuple(plain.x0) == tuple(boosted.x0)
             assert plain.trigger_c == boosted.trigger_c
 
-    def test_custom_params_propagate(self):
-        p = AccParams(mass=1500.0)
-        sc = build_scenario("periodic", period=0.5, params=p)
-        g = sc.dynamics.actuation(np.asarray(sc.x0))
-        assert g[1, 0] == pytest.approx(1.0 / 1500.0, rel=1e-15)
+    # (events, min_h) of the four ride-box runs the run() probes time.
+    PROBED = {
+        "periodic": (10, "0x1.1f609689e9980p+3"),
+        "periodic-boosted": (10, "0x1.1f609689e9980p+3"),
+        "event": (1, "0x1.df38ffa79ee80p+2"),
+        "continuous": (0, "0x1.23227cca89fc0p+3"),
+    }
+
+    @pytest.mark.parametrize("kind", list(PROBED))
+    def test_probed_ride_runs_are_pinned(self, kind):
+        period = 0.05 if kind.startswith("periodic") else None
+        s = analyze(run(build_scenario(kind, period=period, horizon=0.5, setting="ride")))
+        assert (s.num_events, float(s.min_h).hex()) == self.PROBED[kind]
 
 
 class TestFilteredLoopSpotCheck:
     def test_boosted_loop_dual_route_consistency(self):
         # one closed-loop step through the public scenario equals composing
         # the exported pieces by hand
-        sc = build_scenario("periodic-boosted", period=0.5, horizon=0.01, substep=0.01)
+        sc = scenario_from_config(load_config(CONFIGS / "approach-boosted.yaml", [
+            "sim.period=0.5", "sim.horizon=0.01", "sim.substep=0.01",
+            "scenario.x0=[0.0,20.0,735.0]",
+        ]))
         tr = run(sc)
         filt = acc_filter()
         from safehold.safety_filter import tunable_control
@@ -213,7 +242,9 @@ class TestFilteredLoopSpotCheck:
         assert tr.u[0, 0] == pytest.approx(u_hand[0], rel=1e-12)
 
     def test_plain_short_run_summary_shape(self):
-        sc = build_scenario("periodic", period=0.1, horizon=0.5)
+        sc = scenario_from_config(load_config(
+            CONFIGS / "approach-plain-sweep.yaml", ["sim.period=0.1", "sim.horizon=0.5"],
+        ))
         s = analyze(run(sc))
         assert s.num_events == 5
         assert s.min_h > 0.0

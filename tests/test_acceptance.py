@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,13 +21,13 @@ from oracles import qp_reference
 from safehold.acc_benchmark import (
     acc_filter,
     approach_region,
-    build_scenario,
     certified_tuning,
     ride_region,
     thin_band_tuning,
     wide_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
+from safehold.config import load_config, scenario_from_config
 from safehold.constants import (
     BoundSet,
     certify_region,
@@ -36,7 +38,9 @@ from safehold.constants import (
     violation_free_sampling_time,
 )
 from safehold.safety_filter import solve_cbf_qp
-from safehold.simulator import analyze, rk4_step, run
+from safehold.simulator import HoldSchedule, analyze, rk4_step, run
+
+CERTIFIED = Path(__file__).resolve().parents[1] / "configs" / "ride-certified.yaml"
 
 
 def _within_budget(limit_s: float, spent_s: float) -> None:
@@ -222,9 +226,11 @@ def test_criterion_09_practical_period_respects_expanded_floor(
     t0 = time.perf_counter()
     cfg = certified_tuning()
     t_prac = ride_budgets["t_practical"]
-    sc = build_scenario(
-        "periodic", setting="ride", tuning=cfg, period=t_prac, substep=t_prac / 2,
-    )
+    plain = load_config(CERTIFIED, ["scenario.controller=plain"])
+    sc = scenario_from_config(replace(
+        plain, schedule=HoldSchedule.periodic(t_prac),
+        integrator=replace(plain.integrator, substep=t_prac / 2),
+    ))
     summary = analyze(run(sc))
     # linear alpha with unit slope: the expanded set bottoms out at -margin
     assert summary.min_h >= -cfg.margin - 1e-9
@@ -237,10 +243,11 @@ def test_criterion_10_replayed_certified_run_is_byte_identical(
 ):
     t_star = ride_budgets["t_star"]
     first, _ = ride_periodic_star.value
-    second = run(build_scenario(
-        "periodic-boosted", setting="ride", tuning=certified_tuning(),
-        period=t_star, substep=t_star / 2,
-    ))
+    cfg = load_config(CERTIFIED)
+    second = run(scenario_from_config(replace(
+        cfg, schedule=HoldSchedule.periodic(t_star),
+        integrator=replace(cfg.integrator, substep=t_star / 2),
+    )))
     a = tmp_path / "first.csv"
     b = tmp_path / "second.csv"
     first.to_csv(a)

@@ -14,6 +14,7 @@ from safehold.acc_benchmark import (
     AccParams,
     acc_filter,
     approach_region,
+    certified_tuning,
     ride_region,
 )
 from safehold.cbf_core import ClassKappa
@@ -49,6 +50,11 @@ class TestParse:
         assert cfg.alpha == ClassKappa.linear(1.0) and cfg.region.safety_factor == 1.1
         assert cfg.tuning.c == 9.18  # thin-band defaults
         assert cfg.trace_path is None and cfg.summary_path is None
+
+    def test_ride_preset_defaults_to_the_certified_tuning(self):
+        doc = _doc()
+        doc["scenario"]["name"] = "acc-ride"
+        assert parse_config(doc).tuning == certified_tuning()
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigurationError, match="mapping"):

@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safehold
-from safehold.acc_benchmark import acc_filter, build_scenario, certified_tuning, ride_region
+from safehold.acc_benchmark import acc_filter, certified_tuning, ride_region
 from safehold.cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
+from safehold.config import load_config, parse_config, scenario_from_config
 from safehold.constants import _BLOCK_ROWS, OperatingRegion
 from safehold.errors import (
     ConfigurationError,
@@ -38,6 +39,14 @@ from safehold.simulator import (
 )
 
 from oracles import run_reference
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+CERTIFIED = CONFIGS / "ride-certified.yaml"
+
+
+def _ride_event(horizon: float) -> Scenario:
+    """The certified ride config's event-triggered run, cut to ``horizon``."""
+    return scenario_from_config(load_config(CERTIFIED, [f"sim.horizon={horizon}"]))
 
 
 def _decay() -> ControlAffineDynamics:
@@ -269,9 +278,7 @@ class TestTriggerValue:
         assert got == pytest.approx((0.3 + 0.1) + (1.0 + c) * 1.0, rel=1e-15)
 
     def test_matches_trace_rows(self):
-        sc = build_scenario(
-            "event", setting="ride", tuning=certified_tuning(), horizon=1.0, substep=1e-3,
-        )
+        sc = _ride_event(horizon=1.0)
         tr = run(sc)
         for i in (0, 137, len(tr) - 1):
             manual = trigger_value(
@@ -368,10 +375,7 @@ class TestAnalyze:
 
 class TestCsvRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
-        sc = build_scenario(
-            "event", setting="ride", tuning=certified_tuning(), horizon=0.5, substep=1e-3,
-        )
-        tr = run(sc)
+        tr = run(_ride_event(horizon=0.5))
         path = tmp_path / "trace.csv"
         tr.to_csv(path)
         data = np.loadtxt(path, delimiter=",", skiprows=1)
@@ -401,12 +405,17 @@ class TestNumericalBehavior:
         # firing times quantize to the substep
         mins = []
         for substep in (1e-3, 5e-4):
-            sc = build_scenario("periodic", period=0.25, horizon=6.0, substep=substep)
+            sc = scenario_from_config(load_config(
+                CONFIGS / "approach-plain-sweep.yaml", ["sim.period=0.25", f"sim.substep={substep}"],
+            ))
             mins.append(analyze(run(sc)).min_h)
         assert abs(mins[0] - mins[1]) < 1e-6
 
     def test_continuous_filter_rides_the_boundary_safely(self):
-        sc = build_scenario("continuous", horizon=10.0)
+        sc = scenario_from_config(parse_config({
+            "scenario": {"name": "acc-approach", "controller": "plain"},
+            "sim": {"mode": "continuous", "horizon": 10.0},
+        }))
         s = analyze(run(sc), violation_tol=1e-6)
         assert s.violation_time is None
         assert s.min_h >= -1e-6
@@ -635,16 +644,17 @@ class TestHoldCore:
             calls.append(1)
             return filt(x)
 
-        sc = dataclasses.replace(
-            build_scenario("continuous", setting="ride", horizon=0.01), controller=law,
+        ride = load_config(
+            CERTIFIED, ["scenario.controller=plain", "sim.mode=continuous", "sim.horizon=0.01"],
         )
+        sc = dataclasses.replace(scenario_from_config(ride), controller=law)
         calls.clear()
         trace = run(sc)
         # one call per row, plus stages 2-4 of each substep
         assert len(calls) == len(trace) + 3 * (len(trace) - 1)
 
     def test_trigger_value_on_a_stack_equals_single_states(self):
-        sc = build_scenario("event", setting="ride", horizon=0.2)
+        sc = _ride_event(horizon=0.2)
         trace = run(sc)
         args = (sc.dynamics, sc.barrier, sc.alpha, sc.trigger_c)
         stacked = trigger_value(*args, trace.x, trace.u)
@@ -817,9 +827,6 @@ class TestLockstep:
         assert run_many([]) == []
 
 
-CERTIFIED = Path(__file__).resolve().parents[1] / "configs" / "ride-certified.yaml"
-
-
 def test_importing_the_package_and_running_leaves_scipy_unloaded():
     """Neither a simulation nor certification (`constants`: bound
     estimation, assumption checks, tuning validation) imports SciPy."""
@@ -828,9 +835,9 @@ def test_importing_the_package_and_running_leaves_scipy_unloaded():
     code = (
         "import sys\n"
         "import safehold.cli\n"
-        "from safehold.acc_benchmark import build_scenario\n"
+        "from safehold.config import load_config, scenario_from_config\n"
         "from safehold.simulator import run\n"
-        "run(build_scenario('event', setting='ride', horizon=0.01))\n"
+        f"run(scenario_from_config(load_config({str(CERTIFIED)!r}, ['sim.horizon=0.01'])))\n"
         "import contextlib, io\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert safehold.cli.main(['constants', {str(CERTIFIED)!r}]) == 0\n"
