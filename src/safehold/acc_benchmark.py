@@ -46,7 +46,6 @@ __all__ = [
     "approach_region",
     "ride_region",
     "thin_band_tuning",
-    "wide_band_tuning",
     "certified_tuning",
     "build_scenario",
     "X0_FAR",
@@ -145,7 +144,7 @@ def acc_filter(params: AccParams | None = None) -> CbfQpFilter:
     return CbfQpFilter(
         dynamics=acc_dynamics(p),
         barrier=acc_barrier(p),
-        alpha=ClassKappa.linear(),
+        alpha=ClassKappa(),
         nominal=acc_nominal(p),
     )
 
@@ -167,18 +166,6 @@ def thin_band_tuning() -> TunableControllerConfig:
     at driving scale. Useful as a minimal-interference reference."""
     return TunableControllerConfig(
         c=9.18, delta=5e-4, band=5e-3, epsilon=1.0, margin=0.004
-    )
-
-
-def wide_band_tuning() -> TunableControllerConfig:
-    """Band that engages at driving scale: plateau 1/epsilon = 3000 counters
-    hold drift on the approach box, and the taper is deliberately gentle
-    (sharpness 0.25, against a default of 40). A hold sampled well above the
-    knee then still carries a sliver of brake, which is what lets the
-    boosted loop survive the descent from 15 m of clearance under one-second
-    holds instead of dying on the last unboosted interval."""
-    return TunableControllerConfig(
-        c=9.18, delta=0.5, band=5.0, epsilon=1.0 / 3000.0, margin=0.004, sharpness=0.25
     )
 
 

@@ -1,14 +1,15 @@
 """Core barrier-function machinery for control-affine systems.
 
 The safe set is the zero superlevel set of a barrier function h, and all
-safety reasoning runs through three ingredients defined here:
+safety reasoning runs through two ingredients defined here:
 
 * a linear class-K comparison function, extended to negative arguments so
   it can certify recovery from outside the safe set,
 * Lie derivatives of h along control-affine dynamics, which turn a control
-  choice into a barrier derivative,
-* a decreasing sigmoid gain schedule used to boost control effort near the
-  boundary.
+  choice into a barrier derivative.
+
+The sigmoid gain that boosts control effort near the boundary is the boosted
+controller's tuning, ``safety_filter.TunableControllerConfig``.
 
 Batch contract. Every plant, barrier and controller callable takes either
 one state, shape (n,), or a stack of k states, shape (k, n). On a stack the
@@ -41,20 +42,10 @@ from .errors import ConfigurationError, InfeasibleFilterError
 
 __all__ = [
     "ClassKappa",
-    "SigmoidGain",
     "ControlAffineDynamics",
     "BarrierFunction",
     "lie_derivatives",
 ]
-
-# Exponent magnitude beyond which the sigmoid is numerically saturated.
-_EXP_SATURATION = 700.0
-
-# The C library's exp, element by element. numpy's vectorized exp differs
-# from it in the last bit on a few percent of arguments, so with it the gain
-# on a stack would differ from the gain at one state, and from the
-# single-state values the pinned runs were recorded with.
-_libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class ClassKappa:
 
     Strictly increasing with alpha(0) = 0, and defined for all real r (it is
     odd), so it can be evaluated at negative barrier values outside the safe
-    set. Build it with ``ClassKappa.linear(slope)``.
+    set.
     """
 
     coef: float = 1.0
@@ -74,55 +65,12 @@ class ClassKappa:
                 f"class-K coefficient must be finite and > 0, got {self.coef}"
             )
 
-    @classmethod
-    def linear(cls, slope: float = 1.0) -> "ClassKappa":
-        return cls(coef=slope)
-
     def __call__(self, r: float) -> float:
         return self.coef * r
 
     def inverse(self, v: float) -> float:
         """Solve alpha(r) = v for r."""
         return v / self.coef
-
-
-@dataclass(frozen=True)
-class SigmoidGain:
-    """Decreasing sigmoid schedule for the boundary boost gain.
-
-    The gain plateaus at 1/epsilon for barrier values below ``delta``, falls
-    across the band ``(delta, delta + band)``, and is numerically zero above
-    it. ``sharpness`` controls how fast the transition happens; the default
-    200/band keeps the plateaus flat to better than 1e-8/epsilon outside the
-    band.
-    """
-
-    epsilon: float
-    delta: float
-    band: float
-    sharpness: float | None = None
-
-    def __post_init__(self):
-        for name in ("epsilon", "delta", "band"):
-            v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
-                raise ConfigurationError(f"{name} must be > 0 and finite, got {v}")
-        if self.sharpness is None:
-            object.__setattr__(self, "sharpness", 200.0 / self.band)
-        elif not (self.sharpness > 0.0 and math.isfinite(self.sharpness)):
-            raise ConfigurationError(f"sharpness must be > 0 and finite, got {self.sharpness}")
-
-    def __call__(self, r):
-        """Gain at barrier value(s) r, a float or an array."""
-        z = self.sharpness * (r - self.delta - 0.5 * self.band)
-        # Only the upper clip matters: below -37, 1 + exp(z) rounds to 1.
-        z = np.minimum(z, _EXP_SATURATION)
-        return 1.0 / (self.epsilon * (1.0 + np.asarray(_libm_exp(z), dtype=float)))
-
-    @property
-    def slope_bound(self) -> float:
-        """Largest magnitude of the gain's derivative, attained mid-band."""
-        return self.sharpness / (4.0 * self.epsilon)
 
 
 @dataclass(frozen=True)

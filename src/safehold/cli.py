@@ -171,7 +171,7 @@ def _bounds(cfg, filt) -> tuple[Report | None, BoundSet | None]:
     authority enters the budget formulas through epsilon, not through b_k."""
     if cfg.bounds is not None:
         return None, cfg.bounds
-    return certify_region(cfg.region, filt.dynamics, filt, filt.barrier, sigmoid=cfg.tuning.sigmoid)
+    return certify_region(cfg.region, filt.dynamics, filt, filt.barrier, tuning=cfg.tuning)
 
 
 def _assumption_failure(report: Report) -> int:
@@ -222,16 +222,17 @@ def cmd_compare(args) -> int:
     integrator = dataclasses.replace(
         cfg.integrator, substep=min(cfg.integrator.substep, t_star / 2.0)
     )
-    periodic_cfg = dataclasses.replace(
-        cfg, schedule=HoldSchedule.periodic(t_star), integrator=integrator
+    base = scenario_from_config(cfg)
+    periodic = dataclasses.replace(
+        base, schedule=HoldSchedule.periodic(t_star), integrator=integrator
     )
-    event_cfg = dataclasses.replace(
-        cfg, schedule=HoldSchedule.event(cfg.schedule.floor), integrator=integrator
+    event = dataclasses.replace(
+        base, schedule=HoldSchedule.event(cfg.schedule.floor), integrator=integrator
     )
 
     # Keep only the summaries, so no trace outlives its analysis.
-    sum_p = analyze(run(scenario_from_config(periodic_cfg)), violation_tol=VIOLATION_TOL)
-    sum_e = analyze(run(scenario_from_config(event_cfg)), violation_tol=VIOLATION_TOL)
+    sum_p = analyze(run(periodic), violation_tol=VIOLATION_TOL)
+    sum_e = analyze(run(event), violation_tol=VIOLATION_TOL)
 
     print(f"violation_free_sampling_time={_g(t_star)}")
     print(f"{'metric':>12}  {'periodic':>22}  {'event':>22}")

@@ -203,10 +203,12 @@ def parse_config(doc: Any) -> RunConfig:
 
     tun = _as_floats(_section(doc, "tuning"), "tuning")
     with _errors_under("tuning.alpha_slope: "):
-        alpha = ClassKappa.linear(tun.pop("alpha_slope", 1.0))
-    tuning = _build(
-        TunableControllerConfig, tun, "tuning", **dataclasses.asdict(preset_tuning())
-    )
+        alpha = ClassKappa(tun.pop("alpha_slope", 1.0))
+    # The preset tunings take the default sharpness, 200/band, so without a
+    # sharpness key it follows the configured band, not the preset's.
+    preset = dataclasses.asdict(preset_tuning())
+    del preset["sharpness"]
+    tuning = _build(TunableControllerConfig, tun, "tuning", **preset)
 
     sim = {
         key: value if key == "mode" else _as_float(value, f"sim.{key}")

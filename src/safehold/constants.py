@@ -49,7 +49,6 @@ import numpy as np
 from .cbf_core import (
     BarrierFunction,
     ControlAffineDynamics,
-    SigmoidGain,
     _probe_shapes,
     lie_derivatives,
 )
@@ -501,7 +500,7 @@ def certify_region(
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
     *,
-    sigmoid: SigmoidGain | None = None,
+    tuning: TunableControllerConfig | None = None,
 ) -> tuple[Report, BoundSet | None]:
     """Assumption report and regional bounds over the region, from one
     deterministic seeded sampling; the bounds are None when the report fails.
@@ -515,8 +514,8 @@ def certify_region(
     lattice of about 30,000 points, and difference quotients over 100,000
     random point pairs and all lattice neighbors; mu from 512 root-found
     boundary points. Maxima are inflated and mu deflated by the region's
-    ``safety_factor``. l_sigma is analytic, ``sharpness / (4 * epsilon)``,
-    or zero when no sigmoid is supplied.
+    ``safety_factor``. l_sigma is the tuning's analytic ``slope_bound``,
+    ``sharpness / (4 * epsilon)``, or zero when no tuning is supplied.
     """
     rng = np.random.default_rng(region.seed)
     report, raw = _assumption_report(region, dyn, controller, barrier, rng)
@@ -570,7 +569,7 @@ def certify_region(
 
     return report, BoundSet(
         b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu / safety_factor, m_lip=safety_factor * m_lip,
-        l_k=safety_factor * l_k, l_sigma=sigmoid.slope_bound if sigmoid is not None else 0.0,
+        l_k=safety_factor * l_k, l_sigma=tuning.slope_bound if tuning is not None else 0.0,
         safety_factor=safety_factor,
     )
 
@@ -681,7 +680,9 @@ def validate_tuning(
     half its boundary floor throughout the activation band {0 <= h < delta}.
     The band check samples the filter's plant and barrier over the region
     (256 boundary points plus the band's share of 4096 box samples), so
-    without a region it reports "skipped".
+    without a region it reports "skipped". Its draw is smaller than
+    ``certify_region``'s and can miss a boundary sliver that one found; the
+    check then fails with the sampler's message.
     """
     checks = []
 
@@ -702,14 +703,18 @@ def validate_tuning(
     if region is None:
         checks.append(Check(
             "activation_band_gain", "skipped",
-            "needs dynamics, barrier, and region to sample the band",
+            "needs a region to sample the band",
         ))
         return Report(tuple(checks))
 
     dynamics, barrier = filt.dynamics, filt.barrier
     _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
     rng = np.random.default_rng(region.seed)
-    bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
+    try:
+        bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
+    except BoundarySamplingError as exc:
+        checks.append(Check("activation_band_gain", "fail", str(exc)))
+        return Report(tuple(checks))
     box = region.sample(rng, 16 * _BAND_BOUNDARY_POINTS)
     hs = np.broadcast_to(barrier.value(box), (len(box),))
     band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])

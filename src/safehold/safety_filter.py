@@ -11,11 +11,14 @@ updates and the continuous-time guarantee no longer applies.
 ``tunable_control`` retrofits the filter with a push along the constraint
 gradient (strength up to 1/epsilon), gated through a decreasing sigmoid of
 the barrier value, so the boost engages only inside a band around the
-boundary and fades to nothing deep inside the safe set.
+boundary and fades to nothing deep inside the safe set. The tuning,
+``TunableControllerConfig``, is that sigmoid gain: calling it at a barrier
+value gives the gain there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +28,6 @@ from .cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
-    SigmoidGain,
     lie_derivatives,
 )
 from .errors import ConfigurationError, InfeasibleFilterError
@@ -127,23 +129,38 @@ def _filtered(filt: CbfQpFilter, x: np.ndarray, lfh, lgh: np.ndarray, h) -> np.n
     return u_star
 
 
-def tunable_control(filt: CbfQpFilter, gain: SigmoidGain, x: np.ndarray) -> np.ndarray:
+def tunable_control(
+    filt: CbfQpFilter, tuning: TunableControllerConfig, x: np.ndarray
+) -> np.ndarray:
     """Filtered input plus the sigmoid-gated gradient push, at one state or
     a stack. The filter and the push share one Lie-derivative evaluation."""
     lfh, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
     h = filt.barrier.value(x)
-    return _filtered(filt, x, lfh, lgh, h) + gain(h)[..., None] * lgh
+    return _filtered(filt, x, lfh, lgh, h) + tuning(h)[..., None] * lgh
+
+
+# Exponent magnitude beyond which the sigmoid is numerically saturated.
+_EXP_SATURATION = 700.0
+
+# The C library's exp, element by element. numpy's vectorized exp differs
+# from it in the last bit on a few percent of arguments, so with it the gain
+# on a stack would differ from the gain at one state, and from the
+# single-state values the pinned runs were recorded with.
+_libm_exp = np.frompyfunc(math.exp, 1, 1)
 
 
 @dataclass(frozen=True)
 class TunableControllerConfig:
-    """Tuning knobs for the boosted controller and its certificate.
+    """Tuning of the boosted controller and its certificate, and the
+    decreasing sigmoid gain that gates the boost.
 
-    c amplifies the barrier decrease rate used by the event trigger, margin
-    is the descent budget d the hold period is sized against, and the
-    remaining fields shape the sigmoid gate (activation height delta,
-    transition band width, plateau 1/epsilon, steepness sharpness, default
-    200/band).
+    c amplifies the barrier decrease rate used by the event trigger, and
+    margin is the descent budget d the hold period is sized against. The
+    gain plateaus at 1/epsilon for barrier values below ``delta``, falls
+    across the band ``(delta, delta + band)``, and is numerically zero above
+    it. ``sharpness`` controls how fast the transition happens; the default
+    200/band keeps the plateaus flat to better than 1e-8/epsilon outside the
+    band.
     """
 
     c: float
@@ -154,24 +171,39 @@ class TunableControllerConfig:
     sharpness: float | None = None
 
     def __post_init__(self):
-        for name in ("c", "margin"):
+        for name in ("c", "margin", "epsilon", "delta", "band"):
             v = getattr(self, name)
-            if not (v > 0.0 and np.isfinite(v)):
+            if not (v > 0.0 and math.isfinite(v)):
                 raise ConfigurationError(f"{name} must be > 0 and finite, got {v}")
-        self.sigmoid  # the gate's constructor checks delta, band, epsilon, sharpness
+        if self.sharpness is None:
+            object.__setattr__(self, "sharpness", 200.0 / self.band)
+        elif not (self.sharpness > 0.0 and math.isfinite(self.sharpness)):
+            raise ConfigurationError(f"sharpness must be > 0 and finite, got {self.sharpness}")
+
+    def __call__(self, r):
+        """Gain at barrier value(s) r, a float or an array."""
+        z = self.sharpness * (r - self.delta - 0.5 * self.band)
+        # Only the upper clip matters: below -37, 1 + exp(z) rounds to 1.
+        z = np.minimum(z, _EXP_SATURATION)
+        return 1.0 / (self.epsilon * (1.0 + np.asarray(_libm_exp(z), dtype=float)))
 
     @property
-    def sigmoid(self) -> SigmoidGain:
-        return SigmoidGain(
-            epsilon=self.epsilon, delta=self.delta, band=self.band, sharpness=self.sharpness
-        )
+    def slope_bound(self) -> float:
+        """Largest magnitude of the gain's derivative, attained mid-band."""
+        return self.sharpness / (4.0 * self.epsilon)
+
+    @property
+    def sigmoid(self) -> TunableControllerConfig:
+        """The tuning itself, which is the gain. Kept only because the
+        benchmark's probes read it; it goes with the next benchmark change,
+        as ``acc_benchmark.build_scenario`` does."""
+        return self
 
     def controller(self, filt: CbfQpFilter) -> Callable[[np.ndarray], np.ndarray]:
         """Boosted control law as a plain state-to-input callable."""
-        gain = self.sigmoid
 
         def law(x: np.ndarray) -> np.ndarray:
-            return tunable_control(filt, gain, x)
+            return tunable_control(filt, self, x)
 
         # Lets the shape probe check the nominal law behind the boost.
         law.nominal = filt.nominal

@@ -46,7 +46,7 @@ def ride_bounds() -> Timed:
     filt = acc_filter()
     return timed(lambda: certify_region(
         ride_region(), filt.dynamics, filt, filt.barrier,
-        sigmoid=certified_tuning().sigmoid,
+        tuning=certified_tuning(),
     )[1])
 
 

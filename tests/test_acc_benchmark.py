@@ -21,7 +21,6 @@ from safehold.acc_benchmark import (
     certified_tuning,
     ride_region,
     thin_band_tuning,
-    wide_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
 from safehold.config import load_config, parse_config, scenario_from_config
@@ -151,7 +150,7 @@ class TestTuningPresets:
         assert (t.c, t.delta, t.band, t.epsilon, t.margin) == (9.18, 5e-4, 5e-3, 1.0, 0.004)
 
     def test_wide_band_values(self):
-        t = wide_band_tuning()
+        t = load_config(CONFIGS / "approach-boosted.yaml").tuning
         assert (t.c, t.delta, t.band, t.margin) == (9.18, 0.5, 5.0, 0.004)
         assert t.epsilon == pytest.approx(1.0 / 3000.0, rel=1e-12)
         assert t.sharpness == 0.25
@@ -238,7 +237,8 @@ class TestFilteredLoopSpotCheck:
         tr = run(sc)
         filt = acc_filter()
         from safehold.safety_filter import tunable_control
-        u_hand = tunable_control(filt, wide_band_tuning().sigmoid, np.asarray(sc.x0))
+        tuning = load_config(CONFIGS / "approach-boosted.yaml").tuning
+        u_hand = tunable_control(filt, tuning, np.asarray(sc.x0))
         assert tr.u[0, 0] == pytest.approx(u_hand[0], rel=1e-12)
 
     def test_plain_short_run_summary_shape(self):

@@ -24,7 +24,6 @@ from safehold.acc_benchmark import (
     certified_tuning,
     ride_region,
     thin_band_tuning,
-    wide_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
 from safehold.config import load_config, scenario_from_config
@@ -41,6 +40,7 @@ from safehold.safety_filter import solve_cbf_qp
 from safehold.simulator import HoldSchedule, analyze, rk4_step, run
 
 CERTIFIED = Path(__file__).resolve().parents[1] / "configs" / "ride-certified.yaml"
+WIDE_BAND = CERTIFIED.with_name("approach-boosted.yaml")
 
 
 def _within_budget(limit_s: float, spent_s: float) -> None:
@@ -184,9 +184,9 @@ def test_criterion_08_hold_deviation_stays_under_analytic_bound():
     t0 = time.perf_counter()
     filt = acc_filter()
     reg = approach_region()
-    wcfg = wide_band_tuning()
+    wcfg = load_config(WIDE_BAND).tuning
     _, bounds = certify_region(
-        reg, filt.dynamics, filt, filt.barrier, sigmoid=wcfg.sigmoid,
+        reg, filt.dynamics, filt, filt.barrier, tuning=wcfg,
     )
     boost = wcfg.controller(filt)
     rng = np.random.default_rng(11)

@@ -5,6 +5,7 @@ derivatives, the filter and the boosted law."""
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from safehold.acc_benchmark import (
     approach_region,
     certified_tuning,
     ride_region,
-    wide_band_tuning,
 )
 from safehold.cbf_core import (
     BarrierFunction,
@@ -24,6 +24,7 @@ from safehold.cbf_core import (
     ControlAffineDynamics,
     lie_derivatives,
 )
+from safehold.config import load_config
 from safehold.constants import OperatingRegion, _row_norms
 from safehold.errors import InfeasibleFilterError
 from safehold.safety_filter import (
@@ -35,12 +36,15 @@ from safehold.safety_filter import (
 from test_constants import _plane_system
 
 PROPERTY = settings(max_examples=60, deadline=None)
+WIDE_BAND = load_config(
+    Path(__file__).resolve().parents[1] / "configs" / "approach-boosted.yaml"
+).tuning
 
 
 def _plane_filter() -> CbfQpFilter:
     dyn, barrier = _plane_system()
     return CbfQpFilter(
-        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         nominal=NominalController(law=lambda x: np.zeros(1)),
     )
 
@@ -57,21 +61,19 @@ def _linear_filter() -> CbfQpFilter:
     )
     barrier = BarrierFunction(value=lambda x: np.vecdot(x, c), gradient=lambda x: c)
     return CbfQpFilter(
-        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
     )
 
 
 SYSTEMS = {
     "ride": (acc_filter(), ride_region(), certified_tuning()),
-    "approach": (acc_filter(), approach_region(), wide_band_tuning()),
+    "approach": (acc_filter(), approach_region(), WIDE_BAND),
     "plane": (
-        _plane_filter(), OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
-        wide_band_tuning(),
+        _plane_filter(), OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), WIDE_BAND,
     ),
     "linear": (
-        _linear_filter(), OperatingRegion(lower=(-1.0,) * 4, upper=(1.0,) * 4),
-        wide_band_tuning(),
+        _linear_filter(), OperatingRegion(lower=(-1.0,) * 4, upper=(1.0,) * 4), WIDE_BAND,
     ),
 }
 
@@ -102,8 +104,8 @@ def _scalar_gain(gain, r: float) -> float:
 
 
 def _property(name):
-    filt, region, tuning = SYSTEMS[name]
-    dyn, barrier, gain = filt.dynamics, filt.barrier, tuning.sigmoid
+    filt, region, gain = SYSTEMS[name]
+    dyn, barrier = filt.dynamics, filt.barrier
 
     @PROPERTY
     @given(xs=stacks(region))
@@ -152,7 +154,7 @@ def test_stack_with_an_infeasible_row_names_that_row(k, data):
     )
     barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     filt = CbfQpFilter(
-        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         nominal=NominalController(law=lambda x: np.zeros(1)),
     )
     first = data.draw(st.integers(0, k - 1))

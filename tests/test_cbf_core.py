@@ -12,12 +12,12 @@ from safehold.cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
-    SigmoidGain,
     lie_derivatives,
 )
 from safehold.acc_benchmark import acc_barrier, acc_dynamics, approach_region
 from safehold.constants import OperatingRegion, certify_region
 from safehold.errors import ConfigurationError
+from safehold.safety_filter import TunableControllerConfig
 from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, trigger_value
 
 
@@ -27,75 +27,82 @@ from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, trigger
 
 class TestClassKappa:
     def test_zero_at_zero(self):
-        for alpha in (ClassKappa.linear(3.0), ClassKappa.linear(0.7)):
+        for alpha in (ClassKappa(3.0), ClassKappa(0.7)):
             assert alpha(0.0) == 0.0
 
     def test_strictly_increasing_on_grid(self):
         grid = np.linspace(-5.0, 5.0, 1000)
-        for alpha in (ClassKappa.linear(0.5), ClassKappa.linear(2.0)):
+        for alpha in (ClassKappa(0.5), ClassKappa(2.0)):
             vals = [alpha(r) for r in grid]
             assert all(b > a for a, b in zip(vals, vals[1:]))
 
     def test_odd_extension(self):
-        for alpha in (ClassKappa.linear(2.0), ClassKappa.linear(1.3)):
+        for alpha in (ClassKappa(2.0), ClassKappa(1.3)):
             for r in (0.25, 1.0, 4.0):
                 assert alpha(-r) == -alpha(r)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(3)
-        for alpha in (ClassKappa.linear(2.0), ClassKappa.linear(0.4)):
+        for alpha in (ClassKappa(2.0), ClassKappa(0.4)):
             for r in rng.uniform(-10.0, 10.0, 50):
                 assert alpha.inverse(alpha(r)) == pytest.approx(r, abs=1e-12)
 
     def test_linear_hand_values(self):
-        alpha = ClassKappa.linear(2.0)
+        alpha = ClassKappa(2.0)
         assert alpha(3.0) == 6.0
         assert alpha.inverse(-6.0) == -3.0
 
     def test_invalid_coef(self):
         with pytest.raises(ConfigurationError):
-            ClassKappa.linear(-1.0)
+            ClassKappa(-1.0)
         with pytest.raises(ConfigurationError):
-            ClassKappa.linear(0.0)
+            ClassKappa(0.0)
 
 
 # ---------------------------------------------------------------------------
 # sigmoid gate
 
 
+def _gain(epsilon: float, delta: float, band: float, sharpness: float | None = None):
+    """A tuning used as its sigmoid gain; c and margin do not enter the gain."""
+    return TunableControllerConfig(
+        c=1.0, delta=delta, band=band, epsilon=epsilon, margin=1.0, sharpness=sharpness,
+    )
+
+
 class TestSigmoidGain:
     def test_midpoint_is_half_plateau(self):
-        g = SigmoidGain(epsilon=0.5, delta=1.0, band=2.0)
+        g = _gain(epsilon=0.5, delta=1.0, band=2.0)
         # exact: the exponent is zero at delta + band/2
         assert g(2.0) == 1.0 / (2.0 * 0.5)
 
     def test_saturations(self):
-        g = SigmoidGain(epsilon=0.25, delta=1.0, band=0.5)
+        g = _gain(epsilon=0.25, delta=1.0, band=0.5)
         assert abs(g(0.0) - 1.0 / 0.25) <= 1e-8 / 0.25
         assert abs(g(10.0)) <= 1e-8 / 0.25
 
     def test_envelope_and_monotone(self):
-        g = SigmoidGain(epsilon=2.0, delta=0.3, band=1.2)
+        g = _gain(epsilon=2.0, delta=0.3, band=1.2)
         grid = np.linspace(-4.0, 8.0, 1000)
         vals = [g(r) for r in grid]
         assert all(0.0 <= v <= 1.0 / 2.0 for v in vals)
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_extreme_arguments_do_not_overflow(self):
-        g = SigmoidGain(epsilon=1.0, delta=1.0, band=1.0, sharpness=1e6)
+        g = _gain(epsilon=1.0, delta=1.0, band=1.0, sharpness=1e6)
         assert g(-1e9) == 1.0
         far = g(1e9)
         assert math.isfinite(far) and 0.0 <= far < 1e-300
 
     def test_default_sharpness_and_derived_properties(self):
-        g = SigmoidGain(epsilon=0.5, delta=1.0, band=2.0)
+        g = _gain(epsilon=0.5, delta=1.0, band=2.0)
         assert g.sharpness == 200.0 / 2.0
         # far below the band the gain is exactly its plateau 1/epsilon
         assert g(-1e3) == 2.0
         assert g.slope_bound == g.sharpness / (4.0 * 0.5)
 
     def test_slope_bound_dominates_measured_slope(self):
-        g = SigmoidGain(epsilon=0.7, delta=0.2, band=3.0)
+        g = _gain(epsilon=0.7, delta=0.2, band=3.0)
         grid = np.linspace(-2.0, 8.0, 2000)
         vals = np.array([g(r) for r in grid])
         slopes = np.abs(np.diff(vals) / np.diff(grid))
@@ -103,13 +110,13 @@ class TestSigmoidGain:
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            SigmoidGain(epsilon=0.0, delta=1.0, band=1.0)
+            _gain(epsilon=0.0, delta=1.0, band=1.0)
         with pytest.raises(ConfigurationError):
-            SigmoidGain(epsilon=1.0, delta=-1.0, band=1.0)
+            _gain(epsilon=1.0, delta=-1.0, band=1.0)
         with pytest.raises(ConfigurationError):
-            SigmoidGain(epsilon=1.0, delta=1.0, band=0.0)
+            _gain(epsilon=1.0, delta=1.0, band=0.0)
         with pytest.raises(ConfigurationError):
-            SigmoidGain(epsilon=1.0, delta=1.0, band=1.0, sharpness=-5.0)
+            _gain(epsilon=1.0, delta=1.0, band=1.0, sharpness=-5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +252,7 @@ class TestLieDerivatives:
 
 def _probe_scenario(dyn, barrier, controller) -> Scenario:
     return Scenario(
-        name="probe", dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        name="probe", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         controller=controller, x0=(0.5,) * dyn.n,
         integrator=IntegratorConfig(horizon=1.0), schedule=HoldSchedule.continuous(),
     )
@@ -278,7 +285,7 @@ def _rollout_hdot(dyn, barrier, x, u, dt=1e-6):
 class TestBarrierMargin:
     def test_matches_rollout_derivative(self):
         dyn, barrier = acc_dynamics(), acc_barrier()
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         rng = np.random.default_rng(5)
         for _ in range(20):
             x = np.array([rng.uniform(0, 100), rng.uniform(5, 25), rng.uniform(50, 500)])
@@ -294,7 +301,7 @@ class TestBarrierMargin:
             drift=lambda x: np.zeros(1), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         # f = 0, g = 1, h = x1: margin at x1=2, u=0 is alpha(2) = 2
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([2.0]), np.array([0.0])) == 2.0
 
@@ -303,7 +310,7 @@ class TestBarrierMargin:
             drift=lambda x: np.array([1.0]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         # h = 0 and u cancels the drift: margin is exactly zero
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([0.0]), np.array([-1.0])) == 0.0
 
@@ -330,16 +337,16 @@ def _amplified(alpha: ClassKappa, c: float, r: float) -> float:
 
 class TestAmplifiedAlpha:
     def test_zero_amplification_is_identity(self):
-        alpha = ClassKappa.linear(1.5)
+        alpha = ClassKappa(1.5)
         for r in (-2.0, 0.0, 0.7, 3.0):
             assert _amplified(alpha, 0.0, r) == alpha(r)
 
     def test_hand_value(self):
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         assert _amplified(alpha, 9.18, 0.5) == pytest.approx(5.09, rel=1e-12)
 
     def test_dominates_alpha_on_grid(self):
-        alpha = ClassKappa.linear(0.8)
+        alpha = ClassKappa(0.8)
         for r in np.linspace(0.0, 10.0, 100):
             assert _amplified(alpha, 2.5, r) >= alpha(r)
 
@@ -348,7 +355,7 @@ class TestAmplifiedAlpha:
         with pytest.raises(ConfigurationError, match="trigger_c"):
             Scenario(
                 name="negative-c", dynamics=dyn, barrier=barrier,
-                alpha=ClassKappa.linear(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
+                alpha=ClassKappa(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
                 integrator=IntegratorConfig(horizon=1.0), schedule=HoldSchedule.continuous(),
                 trigger_c=-0.5,
             )
@@ -359,17 +366,17 @@ class TestExpandedCondition:
     # slope its floor is -margin, the floor the practical period certifies.
 
     def test_linear_unit_margin_shifts_by_one(self):
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         for h in (-0.5, 0.0, 2.0):
             assert h - alpha.inverse(-1.0) == h + 1.0
 
     def test_linear_slope_scales_the_shift(self):
         a, w = 4.0, 0.75
-        alpha = ClassKappa.linear(a)
+        alpha = ClassKappa(a)
         assert 0.0 - alpha.inverse(-a * w) == pytest.approx(w)
 
     def test_boundary_value(self):
-        alpha = ClassKappa.linear(1.0)
+        alpha = ClassKappa(1.0)
         assert 0.0 - alpha.inverse(-0.2) == pytest.approx(0.2)
 
 

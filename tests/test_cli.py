@@ -163,6 +163,23 @@ class TestConstants:
         assert main(["constants", str(CONFIGS / "ride-certified.yaml")]) == EXIT_OK
         assert calls == [constants._BOUNDARY_COUNT, constants._BAND_BOUNDARY_POINTS]
 
+    def test_a_band_draw_missing_the_boundary_fails_its_check(self, capsys):
+        # Certification's draw finds this box's boundary sliver; the band
+        # check's smaller draw misses it, and the budgets still print.
+        code = main([
+            "constants", str(CONFIGS / "ride-certified.yaml"),
+            "--set", "region.lower=[0,19.0,787.5]", "--set", "region.upper=[500,21.0,900.0]",
+            "--set", "region.seed=4",
+        ])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        assert (
+            "tuning activation_band_gain: fail (region samples do not straddle the "
+            "safe-set boundary (2048 inside, 0 outside))\n"
+        ) in out
+        assert "practical_sampling_time=" in out
+        assert "violation_free_sampling_time=" in out
+
 
 class TestSimulate:
     def test_safe_run_writes_outputs_and_exits_zero(self, tmp_path, capsys):

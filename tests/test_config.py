@@ -47,7 +47,7 @@ class TestParse:
         assert cfg.bounds is None
         assert cfg.schedule == HoldSchedule.periodic(0.5)
         assert cfg.integrator == IntegratorConfig(horizon=6.0, substep=1e-3)
-        assert cfg.alpha == ClassKappa.linear(1.0) and cfg.region.safety_factor == 1.1
+        assert cfg.alpha == ClassKappa(1.0) and cfg.region.safety_factor == 1.1
         assert cfg.tuning.c == 9.18  # thin-band defaults
         assert cfg.trace_path is None and cfg.summary_path is None
 
@@ -55,6 +55,11 @@ class TestParse:
         doc = _doc()
         doc["scenario"]["name"] = "acc-ride"
         assert parse_config(doc).tuning == certified_tuning()
+
+    def test_default_sharpness_follows_the_configured_band(self):
+        doc = _doc()
+        doc["tuning"] = {"band": 20.0}
+        assert parse_config(doc).tuning.sharpness == 200.0 / 20.0
 
     def test_non_mapping_rejected(self):
         with pytest.raises(ConfigurationError, match="mapping"):
@@ -190,7 +195,7 @@ class TestParseIntoTypes:
         assert cfg.tuning == TunableControllerConfig(
             c=3.0, delta=1.0, band=10.0, epsilon=1.5e-4, margin=2.0, sharpness=20.0,
         )
-        assert cfg.alpha == ClassKappa.linear(1.0)
+        assert cfg.alpha == ClassKappa(1.0)
         assert cfg.schedule == HoldSchedule.event(floor=0.01)
         assert cfg.integrator == IntegratorConfig(horizon=12.0, substep=1e-3)
         assert cfg.region == OperatingRegion(
@@ -322,7 +327,7 @@ class TestScenarioFromConfig:
         cfg = parse_config(doc)
         sc = scenario_from_config(cfg)
         x = np.array([0.0, 20.0, 725.0])
-        expected = tunable_control(acc_filter(), cfg.tuning.sigmoid, x)
+        expected = tunable_control(acc_filter(), cfg.tuning, x)
         assert sc.controller(x)[0] == pytest.approx(expected[0], rel=1e-14)
 
     def test_start_state_defaults_follow_the_preset(self):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +18,9 @@ from safehold.acc_benchmark import (
     approach_region,
     certified_tuning,
     ride_region,
-    wide_band_tuning,
 )
 from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
+from safehold.config import load_config
 from safehold.constants import (
     BoundSet,
     OperatingRegion,
@@ -33,6 +34,9 @@ from safehold.constants import (
 )
 from safehold.errors import BoundarySamplingError, ConfigurationError
 from safehold.simulator import rk4_step
+from test_cbf_core import _gain
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 ALL_ONES = BoundSet(
     b_f=1.0, b_g=1.0, b_k=1.0, lam=1.0, mu=1.0,
@@ -170,11 +174,10 @@ class TestEstimateBounds:
     def test_sigmoid_only_changes_the_slope_bound(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        from safehold.cbf_core import SigmoidGain
         _, plain = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         _, gated = certify_region(
             reg, dyn, lambda x: np.zeros(1), barrier,
-            sigmoid=SigmoidGain(epsilon=0.5, delta=1.0, band=2.0),
+            tuning=_gain(epsilon=0.5, delta=1.0, band=2.0),
         )
         assert gated.l_sigma == 100.0 / (4.0 * 0.5)
         for key in ("b_f", "b_g", "b_k", "lam", "mu", "l_k", "m_lip"):
@@ -376,7 +379,9 @@ def _certification(case):
         dyn, barrier, controller = filt.dynamics, filt.barrier, filt
         region, tuning = {
             "ride": (ride_region(), certified_tuning()),
-            "approach": (approach_region(), wide_band_tuning()),
+            "approach": (
+                approach_region(), load_config(CONFIGS / "approach-boosted.yaml").tuning,
+            ),
         }[case]
     report, bounds = certify_region(region, dyn, controller, barrier)
     reports = [report]

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,15 +16,14 @@ from safehold.acc_benchmark import (
     certified_tuning,
     ride_region,
     thin_band_tuning,
-    wide_band_tuning,
 )
 from safehold.cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
-    SigmoidGain,
     lie_derivatives,
 )
+from safehold.config import load_config
 from safehold.constants import BoundSet, OperatingRegion, certify_region, validate_tuning
 from safehold.errors import ConfigurationError, InfeasibleFilterError
 from safehold.safety_filter import (
@@ -32,6 +34,10 @@ from safehold.safety_filter import (
     tunable_control,
 )
 from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario
+from test_cbf_core import _gain
+from test_constants import _plane_system
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
@@ -44,7 +50,7 @@ def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
     return CbfQpFilter(
         dynamics=dyn,
         barrier=barrier,
-        alpha=alpha or ClassKappa.linear(1.0),
+        alpha=alpha or ClassKappa(1.0),
         nominal=NominalController(law=lambda x: np.zeros(1)),
     )
 
@@ -68,7 +74,7 @@ class TestSolveCbfQp:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.array([7.0])),
         )
         # drift alone satisfies the decrease condition; u passes through
@@ -82,7 +88,7 @@ class TestSolveCbfQp:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         with pytest.raises(InfeasibleFilterError):
@@ -118,7 +124,7 @@ class TestSolveCbfQp:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]))
         with pytest.raises(ConfigurationError):
             CbfQpFilter(
-                dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+                dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
                 nominal=NominalController(law=lambda x: np.zeros(2)),
             )
 
@@ -148,10 +154,10 @@ class TestSolveCbfQp:
             )
 
 
-def _saturated(epsilon: float) -> SigmoidGain:
+def _saturated(epsilon: float) -> TunableControllerConfig:
     """A gate whose activation height sits far above every tested barrier
     value, so it holds its 1/epsilon plateau exactly: a constant push."""
-    return SigmoidGain(epsilon=epsilon, delta=1e6, band=1.0)
+    return _gain(epsilon=epsilon, delta=1e6, band=1.0)
 
 
 class TestAdjustedControl:
@@ -186,7 +192,7 @@ class TestAdjustedControl:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.array([3.0])),
         )
         assert tunable_control(filt, _saturated(0.5), np.array([1.0]))[0] == 3.0
@@ -199,7 +205,7 @@ class TestAdjustedControl:
 class TestTunableControl:
     def test_saturated_band_matches_adjusted(self):
         filt = acc_filter()
-        gain = SigmoidGain(epsilon=2.0, delta=1.0, band=0.5)
+        gain = _gain(epsilon=2.0, delta=1.0, band=0.5)
         x = np.array([0.0, 20.0, 720.5])  # h = 0.5, inside the activation band
         boosted = tunable_control(filt, gain, x)
         _, lgh = lie_derivatives(filt.dynamics, filt.barrier, x)
@@ -208,14 +214,14 @@ class TestTunableControl:
 
     def test_deep_interior_matches_plain(self):
         filt = acc_filter()
-        gain = SigmoidGain(epsilon=2.0, delta=1.0, band=0.5)
+        gain = _gain(epsilon=2.0, delta=1.0, band=0.5)
         x = np.array([0.0, 10.0, 1100.0])  # h = 920, far past the band
         assert tunable_control(filt, gain, x)[0] == solve_cbf_qp(filt, x)[0]
 
     def test_midpoint_is_half_push_exactly(self):
         filt = acc_filter()
         eps, delta, band = 2.0, 1.0, 0.5
-        gain = SigmoidGain(epsilon=eps, delta=delta, band=band)
+        gain = _gain(epsilon=eps, delta=delta, band=band)
         v = 20.0
         gap = 1.8 * v * v + delta + band / 2.0  # h lands on the sigmoid midpoint
         x = np.array([0.0, v, gap])
@@ -227,9 +233,10 @@ class TestTunableControl:
 
 class TestTunableControllerConfig:
     def test_presets_construct(self):
-        for cfg in (thin_band_tuning(), wide_band_tuning(), certified_tuning()):
+        wide_band = load_config(CONFIGS / "approach-boosted.yaml").tuning
+        for cfg in (thin_band_tuning(), wide_band, certified_tuning()):
             # far below the band the gain is exactly its plateau 1/epsilon
-            assert cfg.sigmoid(-1e6) == 1.0 / cfg.epsilon
+            assert cfg(-1e6) == 1.0 / cfg.epsilon
 
     def test_field_validation_names_the_field(self):
         with pytest.raises(ConfigurationError, match="epsilon"):
@@ -241,10 +248,24 @@ class TestTunableControllerConfig:
 
     def test_controller_closure_matches_free_function(self):
         filt = acc_filter()
-        cfg = wide_band_tuning()
+        cfg = load_config(CONFIGS / "approach-boosted.yaml").tuning
         law = cfg.controller(filt)
         x = np.array([0.0, 19.0, 700.0])
-        assert law(x)[0] == tunable_control(filt, cfg.sigmoid, x)[0]
+        assert law(x)[0] == tunable_control(filt, cfg, x)[0]
+
+    def test_the_tuning_is_the_gain(self):
+        wide_band = load_config(CONFIGS / "approach-boosted.yaml").tuning
+        for cfg in (thin_band_tuning(), wide_band, certified_tuning()):
+            mid = cfg.delta + 0.5 * cfg.band
+            for h in np.linspace(mid - cfg.band, mid + cfg.band, 41):
+                z = cfg.sharpness * (h - cfg.delta - 0.5 * cfg.band)
+                assert cfg(h) == 1.0 / (cfg.epsilon * (1.0 + math.exp(z)))
+        dyn, barrier = _plane_system()
+        _, bounds = certify_region(
+            OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
+            dyn, lambda x: np.zeros(1), barrier, tuning=cfg,
+        )
+        assert bounds.l_sigma == cfg.slope_bound == cfg.sharpness / (4.0 * cfg.epsilon)
 
 
 class TestContinuity:

@@ -103,7 +103,7 @@ class TestIntegrateHeld:
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         sc = Scenario(
             name="blowup-held", dynamics=blow, barrier=barrier,
-            alpha=ClassKappa.linear(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
+            alpha=ClassKappa(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
             integrator=IntegratorConfig(horizon=3.0, substep=1e-2),
             schedule=HoldSchedule.periodic(3.0),
         )
@@ -121,7 +121,7 @@ def _scalar_scenario(mode: str, *, drift_rate=0.0, x0=1.0, horizon=1.0,
         n=1, m=1,
     )
     barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
-    alpha = ClassKappa.linear(1.0)
+    alpha = ClassKappa(1.0)
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=alpha,
         nominal=NominalController(law=nominal or (lambda x: np.zeros(1))),
@@ -225,12 +225,12 @@ class TestRun:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         sc = Scenario(
             name="blowup", dynamics=dyn, barrier=barrier,
-            alpha=ClassKappa.linear(1.0), controller=filt, x0=(1.0,),
+            alpha=ClassKappa(1.0), controller=filt, x0=(1.0,),
             integrator=IntegratorConfig(horizon=1.0, substep=1e-3),
             schedule=HoldSchedule(mode="periodic", period=0.5),
         )
@@ -243,12 +243,12 @@ class TestRun:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.zeros(1)),
         )
         sc = Scenario(
             name="stuck", dynamics=dyn, barrier=barrier,
-            alpha=ClassKappa.linear(1.0), controller=filt, x0=(0.0,),
+            alpha=ClassKappa(1.0), controller=filt, x0=(0.0,),
             integrator=IntegratorConfig(horizon=1.0, substep=1e-3),
             schedule=HoldSchedule(mode="event"),
         )
@@ -263,7 +263,7 @@ class TestTriggerValue:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         got = trigger_value(
-            dyn, barrier, ClassKappa.linear(1.0), 0.0, np.array([0.0]), np.array([-1.0]),
+            dyn, barrier, ClassKappa(1.0), 0.0, np.array([0.0]), np.array([-1.0]),
         )
         assert got == 0.0
 
@@ -272,7 +272,7 @@ class TestTriggerValue:
             drift=lambda x: np.array([0.3]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
-        alpha = ClassKappa.linear(2.0)
+        alpha = ClassKappa(2.0)
         x, u, c = np.array([0.5]), np.array([0.1]), 3.0
         got = trigger_value(dyn, barrier, alpha, c, x, u)
         assert got == pytest.approx((0.3 + 0.1) + (1.0 + c) * 1.0, rel=1e-15)
@@ -469,7 +469,7 @@ def _blind_plant() -> CbfQpFilter:
     )
     barrier = BarrierFunction(value=lambda x: 1.0 - x.T[0], gradient=lambda x: -np.ones(np.shape(x)))
     return CbfQpFilter(
-        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         nominal=NominalController(law=lambda x: np.zeros(np.shape(x))),
     )
 
@@ -503,7 +503,7 @@ def plants(draw, kind: str) -> dict:
         )
         barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             nominal=NominalController(law=lambda x: np.array([u0])),
         )
         x0 = draw(st.floats(0.05, 3.0))
@@ -520,7 +520,7 @@ def plants(draw, kind: str) -> dict:
         )
         barrier = BarrierFunction(value=lambda x: 1.0 + np.vecdot(x, c), gradient=lambda x: c)
         filt = CbfQpFilter(
-            dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(2.0),
+            dynamics=dyn, barrier=barrier, alpha=ClassKappa(2.0),
             nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
         )
         x0 = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
@@ -565,7 +565,7 @@ def scenarios(draw, kind: str) -> Scenario:
     else:
         schedule = HoldSchedule.continuous()
     return Scenario(
-        name="property", alpha=ClassKappa.linear(1.0),
+        name="property", alpha=ClassKappa(1.0),
         integrator=IntegratorConfig(horizon=horizon, substep=substep), schedule=schedule,
         trigger_c=draw(st.sampled_from((0.0, 1e-6, 0.01, 3.0))), **fields,
     )
@@ -581,11 +581,11 @@ def _ramp(lower: float, horizon: float) -> Scenario:
     )
     barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
     filt = CbfQpFilter(
-        dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         nominal=NominalController(law=lambda x: -np.ones(np.shape(x))),
     )
     return Scenario(
-        name="ramp", dynamics=dyn, barrier=barrier, alpha=ClassKappa.linear(1.0),
+        name="ramp", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         controller=filt, x0=(0.9,), integrator=IntegratorConfig(horizon=horizon, substep=0.02),
         schedule=HoldSchedule.event(), region=OperatingRegion(lower=(lower,), upper=(1.0,)),
         trigger_c=1.0,
@@ -713,7 +713,7 @@ def groups(draw, kind: str) -> list[Scenario]:
             floor = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 20.0)))
             schedule = HoldSchedule.event(floor=floor * substep)
         members.append(Scenario(
-            name="member", alpha=ClassKappa.linear(1.0), integrator=integrator,
+            name="member", alpha=ClassKappa(1.0), integrator=integrator,
             schedule=schedule, trigger_c=draw(st.sampled_from((0.0, 1e-6, 0.01, 3.0))),
             **{**fields, "dynamics": dyn},
         ))
