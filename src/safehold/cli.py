@@ -3,9 +3,10 @@
 Four subcommands cover the workflow: ``simulate`` runs one configured
 scenario and writes its trace and summary; ``sweep`` reruns it as periodic
 sampling across a frequency grid and tabulates the outcome per frequency;
-``constants`` walks the certification pipeline (assumption checks, regional
-bounds, tuning validation, hold-period budgets); ``compare`` runs the
-certified periodic schedule and the event-triggered schedule side by side.
+``constants`` prints the configuration's certificate (regional bounds,
+assumption checks, tuning checks) and its hold-period budgets; ``compare``
+runs the certified periodic schedule and the event-triggered schedule side
+by side.
 
 Exit codes are part of the contract: 0 for a completed, violation-free run;
 1 for configuration or runtime errors; 2 when a run completed but the
@@ -22,11 +23,9 @@ from pathlib import Path
 
 from .config import filter_from_config, load_config, scenario_from_config
 from .constants import (
-    BoundSet,
     Report,
-    certify_region,
+    certify,
     practical_sampling_time,
-    validate_tuning,
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
@@ -165,15 +164,6 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _bounds(cfg, filt) -> tuple[Report | None, BoundSet | None]:
-    """The config's bounds with no report, or ``certify_region``'s report and
-    bounds over its box for the plain filter: the boosted controller's extra
-    authority enters the budget formulas through epsilon, not through b_k."""
-    if cfg.bounds is not None:
-        return None, cfg.bounds
-    return certify_region(cfg.region, filt.dynamics, filt, filt.barrier, tuning=cfg.tuning)
-
-
 def _assumption_failure(report: Report) -> int:
     """Print a failing assumption report, its failed checks named on stderr."""
     for check in report.checks:
@@ -185,20 +175,18 @@ def _assumption_failure(report: Report) -> int:
 
 def cmd_constants(args) -> int:
     cfg = load_config(args.config, args.set)
-    filt = filter_from_config(cfg)
-    assumptions, bounds = _bounds(cfg, filt)
-    if bounds is None:
-        return _assumption_failure(assumptions)
+    cert = certify(cfg, filter_from_config(cfg))
+    if cert.bounds is None:
+        return _assumption_failure(cert.assumptions)
+    bounds = cert.bounds
     for f in dataclasses.fields(bounds):
         print(f"bounds.{f.name}={_g(getattr(bounds, f.name))}")
-    if assumptions is None:
+    if cert.assumptions is None:
         print("assumption checks skipped: bounds supplied explicitly")
     else:
-        for check in assumptions.checks:
+        for check in cert.assumptions.checks:
             print(f"assumption {check.name}: {check.status} ({check.detail})")
-    # Explicit bounds come with no box sampling, so the band check is skipped.
-    report = validate_tuning(cfg.tuning, bounds, filt, None if assumptions is None else cfg.region)
-    for check in report.checks:
+    for check in cert.tuning.checks:
         print(f"tuning {check.name}: {check.status} ({check.detail})")
     print(f"practical_sampling_time={_g(practical_sampling_time(bounds, cfg.tuning.margin))}")
     print(
@@ -215,10 +203,10 @@ def cmd_compare(args) -> int:
             "compare requires the boosted controller (set scenario.controller: boosted); "
             "the event trigger's hold-period floor is only certified for it"
         )
-    assumptions, bounds = _bounds(cfg, filter_from_config(cfg))
-    if bounds is None:
-        return _assumption_failure(assumptions)
-    t_star = violation_free_sampling_time(bounds, cfg.tuning.epsilon, cfg.tuning.margin)
+    cert = certify(cfg, filter_from_config(cfg))
+    if cert.bounds is None:
+        return _assumption_failure(cert.assumptions)
+    t_star = violation_free_sampling_time(cert.bounds, cfg.tuning.epsilon, cfg.tuning.margin)
     integrator = dataclasses.replace(
         cfg.integrator, substep=min(cfg.integrator.substep, t_star / 2.0)
     )

@@ -14,11 +14,11 @@ and evaluates the two budget formulas:
 
 Every estimated maximum is inflated, and every estimated minimum deflated,
 by the region's safety factor (default 1.1) to hedge the finite sampling.
-``certify_region`` samples the box once, for the assumption report and, only
-when it passes, the bounds; so the CLI's ``constants`` and ``compare`` both
-exit 3 on a box that fails its checks. ``validate_tuning`` checks the side
+``certify`` turns a run configuration into one ``Certificate``: the
+assumption report, the bounds, and the tuning report, which checks the side
 conditions under which the boosted controller's violation-free budget is
-honest, against those bounds.
+honest. ``certify_region`` samples the box once for all three, and the CLI's
+``constants`` and ``compare`` print and run from that record.
 
 The boundary of the safe set is sampled by root-finding h along segments
 between box samples of opposite barrier sign. All segments run one stacked
@@ -55,6 +55,7 @@ from .cbf_core import (
 from .errors import BoundarySamplingError, ConfigurationError
 
 if TYPE_CHECKING:
+    from .config import RunConfig
     from .safety_filter import CbfQpFilter, TunableControllerConfig
 
 __all__ = [
@@ -62,8 +63,9 @@ __all__ = [
     "BoundSet",
     "Check",
     "Report",
+    "Certificate",
+    "certify",
     "certify_region",
-    "validate_tuning",
     "boundary_points",
     "error_bound_plain",
     "error_bound_tunable",
@@ -85,10 +87,6 @@ _SAMPLE_COUNT = 4096
 _BOUNDARY_COUNT = 512
 _PAIR_COUNT = 100_000
 _LATTICE_POINTS = 30_000
-
-# Boundary points sampled by the tuning's activation-band check; the box
-# sample searched for band points is 16 times larger.
-_BAND_BOUNDARY_POINTS = 256
 
 # Distance bins of the barrier-envelope check.
 _ENVELOPE_BINS = 16
@@ -213,6 +211,18 @@ class Report:
             if c.name == name:
                 return c
         raise KeyError(name)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """One certification of a run configuration. ``assumptions`` is the
+    assumption report, None when the config supplies its bounds; ``bounds``
+    is None when an assumption check fails; ``tuning`` is the tuning report,
+    None without bounds."""
+
+    assumptions: Report | None
+    bounds: BoundSet | None
+    tuning: Report | None
 
 
 def boundary_points(
@@ -488,12 +498,6 @@ def _max_quotient(df: np.ndarray, dx: np.ndarray) -> float:
     return float(np.max(num[keep] / den[keep]))
 
 
-def _min_lgh_norm(dyn: ControlAffineDynamics, barrier: BarrierFunction, pts: np.ndarray) -> float:
-    """Smallest actuation-row norm |lgh| over the points."""
-    lgh = np.broadcast_to(lie_derivatives(dyn, barrier, pts)[1], (len(pts), dyn.m))
-    return float(np.min(_row_norms(lgh)))
-
-
 def certify_region(
     region: OperatingRegion,
     dyn: ControlAffineDynamics,
@@ -501,9 +505,9 @@ def certify_region(
     barrier: BarrierFunction,
     *,
     tuning: TunableControllerConfig | None = None,
-) -> tuple[Report, BoundSet | None]:
-    """Assumption report and regional bounds over the region, from one
-    deterministic seeded sampling; the bounds are None when the report fails.
+) -> tuple[Report, BoundSet | None, np.ndarray | None]:
+    """Assumption report, regional bounds and activation-band |lgh| over the
+    region, from one deterministic seeded sampling.
 
     The report's five checks: finite field and controller bounds, finite
     Lipschitz estimates of the controller and of the barrier-gradient
@@ -515,13 +519,18 @@ def certify_region(
     random point pairs and all lattice neighbors; mu from 512 root-found
     boundary points. Maxima are inflated and mu deflated by the region's
     ``safety_factor``. l_sigma is the tuning's analytic ``slope_bound``,
-    ``sharpness / (4 * epsilon)``, or zero when no tuning is supplied.
+    ``sharpness / (4 * epsilon)``, or zero when no tuning is supplied. The
+    band values are the unhedged |lgh| at the root-found boundary points and
+    the box samples with 0 <= h < ``tuning.delta``, or None without a tuning;
+    bounds and band are None when the report fails.
     """
     rng = np.random.default_rng(region.seed)
-    report, raw = _assumption_report(region, dyn, controller, barrier, rng)
+    report, raw = _assumption_report(
+        region, dyn, controller, barrier, rng, None if tuning is None else tuning.delta,
+    )
     if not report.passed:
-        return report, None
-    f_max, g_max, k_max, lgh_max, mu = raw
+        return report, None, None
+    f_max, g_max, k_max, lgh_max, mu, band = raw
     safety_factor = region.safety_factor
     n = region.dimension
 
@@ -571,7 +580,7 @@ def certify_region(
         b_f=b_f, b_g=b_g, b_k=b_k, lam=lam, mu=mu / safety_factor, m_lip=safety_factor * m_lip,
         l_k=safety_factor * l_k, l_sigma=tuning.slope_bound if tuning is not None else 0.0,
         safety_factor=safety_factor,
-    )
+    ), band
 
 
 def _assumption_report(
@@ -580,12 +589,14 @@ def _assumption_report(
     controller: Callable[[np.ndarray], np.ndarray],
     barrier: BarrierFunction,
     rng: np.random.Generator,
-) -> tuple[Report, tuple[float, ...] | None]:
+    delta: float | None,
+) -> tuple[Report, tuple | None]:
     """The five checks of ``certify_region`` from the first draws of rng (4096
     box samples, then the boundary points root-found from 4096 more), and
     what the bounds reuse, unhedged: the box maxima of |f|, |g|, |k| and
-    |lgh| and the smallest root-found boundary |lgh|, or None without
-    boundary points. The checks' temporaries are freed on return."""
+    |lgh|, the smallest root-found boundary |lgh| and the band values for
+    ``delta``, or None without boundary points. The checks' temporaries are
+    freed on return."""
     pts = region.sample(rng, _SAMPLE_COUNT)
     _probe_shapes(dyn, barrier, pts[0], controller)
     f_norm, g_norm, k_arr, lgh_arr = _evaluate_box(
@@ -622,13 +633,22 @@ def _assumption_report(
         checks.append(gradient_check)
         checks.append(Check("barrier_envelope", "skipped", "no boundary points"))
         return Report(tuple(checks)), None
-    raw = (f_norm, g_norm, k_norm, lam_raw, _min_lgh_norm(dyn, barrier, bpts))
 
     # Root-found crossings follow the boundary's bulk; Newton projection of
     # the box samples also reaches thin slivers (for the cruise-control
     # barrier, the zero-speed corner where actuation authority vanishes).
     proj = _project_to_boundary(region, barrier, pts)
-    mu_raw = _min_lgh_norm(dyn, barrier, np.vstack([bpts, proj]))
+    lgh_b, lgh_p = (
+        _row_norms(np.broadcast_to(lie_derivatives(dyn, barrier, p)[1], (len(p), dyn.m)))
+        for p in (bpts, proj)
+    )
+    # np.min, not min, so that a NaN propagates.
+    mu_raw = float(np.min(np.concatenate([lgh_b, lgh_p])))
+    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
+    band = None if delta is None else np.concatenate(
+        [lgh_b, _row_norms(lgh_arr[(0.0 <= hs) & (hs < delta)])]
+    )
+    raw = (f_norm, g_norm, k_norm, lam_raw, float(np.min(lgh_b)), band)
     degenerate = not mu_raw > _MU_DEGENERACY_RATIO * lam_raw
     checks.append(Check(
         "boundary_actuation", "fail" if degenerate else "pass",
@@ -638,7 +658,6 @@ def _assumption_report(
     ))
     checks.append(gradient_check)
 
-    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     safe = pts[hs >= 0.0]
     safe_h = hs[hs >= 0.0]
     if len(safe) < _ENVELOPE_BINS:
@@ -664,69 +683,57 @@ def _assumption_report(
     return Report(tuple(checks)), raw
 
 
-def validate_tuning(
-    cfg: TunableControllerConfig,
-    bounds: BoundSet,
-    filt: CbfQpFilter,
-    region: OperatingRegion | None = None,
-) -> Report:
-    """Check the tuning against its certificate side conditions, for the
-    plain filter ``filt`` it boosts.
+def certify(cfg: RunConfig, filt: CbfQpFilter) -> Certificate:
+    """The config's certificate for the plain filter ``filt`` it builds:
+    its explicit bounds, or ``certify_region``'s over its box. The boosted
+    controller's extra authority enters the budgets through epsilon, not b_k.
 
-    Three checks: the amplified decrease rate must out-run the margin at the
-    activation height (c * alpha(delta) > margin), the plateau must be strong
-    enough for the boundary actuation margin to reject worst-case drift
-    (epsilon <= mu^2 / (4 * margin)), and the actuation row must stay above
-    half its boundary floor throughout the activation band {0 <= h < delta}.
-    The band check samples the filter's plant and barrier over the region
-    (256 boundary points plus the band's share of 4096 box samples), so
-    without a region it reports "skipped". Its draw is smaller than
-    ``certify_region``'s and can miss a boundary sliver that one found; the
-    check then fails with the sampler's message.
+    Three tuning checks: the amplified decrease rate must out-run the margin
+    at the activation height (c * alpha(delta) > margin), the plateau must be
+    strong enough for the boundary actuation margin to reject worst-case
+    drift (epsilon <= mu^2 / (4 * margin)), and the actuation row must stay
+    above half its boundary floor throughout the activation band
+    {0 <= h < delta}. The band check reads the box sampling's band values,
+    so with explicit bounds it reports "skipped".
     """
-    checks = []
+    tuning = cfg.tuning
+    if cfg.bounds is not None:
+        assumptions, bounds, band = None, cfg.bounds, None
+    else:
+        assumptions, bounds, band = certify_region(
+            cfg.region, filt.dynamics, filt, filt.barrier, tuning=tuning,
+        )
+        if bounds is None:
+            return Certificate(assumptions, None, None)
 
-    amplified = cfg.c * filt.alpha(cfg.delta)
-    checks.append(Check(
-        "amplification_covers_margin",
-        "pass" if amplified > cfg.margin else "fail",
-        f"c * alpha(delta) = {amplified:.6g} vs margin = {cfg.margin:.6g}",
-    ))
-
-    budget = bounds.mu ** 2 / (4.0 * cfg.margin)
-    checks.append(Check(
-        "plateau_budget",
-        "pass" if cfg.epsilon <= budget else "fail",
-        f"epsilon = {cfg.epsilon:.6g} vs mu^2/(4*margin) = {budget:.6g}",
-    ))
-
-    if region is None:
+    amplified = tuning.c * filt.alpha(tuning.delta)
+    budget = bounds.mu ** 2 / (4.0 * tuning.margin)
+    checks = [
+        Check(
+            "amplification_covers_margin",
+            "pass" if amplified > tuning.margin else "fail",
+            f"c * alpha(delta) = {amplified:.6g} vs margin = {tuning.margin:.6g}",
+        ),
+        Check(
+            "plateau_budget",
+            "pass" if tuning.epsilon <= budget else "fail",
+            f"epsilon = {tuning.epsilon:.6g} vs mu^2/(4*margin) = {budget:.6g}",
+        ),
+    ]
+    if band is None:
         checks.append(Check(
-            "activation_band_gain", "skipped",
-            "needs a region to sample the band",
+            "activation_band_gain", "skipped", "needs a region to sample the band",
         ))
-        return Report(tuple(checks))
-
-    dynamics, barrier = filt.dynamics, filt.barrier
-    _probe_shapes(dynamics, barrier, 0.5 * (region.lower_arr + region.upper_arr))
-    rng = np.random.default_rng(region.seed)
-    try:
-        bpts = boundary_points(region, barrier, _BAND_BOUNDARY_POINTS, rng)
-    except BoundarySamplingError as exc:
-        checks.append(Check("activation_band_gain", "fail", str(exc)))
-        return Report(tuple(checks))
-    box = region.sample(rng, 16 * _BAND_BOUNDARY_POINTS)
-    hs = np.broadcast_to(barrier.value(box), (len(box),))
-    band_pts = np.vstack([bpts, box[(0.0 <= hs) & (hs < cfg.delta)]])
-    floor = bounds.mu / 2.0
-    worst = _min_lgh_norm(dynamics, barrier, band_pts)
-    checks.append(Check(
-        "activation_band_gain",
-        "pass" if worst >= floor else "fail",
-        f"min |lgh| over the band = {worst:.6g} vs mu/2 = {floor:.6g} "
-        f"({len(band_pts)} band points)",
-    ))
-    return Report(tuple(checks))
+    else:
+        floor = bounds.mu / 2.0
+        worst = float(np.min(band))
+        checks.append(Check(
+            "activation_band_gain",
+            "pass" if worst >= floor else "fail",
+            f"min |lgh| over the band = {worst:.6g} vs mu/2 = {floor:.6g} "
+            f"({len(band)} band points)",
+        ))
+    return Certificate(assumptions, bounds, Report(tuple(checks)))
 
 
 def error_bound_plain(bounds: BoundSet, t_hold: float) -> float:

@@ -22,18 +22,17 @@ from safehold.acc_benchmark import (
     acc_filter,
     approach_region,
     certified_tuning,
-    ride_region,
     thin_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
-from safehold.config import load_config, scenario_from_config
+from safehold.config import filter_from_config, load_config, scenario_from_config
 from safehold.constants import (
     BoundSet,
+    certify,
     certify_region,
     error_bound_plain,
     error_bound_tunable,
     practical_sampling_time,
-    validate_tuning,
     violation_free_sampling_time,
 )
 from safehold.safety_filter import solve_cbf_qp
@@ -145,10 +144,10 @@ def test_criterion_05_boosted_sweep_has_a_threshold_frequency(
 
 def test_criterion_06_certified_period_never_violates(ride_bounds, ride_periodic_star):
     t0 = time.perf_counter()
-    filt = acc_filter()
-    cfg = certified_tuning()
-    report = validate_tuning(cfg, ride_bounds.value, filt, ride_region())
-    assert report.passed
+    cfg = load_config(CERTIFIED)
+    cert = certify(cfg, filter_from_config(cfg))
+    assert cert.bounds == ride_bounds.value
+    assert cert.tuning.passed
     trace, summary = ride_periodic_star.value
     assert summary.min_h >= -1e-9
     assert float(trace.trigger.min()) >= -1e-6
@@ -185,7 +184,7 @@ def test_criterion_08_hold_deviation_stays_under_analytic_bound():
     filt = acc_filter()
     reg = approach_region()
     wcfg = load_config(WIDE_BAND).tuning
-    _, bounds = certify_region(
+    _, bounds, _ = certify_region(
         reg, filt.dynamics, filt, filt.barrier, tuning=wcfg,
     )
     boost = wcfg.controller(filt)

@@ -52,6 +52,7 @@ DELETED = (
     "SigmoidGain",
     "wide_band_tuning",
     "ClassKappa.linear",
+    "validate_tuning",
 )
 
 # Every parameter and field here has a caller that varies it (or is a
@@ -61,7 +62,7 @@ PARAMETERS = {
     constants.certify_region: (
         "region", "dyn", "controller", "barrier", "tuning",
     ),
-    constants.validate_tuning: ("cfg", "bounds", "filt", "region"),
+    constants.certify: ("cfg", "filt"),
     constants.boundary_points: ("region", "barrier", "count", "rng"),
     simulator.run_many: ("scenarios",),
     acc_benchmark.acc_filter: ("params",),
@@ -82,6 +83,7 @@ FIELDS = {
     ),
     simulator.Trace: ("t", "x", "u", "h", "hdot", "trigger", "event"),
     constants.OperatingRegion: ("lower", "upper", "seed", "safety_factor"),
+    constants.Certificate: ("assumptions", "bounds", "tuning"),
     config.RunConfig: (
         "scenario_name", "controller", "x0", "plant", "tuning", "alpha", "schedule",
         "integrator", "region", "bounds", "trace_path", "summary_path",
@@ -92,7 +94,7 @@ FIELDS = {
 # (nested functions and private helpers included, * and ** catch-alls not)
 # plus each dataclass field, over the package's modules. A change that adds
 # a knob raises this number in the same diff and says why in CHANGES.md.
-SETTABLE_VALUES = 288
+SETTABLE_VALUES = 285
 
 
 def test_all_is_the_union_of_the_submodules():
@@ -156,5 +158,33 @@ def test_certificate_checks_live_in_constants():
             # from .constants import ..., from . import constants, import safehold.constants
             names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
             assert not any(n.rpartition(".")[2] == "constants" for n in names), ast.unparse(node)
-    assert "validate_tuning" in constants.__all__
-    assert "validate_tuning" not in safety_filter.__all__
+    assert "certify" in constants.__all__
+    assert "certify" not in safety_filter.__all__
+
+
+def _unread_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads, as ``file:line name``.
+    ``__future__`` imports are directives, and a test's parameter names
+    count as reads: pytest passes an imported fixture by its name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read |= {node.arg for node in ast.walk(tree) if isinstance(node, ast.arg)}
+    unread = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                # import a.b binds a; from m import x (as y) binds x (or y).
+                bound = alias.asname or alias.name.partition(".")[0]
+                if bound not in read:
+                    unread.append(f"{path.name}:{node.lineno} {bound}")
+    return unread
+
+
+def test_every_import_is_read():
+    # The package's __init__ imports to re-export, so it is not scanned.
+    package = Path(safehold.__file__).parent
+    paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
+    paths += sorted(Path(__file__).parent.glob("*.py"))
+    assert [line for path in paths for line in _unread_imports(path)] == []

@@ -150,22 +150,25 @@ class TestConstants:
         assert "violation_free_sampling_time=0.00035558221703683811" in out
 
     def test_the_box_is_sampled_once(self, monkeypatch):
-        # One boundary sampling certifies the box; the tuning's band check
-        # draws its own, smaller one.
+        # One boundary sampling and one shape probe serve the assumption
+        # checks, the bounds and the tuning's band check; explicit bounds
+        # need neither.
         calls = []
-        original = constants.boundary_points
+        for name in ("_probe_shapes", "boundary_points"):
+            def spy(*args, name=name, original=getattr(constants, name)):
+                calls.append(name)
+                return original(*args)
 
-        def spy(region, barrier, count, rng):
-            calls.append(count)
-            return original(region, barrier, count, rng)
-
-        monkeypatch.setattr(constants, "boundary_points", spy)
+            monkeypatch.setattr(constants, name, spy)
         assert main(["constants", str(CONFIGS / "ride-certified.yaml")]) == EXIT_OK
-        assert calls == [constants._BOUNDARY_COUNT, constants._BAND_BOUNDARY_POINTS]
+        assert calls == ["_probe_shapes", "boundary_points"]
+        calls.clear()
+        assert main(["constants", str(CONFIGS / "unit-bounds.yaml")]) == EXIT_OK
+        assert calls == []
 
-    def test_a_band_draw_missing_the_boundary_fails_its_check(self, capsys):
-        # Certification's draw finds this box's boundary sliver; the band
-        # check's smaller draw misses it, and the budgets still print.
+    def test_a_boundary_sliver_box_checks_its_band_on_the_certified_draw(self, capsys):
+        # The box's boundary is a sliver that a smaller draw of its own
+        # misses; the band check reads certification's draw, which finds it.
         code = main([
             "constants", str(CONFIGS / "ride-certified.yaml"),
             "--set", "region.lower=[0,19.0,787.5]", "--set", "region.upper=[500,21.0,900.0]",
@@ -174,11 +177,27 @@ class TestConstants:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert (
-            "tuning activation_band_gain: fail (region samples do not straddle the "
-            "safe-set boundary (2048 inside, 0 outside))\n"
+            "tuning activation_band_gain: pass (min |lgh| over the band = 0.0457218 "
+            "vs mu/2 = 0.0207826 (513 band points))\n"
         ) in out
         assert "practical_sampling_time=" in out
         assert "violation_free_sampling_time=" in out
+
+    def test_box_rows_in_the_band_can_fail_the_band_check(self, capsys):
+        # At this seed, box samples in the approach tuning's band have less
+        # actuation authority than half of mu, which the root-found boundary
+        # points alone set. The tuning report gates nothing: exit 0.
+        code = main([
+            "constants", str(CONFIGS / "approach-boosted.yaml"), "--set", "region.seed=3",
+        ])
+        assert code == EXIT_OK
+        captured = capsys.readouterr()
+        assert (
+            "tuning activation_band_gain: fail (min |lgh| over the band = 0.00419976 "
+            "vs mu/2 = 0.00483031 (514 band points))\n"
+        ) in captured.out
+        assert "violation_free_sampling_time=" in captured.out
+        assert captured.err == ""
 
 
 class TestSimulate:

@@ -12,24 +12,21 @@ import pytest
 from oracles import dense_acc_bounds
 from safehold import constants
 from safehold.acc_benchmark import (
-    acc_barrier,
-    acc_dynamics,
     acc_filter,
-    approach_region,
     certified_tuning,
     ride_region,
 )
 from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
-from safehold.config import load_config
+from safehold.config import filter_from_config, load_config
 from safehold.constants import (
     BoundSet,
     OperatingRegion,
     boundary_points,
+    certify,
     certify_region,
     error_bound_plain,
     error_bound_tunable,
     practical_sampling_time,
-    validate_tuning,
     violation_free_sampling_time,
 )
 from safehold.errors import BoundarySamplingError, ConfigurationError
@@ -110,7 +107,7 @@ class TestBoundaryPoints:
         with pytest.raises(BoundarySamplingError, match=r"barrier value nan at state \[0\.[45]"):
             boundary_points(reg, _nan_band_barrier(), 16, np.random.default_rng(0))
         dyn, _ = _plane_system()
-        report, bounds = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
         assert bounds is None
         assert "root-finding cannot continue" in report["boundary_actuation"].detail
 
@@ -119,7 +116,7 @@ class TestEstimateBounds:
     def test_plane_system_exact_values(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.0)
-        _, b = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, b, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert b.b_f == pytest.approx(1.0, rel=1e-12)
         assert b.b_g == 1.0
         assert b.b_k == 0.0
@@ -132,7 +129,7 @@ class TestEstimateBounds:
     def test_safety_factor_direction(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0), safety_factor=1.1)
-        _, b = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, b, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         # maxima inflated, the boundary minimum deflated
         assert b.lam == pytest.approx(1.1, rel=1e-12)
         assert b.mu == pytest.approx(1.0 / 1.1, rel=1e-12)
@@ -146,8 +143,8 @@ class TestEstimateBounds:
     def test_deterministic_given_seed(self):
         filt = acc_filter()
         reg = ride_region()
-        _, b1 = certify_region(reg, filt.dynamics, filt, filt.barrier)
-        _, b2 = certify_region(reg, filt.dynamics, filt, filt.barrier)
+        _, b1, _ = certify_region(reg, filt.dynamics, filt, filt.barrier)
+        _, b2, _ = certify_region(reg, filt.dynamics, filt, filt.barrier)
         assert b1 == b2
 
     def test_cruise_box_matches_dense_reference_within_5pct(self, ride_bounds):
@@ -174,14 +171,29 @@ class TestEstimateBounds:
     def test_sigmoid_only_changes_the_slope_bound(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        _, plain = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
-        _, gated = certify_region(
+        _, plain, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        _, gated, _ = certify_region(
             reg, dyn, lambda x: np.zeros(1), barrier,
             tuning=_gain(epsilon=0.5, delta=1.0, band=2.0),
         )
         assert gated.l_sigma == 100.0 / (4.0 * 0.5)
         for key in ("b_f", "b_g", "b_k", "lam", "mu", "l_k", "m_lip"):
             assert getattr(gated, key) == getattr(plain, key)
+
+    def test_band_values_come_from_the_certifying_draw(self):
+        # h = x1 and |lgh| = 1 everywhere: one value per root-found boundary
+        # point and per box sample of certification's draw with 0 <= x1 < delta.
+        dyn, barrier = _plane_system()
+        reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        assert certify_region(reg, dyn, lambda x: np.zeros(1), barrier)[2] is None
+        _, _, band = certify_region(
+            reg, dyn, lambda x: np.zeros(1), barrier,
+            tuning=_gain(epsilon=0.5, delta=0.25, band=2.0),
+        )
+        box = reg.sample(np.random.default_rng(reg.seed), constants._SAMPLE_COUNT)
+        in_band = np.count_nonzero((0.0 <= box[:, 0]) & (box[:, 0] < 0.25))
+        assert len(band) == constants._BOUNDARY_COUNT + in_band
+        assert np.all(band == 1.0)
 
 
 class TestErrorBounds:
@@ -282,7 +294,7 @@ class TestCheckAssumptions:
     def test_plane_system_passes_all_five(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         names = [c.name for c in report.checks]
         assert names == [
             "bounded_fields", "controller_lipschitz", "boundary_actuation",
@@ -294,7 +306,7 @@ class TestCheckAssumptions:
     def test_box_off_the_boundary_still_reports_all_five(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
-        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert [(c.name, c.status) for c in report.checks] == [
             ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
             ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
@@ -304,7 +316,7 @@ class TestCheckAssumptions:
     def test_a_barrier_nan_on_the_segments_fails_boundary_check(self):
         dyn, _ = _plane_system()
         reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
-        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
+        report, _, _ = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
         assert [(c.name, c.status) for c in report.checks] == [
             ("bounded_fields", "pass"), ("controller_lipschitz", "pass"),
             ("boundary_actuation", "fail"), ("gradient_actuation_lipschitz", "pass"),
@@ -322,7 +334,7 @@ class TestCheckAssumptions:
             value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
         )
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report, bounds = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert report["boundary_actuation"].status == "fail"
         assert not report.passed
         assert bounds is None
@@ -332,18 +344,18 @@ class TestCheckAssumptions:
         # the projected boundary samples must find that sliver.
         filt = acc_filter()
         reg = OperatingRegion(lower=(0.0, 0.0, 0.0), upper=(2000.0, 30.0, 1200.0))
-        report, _ = certify_region(reg, filt.dynamics, filt, filt.barrier)
+        report, _, _ = certify_region(reg, filt.dynamics, filt, filt.barrier)
         assert report["boundary_actuation"].status == "fail"
 
     def test_cruise_box_passes(self):
         filt = acc_filter()
-        report, _ = certify_region(ride_region(), filt.dynamics, filt, filt.barrier)
+        report, _, _ = certify_region(ride_region(), filt.dynamics, filt, filt.barrier)
         assert report.passed
 
     def test_unknown_check_name_raises(self):
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        report, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
+        report, _, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         with pytest.raises(KeyError):
             report["nope"]
 
@@ -369,24 +381,19 @@ def _state_actuation_system():
 
 def _certification(case):
     """The bounds and reports of one certification, with each bound as its
-    exact hex string. One ``certify_region`` call gives the assumption
-    report and the bounds."""
+    exact hex string: ``certify_region``'s assumption report on the
+    state-actuation plant, and ``certify``'s assumption and tuning reports
+    on the shipped ride and approach configs."""
     if case == "state_actuation":
         dyn, barrier, controller = _state_actuation_system()
-        region, tuning = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), None
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        report, bounds, _ = certify_region(region, dyn, controller, barrier)
+        reports = [report]
     else:
-        filt = acc_filter()
-        dyn, barrier, controller = filt.dynamics, filt.barrier, filt
-        region, tuning = {
-            "ride": (ride_region(), certified_tuning()),
-            "approach": (
-                approach_region(), load_config(CONFIGS / "approach-boosted.yaml").tuning,
-            ),
-        }[case]
-    report, bounds = certify_region(region, dyn, controller, barrier)
-    reports = [report]
-    if tuning is not None:
-        reports.append(validate_tuning(tuning, bounds, filt, region))
+        cfg = load_config(CONFIGS / {"ride": "ride-certified.yaml",
+                                     "approach": "approach-boosted.yaml"}[case])
+        cert = certify(cfg, filter_from_config(cfg))
+        bounds, reports = cert.bounds, [cert.assumptions, cert.tuning]
     hexes = {f.name: float(getattr(bounds, f.name)).hex() for f in dataclasses.fields(bounds)}
     return hexes, reports
 
@@ -475,7 +482,10 @@ class TestBlockedEvaluation:
         calls = {
             "certify_region": (lambda: certify_region(*args), 2.0),
             "_assumption_report": (
-                lambda: constants._assumption_report(*args, np.random.default_rng(0)), 2.0,
+                lambda: constants._assumption_report(
+                    *args, np.random.default_rng(0), certified_tuning().delta,
+                ),
+                2.0,
             ),
         }
         for name, (call, limit_mib) in calls.items():

@@ -1,7 +1,8 @@
-"""Safety filter, the boosted controller, and the tuning validator."""
+"""Safety filter, the boosted controller, and the tuning checks."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from pathlib import Path
 
@@ -24,7 +25,7 @@ from safehold.cbf_core import (
     lie_derivatives,
 )
 from safehold.config import load_config
-from safehold.constants import BoundSet, OperatingRegion, certify_region, validate_tuning
+from safehold.constants import BoundSet, OperatingRegion, Report, certify, certify_region
 from safehold.errors import ConfigurationError, InfeasibleFilterError
 from safehold.safety_filter import (
     CbfQpFilter,
@@ -261,7 +262,7 @@ class TestTunableControllerConfig:
                 z = cfg.sharpness * (h - cfg.delta - 0.5 * cfg.band)
                 assert cfg(h) == 1.0 / (cfg.epsilon * (1.0 + math.exp(z)))
         dyn, barrier = _plane_system()
-        _, bounds = certify_region(
+        _, bounds, _ = certify_region(
             OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
             dyn, lambda x: np.zeros(1), barrier, tuning=cfg,
         )
@@ -289,20 +290,26 @@ class TestContinuity:
 
 
 class TestValidateTuning:
-    def _bounds(self, mu: float) -> BoundSet:
-        return BoundSet(
+    """``certify``'s tuning checks, on explicit bounds and a scalar filter."""
+
+    def _report(self, tuning: TunableControllerConfig, mu: float) -> Report:
+        bounds = BoundSet(
             b_f=1.0, b_g=1.0, b_k=1.0, lam=1.0, mu=mu,
             m_lip=1.0, l_k=1.0, l_sigma=1.0, safety_factor=1.0,
         )
+        cfg = dataclasses.replace(
+            load_config(CONFIGS / "unit-bounds.yaml"), tuning=tuning, bounds=bounds,
+        )
+        return certify(cfg, _scalar_filter(0.0)).tuning
 
     def test_amplification_pass(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
+        report = self._report(cfg, mu=1.0)
         assert report["amplification_covers_margin"].status == "pass"
 
     def test_amplification_fail(self):
         cfg = TunableControllerConfig(c=1.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
+        report = self._report(cfg, mu=1.0)
         assert report["amplification_covers_margin"].status == "fail"
         assert not report.passed
 
@@ -311,7 +318,7 @@ class TestValidateTuning:
         cfg = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=mu * mu / (4.0 * d), margin=d,
         )
-        report = validate_tuning(cfg, self._bounds(mu=mu), _scalar_filter(0.0))
+        report = self._report(cfg, mu=mu)
         assert report["plateau_budget"].status == "pass"
 
     def test_plateau_budget_fails_just_past_boundary(self):
@@ -319,17 +326,18 @@ class TestValidateTuning:
         cfg = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=mu * mu / (4.0 * d) * 1.01, margin=d,
         )
-        report = validate_tuning(cfg, self._bounds(mu=mu), _scalar_filter(0.0))
+        report = self._report(cfg, mu=mu)
         assert report["plateau_budget"].status == "fail"
 
     def test_band_check_skipped_without_region(self):
+        # Explicit bounds come with no sampling of the box.
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
+        report = self._report(cfg, mu=1.0)
         assert report["activation_band_gain"].status == "skipped"
         assert report.passed  # skipped does not fail the report
 
     def test_unknown_check_name_raises(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
-        report = validate_tuning(cfg, self._bounds(mu=1.0), _scalar_filter(0.0))
+        report = self._report(cfg, mu=1.0)
         with pytest.raises(KeyError):
             report["nope"]

@@ -28,7 +28,6 @@ from safehold.safety_filter import CbfQpFilter, NominalController
 from safehold.simulator import (
     HoldSchedule,
     IntegratorConfig,
-    RunSummary,
     Scenario,
     Trace,
     analyze,
