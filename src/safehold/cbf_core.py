@@ -155,7 +155,7 @@ def _probe_shapes(
     dyn: ControlAffineDynamics,
     barrier: BarrierFunction,
     x,
-    controller: Callable[[np.ndarray], np.ndarray] | None = None,
+    controller: Callable[[np.ndarray], np.ndarray],
 ) -> None:
     """Check, at one state and on an (n + 1)-row stack of it, every shape
     the evaluation path relies on.
@@ -191,8 +191,6 @@ def _probe_shapes(
     _probe_stacked("barrier gradient", barrier.gradient, stack, (k, n))
     _probe_stacked("drift", dyn.drift, stack, (k, n))
     _probe_stacked("actuation", dyn.actuation, stack, (k, n, m))
-    if controller is None:
-        return
     for what, law in (
         ("nominal controller", getattr(controller, "nominal", None)),
         ("controller", controller),

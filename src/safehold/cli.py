@@ -43,12 +43,8 @@ EXIT_ASSUMPTION = 3
 VIOLATION_TOL = 1e-9
 
 
-def _g(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+def _g(value: float | None) -> str:
+    return "none" if value is None else f"{value:.17g}"
 
 
 def _with_parent(path: str) -> Path:

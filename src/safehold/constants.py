@@ -228,23 +228,22 @@ class Certificate:
 def boundary_points(
     region: OperatingRegion,
     barrier: BarrierFunction,
-    count: int,
+    *,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Points on the safe-set boundary inside the region, shape (k, n).
 
-    Works by pairing sampled points of opposite barrier sign (from
-    max(8 * count, 2048) box samples) and root-finding along the connecting
-    segments, so each returned point satisfies |h| <= 1e-9 relative to the
-    barrier's sampled magnitude. The segments are solved together by a
-    stacked Brent iteration, one stacked barrier call per iteration, whose
-    roots equal SciPy ``brentq``'s (xtol 1e-14, rtol 8.882e-16) bit for bit;
-    a segment still open after 100 iterations gives its last iterate, which
-    that |h| test keeps or drops. Raises ``BoundarySamplingError`` when the
+    Works by root-finding along 512 segments that join box samples of
+    opposite barrier sign (from 4096 samples), so each returned point
+    satisfies |h| <= 1e-9 relative to the barrier's sampled magnitude. The
+    segments are solved together by a stacked Brent iteration, one stacked
+    barrier call per iteration, whose roots equal SciPy ``brentq``'s (xtol
+    1e-14, rtol 8.882e-16) bit for bit; a segment still open after 100
+    iterations gives its last iterate, which that |h| test keeps or drops. Raises ``BoundarySamplingError`` when the
     box never straddles the boundary, when the barrier is not finite at an
     iterate, or when no point passes the |h| test.
     """
-    pts = region.sample(rng, max(8 * count, 2048))
+    pts = region.sample(rng, 8 * _BOUNDARY_COUNT)
     hs = np.broadcast_to(barrier.value(pts), (len(pts),))
     pos = pts[hs > 0.0]
     neg = pts[hs < 0.0]
@@ -254,12 +253,12 @@ def boundary_points(
             f"({len(pos)} inside, {len(neg)} outside)"
         )
     h_scale = max(float(np.max(np.abs(hs))), 1.0)
-    pair = np.arange(count)
+    pair = np.arange(_BOUNDARY_COUNT)
     a = pos[pair % len(pos)]
     b = neg[pair % len(neg)]
     t_root = _brent_roots(barrier.value, a, b)
     roots = a + t_root[:, None] * (b - a)
-    out = roots[np.abs(np.broadcast_to(barrier.value(roots), (count,))) <= 1e-9 * h_scale]
+    out = roots[np.abs(np.broadcast_to(barrier.value(roots), pair.shape)) <= 1e-9 * h_scale]
     if not len(out):
         raise BoundarySamplingError("boundary refinement produced no converged points")
     return out
@@ -382,19 +381,18 @@ def _lattice_rows(axes: list[np.ndarray], flat: np.ndarray) -> np.ndarray:
 def _pair_blocks(
     region: OperatingRegion,
     rng: np.random.Generator,
-    count: int,
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """``count`` random point pairs (a, b) in the box, made block by block
-    over ``_row_blocks(count)``. The a rows continue rng's stream; the b
-    rows come from a copy of it advanced past all ``count`` a rows (a
-    uniform draw takes one step of the stream per coordinate). So the a
-    blocks concatenate to ``region.sample(rng, count)`` and the b blocks to
-    the draw that follows it, whatever the block size; rng ends after the a
-    rows."""
+    """``_PAIR_COUNT`` random point pairs (a, b) in the box, made block by
+    block over ``_row_blocks(_PAIR_COUNT)``. The a rows continue rng's
+    stream; the b rows come from a copy of it advanced past all the a rows
+    (a uniform draw takes one step of the stream per coordinate). So the a
+    blocks concatenate to ``region.sample(rng, _PAIR_COUNT)`` and the b
+    blocks to the draw that follows it, whatever the block size; rng ends
+    after the a rows."""
     rng_b = np.random.Generator(
-        copy.deepcopy(rng.bit_generator).advance(count * region.dimension)
+        copy.deepcopy(rng.bit_generator).advance(_PAIR_COUNT * region.dimension)
     )
-    for rows in _row_blocks(count):
+    for rows in _row_blocks(_PAIR_COUNT):
         k = rows.stop - rows.start
         yield region.sample(rng, k), region.sample(rng_b, k)
 
@@ -550,7 +548,7 @@ def certify_region(
     # Difference quotients: random pairs spread over the box, lattice
     # neighbors capture local slopes the random pairs dilute.
     l_k, m_lip = [], []
-    for a, b in _pair_blocks(region, rng, _PAIR_COUNT):
+    for a, b in _pair_blocks(region, rng):
         out_shape = (len(a), dyn.m)
         k_a = np.broadcast_to(controller(a), out_shape)
         k_b = np.broadcast_to(controller(b), out_shape)
@@ -627,7 +625,7 @@ def _assumption_report(
     )
 
     try:
-        bpts = boundary_points(region, barrier, _BOUNDARY_COUNT, rng)
+        bpts = boundary_points(region, barrier, rng=rng)
     except BoundarySamplingError as exc:
         checks.append(Check("boundary_actuation", "fail", str(exc)))
         checks.append(gradient_check)
@@ -722,7 +720,7 @@ def certify(cfg: RunConfig, filt: CbfQpFilter) -> Certificate:
     ]
     if band is None:
         checks.append(Check(
-            "activation_band_gain", "skipped", "needs a region to sample the band",
+            "activation_band_gain", "skipped", "explicit bounds sample no box for the band",
         ))
     else:
         floor = bounds.mu / 2.0
@@ -756,7 +754,7 @@ def practical_sampling_time(bounds: BoundSet, d: float) -> float:
     """Hold-period budget for the set-expansion route with margin d."""
     if d <= 0.0:
         raise ConfigurationError(f"margin d must be > 0, got {d}")
-    denom = (bounds.b_f + bounds.b_g * bounds.b_k) * bounds.l_k * bounds.lam
+    denom = error_bound_plain(bounds, 1.0) * bounds.l_k * bounds.lam
     if denom == 0.0:
         raise ConfigurationError("degenerate bounds: zero denominator in hold-period budget")
     return d / denom
@@ -765,15 +763,13 @@ def practical_sampling_time(bounds: BoundSet, d: float) -> float:
 def violation_free_sampling_time(bounds: BoundSet, epsilon: float, d: float) -> float:
     """Hold-period budget under which the boosted controller rejects hold
     errors outright, keeping the original safe set invariant."""
-    if epsilon <= 0.0:
-        raise ConfigurationError(f"epsilon must be > 0, got {epsilon}")
+    drift = error_bound_tunable(bounds, epsilon, 1.0)
     if d <= 0.0:
         raise ConfigurationError(f"margin d must be > 0, got {d}")
     rate = (
         bounds.l_sigma * bounds.lam ** 2
         + (bounds.l_k + bounds.m_lip / epsilon) * bounds.lam
     )
-    drift = bounds.b_f + bounds.b_g * bounds.b_k + bounds.b_g * bounds.lam / epsilon
     denom = rate * drift
     if denom == 0.0:
         raise ConfigurationError("degenerate bounds: zero denominator in hold-period budget")

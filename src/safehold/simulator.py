@@ -207,7 +207,8 @@ class Scenario:
     ``controller`` is the sampled law (already composed: plain filtered,
     or sigmoid-boosted). ``trigger_c`` is the amplification used by the
     recorded trigger signal and by event-mode resampling. Construction
-    checks the plant, barrier and controller shapes at ``x0``.
+    refuses a hold period shorter than the substep and checks the plant,
+    barrier and controller shapes at ``x0``.
     """
 
     name: str
@@ -230,6 +231,11 @@ class Scenario:
             raise ConfigurationError(f"x0 has shape {x0.shape}, expected ({n},)")
         if self.region is not None and self.region.dimension != n:
             raise ConfigurationError(f"region has dimension {self.region.dimension}, expected {n}")
+        dt = self.integrator.substep
+        if self.schedule.mode == "periodic" and _first_check(self.schedule, dt) < 1:
+            raise ConfigurationError(
+                f"hold period {self.schedule.period} is shorter than the substep {dt}"
+            )
         _probe_shapes(self.dynamics, self.barrier, x0, self.controller)
 
 
@@ -404,12 +410,11 @@ def run_many(scenarios) -> list[Trace]:
     Every scenario must hold its input (periodic or event schedule), use
     the first one's ``dynamics`` object and an equal ``integrator``; the
     other fields (start state, controller, barrier, schedule, region,
-    trigger amplification) are free. A member that breaks this, a hold
-    period shorter than the substep, or traces that would not fit in
-    physical memory raise ``ConfigurationError`` before anything is
-    integrated. Otherwise the error raised is that of the first
-    scenario, in list order, whose run raises, and the scenarios after it
-    stop when it does.
+    trigger amplification) are free. A member that breaks this, or traces
+    that would not fit in physical memory, raise ``ConfigurationError``
+    before anything is integrated. Otherwise the error raised is that of
+    the first scenario, in list order, whose run raises, and the scenarios
+    after it stop when it does.
     """
     scs = list(scenarios)
     for j, sc in enumerate(scs):
@@ -478,12 +483,7 @@ def _run_continuous(sc: Scenario) -> Trace:
 def _first_check(schedule: HoldSchedule, dt: float) -> int:
     """Substeps after a sample before resampling may be due."""
     if schedule.mode == "periodic":
-        first = int(math.floor(schedule.period / dt + 1e-9))
-        if first < 1:
-            raise ConfigurationError(
-                f"hold period {schedule.period} is shorter than the substep {dt}"
-            )
-        return first
+        return int(math.floor(schedule.period / dt + 1e-9))
     return max(1, int(math.ceil(schedule.floor / dt - 1e-9)))
 
 
@@ -493,13 +493,13 @@ def _run_held(scs: list[Scenario]) -> list[Trace]:
     the last input.
 
     Before anything is integrated, each member in list order has its start
-    state checked (a failure is that member's error, as below) and its
-    period checked against the substep. The stack advances through
-    segments: each member plans where its current segment ends, and the
-    stack integrates to the earliest plan. A member's first segment of a
-    hold reaches as far as its previous hold lasted (at least to the first
-    row resampling may be due, otherwise at most ``_SEGMENT_CAP`` substeps);
-    later ones start at ``first_check`` substeps and double up to the cap.
+    state checked (a failure is that member's error, as below). The stack
+    advances through segments: each member plans where its current segment
+    ends, and the stack integrates to the earliest plan. A member's first
+    segment of a hold reaches as far as its previous hold lasted (at least
+    to the first row resampling may be due, otherwise at most
+    ``_SEGMENT_CAP`` substeps); later ones start at ``first_check`` substeps
+    and double up to the cap.
     Each member's due test then covers its rows of the segment, as one stack
     (a periodic member is due at its first eligible row and evaluates
     nothing). The stack resumes from the earliest row where some member is

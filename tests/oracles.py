@@ -17,7 +17,6 @@ import numpy as np
 from safehold.acc_benchmark import AccParams
 from safehold.cbf_core import lie_derivatives
 from safehold.errors import (
-    ConfigurationError,
     DivergenceError,
     InfeasibleFilterError,
     RegionExitError,
@@ -186,10 +185,6 @@ def run_reference(sc) -> Trace:
     mode = sc.schedule.mode
     if mode == "periodic":
         hold_steps = int(math.floor(sc.schedule.period / dt + 1e-9))
-        if hold_steps < 1:
-            raise ConfigurationError(
-                f"hold period {sc.schedule.period} is shorter than the substep {dt}"
-            )
     floor = sc.schedule.floor
     floor_steps = int(math.ceil(floor / dt - 1e-9)) if floor > 0 else 0
     u_held, last = None, 0

@@ -108,7 +108,7 @@ class TestBarrier:
 
     def test_boundary_points_obey_the_parabola(self):
         barrier = acc_barrier()
-        pts = boundary_points(approach_region(), barrier, 128, np.random.default_rng(0))
+        pts = boundary_points(approach_region(), barrier, rng=np.random.default_rng(0))
         for p in pts:
             assert p[2] == pytest.approx(1.8 * p[1] ** 2, rel=1e-9)
 

@@ -213,6 +213,7 @@ class TestLieDerivatives:
         cases = {
             r"barrier value failed on a 3-row stack .*TypeError": lambda x: float(x[0]),
             r"barrier value returned shape \(3, 1\) on a 3-row stack": lambda x: x[..., :1],
+            r"barrier value returned shape \(3, 2\) on a 3-row stack": lambda x: x,
         }
         for message, value in cases.items():
             barrier = BarrierFunction(value=value, gradient=lambda x: np.array([1.0, 0.0]))
@@ -227,6 +228,11 @@ class TestLieDerivatives:
             with pytest.raises(ConfigurationError, match=message):
                 certify_region(region, dyn, controller, barrier)
             assert calls == []
+
+    def test_dynamics_dimensions_must_be_at_least_one(self):
+        for n, m in ((0, 1), (2, 0)):
+            with pytest.raises(ConfigurationError, match=f"must be >= 1, got n={n}, m={m}"):
+                ControlAffineDynamics(drift=np.zeros, actuation=np.zeros, n=n, m=m)
 
     def test_single_state_drift_is_rejected_for_two_states(self):
         # With n == 2 a 2-row stack is square, so ``A @ x`` would take it

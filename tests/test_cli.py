@@ -155,9 +155,9 @@ class TestConstants:
         # need neither.
         calls = []
         for name in ("_probe_shapes", "boundary_points"):
-            def spy(*args, name=name, original=getattr(constants, name)):
+            def spy(*args, name=name, original=getattr(constants, name), **kwargs):
                 calls.append(name)
-                return original(*args)
+                return original(*args, **kwargs)
 
             monkeypatch.setattr(constants, name, spy)
         assert main(["constants", str(CONFIGS / "ride-certified.yaml")]) == EXIT_OK

@@ -20,6 +20,7 @@ from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
 from safehold.config import filter_from_config, load_config
 from safehold.constants import (
     BoundSet,
+    Check,
     OperatingRegion,
     boundary_points,
     certify,
@@ -71,6 +72,8 @@ class TestOperatingRegion:
             OperatingRegion(lower=(0.0, 0.0), upper=(1.0,))
         with pytest.raises(ConfigurationError):
             OperatingRegion(lower=(0.0,), upper=(1.0,), seed=-1)
+        with pytest.raises(ConfigurationError, match="lower and upper must be finite"):
+            OperatingRegion(lower=(0.0,), upper=(np.inf,))
 
     def test_contains_and_scale(self):
         reg = OperatingRegion(lower=(0.0, -1.0), upper=(2.0, 1.0))
@@ -87,10 +90,11 @@ class TestOperatingRegion:
 
 
 class TestBoundaryPoints:
-    def test_points_sit_on_the_boundary(self):
+    def test_points_sit_on_the_boundary(self, monkeypatch):
+        monkeypatch.setattr(constants, "_BOUNDARY_COUNT", 64)
         dyn, barrier = _plane_system()
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        pts = boundary_points(reg, barrier, 64, np.random.default_rng(0))
+        pts = boundary_points(reg, barrier, rng=np.random.default_rng(0))
         assert len(pts) == 64
         for p in pts:
             assert abs(barrier.value(p)) <= 1e-9
@@ -100,12 +104,29 @@ class TestBoundaryPoints:
         _, barrier = _plane_system()
         reg = OperatingRegion(lower=(1.0, -1.0), upper=(2.0, 1.0))
         with pytest.raises(BoundarySamplingError):
-            boundary_points(reg, barrier, 64, np.random.default_rng(0))
+            boundary_points(reg, barrier, rng=np.random.default_rng(0))
+
+    def test_a_jump_across_zero_gives_no_boundary_points(self):
+        # Every segment closes on the jump at x1 = 0.5, where |h| is still 1.
+        jump = BarrierFunction(
+            value=lambda x: np.where(x.T[0] < 0.5, 1.0, -1.0), gradient=lambda x: np.zeros(2),
+        )
+        reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
+        with pytest.raises(BoundarySamplingError, match="produced no converged points"):
+            boundary_points(reg, jump, rng=np.random.default_rng(0))
+
+    def test_a_segment_with_one_sign_at_both_ends_is_refused(self):
+        # Only a barrier whose values depend on the stack they come in can
+        # hand the root-finder such a segment.
+        a, b = np.array([[0.0, 0.0]]), np.array([[1.0, 1.0]])
+        message = r"one sign at both ends of the segment from \[0\.0, 0\.0\] to \[1\.0, 1\.0\]"
+        with pytest.raises(BoundarySamplingError, match=message):
+            constants._brent_roots(lambda x: 1.0 + x.T[0], a, b)
 
     def test_a_barrier_nan_on_a_segment_names_the_state(self):
         reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
         with pytest.raises(BoundarySamplingError, match=r"barrier value nan at state \[0\.[45]"):
-            boundary_points(reg, _nan_band_barrier(), 16, np.random.default_rng(0))
+            boundary_points(reg, _nan_band_barrier(), rng=np.random.default_rng(0))
         dyn, _ = _plane_system()
         report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(1), _nan_band_barrier())
         assert bounds is None
@@ -278,6 +299,10 @@ class TestHoldBudgets:
         with pytest.raises(ConfigurationError):
             violation_free_sampling_time(ALL_ONES, 1.0, -1.0)
 
+    def test_bound_set_rejects_a_safety_factor_below_one(self):
+        with pytest.raises(ConfigurationError, match="safety_factor must be >= 1, got 0.5"):
+            dataclasses.replace(ALL_ONES, safety_factor=0.5)
+
     def test_degenerate_bounds_rejected(self):
         zero = BoundSet(
             b_f=0.0, b_g=0.0, b_k=0.0, lam=0.0, mu=0.0,
@@ -285,6 +310,8 @@ class TestHoldBudgets:
         )
         with pytest.raises(ConfigurationError):
             practical_sampling_time(zero, 1.0)
+        with pytest.raises(ConfigurationError):
+            violation_free_sampling_time(zero, 1.0, 1.0)
 
     # The two budgets answer different questions (margin-expanded set vs the
     # original set), so no ordering between them is asserted anywhere.
@@ -351,6 +378,20 @@ class TestCheckAssumptions:
         filt = acc_filter()
         report, _, _ = certify_region(ride_region(), filt.dynamics, filt, filt.barrier)
         assert report.passed
+
+    def test_a_box_with_too_few_safe_samples_skips_the_envelope(self):
+        # About 4 of the 4096 box samples have h = x - 0.999 >= 0.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.zeros(np.shape(x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+        )
+        barrier = BarrierFunction(value=lambda x: x.T[0] - 0.999, gradient=lambda x: np.ones(1))
+        reg = OperatingRegion(lower=(0.0,), upper=(1.0,))
+        report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(np.shape(x)), barrier)
+        assert report["barrier_envelope"] == Check(
+            "barrier_envelope", "skipped", "too few safe samples",
+        )
+        assert report.passed
+        assert bounds is not None and bounds.mu == 1.0 / 1.1
 
     def test_unknown_check_name_raises(self):
         dyn, barrier = _plane_system()
@@ -422,10 +463,11 @@ class TestBlockedEvaluation:
                     upper=tuple(2.0 * i + 1 for i in range(n)),
                 )
                 for count in (1, 4095, 4096, 4097, 100_000):
+                    monkeypatch.setattr(constants, "_PAIR_COUNT", count)
                     whole = np.random.default_rng(seed)
                     pa, pb = region.sample(whole, count), region.sample(whole, count)
                     rng = np.random.default_rng(seed)
-                    blocks = list(constants._pair_blocks(region, rng, count))
+                    blocks = list(constants._pair_blocks(region, rng))
                     assert np.array_equal(np.concatenate([a for a, _ in blocks]), pa)
                     assert np.array_equal(np.concatenate([b for _, b in blocks]), pb)
 

@@ -139,8 +139,8 @@ def test_a_segment_brentq_cannot_close_gives_its_last_iterate():
         gradient=lambda x: np.stack([3.0 * (x.T[0] - 0.2) ** 2, 0.0 * x.T[1]], axis=-1),
     )
     pts = boundary_points(
-        OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), barrier, 64,
-        np.random.default_rng(0),
+        OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), barrier,
+        rng=np.random.default_rng(0),
     )
     assert len(pts) > 0
     assert np.all(np.abs(barrier.value(pts)) <= 1e-9)

@@ -191,8 +191,26 @@ class TestRun:
         assert tr.event.sum() == 0
 
     def test_period_shorter_than_substep_rejected(self):
+        # Refused when the scenario is built, at each substep the properties
+        # draw; one substep, up to the quantization's tolerance, is a hold.
+        for substep in (1e-3, 2.5e-3, 1e-2):
+            message = rf"^hold period {0.5 * substep} is shorter than the substep {substep}$"
+            with pytest.raises(ConfigurationError, match=message):
+                _scalar_scenario("periodic", period=0.5 * substep, substep=substep)
+            for period in (substep, substep * (1.0 - 1e-10)):
+                assert _scalar_scenario("periodic", period=period, substep=substep).schedule.period
         with pytest.raises(ConfigurationError):
             run(_scalar_scenario("periodic", period=1e-4, substep=1e-3))
+
+    def test_substep_and_floor_must_be_finite_and_not_negative(self):
+        for substep in (0.0, -1e-3, float("nan"), float("inf")):
+            message = f"substep must be finite and > 0, got {substep}"
+            with pytest.raises(ConfigurationError, match=message):
+                IntegratorConfig(horizon=1.0, substep=substep)
+        for floor in (-1e-3, float("nan"), float("inf")):
+            message = f"floor must be finite and >= 0, got {floor}"
+            with pytest.raises(ConfigurationError, match=message):
+                HoldSchedule.event(floor=floor)
 
     def test_floor_only_in_event_mode(self):
         for mode, period in (("continuous", None), ("periodic", 0.5)):
@@ -557,7 +575,7 @@ def scenarios(draw, kind: str) -> Scenario:
     horizon = draw(st.floats(substep, 0.5))
     mode = draw(st.sampled_from(("continuous", "periodic", "event")))
     if mode == "periodic":
-        multiple = draw(st.sampled_from((0.5, 1.0, 1.37, 2.0, 7.0, 25.0, 100.0)))
+        multiple = draw(st.sampled_from((1.0, 1.37, 2.0, 7.0, 25.0, 100.0)))
         schedule = HoldSchedule.periodic(multiple * substep)
     elif mode == "event":
         schedule = HoldSchedule.event(floor=draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 20.0))) * substep)
@@ -620,6 +638,32 @@ class TestHoldCore:
         err = _assert_same_outcome(sc)
         assert isinstance(err, RegionExitError)
         assert err.time == 33 * 0.02
+
+    def test_a_drift_error_mid_segment_stands_only_where_the_run_reaches_it(self):
+        # The ramp's drift is undefined below x = 0.4. A step of the first
+        # hold's discarded tail reaches below it from row 27; the run,
+        # resampled at row 25, reaches below it from row 30.
+        def drift(x):
+            if np.any(x < 0.4):
+                raise ValueError("drift undefined below x = 0.4")
+            return np.zeros(np.shape(x))
+
+        def ramp(horizon):
+            sc = _ramp(lower=0.0, horizon=horizon)
+            return dataclasses.replace(sc, dynamics=dataclasses.replace(sc.dynamics, drift=drift))
+
+        assert _assert_same_outcome(ramp(0.6)).events == (0.0, 0.5)
+        for fn in (run, run_reference, lambda sc: run_many([sc])[0]):
+            with pytest.raises(ValueError, match="drift undefined below x = 0.4"):
+                fn(ramp(1.0))
+
+    def test_a_state_past_the_cheaper_test_within_the_limit_is_kept(self):
+        # Every row of x = 0.995e8 fails the cheaper per-axis test (0.99e8)
+        # but its norm is within the 1e8 limit, so it is stepped again alone
+        # and kept.
+        sc = _scalar_scenario("periodic", period=0.25, x0=0.995e8, horizon=0.5)
+        assert np.all(_assert_same_outcome(sc).x == 0.995e8)
+        _assert_group_matches([sc, dataclasses.replace(sc, x0=(0.996e8,))])
 
     def test_continuous_stage_infeasibility_carries_stage_time(self):
         # The filter's input at x0 = 0.5 is -0.5, so stage 2 sits at
@@ -808,6 +852,40 @@ class TestLockstep:
             run_many([dataclasses.replace(slow, region=None), fast, counted])
         assert len(calls) == 1  # its sample at t = 0; the next was due at 0.25
 
+    def test_a_barrier_error_in_a_due_test_stops_only_its_member(self):
+        # x rises at rate 1 and each member's barrier is undefined past 1.5:
+        # member 1, from 1.2, gets there first, but member 0's error is the
+        # one ``[run(sc) for sc in group]`` raises.
+        def barrier(j):
+            def defined(x):
+                if np.any(x > 1.5):
+                    raise ValueError(f"member {j} barrier undefined past x = 1.5")
+                return x
+
+            return BarrierFunction(
+                value=lambda x: 10.0 - defined(x).T[0],
+                gradient=lambda x: -np.ones(np.shape(defined(x))),
+            )
+
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.ones(np.shape(x)), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+        )
+        group = [
+            Scenario(
+                name=f"member {j}", dynamics=dyn, barrier=barrier(j), alpha=ClassKappa(1.0),
+                controller=lambda x: np.zeros(np.shape(x)), x0=(x0,),
+                integrator=IntegratorConfig(horizon=1.5, substep=0.01),
+                schedule=HoldSchedule.event(),
+            )
+            for j, x0 in enumerate((0.5, 1.2))
+        ]
+        with pytest.raises(ValueError, match="member 0 barrier"):
+            run_many(group)
+        for sc in group:
+            for fn in (run, run_reference):
+                with pytest.raises(ValueError, match=f"{sc.name} barrier"):
+                    fn(sc)
+
     def test_group_errors_name_the_member(self, monkeypatch):
         base = _scalar_scenario("periodic", period=0.25)
         monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
@@ -817,12 +895,14 @@ class TestLockstep:
              "scenario 1 has another integrator"),
             (dataclasses.replace(base, schedule=HoldSchedule.continuous()),
              "scenario 1 is continuous"),
-            (dataclasses.replace(base, schedule=HoldSchedule.periodic(1e-4)),
-             "hold period 0.0001 is shorter than the substep 0.001"),
         ]
         for member, message in cases:
             with pytest.raises(ConfigurationError, match=message):
                 run_many([base, member])
+        # A member's period is checked when it is built, before any group.
+        with pytest.raises(ConfigurationError,
+                           match="hold period 0.0001 is shorter than the substep 0.001"):
+            dataclasses.replace(base, schedule=HoldSchedule.periodic(1e-4))
         assert run_many([]) == []
 
 
