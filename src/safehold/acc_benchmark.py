@@ -95,14 +95,19 @@ class AccParams:
 
 def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     p = params or AccParams()
+    f0, f1, f2, mass, lead_speed = p.f0, p.f1, p.f2, p.mass, p.lead_speed
 
     # Coordinates are read as x.T[i]: a scalar for one state, a (k,) row
-    # view for a stack, at the single-state cost of x[i].
+    # view for a stack, at the single-state cost of x[i]. The drift runs at
+    # every RK4 stage, so it reads the parameters from locals and inlines
+    # p.resistance, in the same order.
     def drift(x: np.ndarray) -> np.ndarray:
         speed = x.T[1]
-        return np.array([speed, -p.resistance(speed) / p.mass, p.lead_speed - speed]).T
+        return np.array([
+            speed, -(f0 + f1 * speed + f2 * speed * speed) / mass, lead_speed - speed,
+        ]).T
 
-    g = np.array([[0.0], [1.0 / p.mass], [0.0]])
+    g = np.array([[0.0], [1.0 / mass], [0.0]])
     g.flags.writeable = False
 
     def actuation(x: np.ndarray) -> np.ndarray:
@@ -113,15 +118,17 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
 
 def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
     p = params or AccParams()
+    headway = p.headway
+    slope = -2.0 * headway
 
     def value(x: np.ndarray) -> float | np.ndarray:
         xt = x.T
-        return xt[2] - p.headway * xt[1] * xt[1]
+        return xt[2] - headway * xt[1] * xt[1]
 
     def gradient(x: np.ndarray) -> np.ndarray:
         grad = np.zeros(x.shape)
         columns = grad.T
-        columns[1] = -2.0 * p.headway * x.T[1]
+        columns[1] = slope * x.T[1]
         columns[2] = 1.0
         return grad
 
@@ -130,10 +137,12 @@ def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
 
 def acc_nominal(params: AccParams | None = None) -> NominalController:
     p = params or AccParams()
+    gain = -p.tracking_gain * (p.mass / 2.0)
+    desired_speed, resistance = p.desired_speed, p.resistance
 
     def law(x: np.ndarray) -> np.ndarray:
         speed = x.T[1]
-        u = -p.tracking_gain * (p.mass / 2.0) * (speed - p.desired_speed) + p.resistance(speed)
+        u = gain * (speed - desired_speed) + resistance(speed)
         return u[..., None]
 
     return NominalController(law=law)

@@ -16,7 +16,10 @@ one state, shape (n,), or a stack of k states, shape (k, n). On a stack the
 drift returns (k, n), the actuation (k, n, m), the barrier value (k,), its
 gradient (k, n), and the nominal law, the filter and the boosted law (k, m).
 An output that does not depend on the state may be returned as is, to
-broadcast against the stack (a constant actuation (n, m), say). Reading the
+broadcast against the stack (a constant actuation (n, m), say); an
+actuation that returns (n, m) on a stack thereby declares itself
+state-independent, and the simulator's sample-and-hold loop computes its
+input term once per hold segment, not at every RK4 stage. Reading the
 i-th coordinate as ``x.T[i]`` serves both shapes at the single-state cost.
 The certification stages evaluate whole stacks, one call each; the
 simulator's ``run_many`` steps a stack of scenarios, one state per row, and
@@ -79,9 +82,12 @@ class ControlAffineDynamics:
 
     ``drift`` maps a state to an (n,) float array, ``actuation`` to an
     (n, m) matrix, and a (k, n) stack to (k, n) and (k, n, m) (see the batch
-    contract above). The shapes are checked once, when a scenario is built
-    or an estimation starts, so a mis-sized callable fails loudly there
-    rather than broadcasting mid-run.
+    contract above). An actuation that returns its (n, m) matrix on a stack
+    too does not depend on the state: a sample-and-hold run computes its
+    input term once per hold segment and adds it at each RK4 stage. The
+    shapes are checked once, when a scenario is built or an estimation
+    starts, so a mis-sized callable fails loudly there rather than
+    broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]

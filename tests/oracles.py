@@ -4,7 +4,7 @@ Nothing here imports the code paths under test: the filter reference works
 from direct inner products plus bisection and a brute-force grid, the
 benchmark's Lie derivatives and bound reference work from closed-form field
 formulas, and the run reference is the row-by-row simulation loop, built on the
-single-state primitives ``rk4_step`` and ``lie_derivatives`` with its own
+single-state primitive ``lie_derivatives`` with its own textbook RK4 steps,
 state check, scheduling and trigger arithmetic.
 """
 
@@ -21,7 +21,7 @@ from safehold.errors import (
     InfeasibleFilterError,
     RegionExitError,
 )
-from safehold.simulator import Trace, rk4_step
+from safehold.simulator import Trace
 
 
 def qp_reference(filt, x, *, grid_step: float = 1e-3, grid_span: float = 1.5):
@@ -154,6 +154,15 @@ def _check(x, t, lo, hi):
         )
 
 
+def rk4_reference(dyn, x, u, dt):
+    """The textbook RK4 step with the input u frozen across stages."""
+    k1 = dyn.rate(x, u)
+    k2 = dyn.rate(x + 0.5 * dt * k1, u)
+    k3 = dyn.rate(x + 0.5 * dt * k2, u)
+    k4 = dyn.rate(x + dt * k3, u)
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _closed_loop_step(sc, x, t, dt):
     """RK4 with the law evaluated at every stage, each stage at its time."""
     def rate(s, ts):
@@ -214,6 +223,6 @@ def run_reference(sc) -> Trace:
             if mode == "continuous":
                 x = _closed_loop_step(sc, x, t, dt)
             else:
-                x = rk4_step(dyn, x, u_row, dt)
+                x = rk4_reference(dyn, x, u_row, dt)
             _check(x, float(t_arr[i + 1]), lo, hi)
     return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)

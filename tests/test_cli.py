@@ -27,7 +27,7 @@ def _write(tmp_path: Path, text: str) -> str:
 
 
 def _no_integration(*args):
-    """Stands in for ``rk4_step`` where a config error must come first."""
+    """Stands in for the RK4 kernel where a config error must come first."""
     raise AssertionError("integrated before the config error")
 
 
@@ -228,7 +228,7 @@ class TestSimulate:
         assert "violation_time=0.997" in out
 
     def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         cfg = _boosted_ride(tmp_path)
         code = main(["simulate", cfg, "--plot-script", str(tmp_path / "plot.gp")])
         assert code == EXIT_CONFIG
@@ -361,7 +361,7 @@ class TestSweep:
             assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
 
     def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain, x0: [0, 20, 735]}\n"
             "sim: {mode: periodic, horizon: 0.1, period: 1.0}\n"
@@ -376,7 +376,7 @@ class TestSweep:
     def test_a_period_shorter_than_the_substep_fails_before_integrating(self, tmp_path, capsys,
                                                                          monkeypatch):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         code = main([
             "sweep", str(CONFIGS / "approach-plain-sweep.yaml"), "0.5", "1", "2", "5", "10", "2000",
         ])
@@ -414,7 +414,7 @@ class TestSweep:
         self, tmp_path, capsys, monkeypatch,
     ):
         # Both would be labelled 1: one trace file, two table rows "1".
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         assert main(["sweep", self._cfg(tmp_path), "1", "1.0000001"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -435,7 +435,7 @@ class TestCompare:
         assert "boosted" in capsys.readouterr().err
 
     def test_a_box_failing_its_checks_exits_3_as_constants_does(self, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         ride = str(CONFIGS / "ride-certified.yaml")
         assert main(["constants", ride, *OFF_BOUNDARY]) == EXIT_ASSUMPTION
         printed = capsys.readouterr()

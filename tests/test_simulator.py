@@ -37,7 +37,7 @@ from safehold.simulator import (
     trigger_value,
 )
 
-from oracles import run_reference
+from oracles import rk4_reference, run_reference
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CERTIFIED = CONFIGS / "ride-certified.yaml"
@@ -476,6 +476,19 @@ def _assert_matches(got, want):
     return want
 
 
+def _counted(sc: Scenario, calls: list) -> Scenario:
+    """sc with a plant whose actuation appends to calls at each call. The
+    controller keeps its own plant, so its calls are not counted."""
+    act = sc.dynamics.actuation
+    dyn = dataclasses.replace(sc.dynamics, actuation=lambda x: calls.append(1) or act(x))
+    return dataclasses.replace(sc, dynamics=dyn)
+
+
+def _blocks(rows: int) -> int:
+    """The stacked evaluations that record the columns of rows rows."""
+    return -(-rows // _BLOCK_ROWS)
+
+
 def _blind_plant() -> CbfQpFilter:
     """xdot = 1 + g(x) u with the input cut off past x = 0.5001, h = 1 - x:
     the filter turns infeasible once the state crosses the cut-off."""
@@ -660,8 +673,13 @@ class TestHoldCore:
     def test_a_state_past_the_cheaper_test_within_the_limit_is_kept(self):
         # Every row of x = 0.995e8 fails the cheaper per-axis test (0.99e8)
         # but its norm is within the 1e8 limit, so it is stepped again alone
-        # and kept.
-        sc = _scalar_scenario("periodic", period=0.25, x0=0.995e8, horizon=0.5)
+        # and kept. The plant's actuation is constant, so no stage of those
+        # steps calls it either.
+        calls = []
+        sc = _counted(_scalar_scenario("periodic", period=0.25, x0=0.995e8, horizon=0.5), calls)
+        calls.clear()
+        assert np.all(run(sc).x == 0.995e8)
+        assert len(calls) == 1 + _blocks(501)
         assert np.all(_assert_same_outcome(sc).x == 0.995e8)
         _assert_group_matches([sc, dataclasses.replace(sc, x0=(0.996e8,))])
 
@@ -786,7 +804,7 @@ def _assert_group_matches(group):
 
 
 def _no_integration(*args):
-    raise AssertionError("rk4_step called")
+    raise AssertionError("RK4 kernel called")
 
 
 class TestLockstep:
@@ -798,6 +816,8 @@ class TestLockstep:
         def check(case, dt):
             dyn, xs, us = case
             rows = np.array([rk4_step(dyn, x, u, dt) for x, u in zip(xs, us)])
+            textbook = np.array([rk4_reference(dyn, x, u, dt) for x, u in zip(xs, us)])
+            assert rows.tobytes() == textbook.tobytes()
             assert rk4_step(dyn, xs, us, dt).tobytes() == rows.tobytes()
             rows = np.array([rk4_step(dyn, x, us[0], dt) for x in xs])
             assert rk4_step(dyn, xs, us[0], dt).tobytes() == rows.tobytes()
@@ -888,7 +908,7 @@ class TestLockstep:
 
     def test_group_errors_name_the_member(self, monkeypatch):
         base = _scalar_scenario("periodic", period=0.25)
-        monkeypatch.setattr("safehold.simulator.rk4_step", _no_integration)
+        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         cases = [
             (_scalar_scenario("periodic", period=0.25), "scenario 1 has another dynamics object"),
             (dataclasses.replace(base, integrator=IntegratorConfig(horizon=0.5)),
@@ -904,6 +924,66 @@ class TestLockstep:
                            match="hold period 0.0001 is shorter than the substep 0.001"):
             dataclasses.replace(base, schedule=HoldSchedule.periodic(1e-4))
         assert run_many([]) == []
+
+
+# ---------------------------------------------------------------------------
+# the held input term: once per sample for a state-independent actuation
+
+
+class TestHeldInputTerm:
+    @pytest.mark.parametrize("mode", ("periodic", "event"))
+    def test_a_constant_actuation_is_not_called_per_substep(self, mode):
+        calls = []
+        periodic = ["sim.mode=periodic", "sim.period=0.01"] if mode == "periodic" else []
+        cfg = load_config(CERTIFIED, ["sim.horizon=0.5", *periodic])
+        sc = _counted(scenario_from_config(cfg), calls)
+        calls.clear()
+        trace = run(sc)
+        substeps = len(trace) - 1
+        # once to see that it is constant, then the due tests and the columns
+        assert len(calls) < substeps
+        if mode == "periodic":
+            assert len(calls) == 1 + _blocks(len(trace))
+        _assert_same_outcome(sc)
+
+    def test_a_state_dependent_actuation_is_called_at_every_stage(self):
+        calls = []
+        filt = _blind_plant()
+        sc = _counted(Scenario(
+            name="blind", dynamics=filt.dynamics, barrier=filt.barrier, alpha=filt.alpha,
+            controller=filt, x0=(0.3,), integrator=IntegratorConfig(horizon=0.05, substep=1e-3),
+            schedule=HoldSchedule.periodic(5e-3),
+        ), calls)
+        calls.clear()
+        trace = run(sc)
+        assert len(calls) == 1 + 4 * (len(trace) - 1) + _blocks(len(trace))
+        _assert_same_outcome(sc)
+
+    @pytest.mark.parametrize("kind", PLANTS)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_each_plant_takes_its_path_and_matches_the_reference(self, kind):
+        # Under a law that never reads the plant, a run evaluates the
+        # actuation once on a stack of x0 and once per block of recorded
+        # rows, and a state-dependent one (blind's) at every stage besides.
+        @settings(max_examples=5, deadline=None)
+        @given(plants(kind))
+        def check(fields):
+            calls, m = [], fields["dynamics"].m
+            sc = _counted(Scenario(
+                name=kind, alpha=ClassKappa(1.0),
+                integrator=IntegratorConfig(horizon=0.02, substep=1e-3),
+                schedule=HoldSchedule.periodic(5e-3),
+                **{**fields, "controller": lambda x: np.full(np.shape(x)[:-1] + (m,), 0.5),
+                   "region": None},
+            ), calls)
+            calls.clear()
+            trace = run(sc)
+            stages = 4 * (len(trace) - 1) if kind == "blind" else 0
+            assert len(calls) == 1 + stages + _blocks(len(trace))
+            _assert_same_outcome(sc)
+            _assert_group_matches([sc, dataclasses.replace(sc, x0=trace.x[-1])])
+
+        check()
 
 
 def test_importing_the_package_and_running_leaves_scipy_unloaded():
