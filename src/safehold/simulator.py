@@ -37,6 +37,15 @@ continuous mode). The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of each trace, bit
 for bit equal to evaluating each row alone.
 
+Two kernels step the rows of a hold, chosen whenever the group's membership
+changes. A group of one under a state-independent actuation, with at most
+``_FLOAT_ROWS_MAX_N`` state coordinates, steps on the kernel that
+``_float_rows`` generates for its n: ``_rk4``'s operations in ``_rk4``'s
+order on Python floats, one local per coordinate, without numpy's dispatch
+on tiny arrays. Stacks, state-dependent actuations and larger states step
+with ``_rk4`` on numpy arrays. Both round each operation alike, so both give
+the same bits.
+
 Holds are integrated in segments. After each segment, each scenario's due
 test covers its rows of the segment as one stack; the group resumes from
 the earliest due row, where the scenarios due there resample, and
@@ -47,8 +56,10 @@ schedule's due row is known in advance, so it evaluates no trigger.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -88,9 +99,10 @@ _MODES = ("continuous", "periodic", "event")
 _DIVERGENCE_LIMIT = 1e8
 
 # Longest speculative segment of an event-mode hold, in substeps. On the ACC
-# plant a stacked trigger evaluation costs about 17 us and a held RK4 substep
-# about 11 us (2-core Xeon, numpy 2.4), so at this length the due test adds
-# under 3% to a long hold, while a firing row discards at most 63 substeps.
+# plant a stacked trigger evaluation over 64 rows costs about 20 us and a
+# held substep about 8 us on the float kernel (13 us with ``_rk4``; 2-core
+# Xeon, Python 3.11, numpy 2.4), so at this length the due test adds about
+# 4% to a long hold, while a firing row discards at most 63 substeps.
 _SEGMENT_CAP = 64
 
 
@@ -245,14 +257,20 @@ class Scenario:
 
 
 def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
-    """One classic RK4 step of xdot = rate(x) from x: the module's one RK4
-    formula.
+    """One classic RK4 step of xdot = rate(x) from x, on numpy arrays.
 
     ``half``, ``full`` and ``sixth`` are dt / 2, dt and dt / 6, either as
     floats or as (n,) arrays filled with them, which give the same bits; an
     array times an array skips numpy's slower scalar dispatch. ``rate``
     returns a new array, so the stages combine in place, in the order
     ((k1 + 2 k2) + 2 k3) + k4 with 2 k written k + k, which is exact.
+
+    ``rk4_step``, the continuous step and the held loop's stacks step with
+    this formula. A held one-member run with a state-independent actuation
+    and at most ``_FLOAT_ROWS_MAX_N`` coordinates steps its rows with the
+    kernel of ``_float_rows`` instead: the same operations in the same
+    order on Python floats, which round each one as numpy does, so both
+    give the same bits.
     """
     k1 = rate(x)
     k2 = rate(x + half * k1)
@@ -265,6 +283,84 @@ def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
     k2 += k4
     k2 *= sixth
     return x + k2
+
+
+def _rk4_rows(rate, half, full, sixth, X, row: int, end: int, lows: list, highs: list) -> int:
+    """Step the rows X[row], ..., X[end] of a hold, each from the one before,
+    with ``_rk4`` under ``rate``. Returns the first row it could not step
+    (its step raised, or its state failed the cheaper state test; see
+    ``_state_gate``), or end + 1."""
+    xs = X[row - 1]
+    while row <= end:
+        try:
+            xs = _rk4(rate, xs, half, full, sixth)
+        except Exception:
+            return row
+        if not _inside(lows, highs, xs):
+            return row
+        X[row] = xs
+        row += 1
+    return row
+
+
+# ``_rk4_rows`` on Python floats for one state of n coordinates, under the
+# drift plus a constant input term gu (n floats): one local per coordinate,
+# ``_rk4``'s operations in its order, and ``_inside`` inline. ``_float_rows``
+# writes out each {...} once per coordinate i, with # standing for i, joined
+# by ", " into a tuple (with a trailing comma, so n = 1 is one too) or by the
+# separator after |. Each stage's drift gets a new (n,) array.
+_FLOAT_ROWS = """
+def rows(drift, gu, half, full, sixth, X, row, end, lows, highs):
+    array = np.array
+    try:
+        {g#} = gu
+        {l#} = lows
+        {h#} = highs
+        {x#} = X[row - 1].tolist()
+        while row <= end:
+            {a#} = drift(array(({x#}))).tolist()
+            {a# += g#|; }
+            {b#} = drift(array(({x# + half * a#}))).tolist()
+            {b# += g#|; }
+            {c#} = drift(array(({x# + half * b#}))).tolist()
+            {c# += g#|; }
+            {d#} = drift(array(({x# + full * c#}))).tolist()
+            {d# += g#|; }
+            {x# += (b# + b# + a# + (c# + c#) + d#) * sixth|; }
+            if not ({l# <= x# <= h#| and }):
+                return row
+            X[row] = {x#}
+            row += 1
+    except Exception:
+        pass
+    return row
+"""
+
+# Largest state dimension that steps on the float kernel. Its cost grows
+# with each coordinate's float operations, ``_rk4``'s is mostly numpy's
+# dispatch per call. With a one-ufunc drift (-0.3 x), where that dispatch
+# weighs most, a float row costs 0.55 of an ``_rk4`` row at n = 3, 0.9 at
+# n = 12 and 1.04 at n = 14 (medians of 15 paired runs of 4,000 rows,
+# 2-core Xeon, Python 3.11, numpy 2.4).
+_FLOAT_ROWS_MAX_N = 12
+
+
+@functools.cache
+def _float_rows(n: int):
+    """The float kernel for n coordinates, generated from ``_FLOAT_ROWS`` on
+    first use, as ``dataclasses`` generates methods, and kept for the
+    process. Same arguments and result as ``_rk4_rows``, with ``drift``,
+    the input term ``gu`` and the coefficients as floats in place of
+    ``rate`` and the arrays. Whatever raises, a row that ``drift`` does not
+    give as an array of n numbers among them, ends the kernel at that row,
+    which the caller steps again with ``_rk4``."""
+    def expand(match):
+        terms = [match[1].replace("#", str(i)) for i in range(n)]
+        return ", ".join(terms) + "," if match[2] is None else match[2].join(terms)
+
+    namespace = {"np": np}
+    exec(re.sub(r"\{([^{}|]+)(?:\|([^{}]+))?\}", expand, _FLOAT_ROWS), namespace)
+    return namespace["rows"]
 
 
 def rk4_step(
@@ -529,8 +625,9 @@ def _run_held(scs: list[Scenario]) -> list[Trace]:
     nothing). The stack resumes from the earliest row where some member is
     due, after those members resample; the rows past it are integrated
     again, and the batch contract makes the others' repeated rows identical.
-    A stacked step that raises, or a row that fails the cheaper state test,
-    is stepped again one member at a time. A member's integration error
+    A step of either kernel (see the module docstring) that raises, or a
+    row that fails the cheaper state test, is stepped again one member at a
+    time with ``_rk4``, and the kernel resumes after it. A member's integration error
     stands only if it is due at no row up to the one its failing step
     started from; an error of its sample or due test stands at once. An
     error that stands stops that member and those after it in the list, and
@@ -563,11 +660,13 @@ def _run_held(scs: list[Scenario]) -> list[Trace]:
         first.append(_first_check(sc.schedule, dt))
 
     periodic = [sc.schedule.mode == "periodic" for sc in scs]
-    # The RK4 coefficients as arrays. The actuation is evaluated once, on a
-    # 2-row stack of the first start state: an (n, m) output has no stack
-    # axis, so it does not depend on the state (see the batch contract in
-    # ``cbf_core``) and the held inputs' term is computed once per segment.
-    half, full, sixth = (np.full(dyn.n, c) for c in (0.5 * dt, dt, dt / 6.0))
+    # The RK4 coefficients, as floats and as arrays. The actuation is
+    # evaluated once, on a 2-row stack of the first start state: an (n, m)
+    # output has no stack axis, so it does not depend on the state (see the
+    # batch contract in ``cbf_core``) and the held inputs' term is computed
+    # once per segment.
+    coefs = (0.5 * dt, dt, dt / 6.0)
+    half, full, sixth = (np.full(dyn.n, c) for c in coefs)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0, 0], (2, 1)))
     if np.ndim(g) != 2:
         g = None
@@ -624,27 +723,29 @@ def _run_held(scs: list[Scenario]) -> list[Trace]:
         if not active or frontier == steps:
             break
 
-        if shaped != active:  # the stack's views and bounds, per membership
+        if shaped != active:  # the stack's views, bounds and kernel, per membership
             shaped = active
             Xa = X[:, 0] if active == 1 else X[:, :active]
             lows = [v for j in range(active) for v in gates[j][0]]
             highs = [v for j in range(active) for v in gates[j][1]]
-        rate = held_rate(held[0] if active == 1 else np.array(held[:active]))
-        xs = Xa[frontier]
+            floats = active == 1 and g is not None and dyn.n <= _FLOAT_ROWS_MAX_N
+            kernel = _float_rows(dyn.n) if floats else _rk4_rows
+        if floats:
+            head = (drift, np.matvec(g, held[0]).tolist(), *coefs)
+        else:
+            head = (held_rate(held[0] if active == 1 else np.array(held[:active])),
+                    half, full, sixth)
         reached, failures = min(plan[:active]), None
         if reached > steps:
             reached = steps
-        for row in range(frontier + 1, reached + 1):
-            try:
-                xs = _rk4(rate, xs, half, full, sixth)
-            except Exception:
-                xs = None
-            if xs is None or not _inside(lows, highs, xs):
-                xs, failures = restep(row)
-                if failures:
-                    reached = row - 1
-                    break
+        row = kernel(*head, Xa, frontier + 1, reached, lows, highs)
+        while row <= reached:
+            xs, failures = restep(row)
+            if failures:
+                reached = row - 1
+                break
             Xa[row] = xs
+            row = kernel(*head, Xa, row + 1, reached, lows, highs)
 
         due, b = {}, reached if reached < steps else steps - 1
         for j in range(active):

@@ -28,6 +28,18 @@ SWEEP_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
+@pytest.fixture
+def no_integration(monkeypatch) -> None:
+    """Makes the simulator's RK4 kernels fail the test when they step: the
+    numpy ``_rk4`` and the float kernels of ``_float_rows``. Where a config
+    error must come first, nothing may integrate."""
+    def refuse(*args):
+        raise AssertionError("integrated before the config error")
+
+    monkeypatch.setattr("safehold.simulator._rk4", refuse)
+    monkeypatch.setattr("safehold.simulator._float_rows", lambda n: refuse)
+
+
 @dataclass(frozen=True)
 class Timed:
     value: Any

@@ -26,11 +26,6 @@ def _write(tmp_path: Path, text: str) -> str:
     return str(path)
 
 
-def _no_integration(*args):
-    """Stands in for the RK4 kernel where a config error must come first."""
-    raise AssertionError("integrated before the config error")
-
-
 def _no_allocation(monkeypatch) -> None:
     """Makes the simulator's run loops, whose first act is to allocate the
     trace, fail the test: a run too long to store is refused before them."""
@@ -227,8 +222,7 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "violation_time=0.997" in out
 
-    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
+    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, no_integration):
         cfg = _boosted_ride(tmp_path)
         code = main(["simulate", cfg, "--plot-script", str(tmp_path / "plot.gp")])
         assert code == EXIT_CONFIG
@@ -360,8 +354,7 @@ class TestSweep:
             text = plot.read_text()
             assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
 
-    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
+    def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, no_integration):
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain, x0: [0, 20, 735]}\n"
             "sim: {mode: periodic, horizon: 0.1, period: 1.0}\n"
@@ -373,10 +366,10 @@ class TestSweep:
         assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
         assert not (tmp_path / "plot.gp").exists()
 
-    def test_a_period_shorter_than_the_substep_fails_before_integrating(self, tmp_path, capsys,
-                                                                         monkeypatch):
+    def test_a_period_shorter_than_the_substep_fails_before_integrating(
+        self, tmp_path, capsys, monkeypatch, no_integration,
+    ):
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         code = main([
             "sweep", str(CONFIGS / "approach-plain-sweep.yaml"), "0.5", "1", "2", "5", "10", "2000",
         ])
@@ -411,10 +404,9 @@ class TestSweep:
         assert len(rows) == 1
 
     def test_frequencies_that_print_alike_are_rejected_before_integrating(
-        self, tmp_path, capsys, monkeypatch,
+        self, tmp_path, capsys, no_integration,
     ):
         # Both would be labelled 1: one trace file, two table rows "1".
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         assert main(["sweep", self._cfg(tmp_path), "1", "1.0000001"]) == EXIT_CONFIG
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -434,8 +426,7 @@ class TestCompare:
         assert main(["compare", cfg]) == EXIT_CONFIG
         assert "boosted" in capsys.readouterr().err
 
-    def test_a_box_failing_its_checks_exits_3_as_constants_does(self, capsys, monkeypatch):
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
+    def test_a_box_failing_its_checks_exits_3_as_constants_does(self, capsys, no_integration):
         ride = str(CONFIGS / "ride-certified.yaml")
         assert main(["constants", ride, *OFF_BOUNDARY]) == EXIT_ASSUMPTION
         printed = capsys.readouterr()

@@ -4,6 +4,7 @@ trigger evaluation, trace analysis, and CSV persistence."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,9 @@ from safehold.errors import (
 )
 from safehold.safety_filter import CbfQpFilter, NominalController
 from safehold.simulator import (
+    _FLOAT_ROWS_MAX_N,
+    _float_rows,
+    _rk4,
     HoldSchedule,
     IntegratorConfig,
     Scenario,
@@ -449,9 +453,11 @@ COLUMNS = ("t", "x", "u", "h", "hdot", "trigger", "event")
 
 
 def _outcome(fn, sc):
+    """fn(sc), or the error it raises: the run's own errors and those of the
+    plant's or the law's callables alike."""
     try:
         return fn(sc)
-    except (ConfigurationError, DivergenceError, InfeasibleFilterError, RegionExitError) as exc:
+    except Exception as exc:
         return exc
 
 
@@ -482,6 +488,14 @@ def _counted(sc: Scenario, calls: list) -> Scenario:
     act = sc.dynamics.actuation
     dyn = dataclasses.replace(sc.dynamics, actuation=lambda x: calls.append(1) or act(x))
     return dataclasses.replace(sc, dynamics=dyn)
+
+
+def _counted_rk4(monkeypatch) -> list:
+    """Patches the simulator's numpy ``_rk4`` to append to the list returned
+    at each call."""
+    calls = []
+    monkeypatch.setattr("safehold.simulator._rk4", lambda *args: calls.append(1) or _rk4(*args))
+    return calls
 
 
 def _blocks(rows: int) -> int:
@@ -670,18 +684,30 @@ class TestHoldCore:
             with pytest.raises(ValueError, match="drift undefined below x = 0.4"):
                 fn(ramp(1.0))
 
-    def test_a_state_past_the_cheaper_test_within_the_limit_is_kept(self):
+    def test_a_state_past_the_cheaper_test_within_the_limit_is_kept(self, monkeypatch):
         # Every row of x = 0.995e8 fails the cheaper per-axis test (0.99e8)
         # but its norm is within the 1e8 limit, so it is stepped again alone
-        # and kept. The plant's actuation is constant, so no stage of those
-        # steps calls it either.
+        # with ``_rk4`` and kept. The plant's actuation is constant, so no
+        # stage of those steps calls it either.
         calls = []
         sc = _counted(_scalar_scenario("periodic", period=0.25, x0=0.995e8, horizon=0.5), calls)
+        steps = _counted_rk4(monkeypatch)
         calls.clear()
         assert np.all(run(sc).x == 0.995e8)
         assert len(calls) == 1 + _blocks(501)
+        assert len(steps) == 500
         assert np.all(_assert_same_outcome(sc).x == 0.995e8)
         _assert_group_matches([sc, dataclasses.replace(sc, x0=(0.996e8,))])
+        # Falling at 1.5e7 per second, the state passes the cheaper test
+        # again from row 34 on: the rows before are stepped again one at a
+        # time, and the float kernel resumes after each of them.
+        falling = _scalar_scenario(
+            "periodic", period=0.25, x0=0.995e8, horizon=0.5, drift_rate=-1.5e7,
+        )
+        steps.clear()
+        x = run(falling).x[1:, 0]
+        assert len(steps) == np.count_nonzero(x > 0.99e8) == 33
+        _assert_same_outcome(falling)
 
     def test_continuous_stage_infeasibility_carries_stage_time(self):
         # The filter's input at x0 = 0.5 is -0.5, so stage 2 sits at
@@ -803,10 +829,6 @@ def _assert_group_matches(group):
     return want
 
 
-def _no_integration(*args):
-    raise AssertionError("RK4 kernel called")
-
-
 class TestLockstep:
     @pytest.mark.parametrize("kind", PLANTS)
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -906,9 +928,8 @@ class TestLockstep:
                 with pytest.raises(ValueError, match=f"{sc.name} barrier"):
                     fn(sc)
 
-    def test_group_errors_name_the_member(self, monkeypatch):
+    def test_group_errors_name_the_member(self, no_integration):
         base = _scalar_scenario("periodic", period=0.25)
-        monkeypatch.setattr("safehold.simulator._rk4", _no_integration)
         cases = [
             (_scalar_scenario("periodic", period=0.25), "scenario 1 has another dynamics object"),
             (dataclasses.replace(base, integrator=IntegratorConfig(horizon=0.5)),
@@ -984,6 +1005,144 @@ class TestHeldInputTerm:
             _assert_group_matches([sc, dataclasses.replace(sc, x0=trace.x[-1])])
 
         check()
+
+
+# ---------------------------------------------------------------------------
+# the float kernel: one-member holds under a state-independent actuation
+
+
+def _mixing_plant(g: np.ndarray) -> ControlAffineDynamics:
+    """A drift that couples every coordinate to the next, nonlinearly, under
+    the constant actuation g (n, m)."""
+    n, m = g.shape
+    return ControlAffineDynamics(
+        drift=lambda x: np.sin(np.roll(x, 1, axis=-1)) - 0.5 * x * np.cos(x),
+        actuation=lambda x: g, n=n, m=m,
+    )
+
+
+def _decoupled(n: int) -> Scenario:
+    """xdot = -0.3 x + u e with e all ones, h = 10 - x_0, under a law that
+    holds u = 0.5: a plant of any state dimension n."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((n, 1)), n=n, m=1,
+    )
+    barrier = BarrierFunction(value=lambda x: 10.0 - x.T[0], gradient=lambda x: -np.eye(n)[0])
+    return Scenario(
+        name=f"decoupled-{n}", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
+        controller=lambda x: np.full(np.shape(x)[:-1] + (1,), 0.5), x0=(0.5,) * n,
+        integrator=IntegratorConfig(horizon=0.02, substep=1e-3),
+        schedule=HoldSchedule.periodic(5e-3),
+    )
+
+
+class TestFloatKernel:
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, _FLOAT_ROWS_MAX_N))
+    def test_its_rows_equal_the_textbook_steps(self, n):
+        @PROPERTY
+        @given(st.data(), st.sampled_from((1e-3, 2.5e-2, 0.3)), st.integers(1, 2))
+        def check(data, dt, m):
+            unit = st.floats(-2.0, 2.0)
+            x0 = np.array([data.draw(unit) for _ in range(n)])
+            g = np.array([[data.draw(unit) for _ in range(m)] for _ in range(n)])
+            u = np.array([data.draw(st.floats(-50.0, 50.0)) for _ in range(m)])
+            dyn, rows = _mixing_plant(g), 8
+            X = np.empty((rows + 1, n))
+            X[0] = x0
+            end = _float_rows(n)(dyn.drift, np.matvec(g, u).tolist(), 0.5 * dt, dt, dt / 6.0,
+                                 X, 1, rows, [-math.inf] * n, [math.inf] * n)
+            assert end == rows + 1
+            want = [x0]
+            for _ in range(rows):
+                want.append(rk4_reference(dyn, want[-1], u, dt))
+            assert X.tobytes() == np.array(want).tobytes()
+
+        check()
+
+    @pytest.mark.parametrize("kind", [kind for kind in PLANTS if kind != "blind"])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_a_run_equals_its_run_in_a_stack(self, kind):
+        # The plants of constant actuation: run steps the one member on
+        # floats, run_many the two as a stack with ``_rk4``.
+        @settings(max_examples=25, deadline=None)
+        @given(scenarios(kind).filter(lambda sc: sc.schedule.mode != "continuous"))
+        def check(sc):
+            want = _assert_group_matches([sc, dataclasses.replace(sc, name="copy")])
+            _assert_matches(_outcome(run, sc), want if isinstance(want, Exception) else want[0])
+
+        check()
+
+    def test_the_kernel_follows_members_actuation_and_dimension(self, monkeypatch):
+        # One member under a constant actuation with at most
+        # _FLOAT_ROWS_MAX_N coordinates steps on floats; a stack, a larger
+        # state and a state-dependent actuation step with ``_rk4``, one call
+        # per substep.
+        steps = _counted_rk4(monkeypatch)
+        blind, three = _blind_plant(), _decoupled(3)
+        cases = [
+            ([_decoupled(1)], 0),
+            ([_decoupled(_FLOAT_ROWS_MAX_N)], 0),
+            ([_decoupled(_FLOAT_ROWS_MAX_N + 1)], 20),
+            ([three, dataclasses.replace(three, name="copy")], 20),
+            ([dataclasses.replace(_decoupled(1), dynamics=blind.dynamics, barrier=blind.barrier,
+                                  controller=blind, x0=(0.3,))], 20),
+        ]
+        for group, calls in cases:
+            steps.clear()
+            _assert_group_matches(group)
+            assert len(steps) == calls, group[0].name
+            if len(group) == 1:
+                _assert_same_outcome(group[0])
+
+    def test_the_integration_guard_blocks_both_kernels(self, no_integration):
+        sc = _decoupled(3)
+        with pytest.raises(AssertionError, match="integrated"):
+            run(sc)
+        with pytest.raises(AssertionError, match="integrated"):
+            run_many([sc, dataclasses.replace(sc, name="copy")])
+
+    def test_errors_in_the_middle_of_a_hold_match_the_reference(self):
+        # Each run holds its one input for a whole second.
+        exits = _scalar_scenario(
+            "periodic", period=1.0, horizon=2.0, x0=1.0, drift_rate=0.3,
+            region=OperatingRegion(lower=(0.0,), upper=(1.5,)), nominal=lambda x: np.array([1.0]),
+        )
+        err = _assert_same_outcome(exits)
+        assert isinstance(err, RegionExitError)
+        assert err.time == pytest.approx(0.385, abs=1e-3)
+
+        # xdot = x * x from 2.5 blows up at t = 0.4.
+        blowup = dataclasses.replace(
+            exits, region=None, x0=(2.5,), dynamics=ControlAffineDynamics(
+                drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            ),
+        )
+        err = _assert_same_outcome(blowup)
+        assert isinstance(err, DivergenceError)
+        assert 0.39 < err.time < 0.41
+
+        def undefined_past(x):
+            if np.any(x > 1.2):
+                raise ValueError("drift undefined past x = 1.2")
+            return np.full(np.shape(x), 0.3)
+
+        raising = dataclasses.replace(exits, dynamics=dataclasses.replace(
+            exits.dynamics, drift=undefined_past,
+        ))
+        err = _assert_same_outcome(raising)
+        assert isinstance(err, ValueError) and err.args == ("drift undefined past x = 1.2",)
+
+    def test_a_drift_that_returns_a_list_is_stepped_with_rk4(self, monkeypatch):
+        # The shape probe accepts a list; the float kernel cannot read one,
+        # so each row is stepped again with ``_rk4``.
+        sc = _scalar_scenario("periodic", period=0.25, horizon=0.5, x0=2.0)
+        sc = dataclasses.replace(sc, dynamics=dataclasses.replace(
+            sc.dynamics, drift=lambda x: (-0.5 * x).tolist(),
+        ))
+        steps = _counted_rk4(monkeypatch)
+        trace = _assert_same_outcome(sc)
+        assert isinstance(trace, Trace)
+        assert len(steps) == len(trace) - 1
 
 
 def test_importing_the_package_and_running_leaves_scipy_unloaded():
