@@ -19,10 +19,9 @@ An output that does not depend on the state may be returned as is, to
 broadcast against the stack (a constant actuation (n, m), say); an
 actuation that returns (n, m) on a stack thereby declares itself
 state-independent, and the simulator's sample-and-hold loop computes its
-input term once per hold segment, not at every RK4 stage. Reading the
-i-th coordinate as ``x.T[i]`` serves both shapes at the single-state cost.
-The certification stages evaluate whole stacks, one call each; the
-simulator's ``run_many`` steps a stack of scenarios, one state per row, and
+input term once per sample, not at every RK4 stage. Reading the i-th
+coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
+certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
 the integrated states. When the callables compute each row as they would
 alone, a stacked call equals the row-by-row single calls bit for bit: the
@@ -84,7 +83,7 @@ class ControlAffineDynamics:
     (n, m) matrix, and a (k, n) stack to (k, n) and (k, n, m) (see the batch
     contract above). An actuation that returns its (n, m) matrix on a stack
     too does not depend on the state: a sample-and-hold run computes its
-    input term once per hold segment and adds it at each RK4 stage. The
+    input term once per sample and adds it at each RK4 stage. The
     shapes are checked once, when a scenario is built or an estimation
     starts, so a mis-sized callable fails loudly there rather than
     broadcasting mid-run.

@@ -29,7 +29,7 @@ from .constants import (
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
-from .simulator import HoldSchedule, RunSummary, analyze, run, run_many
+from .simulator import HoldSchedule, RunSummary, analyze, run
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
 
@@ -130,32 +130,35 @@ def cmd_sweep(args) -> int:
                 f"{labels[i]}; their traces would share one file"
             )
 
-    # One scenario, so one dynamics object: the frequencies run as one stack.
-    scenario = scenario_from_config(cfg)
+    # Every frequency's scenario is built, and its period checked, before
+    # anything is integrated; each trace is written as its run completes
+    # and dropped, so only the summaries are kept.
+    base = scenario_from_config(cfg)
     _check_plot_script(args, cfg)
-    traces = run_many(
-        dataclasses.replace(scenario, schedule=HoldSchedule.periodic(1.0 / freq))
-        for freq in freqs
-    )
-    results = [(trace, analyze(trace, violation_tol=VIOLATION_TOL)) for trace in traces]
-
-    plot_refs = []
-    for label, (trace, _) in zip(labels, results):
+    scenarios = [
+        dataclasses.replace(base, schedule=HoldSchedule.periodic(1.0 / freq)) for freq in freqs
+    ]
+    summaries, plot_refs, columns = [], [], None
+    for label, scenario in zip(labels, scenarios):
+        trace = run(scenario)
+        summaries.append(analyze(trace, violation_tol=VIOLATION_TOL))
+        columns = trace.columns
         if cfg.trace_path is not None:
-            base = Path(cfg.trace_path)
-            path = str(base.with_name(f"{base.stem}-f{label}{base.suffix or '.csv'}"))
+            out = Path(cfg.trace_path)
+            path = str(out.with_name(f"{out.stem}-f{label}{out.suffix or '.csv'}"))
             trace.to_csv(_with_parent(path))
             plot_refs.append((f"{label} Hz", path))
+        del trace
     if args.plot_script is not None:
-        _write_plot_script(args.plot_script, plot_refs, results[0][0].columns)
+        _write_plot_script(args.plot_script, plot_refs, columns)
 
     print(f"{'frequency_hz':>12}  {'min_h':>22}  {'violation_time':>22}  {'num_events':>10}")
-    for label, (_, summary) in zip(labels, results):
+    for label, summary in zip(labels, summaries):
         print(
             f"{label:>12}  {summary.min_h:>22.15g}  "
             f"{_g(summary.violation_time):>22}  {summary.num_events:>10}"
         )
-    safe = [f for f, (_, s) in zip(freqs, results) if s.min_h >= -VIOLATION_TOL]
+    safe = [f for f, s in zip(freqs, summaries) if s.min_h >= -VIOLATION_TOL]
     print(f"smallest_safe_frequency_hz={_g(min(safe) if safe else None)}")
     return EXIT_OK
 

@@ -21,37 +21,30 @@ rate, and trigger evaluated for that state-input pair. Runs abort loudly on
 region exit, state divergence, or filter infeasibility; the raised error
 carries the offending time and state.
 
-``run_many`` runs a group of sampled scenarios that share one plant and one
-integrator in lockstep: their states form one (k, n) stack, and the RK4
-kernel advances it one substep at a time, each row under its own
-scenario's held input (see the batch contract in ``cbf_core``). When the
-plant's actuation returns an (n, m) matrix on a stack, it does not depend
-on the state: the input term g u of the held inputs is computed once per
-segment of a hold (below), and every stage adds it to the drift. An
-actuation whose output has a stack axis is evaluated at every stage. Each
-scenario keeps its own schedule, samples, due tests and errors, and every
-new row passes its scenario's state check before any callable sees it.
-``run`` of a sampled scenario is the group of one, whose stack is its (n,)
-state. Only the sampled laws run inside that loop (at every stage, in
+When the plant's actuation returns an (n, m) matrix on a stack, it does not
+depend on the state (see the batch contract in ``cbf_core``): the input term
+g u of the held input is computed once per sample, and every stage adds it
+to the drift. An actuation whose output has a stack axis is evaluated at
+every stage. Every new row passes the state check before any callable sees
+it. Only the sampled law runs inside that loop (at every stage, in
 continuous mode). The barrier value, barrier rate and trigger columns are
-recorded afterwards, in stacked evaluations over blocks of each trace, bit
+recorded afterwards, in stacked evaluations over blocks of the trace, bit
 for bit equal to evaluating each row alone.
 
-Two kernels step the rows of a hold, chosen whenever the group's membership
-changes. A group of one under a state-independent actuation, with at most
-``_FLOAT_ROWS_MAX_N`` state coordinates, steps on the kernel that
-``_float_rows`` generates for its n: ``_rk4``'s operations in ``_rk4``'s
-order on Python floats, one local per coordinate, without numpy's dispatch
-on tiny arrays. Stacks, state-dependent actuations and larger states step
-with ``_rk4`` on numpy arrays. Both round each operation alike, so both give
-the same bits.
+Two kernels step the rows of a hold, chosen once per run. Under a
+state-independent actuation, a state of at most ``_FLOAT_ROWS_MAX_N``
+coordinates steps on the kernel that ``_float_rows`` generates for its n:
+``_rk4``'s operations in ``_rk4``'s order on Python floats, one local per
+coordinate, without numpy's dispatch on tiny arrays. State-dependent
+actuations and larger states step with ``_rk4`` on numpy arrays. Both round
+each operation alike, so both give the same bits.
 
-Holds are integrated in segments. After each segment, each scenario's due
-test covers its rows of the segment as one stack; the group resumes from
-the earliest due row, where the scenarios due there resample, and
-integrates the rest of that segment again. An error raised past a
-scenario's due row is the discarded tail's, not its run's. A periodic
-schedule's due row is known in advance, so it evaluates no trigger.
+Holds are integrated in segments. After each segment, the due test covers
+the segment's rows as one stack; the run resumes from the first due row,
+where it resamples, and integrates the rest of that segment again. An
+error raised past the due row is the discarded tail's, not the run's. A
+periodic schedule's due row is known in advance, so it evaluates no
+trigger.
 """
 
 from __future__ import annotations
@@ -89,7 +82,6 @@ __all__ = [
     "rk4_step",
     "trigger_value",
     "run",
-    "run_many",
     "analyze",
 ]
 
@@ -265,12 +257,12 @@ def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
     returns a new array, so the stages combine in place, in the order
     ((k1 + 2 k2) + 2 k3) + k4 with 2 k written k + k, which is exact.
 
-    ``rk4_step``, the continuous step and the held loop's stacks step with
-    this formula. A held one-member run with a state-independent actuation
-    and at most ``_FLOAT_ROWS_MAX_N`` coordinates steps its rows with the
-    kernel of ``_float_rows`` instead: the same operations in the same
-    order on Python floats, which round each one as numpy does, so both
-    give the same bits.
+    ``rk4_step`` (on one state or a stack) and the continuous step use
+    this formula, and so do held runs under a state-dependent actuation or
+    with more than ``_FLOAT_ROWS_MAX_N`` coordinates. Other held runs step
+    their rows with the kernel of ``_float_rows``: the same operations in
+    the same order on Python floats, which round each one as numpy does,
+    so both give the same bits.
     """
     k1 = rate(x)
     k2 = rate(x + half * k1)
@@ -487,9 +479,8 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
 
 
 def _inside(lows: list, highs: list, x: np.ndarray) -> bool:
-    """The cheaper state test, on one state or on a stack whose rows'
-    bounds are concatenated in ``lows`` and ``highs``."""
-    for a, v, b in zip(lows, x.ravel().tolist(), highs):
+    """The cheaper state test of one state (see ``_state_gate``)."""
+    for a, v, b in zip(lows, x.tolist(), highs):
         if not a <= v <= b:
             return False
     return True
@@ -516,53 +507,21 @@ def run(sc: Scenario) -> Trace:
     cannot be certified past that point, and ``ConfigurationError`` before
     anything is allocated when its trace would not fit in physical memory.
     """
-    _check_storage([sc])
+    _check_storage(sc)
     if sc.schedule.mode == "continuous":
         return _run_continuous(sc)
-    return _run_held([sc])[0]
+    return _run_held(sc)
 
 
-def run_many(scenarios) -> list[Trace]:
-    """Run sampled scenarios that share one plant and one integrator in
-    lockstep, as one stack, and return ``[run(sc) for sc in scenarios]``
-    bit for bit.
-
-    Every scenario must hold its input (periodic or event schedule), use
-    the first one's ``dynamics`` object and an equal ``integrator``; the
-    other fields (start state, controller, barrier, schedule, region,
-    trigger amplification) are free. A member that breaks this, or traces
-    that would not fit in physical memory, raise ``ConfigurationError``
-    before anything is integrated. Otherwise the error raised is that of
-    the first scenario, in list order, whose run raises, and the scenarios
-    after it stop when it does.
-    """
-    scs = list(scenarios)
-    for j, sc in enumerate(scs):
-        if sc.dynamics is not scs[0].dynamics:
-            raise ConfigurationError(f"scenario {j} has another dynamics object than scenario 0")
-        if sc.integrator != scs[0].integrator:
-            raise ConfigurationError(f"scenario {j} has another integrator than scenario 0")
-        if sc.schedule.mode == "continuous":
-            raise ConfigurationError(
-                f"scenario {j} is continuous; run_many takes periodic and event schedules"
-            )
-    if not scs:
-        return []
-    _check_storage(scs)
-    return _run_held(scs)
-
-
-def _check_storage(scs: list[Scenario]) -> None:
-    """Raise ``ConfigurationError`` when the traces of the scenarios, which
-    share one integrator, would not fit in physical memory; called before
-    any of their arrays is allocated."""
-    integrator = scs[0].integrator
+def _check_storage(sc: Scenario) -> None:
+    """Raise ``ConfigurationError`` when the scenario's trace would not fit
+    in physical memory; called before any of its arrays is allocated."""
+    integrator = sc.integrator
     rows = integrator.steps + 1
     # Per trace row: t, h, hdot, trigger, the state and the input as float64,
     # and the event flag.
-    row_bytes = sum(
+    row_bytes = (
         np.dtype(float).itemsize * (4 + sc.dynamics.n + sc.dynamics.m) + np.dtype(int).itemsize
-        for sc in scs
     )
     try:
         memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
@@ -607,186 +566,106 @@ def _first_check(schedule: HoldSchedule, dt: float) -> int:
     return max(1, int(math.ceil(schedule.floor / dt - 1e-9)))
 
 
-def _run_held(scs: list[Scenario]) -> list[Trace]:
-    """The runs of sampled scenarios sharing one plant and integrator, under
-    the module's sample-and-hold rule, in lockstep; the terminal row keeps
-    the last input.
+def _run_held(sc: Scenario) -> Trace:
+    """The run of a sampled scenario under the module's sample-and-hold
+    rule; the terminal row keeps the last input.
 
-    Before anything is integrated, each member in list order has its start
-    state checked (a failure is that member's error, as below). The stack
-    advances through segments: each member plans where its current segment
-    ends, and the stack integrates to the earliest plan. A member's first
-    segment of a hold reaches as far as its previous hold lasted (at least
-    to the first row resampling may be due, otherwise at most
-    ``_SEGMENT_CAP`` substeps); later ones start at ``first_check`` substeps
-    and double up to the cap.
-    Each member's due test then covers its rows of the segment, as one stack
-    (a periodic member is due at its first eligible row and evaluates
-    nothing). The stack resumes from the earliest row where some member is
-    due, after those members resample; the rows past it are integrated
-    again, and the batch contract makes the others' repeated rows identical.
-    A step of either kernel (see the module docstring) that raises, or a
-    row that fails the cheaper state test, is stepped again one member at a
-    time with ``_rk4``, and the kernel resumes after it. A member's integration error
-    stands only if it is due at no row up to the one its failing step
-    started from; an error of its sample or due test stands at once. An
-    error that stands stops that member and those after it in the list, and
-    is raised once the members before it have finished, unless one of them
-    raises. With one member left, the stack is its (n,) state.
+    The run advances through segments. The first segment of a hold reaches
+    as far as the previous hold lasted (at least to the first row
+    resampling may be due, otherwise at most ``_SEGMENT_CAP`` substeps);
+    later ones start at ``first_check`` substeps and double up to the cap.
+    The due test then covers the segment's rows, as one stack (a periodic
+    schedule is due at its first eligible row and evaluates nothing). The
+    run resumes from the first due row, where it resamples; the rows past
+    it are integrated again. A step of the kernel (see the module
+    docstring) that raises, or a row that fails the cheaper state test, is
+    stepped again with ``_rk4`` and checked, and the kernel resumes after
+    it. An integration error stands only if resampling is due at no row up
+    to the one its failing step started from; an error of a sample or a due
+    test stands at once.
     """
-    k = len(scs)
-    dyn, integrator = scs[0].dynamics, scs[0].integrator
-    dt, steps = integrator.substep, integrator.steps
+    dyn, dt, steps = sc.dynamics, sc.integrator.substep, sc.integrator.steps
     t_arr = np.arange(steps + 1) * dt
-    X = np.empty((steps + 1, k, dyn.n))
-    U = np.empty((steps + 1, k, dyn.m))
-    EV = np.zeros((steps + 1, k), dtype=int)
-    gates, first = [], []
-    active, error = k, None  # members [0, active) run; error is the next to raise
+    X = np.empty((steps + 1, dyn.n))
+    U = np.empty((steps + 1, dyn.m))
+    EV = np.zeros(steps + 1, dtype=int)
+    lows, highs, check = _state_gate(sc, t_arr)
+    X[0] = sc.x0
+    check(X[0], 0)
+    first = _first_check(sc.schedule, dt)
+    periodic = sc.schedule.mode == "periodic"
 
-    def stop(j: int, exc: Exception) -> None:
-        nonlocal active, error
-        if j < active:
-            active, error = j, exc
-
-    for j, sc in enumerate(scs):
-        gates.append(_state_gate(sc, t_arr))
-        X[0, j] = sc.x0
-        try:
-            gates[j][2](X[0, j], 0)
-        except Exception as exc:
-            stop(j, exc)
-            break
-        first.append(_first_check(sc.schedule, dt))
-
-    periodic = [sc.schedule.mode == "periodic" for sc in scs]
     # The RK4 coefficients, as floats and as arrays. The actuation is
-    # evaluated once, on a 2-row stack of the first start state: an (n, m)
-    # output has no stack axis, so it does not depend on the state (see the
-    # batch contract in ``cbf_core``) and the held inputs' term is computed
-    # once per segment.
+    # evaluated once, on a 2-row stack of the start state: an (n, m) output
+    # has no stack axis, so it does not depend on the state (see the batch
+    # contract in ``cbf_core``) and the held input's term is computed once
+    # per sample.
     coefs = (0.5 * dt, dt, dt / 6.0)
     half, full, sixth = (np.full(dyn.n, c) for c in coefs)
-    drift, g = dyn.drift, dyn.actuation(np.tile(X[0, 0], (2, 1)))
+    drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
     if np.ndim(g) != 2:
         g = None
+    floats = g is not None and dyn.n <= _FLOAT_ROWS_MAX_N
+    kernel = _float_rows(dyn.n) if floats else _rk4_rows
 
-    def held_rate(u):
-        """The rate under the held input u, one member's (m,) or the
-        stack's (k, m)."""
-        if g is None:
-            return lambda s: dyn.rate(s, u)
-        gu = np.matvec(g, u)
-        return lambda s: drift(s) + gu
-
-    # Per member: the held input, the first row where resampling may be due,
-    # the planned end of the current segment, and the length of the next one.
-    held, opens, plan, grow = [None] * active, [0] * active, [0] * active, first[:active]
-
-    def restep(row: int):
-        """Step ``row`` one member at a time: the states, stacked, or None
-        and each failing member's error."""
-        states, failures = [], {}
-        for j in range(active):
-            try:
-                x = _rk4(held_rate(held[j]), X[row - 1, j], half, full, sixth)
-                gates[j][2](x, row)
-                states.append(x)
-            except Exception as exc:
-                failures[j] = exc
-        if failures:
-            return None, failures
-        return (states[0] if active == 1 else np.array(states)), failures
-
-    frontier, shaped, due = 0, None, dict.fromkeys(range(active), 0)
+    # The first row where resampling may be due, the planned end of the
+    # current segment, and the length of the next one; the run has reached
+    # the frontier row and resamples at the due row.
+    opens = plan = grow = 0
+    frontier = due = 0
     while True:
-        # In list order: the members due at the frontier resample (one that
-        # raises stops itself and those after it), the others whose planned
-        # segment ended there plan the next one.
-        for j in range(active):
-            if due.get(j) == frontier:
-                try:
-                    u = _checked_sample(scs[j], X[frontier, j], float(t_arr[frontier]))
-                except Exception as exc:
-                    stop(j, exc)
-                    break
-                span = frontier + first[j] - opens[j]  # the hold ending here, if any
-                if span > _SEGMENT_CAP:
-                    span = _SEGMENT_CAP
-                held[j], U[frontier, j], EV[frontier, j] = u, u, 1
-                opens[j] = frontier + first[j]
-                plan[j] = frontier + (span if span > first[j] else first[j])
-                grow[j] = first[j]
-            elif plan[j] <= frontier:
-                plan[j] += grow[j]
-                grow[j] = min(2 * grow[j], _SEGMENT_CAP)
-        if not active or frontier == steps:
+        if due == frontier:
+            u = _checked_sample(sc, X[frontier], float(t_arr[frontier]))
+            span = frontier + first - opens  # the hold ending here, if any
+            if span > _SEGMENT_CAP:
+                span = _SEGMENT_CAP
+            U[frontier], EV[frontier] = u, 1
+            opens = frontier + first
+            plan = frontier + (span if span > first else first)
+            grow = first
+            if g is None:
+                rate = lambda s: dyn.rate(s, u)
+            else:
+                gu = np.matvec(g, u)
+                rate = lambda s: drift(s) + gu
+            head = (drift, gu.tolist(), *coefs) if floats else (rate, half, full, sixth)
+        elif plan <= frontier:
+            plan += grow
+            grow = min(2 * grow, _SEGMENT_CAP)
+        if frontier == steps:
             break
 
-        if shaped != active:  # the stack's views, bounds and kernel, per membership
-            shaped = active
-            Xa = X[:, 0] if active == 1 else X[:, :active]
-            lows = [v for j in range(active) for v in gates[j][0]]
-            highs = [v for j in range(active) for v in gates[j][1]]
-            floats = active == 1 and g is not None and dyn.n <= _FLOAT_ROWS_MAX_N
-            kernel = _float_rows(dyn.n) if floats else _rk4_rows
-        if floats:
-            head = (drift, np.matvec(g, held[0]).tolist(), *coefs)
-        else:
-            head = (held_rate(held[0] if active == 1 else np.array(held[:active])),
-                    half, full, sixth)
-        reached, failures = min(plan[:active]), None
-        if reached > steps:
-            reached = steps
-        row = kernel(*head, Xa, frontier + 1, reached, lows, highs)
+        reached, failure = (plan if plan < steps else steps), None
+        row = kernel(*head, X, frontier + 1, reached, lows, highs)
         while row <= reached:
-            xs, failures = restep(row)
-            if failures:
-                reached = row - 1
-                break
-            Xa[row] = xs
-            row = kernel(*head, Xa, row + 1, reached, lows, highs)
-
-        due, b = {}, reached if reached < steps else steps - 1
-        for j in range(active):
-            a = opens[j] if opens[j] > frontier else frontier + 1
-            if a > b:
-                continue
-            if periodic[j]:
-                due[j] = a
-                continue
-            sc, u = scs[j], held[j]  # the input held since member j's last sample
             try:
-                if a == b:  # one state costs a third of a stacked evaluation
-                    if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a, j], u) <= 0.0:
-                        due[j] = a
-                else:
-                    fire = trigger_value(
-                        dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1, j], u
-                    ) <= 0.0
-                    if fire.any():
-                        due[j] = a + int(fire.argmax())
+                xs = _rk4(rate, X[row - 1], half, full, sixth)
+                check(xs, row)
             except Exception as exc:
-                stop(j, exc)
+                reached, failure = row - 1, exc
                 break
-        if failures:
-            for j, exc in failures.items():
-                if j not in due:
-                    stop(j, exc)
-        frontier = reached
-        for j, row in due.items():
-            if row < frontier and j < active:
-                frontier = row
+            X[row] = xs
+            row = kernel(*head, X, row + 1, reached, lows, highs)
 
-    if error is not None:
-        raise error
-    traces = []
-    for j, sc in enumerate(scs):
-        # Each input holds from its sample row to the next, the last to the end.
-        rows = np.flatnonzero(EV[:, j])
-        U[:, j] = U[np.repeat(rows, np.diff(rows, append=steps + 1)), j]
-        traces.append(_record(sc, t_arr, X[:, j], U[:, j], EV[:, j]))
-    return traces
+        due = None
+        a, b = (opens if opens > frontier else frontier + 1), min(reached, steps - 1)
+        if a <= b and periodic:
+            due = a
+        elif a == b:  # one state costs a third of a stacked evaluation
+            if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a], u) <= 0.0:
+                due = a
+        elif a < b:
+            fire = trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1], u) <= 0.0
+            if fire.any():
+                due = a + int(fire.argmax())
+        if failure is not None and due is None:
+            raise failure
+        frontier = reached if due is None else due
+
+    # Each input holds from its sample row to the next, the last to the end.
+    rows = np.flatnonzero(EV)
+    U = U[np.repeat(rows, np.diff(rows, append=steps + 1))]
+    return _record(sc, t_arr, X, U, EV)
 
 
 def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:

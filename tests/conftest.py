@@ -22,7 +22,7 @@ from safehold.constants import (
     practical_sampling_time,
     violation_free_sampling_time,
 )
-from safehold.simulator import HoldSchedule, RunSummary, Trace, analyze, run, run_many
+from safehold.simulator import HoldSchedule, RunSummary, Trace, analyze, run
 
 SWEEP_GRID = (0.5, 1.0, 2.0, 5.0, 10.0)
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -107,12 +107,11 @@ def ride_event(ride_budgets: dict[str, float]) -> Timed:
 
 
 def _sweep(base) -> dict[float, RunSummary]:
-    """The base scenario's summary at each grid frequency, the frequencies
-    stepped as one stack."""
-    traces = run_many(
-        replace(base, schedule=HoldSchedule.periodic(1.0 / f)) for f in SWEEP_GRID
-    )
-    return {f: analyze(tr) for f, tr in zip(SWEEP_GRID, traces)}
+    """The base scenario's summary at each grid frequency."""
+    return {
+        f: analyze(run(replace(base, schedule=HoldSchedule.periodic(1.0 / f))))
+        for f in SWEEP_GRID
+    }
 
 
 @pytest.fixture(scope="session")

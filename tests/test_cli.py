@@ -14,6 +14,8 @@ import pytest
 
 from safehold import constants
 from safehold.cli import EXIT_ASSUMPTION, EXIT_CONFIG, EXIT_OK, EXIT_VIOLATION, main
+from safehold.errors import RegionExitError
+from safehold.simulator import run
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -353,6 +355,28 @@ class TestSweep:
             assert (tmp_path / "sweep-f5.csv").exists()
             text = plot.read_text()
             assert "sweep-f2.csv" in text and "sweep-f5.csv" in text and "plot " in text
+
+    def test_each_trace_is_written_as_its_run_completes(self, tmp_path, capsys, monkeypatch):
+        # The second run fails: the first frequency's trace is on disk, but
+        # no table and no plot script, which need every run.
+        runs = []
+
+        def fail_second(sc):
+            runs.append(sc)
+            if len(runs) == 2:
+                raise RegionExitError("second run left the region", state=sc.x0, time=0.5)
+            return run(sc)
+
+        monkeypatch.setattr("safehold.cli.run", fail_second)
+        plot = tmp_path / "plot.gp"
+        code = main(["sweep", self._cfg(tmp_path), "5", "2", "--plot-script", str(plot)])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "RegionExitError: second run left the region\n"
+        assert (tmp_path / "sweep-f2.csv").exists()
+        assert not (tmp_path / "sweep-f5.csv").exists()
+        assert not plot.exists()
 
     def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, no_integration):
         cfg = _write(tmp_path, (

@@ -37,7 +37,6 @@ from safehold.simulator import (
     analyze,
     rk4_step,
     run,
-    run_many,
     trigger_value,
 )
 
@@ -680,9 +679,33 @@ class TestHoldCore:
             return dataclasses.replace(sc, dynamics=dataclasses.replace(sc.dynamics, drift=drift))
 
         assert _assert_same_outcome(ramp(0.6)).events == (0.0, 0.5)
-        for fn in (run, run_reference, lambda sc: run_many([sc])[0]):
+        for fn in (run, run_reference):
             with pytest.raises(ValueError, match="drift undefined below x = 0.4"):
                 fn(ramp(1.0))
+
+    def test_a_barrier_error_in_a_due_test_stands(self):
+        # x rises at rate 1 and the trigger, 9 - x, never fires; the barrier
+        # is undefined past x = 1.5, so the due test of the segment that
+        # gets there raises.
+        def defined(x):
+            if np.any(x > 1.5):
+                raise ValueError("barrier undefined past x = 1.5")
+            return x
+
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.ones(np.shape(x)), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+        )
+        barrier = BarrierFunction(
+            value=lambda x: 10.0 - defined(x).T[0],
+            gradient=lambda x: -np.ones(np.shape(defined(x))),
+        )
+        sc = Scenario(
+            name="undefined", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
+            controller=lambda x: np.zeros(np.shape(x)), x0=(1.2,),
+            integrator=IntegratorConfig(horizon=1.5, substep=0.01), schedule=HoldSchedule.event(),
+        )
+        err = _assert_same_outcome(sc)
+        assert isinstance(err, ValueError) and err.args == ("barrier undefined past x = 1.5",)
 
     def test_a_state_past_the_cheaper_test_within_the_limit_is_kept(self, monkeypatch):
         # Every row of x = 0.995e8 fails the cheaper per-axis test (0.99e8)
@@ -697,7 +720,7 @@ class TestHoldCore:
         assert len(calls) == 1 + _blocks(501)
         assert len(steps) == 500
         assert np.all(_assert_same_outcome(sc).x == 0.995e8)
-        _assert_group_matches([sc, dataclasses.replace(sc, x0=(0.996e8,))])
+        _assert_same_outcome(dataclasses.replace(sc, x0=(0.996e8,)))
         # Falling at 1.5e7 per second, the state passes the cheaper test
         # again from row 34 on: the rows before are stepped again one at a
         # time, and the float kernel resumes after each of them.
@@ -762,7 +785,8 @@ class TestHoldCore:
 
 
 # ---------------------------------------------------------------------------
-# lockstep: a stack of states, and a group of scenarios run as one stack
+# lockstep: one RK4 step of a (k, n) stack of states, the public
+# ``rk4_step`` on many states at once
 
 
 @st.composite
@@ -780,53 +804,6 @@ def stacks(draw, kind: str):
     scale = 2000.0 if kind == "acc" else 3.0
     us = scale * np.array([[draw(unit) for _ in range(dyn.m)] for _ in range(k)])
     return dyn, xs, us
-
-
-@st.composite
-def groups(draw, kind: str) -> list[Scenario]:
-    """One to four sampled scenarios sharing one plant object, substep and
-    horizon, each with its own start state, region, controller, schedule
-    and trigger amplification. No period is shorter than the substep."""
-    substep = draw(st.sampled_from((1e-3, 2.5e-3, 1e-2)))
-    integrator = IntegratorConfig(horizon=draw(st.floats(substep, 0.5)), substep=substep)
-    members, dyn = [], None
-    for _ in range(draw(st.integers(1, 4))):
-        fields = draw(plants(kind))
-        dyn = fields["dynamics"] if dyn is None else dyn
-        if draw(st.booleans()):
-            multiple = draw(st.sampled_from((1.0, 1.37, 2.0, 7.0, 25.0, 100.0)))
-            schedule = HoldSchedule.periodic(multiple * substep)
-        else:
-            floor = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 20.0)))
-            schedule = HoldSchedule.event(floor=floor * substep)
-        members.append(Scenario(
-            name="member", alpha=ClassKappa(1.0), integrator=integrator,
-            schedule=schedule, trigger_c=draw(st.sampled_from((0.0, 1e-6, 0.01, 3.0))),
-            **{**fields, "dynamics": dyn},
-        ))
-    return members
-
-
-def _reference_group(group):
-    """What ``[run(sc) for sc in group]`` gives: every trace, or the error of
-    the first scenario whose run raises."""
-    traces = []
-    for sc in group:
-        out = _outcome(run_reference, sc)
-        if isinstance(out, Exception):
-            return out
-        traces.append(out)
-    return traces
-
-
-def _assert_group_matches(group):
-    got, want = _outcome(run_many, group), _reference_group(group)
-    if isinstance(want, Exception):
-        return _assert_matches(got, want)
-    assert isinstance(got, list) and len(got) == len(want), got
-    for a, b in zip(got, want):
-        _assert_matches(a, b)
-    return want
 
 
 class TestLockstep:
@@ -848,103 +825,6 @@ class TestLockstep:
                 assert dyn.rate(x, u).tobytes() == want.tobytes()
 
         check()
-
-    @pytest.mark.parametrize("kind", PLANTS)
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_run_many_equals_the_row_by_row_reference(self, kind):
-        @settings(max_examples=25, deadline=None)
-        @given(groups(kind))
-        def check(group):
-            _assert_group_matches(group)
-
-        check()
-
-    def _exits(self):
-        """x rises at 1.3 per second inside the box [0, 1.5]: from 1.0 it
-        leaves 0.385 s in, from 1.4 after 0.077 s."""
-        slow = _scalar_scenario(
-            "periodic", period=0.25, horizon=2.0, x0=1.0, drift_rate=0.3,
-            region=OperatingRegion(lower=(0.0,), upper=(1.5,)), nominal=lambda x: np.array([1.0]),
-        )
-        return slow, dataclasses.replace(slow, x0=(1.4,))
-
-    def test_the_first_member_error_is_raised_though_a_later_one_fails_sooner(self):
-        slow, fast = self._exits()
-        err = _assert_group_matches([slow, fast])
-        assert isinstance(err, RegionExitError)
-        assert err.time == pytest.approx(0.385, abs=1e-3)
-        with pytest.raises(RegionExitError) as sooner:
-            run(fast)
-        assert sooner.value.time < err.time
-
-    def test_a_completed_first_member_leaves_the_second_error(self):
-        slow, fast = self._exits()
-        err = _assert_group_matches([dataclasses.replace(slow, region=None), fast])
-        assert isinstance(err, RegionExitError)
-        assert err.time == pytest.approx(0.077, abs=1e-3)
-
-    def test_members_after_a_failed_one_stop(self):
-        slow, fast = self._exits()
-        calls = []
-        counted = dataclasses.replace(
-            slow, region=None, controller=lambda x: calls.append(1) or slow.controller(x),
-        )
-        calls.clear()
-        with pytest.raises(RegionExitError):
-            run_many([dataclasses.replace(slow, region=None), fast, counted])
-        assert len(calls) == 1  # its sample at t = 0; the next was due at 0.25
-
-    def test_a_barrier_error_in_a_due_test_stops_only_its_member(self):
-        # x rises at rate 1 and each member's barrier is undefined past 1.5:
-        # member 1, from 1.2, gets there first, but member 0's error is the
-        # one ``[run(sc) for sc in group]`` raises.
-        def barrier(j):
-            def defined(x):
-                if np.any(x > 1.5):
-                    raise ValueError(f"member {j} barrier undefined past x = 1.5")
-                return x
-
-            return BarrierFunction(
-                value=lambda x: 10.0 - defined(x).T[0],
-                gradient=lambda x: -np.ones(np.shape(defined(x))),
-            )
-
-        dyn = ControlAffineDynamics(
-            drift=lambda x: np.ones(np.shape(x)), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
-        )
-        group = [
-            Scenario(
-                name=f"member {j}", dynamics=dyn, barrier=barrier(j), alpha=ClassKappa(1.0),
-                controller=lambda x: np.zeros(np.shape(x)), x0=(x0,),
-                integrator=IntegratorConfig(horizon=1.5, substep=0.01),
-                schedule=HoldSchedule.event(),
-            )
-            for j, x0 in enumerate((0.5, 1.2))
-        ]
-        with pytest.raises(ValueError, match="member 0 barrier"):
-            run_many(group)
-        for sc in group:
-            for fn in (run, run_reference):
-                with pytest.raises(ValueError, match=f"{sc.name} barrier"):
-                    fn(sc)
-
-    def test_group_errors_name_the_member(self, no_integration):
-        base = _scalar_scenario("periodic", period=0.25)
-        cases = [
-            (_scalar_scenario("periodic", period=0.25), "scenario 1 has another dynamics object"),
-            (dataclasses.replace(base, integrator=IntegratorConfig(horizon=0.5)),
-             "scenario 1 has another integrator"),
-            (dataclasses.replace(base, schedule=HoldSchedule.continuous()),
-             "scenario 1 is continuous"),
-        ]
-        for member, message in cases:
-            with pytest.raises(ConfigurationError, match=message):
-                run_many([base, member])
-        # A member's period is checked when it is built, before any group.
-        with pytest.raises(ConfigurationError,
-                           match="hold period 0.0001 is shorter than the substep 0.001"):
-            dataclasses.replace(base, schedule=HoldSchedule.periodic(1e-4))
-        assert run_many([]) == []
 
 
 # ---------------------------------------------------------------------------
@@ -1002,13 +882,12 @@ class TestHeldInputTerm:
             stages = 4 * (len(trace) - 1) if kind == "blind" else 0
             assert len(calls) == 1 + stages + _blocks(len(trace))
             _assert_same_outcome(sc)
-            _assert_group_matches([sc, dataclasses.replace(sc, x0=trace.x[-1])])
 
         check()
 
 
 # ---------------------------------------------------------------------------
-# the float kernel: one-member holds under a state-independent actuation
+# the float kernel: holds under a state-independent actuation
 
 
 def _mixing_plant(g: np.ndarray) -> ControlAffineDynamics:
@@ -1059,47 +938,28 @@ class TestFloatKernel:
 
         check()
 
-    @pytest.mark.parametrize("kind", [kind for kind in PLANTS if kind != "blind"])
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_a_run_equals_its_run_in_a_stack(self, kind):
-        # The plants of constant actuation: run steps the one member on
-        # floats, run_many the two as a stack with ``_rk4``.
-        @settings(max_examples=25, deadline=None)
-        @given(scenarios(kind).filter(lambda sc: sc.schedule.mode != "continuous"))
-        def check(sc):
-            want = _assert_group_matches([sc, dataclasses.replace(sc, name="copy")])
-            _assert_matches(_outcome(run, sc), want if isinstance(want, Exception) else want[0])
-
-        check()
-
     def test_the_kernel_follows_members_actuation_and_dimension(self, monkeypatch):
-        # One member under a constant actuation with at most
-        # _FLOAT_ROWS_MAX_N coordinates steps on floats; a stack, a larger
-        # state and a state-dependent actuation step with ``_rk4``, one call
-        # per substep.
+        # A constant actuation with at most _FLOAT_ROWS_MAX_N coordinates
+        # steps on floats; a larger state and a state-dependent actuation
+        # step with ``_rk4``, one call per substep.
         steps = _counted_rk4(monkeypatch)
-        blind, three = _blind_plant(), _decoupled(3)
+        blind = _blind_plant()
         cases = [
-            ([_decoupled(1)], 0),
-            ([_decoupled(_FLOAT_ROWS_MAX_N)], 0),
-            ([_decoupled(_FLOAT_ROWS_MAX_N + 1)], 20),
-            ([three, dataclasses.replace(three, name="copy")], 20),
-            ([dataclasses.replace(_decoupled(1), dynamics=blind.dynamics, barrier=blind.barrier,
-                                  controller=blind, x0=(0.3,))], 20),
+            (_decoupled(1), 0),
+            (_decoupled(_FLOAT_ROWS_MAX_N), 0),
+            (_decoupled(_FLOAT_ROWS_MAX_N + 1), 20),
+            (dataclasses.replace(_decoupled(1), dynamics=blind.dynamics, barrier=blind.barrier,
+                                 controller=blind, x0=(0.3,)), 20),
         ]
-        for group, calls in cases:
+        for sc, calls in cases:
             steps.clear()
-            _assert_group_matches(group)
-            assert len(steps) == calls, group[0].name
-            if len(group) == 1:
-                _assert_same_outcome(group[0])
+            _assert_same_outcome(sc)
+            assert len(steps) == calls, sc.name
 
     def test_the_integration_guard_blocks_both_kernels(self, no_integration):
-        sc = _decoupled(3)
-        with pytest.raises(AssertionError, match="integrated"):
-            run(sc)
-        with pytest.raises(AssertionError, match="integrated"):
-            run_many([sc, dataclasses.replace(sc, name="copy")])
+        for sc in (_decoupled(3), _decoupled(_FLOAT_ROWS_MAX_N + 1)):
+            with pytest.raises(AssertionError, match="integrated"):
+                run(sc)
 
     def test_errors_in_the_middle_of_a_hold_match_the_reference(self):
         # Each run holds its one input for a whole second.
