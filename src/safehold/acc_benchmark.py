@@ -97,15 +97,17 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     p = params or AccParams()
     f0, f1, f2, mass, lead_speed = p.f0, p.f1, p.f2, p.mass, p.lead_speed
 
-    # Coordinates are read as x.T[i]: a scalar for one state, a (k,) row
-    # view for a stack, at the single-state cost of x[i]. The drift runs at
-    # every RK4 stage, so it reads the parameters from locals and inlines
+    # The physics, written once. Held runs call it on plain floats at every
+    # RK4 stage, so it reads the parameters from locals and inlines
     # p.resistance, in the same order.
+    def scalar_drift(position, speed, gap):
+        return speed, -(f0 + f1 * speed + f2 * speed * speed) / mass, lead_speed - speed
+
+    # Coordinates are read as x.T[i]: a scalar for one state, a (k,) row
+    # view for a stack, so the same operations give each row's bits.
     def drift(x: np.ndarray) -> np.ndarray:
-        speed = x.T[1]
-        return np.array([
-            speed, -(f0 + f1 * speed + f2 * speed * speed) / mass, lead_speed - speed,
-        ]).T
+        xt = x.T
+        return np.array(scalar_drift(xt[0], xt[1], xt[2])).T
 
     g = np.array([[0.0], [1.0 / mass], [0.0]])
     g.flags.writeable = False
@@ -113,7 +115,9 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     def actuation(x: np.ndarray) -> np.ndarray:
         return g  # constant; broadcasts over a stack
 
-    return ControlAffineDynamics(drift=drift, actuation=actuation, n=3, m=1)
+    return ControlAffineDynamics(
+        drift=drift, actuation=actuation, n=3, m=1, scalar_drift=scalar_drift,
+    )
 
 
 def acc_barrier(params: AccParams | None = None) -> BarrierFunction:

@@ -19,7 +19,11 @@ An output that does not depend on the state may be returned as is, to
 broadcast against the stack (a constant actuation (n, m), say); an
 actuation that returns (n, m) on a stack thereby declares itself
 state-independent, and the simulator's sample-and-hold loop computes its
-input term once per sample, not at every RK4 stage. Reading the i-th
+input term once per sample, not at every RK4 stage. A plant may also give
+its drift on plain floats, as ``scalar_drift``: one state's n coordinates
+in, its n rates out, with ``drift``'s operations in ``drift``'s order, so
+that the two agree bit for bit (Python floats round like numpy float64).
+Reading the i-th
 coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
@@ -83,16 +87,19 @@ class ControlAffineDynamics:
     (n, m) matrix, and a (k, n) stack to (k, n) and (k, n, m) (see the batch
     contract above). An actuation that returns its (n, m) matrix on a stack
     too does not depend on the state: a sample-and-hold run computes its
-    input term once per sample and adds it at each RK4 stage. The
-    shapes are checked once, when a scenario is built or an estimation
-    starts, so a mis-sized callable fails loudly there rather than
-    broadcasting mid-run.
+    input term once per sample and adds it at each RK4 stage.
+    ``scalar_drift``, when given, is ``drift`` on one state's n coordinates
+    as floats, bit for bit (see the batch contract above); held runs call it
+    at each RK4 stage. The shapes, and that equality, are checked once, when
+    a scenario is built or an estimation starts, so a mis-sized callable
+    fails loudly there rather than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
     actuation: Callable[[np.ndarray], np.ndarray]
     n: int
     m: int
+    scalar_drift: Callable[..., tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
@@ -166,7 +173,8 @@ def _probe_shapes(
     the evaluation path relies on.
 
     The state must be (n,), the barrier gradient and the drift (n,), the
-    actuation (n, m) and the controller's input (m,). On the stack every
+    actuation (n, m) and the controller's input (m,); a ``scalar_drift``
+    must return the drift's n rates bit for bit. On the stack every
     output must broadcast to its stacked shape (see the batch contract),
     which rejects a callable that reduces its input to one float. The stack
     has n + 1 rows so that it is never square: a drift written ``A @ x``
@@ -187,6 +195,19 @@ def _probe_shapes(
     f = np.asarray(dyn.drift(x), dtype=float)
     if f.shape != (n,):
         raise ConfigurationError(f"drift returned shape {f.shape}, expected ({n},)")
+    if dyn.scalar_drift is not None:
+        try:
+            rates = np.array(tuple(dyn.scalar_drift(*x.tolist())), dtype=float)
+        except (TypeError, ValueError, ArithmeticError) as exc:
+            raise ConfigurationError(
+                f"scalar_drift failed on the {n} coordinates of a state "
+                f"({type(exc).__name__}: {exc})"
+            ) from exc
+        if rates.tobytes() != f.tobytes():
+            raise ConfigurationError(
+                f"scalar_drift returned {rates.tolist()}, expected drift's {f.tolist()} "
+                "bit for bit"
+            )
     g = np.asarray(dyn.actuation(x), dtype=float)
     if g.shape != (n, m):
         raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")

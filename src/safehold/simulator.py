@@ -35,9 +35,10 @@ Two kernels step the rows of a hold, chosen once per run. Under a
 state-independent actuation, a state of at most ``_FLOAT_ROWS_MAX_N``
 coordinates steps on the kernel that ``_float_rows`` generates for its n:
 ``_rk4``'s operations in ``_rk4``'s order on Python floats, one local per
-coordinate, without numpy's dispatch on tiny arrays. State-dependent
-actuations and larger states step with ``_rk4`` on numpy arrays. Both round
-each operation alike, so both give the same bits.
+coordinate, without numpy's dispatch on tiny arrays. Its stages call the
+plant's ``scalar_drift``, or else its drift on an (n,) array.
+State-dependent actuations and larger states step with ``_rk4`` on numpy
+arrays. Both round each operation alike, so both give the same bits.
 
 Holds are integrated in segments. After each segment, the due test covers
 the segment's rows as one stack; the run resumes from the first due row,
@@ -91,10 +92,14 @@ _MODES = ("continuous", "periodic", "event")
 _DIVERGENCE_LIMIT = 1e8
 
 # Longest speculative segment of an event-mode hold, in substeps. On the ACC
-# plant a stacked trigger evaluation over 64 rows costs about 20 us and a
-# held substep about 8 us on the float kernel (13 us with ``_rk4``; 2-core
-# Xeon, Python 3.11, numpy 2.4), so at this length the due test adds about
-# 4% to a long hold, while a firing row discards at most 63 substeps.
+# plant a stacked trigger evaluation over 64 rows costs about 17 us and a
+# held substep about 1.6 us on the float kernel (8 us without
+# ``scalar_drift``, 12 us with ``_rk4``; 2-core Xeon, Python 3.11, numpy
+# 2.4), so the due test adds about a sixth to a long hold, and a firing row
+# discards at most 63 substeps. Cap 128 took ``compare``'s event run from
+# 149 to 135 ms but a ride run of 665 short holds from 44.1 to 46.5 ms, as
+# each first segment reaches as far as the hold before it (medians of 15
+# paired runs on one CPU).
 _SEGMENT_CAP = 64
 
 
@@ -296,27 +301,26 @@ def _rk4_rows(rate, half, full, sixth, X, row: int, end: int, lows: list, highs:
 
 
 # ``_rk4_rows`` on Python floats for one state of n coordinates, under the
-# drift plus a constant input term gu (n floats): one local per coordinate,
-# ``_rk4``'s operations in its order, and ``_inside`` inline. ``_float_rows``
-# writes out each {...} once per coordinate i, with # standing for i, joined
-# by ", " into a tuple (with a trailing comma, so n = 1 is one too) or by the
-# separator after |. Each stage's drift gets a new (n,) array.
+# drift on floats (``rates``: n coordinates in, n rates out) plus a constant
+# input term gu (n floats): one local per coordinate, ``_rk4``'s operations
+# in its order, and ``_inside`` inline. ``_float_rows`` writes out each {...}
+# once per coordinate i, with # standing for i, joined by ", " into a tuple
+# (with a trailing comma, so n = 1 is one too) or by the separator after |.
 _FLOAT_ROWS = """
-def rows(drift, gu, half, full, sixth, X, row, end, lows, highs):
-    array = np.array
+def rows(rates, gu, half, full, sixth, X, row, end, lows, highs):
     try:
         {g#} = gu
         {l#} = lows
         {h#} = highs
         {x#} = X[row - 1].tolist()
         while row <= end:
-            {a#} = drift(array(({x#}))).tolist()
+            {a#} = rates({x#})
             {a# += g#|; }
-            {b#} = drift(array(({x# + half * a#}))).tolist()
+            {b#} = rates({x# + half * a#})
             {b# += g#|; }
-            {c#} = drift(array(({x# + half * b#}))).tolist()
+            {c#} = rates({x# + half * b#})
             {c# += g#|; }
-            {d#} = drift(array(({x# + full * c#}))).tolist()
+            {d#} = rates({x# + full * c#})
             {d# += g#|; }
             {x# += (b# + b# + a# + (c# + c#) + d#) * sixth|; }
             if not ({l# <= x# <= h#| and }):
@@ -341,16 +345,17 @@ _FLOAT_ROWS_MAX_N = 12
 def _float_rows(n: int):
     """The float kernel for n coordinates, generated from ``_FLOAT_ROWS`` on
     first use, as ``dataclasses`` generates methods, and kept for the
-    process. Same arguments and result as ``_rk4_rows``, with ``drift``,
-    the input term ``gu`` and the coefficients as floats in place of
-    ``rate`` and the arrays. Whatever raises, a row that ``drift`` does not
-    give as an array of n numbers among them, ends the kernel at that row,
-    which the caller steps again with ``_rk4``."""
+    process. Same arguments and result as ``_rk4_rows``, with the drift on
+    floats ``rates`` (the plant's ``scalar_drift``, or an adapter around
+    its ``drift``), the input term ``gu`` and the coefficients as floats in
+    place of ``rate`` and the arrays. Whatever raises, a stage whose rates
+    are not n numbers among them, ends the kernel at that row, which the
+    caller steps again with ``_rk4``."""
     def expand(match):
         terms = [match[1].replace("#", str(i)) for i in range(n)]
         return ", ".join(terms) + "," if match[2] is None else match[2].join(terms)
 
-    namespace = {"np": np}
+    namespace = {}
     exec(re.sub(r"\{([^{}|]+)(?:\|([^{}]+))?\}", expand, _FLOAT_ROWS), namespace)
     return namespace["rows"]
 
@@ -607,6 +612,7 @@ def _run_held(sc: Scenario) -> Trace:
         g = None
     floats = g is not None and dyn.n <= _FLOAT_ROWS_MAX_N
     kernel = _float_rows(dyn.n) if floats else _rk4_rows
+    rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
 
     # The first row where resampling may be due, the planned end of the
     # current segment, and the length of the next one; the run has reached
@@ -628,7 +634,7 @@ def _run_held(sc: Scenario) -> Trace:
             else:
                 gu = np.matvec(g, u)
                 rate = lambda s: drift(s) + gu
-            head = (drift, gu.tolist(), *coefs) if floats else (rate, half, full, sixth)
+            head = (rates, gu.tolist(), *coefs) if floats else (rate, half, full, sixth)
         elif plan <= frontier:
             plan += grow
             grow = min(2 * grow, _SEGMENT_CAP)

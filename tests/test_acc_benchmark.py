@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import acc_closed_form_lie
 from safehold.acc_benchmark import (
@@ -55,6 +56,25 @@ class TestPlant:
         assert f[0] == 20.0
         assert f[1] == pytest.approx(-200.1 / 1650.0, rel=1e-12)
         assert f[2] == pytest.approx(13.89 - 20.0, rel=1e-12)
+
+    @pytest.mark.parametrize("region", (ride_region(), approach_region()), ids=("ride", "approach"))
+    def test_scalar_drift_equals_the_drift_bit_for_bit(self, region):
+        # The float form the held loop calls at each RK4 stage and the array
+        # drift, on one state and on each row of a stack, give the same bits.
+        dyn = acc_dynamics()
+        boxed = [st.floats(lo, hi) for lo, hi in zip(region.lower, region.upper)]
+
+        @settings(max_examples=60, deadline=None)
+        @given(st.lists(st.tuples(*boxed), min_size=1, max_size=9))
+        def check(states):
+            stack = np.array(states)
+            stacked = dyn.drift(stack)
+            for x, row in zip(stack, stacked):
+                want = dyn.drift(x).tobytes()
+                assert np.array(dyn.scalar_drift(*x.tolist())).tobytes() == want
+                assert row.tobytes() == want
+
+        check()
 
     def test_actuation_column_is_constant(self):
         dyn = acc_dynamics()

@@ -3,6 +3,7 @@ the one-time shape probe, and the decrease-condition algebra."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -200,6 +201,30 @@ class TestLieDerivatives:
                 good_dyn, lambda x: np.zeros(1), good_barrier,
             )
 
+    def test_a_scalar_drift_must_equal_the_drift_bit_for_bit(self):
+        # The float form of xdot = -0.3 x is checked once, at the probed
+        # state, against the array drift; a wrong length, a rate one bit
+        # off and a form that raises are rejected, naming ``scalar_drift``.
+        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]))
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        dyn = ControlAffineDynamics(
+            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
+        )
+        _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
+        cases = {
+            r"scalar_drift returned \[[^,]*\], expected drift's": lambda a, b: (-0.3 * a,),
+            r"scalar_drift returned \[.*\], expected drift's .* bit for bit": lambda a, b: (
+                -0.3 * a, math.nextafter(-0.3 * b, -math.inf),
+            ),
+            r"scalar_drift failed .*ZeroDivisionError": lambda a, b: (-0.3 * a, -0.3 * b / 0.0),
+        }
+        for message, scalar_drift in cases.items():
+            wrong = dataclasses.replace(dyn, scalar_drift=scalar_drift)
+            with pytest.raises(ConfigurationError, match=message):
+                _probe_scenario(wrong, barrier, lambda x: np.zeros(1))
+            with pytest.raises(ConfigurationError, match=message):
+                certify_region(region, wrong, lambda x: np.zeros(1), barrier)
 
     def test_batch_contract_is_probed_before_any_work(self):
         # A barrier value that reduces its input to one float cannot take a

@@ -928,7 +928,9 @@ class TestFloatKernel:
             dyn, rows = _mixing_plant(g), 8
             X = np.empty((rows + 1, n))
             X[0] = x0
-            end = _float_rows(n)(dyn.drift, np.matvec(g, u).tolist(), 0.5 * dt, dt, dt / 6.0,
+            # The plant has no float drift: the run's adapter around its drift.
+            rates = lambda *c: dyn.drift(np.array(c)).tolist()
+            end = _float_rows(n)(rates, np.matvec(g, u).tolist(), 0.5 * dt, dt, dt / 6.0,
                                  X, 1, rows, [-math.inf] * n, [math.inf] * n)
             assert end == rows + 1
             want = [x0]
@@ -937,6 +939,24 @@ class TestFloatKernel:
             assert X.tobytes() == np.array(want).tobytes()
 
         check()
+
+    def test_acc_rows_call_the_float_drift_four_times_each(self, monkeypatch):
+        # Each held row of the ACC plant is one RK4 step on floats: four
+        # calls of its ``scalar_drift`` and no ``_rk4``. Without the float
+        # form the kernel calls the array drift instead, to the same bits.
+        cfg = load_config(CERTIFIED, ["sim.mode=periodic", "sim.period=0.01", "sim.horizon=0.5"])
+        sc, calls = scenario_from_config(cfg), []
+        scalar_drift = sc.dynamics.scalar_drift
+        counted = dataclasses.replace(sc, dynamics=dataclasses.replace(
+            sc.dynamics, scalar_drift=lambda *c: calls.append(1) or scalar_drift(*c),
+        ))
+        steps = _counted_rk4(monkeypatch)
+        calls.clear()
+        trace = run(counted)
+        assert len(calls) == 4 * (len(trace) - 1) and not steps
+        plain = dataclasses.replace(sc.dynamics, scalar_drift=None)
+        _assert_matches(run(dataclasses.replace(sc, dynamics=plain)), trace)
+        assert not steps
 
     def test_the_kernel_follows_members_actuation_and_dimension(self, monkeypatch):
         # A constant actuation with at most _FLOAT_ROWS_MAX_N coordinates
