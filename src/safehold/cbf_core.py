@@ -89,10 +89,12 @@ class ControlAffineDynamics:
     too does not depend on the state: a sample-and-hold run computes its
     input term once per sample and adds it at each RK4 stage.
     ``scalar_drift``, when given, is ``drift`` on one state's n coordinates
-    as floats, bit for bit (see the batch contract above); held runs call it
-    at each RK4 stage. The shapes, and that equality, are checked once, when
-    a scenario is built or an estimation starts, so a mis-sized callable
-    fails loudly there rather than broadcasting mid-run.
+    as floats, bit for bit (see the batch contract above); held runs under
+    a state-independent actuation call it at each RK4 stage, in place of
+    ``drift`` on an (n,) array, and under a state-dependent one they call
+    ``rate`` on an (n,) array. The shapes, and that equality, are checked
+    once, when a scenario is built or an estimation starts, so a mis-sized
+    callable fails loudly there rather than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]

@@ -31,14 +31,15 @@ continuous mode). The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of the trace, bit
 for bit equal to evaluating each row alone.
 
-Two kernels step the rows of a hold, chosen once per run. Under a
-state-independent actuation, a state of at most ``_FLOAT_ROWS_MAX_N``
-coordinates steps on the kernel that ``_float_rows`` generates for its n:
-``_rk4``'s operations in ``_rk4``'s order on Python floats, one local per
-coordinate, without numpy's dispatch on tiny arrays. Its stages call the
-plant's ``scalar_drift``, or else its drift on an (n,) array.
-State-dependent actuations and larger states step with ``_rk4`` on numpy
-arrays. Both round each operation alike, so both give the same bits.
+The rows of a hold step on the kernel that ``_float_rows`` generates for
+the state's n coordinates: ``_rk4``'s operations in ``_rk4``'s order on
+Python floats, one local per coordinate, without numpy's dispatch on tiny
+arrays. Python floats round each operation as numpy does, so its rows equal
+``_rk4``'s bit for bit. Under a state-independent actuation its stages call
+the plant's ``scalar_drift``, or else its drift on an (n,) array, and add
+the held input term; under a state-dependent one they call the plant's rate
+under the held input on an (n,) array and add -0.0, which leaves every
+float as it is.
 
 Holds are integrated in segments. After each segment, the due test covers
 the segment's rows as one stack; the run resumes from the first due row,
@@ -94,12 +95,12 @@ _DIVERGENCE_LIMIT = 1e8
 # Longest speculative segment of an event-mode hold, in substeps. On the ACC
 # plant a stacked trigger evaluation over 64 rows costs about 17 us and a
 # held substep about 1.6 us on the float kernel (8 us without
-# ``scalar_drift``, 12 us with ``_rk4``; 2-core Xeon, Python 3.11, numpy
-# 2.4), so the due test adds about a sixth to a long hold, and a firing row
-# discards at most 63 substeps. Cap 128 took ``compare``'s event run from
-# 149 to 135 ms but a ride run of 665 short holds from 44.1 to 46.5 ms, as
-# each first segment reaches as far as the hold before it (medians of 15
-# paired runs on one CPU).
+# ``scalar_drift``; 2-core Xeon, Python 3.11, numpy 2.4), so the due test
+# adds about a sixth to a long hold, and a firing row discards at most 63
+# substeps. Cap 128 took ``compare``'s event run from 149 to 135 ms but a
+# ride run of 665 short holds from 44.1 to 46.5 ms, as each first segment
+# reaches as far as the hold before it (medians of 15 paired runs on one
+# CPU).
 _SEGMENT_CAP = 64
 
 
@@ -256,17 +257,14 @@ class Scenario:
 def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
     """One classic RK4 step of xdot = rate(x) from x, on numpy arrays.
 
-    ``half``, ``full`` and ``sixth`` are dt / 2, dt and dt / 6, either as
-    floats or as (n,) arrays filled with them, which give the same bits; an
-    array times an array skips numpy's slower scalar dispatch. ``rate``
+    ``half``, ``full`` and ``sixth`` are dt / 2, dt and dt / 6. ``rate``
     returns a new array, so the stages combine in place, in the order
     ((k1 + 2 k2) + 2 k3) + k4 with 2 k written k + k, which is exact.
 
     ``rk4_step`` (on one state or a stack) and the continuous step use
-    this formula, and so do held runs under a state-dependent actuation or
-    with more than ``_FLOAT_ROWS_MAX_N`` coordinates. Other held runs step
-    their rows with the kernel of ``_float_rows``: the same operations in
-    the same order on Python floats, which round each one as numpy does,
+    this formula, and a held run steps with it each row that the kernel of
+    ``_float_rows`` could not finish. That kernel does the same operations
+    in the same order on Python floats, which round each one as numpy does,
     so both give the same bits.
     """
     k1 = rate(x)
@@ -282,30 +280,13 @@ def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
     return x + k2
 
 
-def _rk4_rows(rate, half, full, sixth, X, row: int, end: int, lows: list, highs: list) -> int:
-    """Step the rows X[row], ..., X[end] of a hold, each from the one before,
-    with ``_rk4`` under ``rate``. Returns the first row it could not step
-    (its step raised, or its state failed the cheaper state test; see
-    ``_state_gate``), or end + 1."""
-    xs = X[row - 1]
-    while row <= end:
-        try:
-            xs = _rk4(rate, xs, half, full, sixth)
-        except Exception:
-            return row
-        if not _inside(lows, highs, xs):
-            return row
-        X[row] = xs
-        row += 1
-    return row
-
-
-# ``_rk4_rows`` on Python floats for one state of n coordinates, under the
-# drift on floats (``rates``: n coordinates in, n rates out) plus a constant
-# input term gu (n floats): one local per coordinate, ``_rk4``'s operations
-# in its order, and ``_inside`` inline. ``_float_rows`` writes out each {...}
-# once per coordinate i, with # standing for i, joined by ", " into a tuple
-# (with a trailing comma, so n = 1 is one too) or by the separator after |.
+# A hold's rows on Python floats for one state of n coordinates: each row is
+# ``_rk4``'s step, its operations in its order, under the rates on floats
+# (``rates``: n coordinates in, n rates out) plus a constant input term gu
+# (n floats), with one local per coordinate and ``_inside`` inline.
+# ``_float_rows`` writes out each {...} once per coordinate i, with #
+# standing for i, joined by ", " into a tuple (with a trailing comma, so
+# n = 1 is one too) or by the separator after |.
 _FLOAT_ROWS = """
 def rows(rates, gu, half, full, sixth, X, row, end, lows, highs):
     try:
@@ -332,25 +313,17 @@ def rows(rates, gu, half, full, sixth, X, row, end, lows, highs):
     return row
 """
 
-# Largest state dimension that steps on the float kernel. Its cost grows
-# with each coordinate's float operations, ``_rk4``'s is mostly numpy's
-# dispatch per call. With a one-ufunc drift (-0.3 x), where that dispatch
-# weighs most, a float row costs 0.55 of an ``_rk4`` row at n = 3, 0.9 at
-# n = 12 and 1.04 at n = 14 (medians of 15 paired runs of 4,000 rows,
-# 2-core Xeon, Python 3.11, numpy 2.4).
-_FLOAT_ROWS_MAX_N = 12
-
 
 @functools.cache
 def _float_rows(n: int):
     """The float kernel for n coordinates, generated from ``_FLOAT_ROWS`` on
     first use, as ``dataclasses`` generates methods, and kept for the
-    process. Same arguments and result as ``_rk4_rows``, with the drift on
-    floats ``rates`` (the plant's ``scalar_drift``, or an adapter around
-    its ``drift``), the input term ``gu`` and the coefficients as floats in
-    place of ``rate`` and the arrays. Whatever raises, a stage whose rates
-    are not n numbers among them, ends the kernel at that row, which the
-    caller steps again with ``_rk4``."""
+    process. ``rows(rates, gu, half, full, sixth, X, row, end, lows,
+    highs)`` steps X[row], ..., X[end] and returns the first row it could
+    not step, or end + 1. A row is not stepped when its step raises (a
+    stage whose rates are not n numbers among them) or its state fails the
+    cheaper state test (see ``_state_gate``); the caller steps it again
+    with ``_rk4`` and checks it."""
     def expand(match):
         terms = [match[1].replace("#", str(i)) for i in range(n)]
         return ", ".join(terms) + "," if match[2] is None else match[2].join(terms)
@@ -600,19 +573,24 @@ def _run_held(sc: Scenario) -> Trace:
     first = _first_check(sc.schedule, dt)
     periodic = sc.schedule.mode == "periodic"
 
-    # The RK4 coefficients, as floats and as arrays. The actuation is
-    # evaluated once, on a 2-row stack of the start state: an (n, m) output
-    # has no stack axis, so it does not depend on the state (see the batch
-    # contract in ``cbf_core``) and the held input's term is computed once
-    # per sample.
+    # The actuation is evaluated once, on a 2-row stack of the start state:
+    # an (n, m) output has no stack axis, so it does not depend on the state
+    # (see the batch contract in ``cbf_core``) and the held input's term gu
+    # is computed once per sample. Otherwise the rates are the plant's whole
+    # rate under the held input, and gu is -0.0 in each coordinate: adding
+    # -0.0 leaves every float as it is, -0.0 included (adding 0.0 would
+    # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
+    # with ``_rk4``; both read the held u and gu when called.
     coefs = (0.5 * dt, dt, dt / 6.0)
-    half, full, sixth = (np.full(dyn.n, c) for c in coefs)
+    kernel = _float_rows(dyn.n)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
-    if np.ndim(g) != 2:
-        g = None
-    floats = g is not None and dyn.n <= _FLOAT_ROWS_MAX_N
-    kernel = _float_rows(dyn.n) if floats else _rk4_rows
-    rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
+    if np.ndim(g) == 2:
+        rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
+        rate = lambda s: drift(s) + np.array(gu)
+    else:
+        g, gu = None, (-0.0,) * dyn.n
+        rates = lambda *c: dyn.rate(np.array(c), u).tolist()
+        rate = lambda s: dyn.rate(s, u)
 
     # The first row where resampling may be due, the planned end of the
     # current segment, and the length of the next one; the run has reached
@@ -629,12 +607,8 @@ def _run_held(sc: Scenario) -> Trace:
             opens = frontier + first
             plan = frontier + (span if span > first else first)
             grow = first
-            if g is None:
-                rate = lambda s: dyn.rate(s, u)
-            else:
-                gu = np.matvec(g, u)
-                rate = lambda s: drift(s) + gu
-            head = (rates, gu.tolist(), *coefs) if floats else (rate, half, full, sixth)
+            if g is not None:
+                gu = np.matvec(g, u).tolist()
         elif plan <= frontier:
             plan += grow
             grow = min(2 * grow, _SEGMENT_CAP)
@@ -642,16 +616,16 @@ def _run_held(sc: Scenario) -> Trace:
             break
 
         reached, failure = (plan if plan < steps else steps), None
-        row = kernel(*head, X, frontier + 1, reached, lows, highs)
+        row = kernel(rates, gu, *coefs, X, frontier + 1, reached, lows, highs)
         while row <= reached:
             try:
-                xs = _rk4(rate, X[row - 1], half, full, sixth)
+                xs = _rk4(rate, X[row - 1], *coefs)
                 check(xs, row)
             except Exception as exc:
                 reached, failure = row - 1, exc
                 break
             X[row] = xs
-            row = kernel(*head, X, row + 1, reached, lows, highs)
+            row = kernel(rates, gu, *coefs, X, row + 1, reached, lows, highs)
 
         due = None
         a, b = (opens if opens > frontier else frontier + 1), min(reached, steps - 1)

@@ -27,7 +27,6 @@ from safehold.errors import (
 )
 from safehold.safety_filter import CbfQpFilter, NominalController
 from safehold.simulator import (
-    _FLOAT_ROWS_MAX_N,
     _float_rows,
     _rk4,
     HoldSchedule,
@@ -731,6 +730,20 @@ class TestHoldCore:
         x = run(falling).x[1:, 0]
         assert len(steps) == np.count_nonzero(x > 0.99e8) == 33
         _assert_same_outcome(falling)
+        # The same fall from the held input u = -1.5e7 under a
+        # state-dependent actuation: the rows stepped again take the
+        # plant's whole rate.
+        pushed = _scalar_scenario(
+            "periodic", period=0.25, x0=0.995e8, horizon=0.5,
+            nominal=lambda x: np.full(np.shape(x), -1.5e7),
+        )
+        pushed = dataclasses.replace(pushed, dynamics=dataclasses.replace(
+            pushed.dynamics, actuation=lambda x: np.ones(np.shape(x))[..., None],
+        ))
+        steps.clear()
+        x = run(pushed).x[1:, 0]
+        assert len(steps) == np.count_nonzero(x > 0.99e8) == 33
+        _assert_same_outcome(pushed)
 
     def test_continuous_stage_infeasibility_carries_stage_time(self):
         # The filter's input at x0 = 0.5 is -0.5, so stage 2 sits at
@@ -887,7 +900,7 @@ class TestHeldInputTerm:
 
 
 # ---------------------------------------------------------------------------
-# the float kernel: holds under a state-independent actuation
+# the float kernel: the rows of every hold
 
 
 def _mixing_plant(g: np.ndarray) -> ControlAffineDynamics:
@@ -915,12 +928,21 @@ def _decoupled(n: int) -> Scenario:
     )
 
 
+class _ProductRate(ControlAffineDynamics):
+    """A one-input plant whose rate adds its actuation column times the input
+    to the drift, with no sum: a zero entry under a negative input adds
+    -0.0, where ``np.matvec``, which sums from 0.0, adds 0.0."""
+
+    def rate(self, x, u):
+        return self.drift(x) + self.actuation(x)[..., 0] * u[..., :1]
+
+
 class TestFloatKernel:
-    @pytest.mark.parametrize("n", (1, 2, 3, 5, _FLOAT_ROWS_MAX_N))
+    @pytest.mark.parametrize("n", (1, 2, 3, 5, 12, 13, 24))
     def test_its_rows_equal_the_textbook_steps(self, n):
         @PROPERTY
-        @given(st.data(), st.sampled_from((1e-3, 2.5e-2, 0.3)), st.integers(1, 2))
-        def check(data, dt, m):
+        @given(st.data(), st.sampled_from((1e-3, 2.5e-2, 0.3)), st.integers(1, 2), st.booleans())
+        def check(data, dt, m, state_dependent):
             unit = st.floats(-2.0, 2.0)
             x0 = np.array([data.draw(unit) for _ in range(n)])
             g = np.array([[data.draw(unit) for _ in range(m)] for _ in range(n)])
@@ -928,9 +950,16 @@ class TestFloatKernel:
             dyn, rows = _mixing_plant(g), 8
             X = np.empty((rows + 1, n))
             X[0] = x0
-            # The plant has no float drift: the run's adapter around its drift.
-            rates = lambda *c: dyn.drift(np.array(c)).tolist()
-            end = _float_rows(n)(rates, np.matvec(g, u).tolist(), 0.5 * dt, dt, dt / 6.0,
+            if state_dependent:
+                # The run's rates under a state-dependent actuation: the
+                # whole rate under the held input, plus -0.0.
+                dyn = dataclasses.replace(dyn, actuation=lambda x: g * np.cos(x)[..., None])
+                rates, gu = (lambda *c: dyn.rate(np.array(c), u).tolist()), (-0.0,) * n
+            else:
+                # The plant has no float drift: the run's adapter around its drift.
+                rates = lambda *c: dyn.drift(np.array(c)).tolist()
+                gu = np.matvec(g, u).tolist()
+            end = _float_rows(n)(rates, gu, 0.5 * dt, dt, dt / 6.0,
                                  X, 1, rows, [-math.inf] * n, [math.inf] * n)
             assert end == rows + 1
             want = [x0]
@@ -958,28 +987,49 @@ class TestFloatKernel:
         _assert_matches(run(dataclasses.replace(sc, dynamics=plain)), trace)
         assert not steps
 
-    def test_the_kernel_follows_members_actuation_and_dimension(self, monkeypatch):
-        # A constant actuation with at most _FLOAT_ROWS_MAX_N coordinates
-        # steps on floats; a larger state and a state-dependent actuation
-        # step with ``_rk4``, one call per substep.
+    def test_every_held_run_steps_on_floats(self, monkeypatch):
+        # A constant actuation at any state dimension and a state-dependent
+        # actuation alike step on the float kernel, with no ``_rk4`` call.
         steps = _counted_rk4(monkeypatch)
         blind = _blind_plant()
         cases = [
-            (_decoupled(1), 0),
-            (_decoupled(_FLOAT_ROWS_MAX_N), 0),
-            (_decoupled(_FLOAT_ROWS_MAX_N + 1), 20),
-            (dataclasses.replace(_decoupled(1), dynamics=blind.dynamics, barrier=blind.barrier,
-                                 controller=blind, x0=(0.3,)), 20),
+            _decoupled(1),
+            _decoupled(13),
+            _decoupled(24),
+            dataclasses.replace(_decoupled(1), dynamics=blind.dynamics, barrier=blind.barrier,
+                                controller=blind, x0=(0.3,)),
         ]
-        for sc, calls in cases:
+        for sc in cases:
             steps.clear()
             _assert_same_outcome(sc)
-            assert len(steps) == calls, sc.name
+            assert len(steps) == 0, sc.name
+
+    def test_a_held_rate_of_minus_zero_keeps_its_sign(self):
+        # x0 has drift -0.0 and a zero actuation row, and the law holds
+        # u = -1, so its held rate is -0.0 + 0.0 * -1 = -0.0 and it stays
+        # -0.0 from its start at -0.0. The actuation depends on x1, so the
+        # float kernel adds -0.0 as the input term; 0.0 would turn x0 to 0.0.
+        def actuation(x):
+            x1 = x.T[1]
+            return np.stack((np.zeros(np.shape(x1)), np.cos(x1)), -1)[..., None]
+
+        dyn = _ProductRate(drift=lambda x: x * np.array([0.0, -0.3]), actuation=actuation, n=2, m=1)
+        barrier = BarrierFunction(
+            value=lambda x: 10.0 - x.T[1], gradient=lambda x: np.array([0.0, -1.0]),
+        )
+        sc = Scenario(
+            name="minus-zero", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
+            controller=lambda x: np.full(np.shape(x)[:-1] + (1,), -1.0), x0=(-0.0, 0.3),
+            integrator=IntegratorConfig(horizon=0.02, substep=1e-3),
+            schedule=HoldSchedule.periodic(5e-3),
+        )
+        trace = _assert_same_outcome(sc)
+        assert isinstance(trace, Trace)
+        assert np.all(np.signbit(trace.x[:, 0])) and not np.any(trace.x[:, 0])
 
     def test_the_integration_guard_blocks_both_kernels(self, no_integration):
-        for sc in (_decoupled(3), _decoupled(_FLOAT_ROWS_MAX_N + 1)):
-            with pytest.raises(AssertionError, match="integrated"):
-                run(sc)
+        with pytest.raises(AssertionError, match="integrated"):
+            run(_decoupled(3))
 
     def test_errors_in_the_middle_of_a_hold_match_the_reference(self):
         # Each run holds its one input for a whole second.
