@@ -125,9 +125,17 @@ def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
     headway = p.headway
     slope = -2.0 * headway
 
+    # h, written once: on plain floats in the float form, and on x.T's rows
+    # in ``value``, which so computes no gradient.
+    def h(speed, gap):
+        return gap - headway * speed * speed
+
+    def scalar_form(position, speed, gap):
+        return h(speed, gap), 0.0, slope * speed, 1.0
+
     def value(x: np.ndarray) -> float | np.ndarray:
         xt = x.T
-        return xt[2] - headway * xt[1] * xt[1]
+        return h(xt[1], xt[2])
 
     def gradient(x: np.ndarray) -> np.ndarray:
         grad = np.zeros(x.shape)
@@ -136,20 +144,23 @@ def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
         columns[2] = 1.0
         return grad
 
-    return BarrierFunction(value=value, gradient=gradient)
+    return BarrierFunction(value=value, gradient=gradient, scalar_form=scalar_form)
 
 
 def acc_nominal(params: AccParams | None = None) -> NominalController:
     p = params or AccParams()
     gain = -p.tracking_gain * (p.mass / 2.0)
-    desired_speed, resistance = p.desired_speed, p.resistance
+    desired_speed, f0, f1, f2 = p.desired_speed, p.f0, p.f1, p.f2
+
+    # The law on plain floats, written once, with p.resistance inlined.
+    def scalar_law(position, speed, gap):
+        return gain * (speed - desired_speed) + (f0 + f1 * speed + f2 * speed * speed)
 
     def law(x: np.ndarray) -> np.ndarray:
-        speed = x.T[1]
-        u = gain * (speed - desired_speed) + resistance(speed)
-        return u[..., None]
+        xt = x.T
+        return scalar_law(xt[0], xt[1], xt[2])[..., None]
 
-    return NominalController(law=law)
+    return NominalController(law=law, scalar_law=scalar_law)
 
 
 def acc_filter(params: AccParams | None = None) -> CbfQpFilter:

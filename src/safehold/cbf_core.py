@@ -23,7 +23,11 @@ input term once per sample, not at every RK4 stage. A plant may also give
 its drift on plain floats, as ``scalar_drift``: one state's n coordinates
 in, its n rates out, with ``drift``'s operations in ``drift``'s order, so
 that the two agree bit for bit (Python floats round like numpy float64).
-Reading the i-th
+A barrier may give its value and gradient so, as ``scalar_form`` (n
+coordinates in, h and its n partial derivatives out), and a nominal law its
+one input, as ``scalar_law``; with all three and a state-independent
+actuation, the sample-and-hold loop samples the filter or the boosted law
+on plain floats too (see ``safety_filter``). Reading the i-th
 coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
@@ -91,8 +95,9 @@ class ControlAffineDynamics:
     ``scalar_drift``, when given, is ``drift`` on one state's n coordinates
     as floats, bit for bit (see the batch contract above); held runs under
     a state-independent actuation call it at each RK4 stage, in place of
-    ``drift`` on an (n,) array, and under a state-dependent one they call
-    ``rate`` on an (n,) array. The shapes, and that equality, are checked
+    ``drift`` on an (n,) array, and in the filter's float law at each
+    sample; under a state-dependent one they call ``rate`` on an (n,)
+    array. The shapes, and that equality, are checked
     once, when a scenario is built or an estimation starts, so a mis-sized
     callable fails loudly there rather than broadcasting mid-run.
     """
@@ -122,10 +127,15 @@ class ControlAffineDynamics:
 class BarrierFunction:
     """Scalar barrier h with its gradient. Safe set: h(x) >= 0.
 
-    On a (k, n) stack the value is (k,) and the gradient (k, n)."""
+    On a (k, n) stack the value is (k,) and the gradient (k, n).
+    ``scalar_form``, when given, is both on one state's n coordinates as
+    floats: it returns ``(h, dh/dx_0, ..., dh/dx_{n-1})``, equal to
+    ``value`` and ``gradient`` bit for bit, which the shape probe checks
+    once. Held runs sample the filter's float law through it."""
 
     value: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]
+    scalar_form: Callable[..., tuple] | None = None
 
 
 def lie_derivatives(
@@ -165,6 +175,23 @@ def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int
         )
 
 
+def _probe_float(what: str, form: Callable, x: np.ndarray, source: str, want) -> None:
+    """A float form at x's n coordinates must return ``want``'s floats bit
+    for bit."""
+    want = np.asarray(want, dtype=float).reshape(-1)
+    try:
+        got = np.array(form(*x.tolist()), dtype=float).reshape(-1)
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ConfigurationError(
+            f"{what} failed on the {len(x)} coordinates of a state "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    if got.tobytes() != want.tobytes():
+        raise ConfigurationError(
+            f"{what} returned {got.tolist()}, expected {source}'s {want.tolist()} bit for bit"
+        )
+
+
 def _probe_shapes(
     dyn: ControlAffineDynamics,
     barrier: BarrierFunction,
@@ -176,7 +203,9 @@ def _probe_shapes(
 
     The state must be (n,), the barrier gradient and the drift (n,), the
     actuation (n, m) and the controller's input (m,); a ``scalar_drift``
-    must return the drift's n rates bit for bit. On the stack every
+    must return the drift's n rates bit for bit, a barrier's
+    ``scalar_form`` its value and gradient, and a nominal law's
+    ``scalar_law`` that law's input. On the stack every
     output must broadcast to its stacked shape (see the batch contract),
     which rejects a callable that reduces its input to one float. The stack
     has n + 1 rows so that it is never square: a drift written ``A @ x``
@@ -198,18 +227,11 @@ def _probe_shapes(
     if f.shape != (n,):
         raise ConfigurationError(f"drift returned shape {f.shape}, expected ({n},)")
     if dyn.scalar_drift is not None:
-        try:
-            rates = np.array(tuple(dyn.scalar_drift(*x.tolist())), dtype=float)
-        except (TypeError, ValueError, ArithmeticError) as exc:
-            raise ConfigurationError(
-                f"scalar_drift failed on the {n} coordinates of a state "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-        if rates.tobytes() != f.tobytes():
-            raise ConfigurationError(
-                f"scalar_drift returned {rates.tolist()}, expected drift's {f.tolist()} "
-                "bit for bit"
-            )
+        _probe_float("scalar_drift", dyn.scalar_drift, x, "drift", f)
+    if barrier.scalar_form is not None:
+        h = np.asarray(barrier.value(x), dtype=float)
+        _probe_float("barrier scalar_form", barrier.scalar_form, x, "value and gradient",
+                     np.append(h, grad))
     g = np.asarray(dyn.actuation(x), dtype=float)
     if g.shape != (n, m):
         raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")
@@ -219,16 +241,17 @@ def _probe_shapes(
     _probe_stacked("barrier gradient", barrier.gradient, stack, (k, n))
     _probe_stacked("drift", dyn.drift, stack, (k, n))
     _probe_stacked("actuation", dyn.actuation, stack, (k, n, m))
-    for what, law in (
-        ("nominal controller", getattr(controller, "nominal", None)),
-        ("controller", controller),
-    ):
+    nominal = getattr(controller, "nominal", None)
+    for what, law in (("nominal controller", nominal), ("controller", controller)):
         if law is None:
             continue
         try:
             u = np.atleast_1d(np.asarray(law(x), dtype=float))
             if u.shape != (m,):
                 raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")
+            form = getattr(law, "scalar_law", None) if law is nominal else None
+            if form is not None:
+                _probe_float("nominal scalar_law", form, x, "nominal controller", u)
             _probe_stacked(what, law, stack, (k, m))
         except InfeasibleFilterError:
             return

@@ -14,6 +14,15 @@ the barrier value, so the boost engages only inside a band around the
 boundary and fades to nothing deep inside the safe set. The tuning,
 ``TunableControllerConfig``, is that sigmoid gain: calling it at a barrier
 value gives the gain there.
+
+When the plant's drift, the barrier and the nominal law each give their
+float form (``scalar_drift``, ``scalar_form``, ``scalar_law``; see the
+batch contract in ``cbf_core``) and the actuation does not depend on the
+state, the filter and the boosted law give one too, from ``scalar_law``:
+one state's n coordinates in, the input out as a float. It does the array
+law's operations in the array law's order on the same values, the two
+Lie-derivative dot products still ``np.vecdot`` on (n,) arrays, so the two
+agree bit for bit. The sample-and-hold loop samples through it.
 """
 
 from __future__ import annotations
@@ -45,10 +54,13 @@ __all__ = [
 class NominalController:
     """Performance controller: a state-to-input law returning an (m,) float
     array, and (k, m) for a (k, n) stack of states, m being the plant's
-    input count. Its shape is checked once, with the plant's, before a run
-    or an estimation starts."""
+    input count. ``scalar_law``, when given, is the law for one input on
+    one state's n coordinates as floats, returning that input as a float,
+    bit for bit. Its shape, and that equality, are checked once, with the
+    plant's, before a run or an estimation starts."""
 
     law: Callable[[np.ndarray], np.ndarray]
+    scalar_law: Callable[..., float] | None = None
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.law(x)
@@ -77,6 +89,12 @@ class CbfQpFilter:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return solve_cbf_qp(self, x)
+
+    def scalar_law(self, x: np.ndarray) -> Callable[..., float] | None:
+        """The filter on plain floats, or None when a float form is missing
+        or the actuation, evaluated on a 2-row stack of the state x,
+        depends on the state (see the module docstring)."""
+        return _scalar_law(self, None, x)
 
 
 def solve_cbf_qp(filt: CbfQpFilter, x: np.ndarray) -> np.ndarray:
@@ -116,10 +134,8 @@ def _filtered(filt: CbfQpFilter, x: np.ndarray, lfh, lgh: np.ndarray, h) -> np.n
         rows = np.broadcast_to(infeasible, x.shape[:-1])
         first = np.unravel_index(np.argmax(rows), rows.shape)  # () for one state
         raise InfeasibleFilterError(
-            "barrier constraint infeasible: input has no authority over the "
-            f"barrier here and the drift violates the decrease condition "
-            f"(lfh={np.broadcast_to(lfh, rows.shape)[first]:.6g}, "
-            f"alpha(h)={np.broadcast_to(a_h, rows.shape)[first]:.6g})",
+            _infeasible(np.broadcast_to(lfh, rows.shape)[first],
+                        np.broadcast_to(a_h, rows.shape)[first]),
             state=x[first],
         )
     # Rows with lg == 0 are inactive by now; they divide by 1, not by 0.
@@ -127,6 +143,57 @@ def _filtered(filt: CbfQpFilter, x: np.ndarray, lfh, lgh: np.ndarray, h) -> np.n
     if active.ndim and not active.all():
         return np.where(active[..., None], u_star, u_des)
     return u_star
+
+
+def _infeasible(lfh, a_h) -> str:
+    return (
+        "barrier constraint infeasible: input has no authority over the "
+        "barrier here and the drift violates the decrease condition "
+        f"(lfh={lfh:.6g}, alpha(h)={a_h:.6g})"
+    )
+
+
+def _scalar_law(
+    filt: CbfQpFilter, tuning: TunableControllerConfig | None, x: np.ndarray
+) -> Callable[..., float] | None:
+    """``_filtered``, boosted by ``tuning`` when given, on plain floats, each
+    step ``_filtered``'s and ``TunableControllerConfig.__call__``'s in their
+    order (see the module docstring); None when a float form is missing or
+    the actuation on a 2-row stack of x keeps the stack axis."""
+    drift = filt.dynamics.scalar_drift
+    barrier = filt.barrier.scalar_form
+    nominal = getattr(filt.nominal, "scalar_law", None)
+    if drift is None or barrier is None or nominal is None:
+        return None
+    g = np.asarray(filt.dynamics.actuation(np.tile(x, (2, 1))), dtype=float)
+    if g.ndim != 2:
+        return None
+    g = g[:, 0]  # the one input's column, with the strides lie_derivatives sees
+    coef = filt.alpha.coef
+    if tuning is not None:
+        sharpness, delta, half_band = tuning.sharpness, tuning.delta, 0.5 * tuning.band
+        epsilon = tuning.epsilon
+
+    def law(*coords) -> float:
+        h, *grad = barrier(*coords)
+        grad = np.array(grad)
+        lfh = float(np.vecdot(grad, np.array(drift(*coords))))
+        lg = float(np.vecdot(grad, g))
+        u = nominal(*coords)
+        a_h = coef * h
+        slack = lfh + lg * u + a_h
+        if slack < 0.0 or slack != slack:  # nan counts as violated
+            if lg == 0.0:
+                raise InfeasibleFilterError(_infeasible(lfh, a_h), state=np.array(coords))
+            u = (-a_h - lfh) / lg
+        if tuning is None:
+            return u
+        z = sharpness * (h - delta - half_band)
+        if z > _EXP_SATURATION:
+            z = _EXP_SATURATION
+        return u + 1.0 / (epsilon * (1.0 + math.exp(z))) * lg
+
+    return law
 
 
 def tunable_control(
@@ -205,6 +272,8 @@ class TunableControllerConfig:
         def law(x: np.ndarray) -> np.ndarray:
             return tunable_control(filt, self, x)
 
-        # Lets the shape probe check the nominal law behind the boost.
+        # Lets the shape probe check the nominal law behind the boost, and
+        # the held loop sample the law on floats.
         law.nominal = filt.nominal
+        law.scalar_law = lambda x: _scalar_law(filt, self, x)
         return law

@@ -27,7 +27,10 @@ g u of the held input is computed once per sample, and every stage adds it
 to the drift. An actuation whose output has a stack axis is evaluated at
 every stage. Every new row passes the state check before any callable sees
 it. Only the sampled law runs inside that loop (at every stage, in
-continuous mode). The barrier value, barrier rate and trigger columns are
+continuous mode). Under a state-independent actuation a held run samples a
+controller that gives a float law (``scalar_law``, see ``safety_filter``)
+through it, on the state's n coordinates, bit for bit equal to the array
+law. The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of the trace, bit
 for bit equal to evaluating each row alone.
 
@@ -408,9 +411,12 @@ def trigger_value(
     return trig if np.shape(trig) == rows else np.broadcast_to(trig, rows)
 
 
-def _checked_sample(sc: Scenario, x: np.ndarray, t: float) -> np.ndarray:
+def _checked_sample(sc: Scenario, x: np.ndarray, t: float, law=None):
+    """The sampled input at the state x at time t: the scenario's controller
+    at x, or the float ``law`` on x's coordinates when one is given. An
+    infeasible filter is reported with x and t."""
     try:
-        return sc.controller(x)
+        return sc.controller(x) if law is None else law(*x.tolist())
     except InfeasibleFilterError as exc:
         msg = exc.args[0] if exc.args else "safety filter infeasible"
         raise InfeasibleFilterError(msg, state=x, time=t) from exc
@@ -546,7 +552,9 @@ def _first_check(schedule: HoldSchedule, dt: float) -> int:
 
 def _run_held(sc: Scenario) -> Trace:
     """The run of a sampled scenario under the module's sample-and-hold
-    rule; the terminal row keeps the last input.
+    rule; the terminal row keeps the last input. A sample calls the
+    controller's float law where the module docstring says, else the
+    controller.
 
     The run advances through segments. The first segment of a hold reaches
     as far as the previous hold lasted (at least to the first row
@@ -580,13 +588,20 @@ def _run_held(sc: Scenario) -> Trace:
     # rate under the held input, and gu is -0.0 in each coordinate: adding
     # -0.0 leaves every float as it is, -0.0 included (adding 0.0 would
     # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
-    # with ``_rk4``; both read the held u and gu when called.
+    # with ``_rk4``; both read the held u and gu when called. The term of a
+    # float law's input u is 0.0 + g_i u in each coordinate, as ``np.matvec``
+    # sums it from 0.0 (a product of -0.0 gives 0.0); u is then read back
+    # as the (m,) row of U.
     coefs = (0.5 * dt, dt, dt / 6.0)
     kernel = _float_rows(dyn.n)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
+    law = None
     if np.ndim(g) == 2:
         rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
         rate = lambda s: drift(s) + np.array(gu)
+        scalar_law = getattr(sc.controller, "scalar_law", None)
+        if scalar_law is not None:
+            law, column = scalar_law(X[0]), np.asarray(g, dtype=float)[:, 0].tolist()
     else:
         g, gu = None, (-0.0,) * dyn.n
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
@@ -599,7 +614,7 @@ def _run_held(sc: Scenario) -> Trace:
     frontier = due = 0
     while True:
         if due == frontier:
-            u = _checked_sample(sc, X[frontier], float(t_arr[frontier]))
+            u = _checked_sample(sc, X[frontier], float(t_arr[frontier]), law)
             span = frontier + first - opens  # the hold ending here, if any
             if span > _SEGMENT_CAP:
                 span = _SEGMENT_CAP
@@ -607,7 +622,10 @@ def _run_held(sc: Scenario) -> Trace:
             opens = frontier + first
             plan = frontier + (span if span > first else first)
             grow = first
-            if g is not None:
+            if law is not None:
+                gu = [0.0 + g_i * u for g_i in column]
+                u = U[frontier]
+            elif g is not None:
                 gu = np.matvec(g, u).tolist()
         elif plan <= frontier:
             plan += grow

@@ -18,7 +18,7 @@ from safehold.cbf_core import (
 from safehold.acc_benchmark import acc_barrier, acc_dynamics, approach_region
 from safehold.constants import OperatingRegion, certify_region
 from safehold.errors import ConfigurationError
-from safehold.safety_filter import TunableControllerConfig
+from safehold.safety_filter import CbfQpFilter, NominalController, TunableControllerConfig
 from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, trigger_value
 
 
@@ -225,6 +225,79 @@ class TestLieDerivatives:
                 _probe_scenario(wrong, barrier, lambda x: np.zeros(1))
             with pytest.raises(ConfigurationError, match=message):
                 certify_region(region, wrong, lambda x: np.zeros(1), barrier)
+
+    def test_a_barrier_scalar_form_must_equal_value_and_gradient_bit_for_bit(self):
+        # h = x0 - x1 * x1 on floats returns (h, 1.0, -2 x1), checked once
+        # at the probed state against value and gradient; a wrong length,
+        # an entry one bit off and a form that raises are rejected, naming
+        # ``scalar_form``.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+        )
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+
+        def gradient(x):
+            grad = np.ones(x.shape)
+            grad.T[1] = -2.0 * x.T[1]
+            return grad
+
+        barrier = BarrierFunction(
+            value=lambda x: x.T[0] - x.T[1] * x.T[1], gradient=gradient,
+            scalar_form=lambda a, b: (a - b * b, 1.0, -2.0 * b),
+        )
+        _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
+        cases = {
+            r"barrier scalar_form returned \[[^,]*, [^,]*\], expected value and gradient's":
+                lambda a, b: (a - b * b, 1.0),
+            r"barrier scalar_form returned \[.*\], expected value and gradient's .* bit for bit":
+                lambda a, b: (a - b * b, 1.0, math.nextafter(-2.0 * b, math.inf)),
+            r"barrier scalar_form failed on the 2 coordinates .*ZeroDivisionError":
+                lambda a, b: (a - b * b, 1.0, -2.0 * b / 0.0),
+        }
+        for message, form in cases.items():
+            wrong = dataclasses.replace(barrier, scalar_form=form)
+            with pytest.raises(ConfigurationError, match=message):
+                _probe_scenario(dyn, wrong, lambda x: np.zeros(1))
+            with pytest.raises(ConfigurationError, match=message):
+                certify_region(region, dyn, lambda x: np.zeros(1), wrong)
+
+    def test_a_nominal_scalar_law_must_equal_the_law_bit_for_bit(self):
+        # The float form of u = 0.7 x0 - x1 behind a filter is checked once,
+        # at the probed state, against the array law; a second input, an
+        # input one bit off and a form that raises are rejected, naming the
+        # nominal ``scalar_law``.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
+        )
+        barrier = BarrierFunction(
+            value=lambda x: 4.0 - x.T[0], gradient=lambda x: np.array([-1.0, 0.0]),
+            scalar_form=lambda a, b: (4.0 - a, -1.0, 0.0),
+        )
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        nominal = NominalController(
+            law=lambda x: (0.7 * x.T[0] - x.T[1])[..., None],
+            scalar_law=lambda a, b: 0.7 * a - b,
+        )
+        filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+        _probe_scenario(dyn, barrier, filt)
+        cases = {
+            r"nominal scalar_law returned \[[^,]*, [^,]*\], expected nominal controller's":
+                lambda a, b: (0.7 * a - b, 0.0),
+            r"nominal scalar_law returned \[.*\], expected nominal controller's .* bit for bit":
+                lambda a, b: math.nextafter(0.7 * a - b, -math.inf),
+            r"nominal scalar_law failed on the 2 coordinates .*ZeroDivisionError":
+                lambda a, b: 0.7 * a - b / 0.0,
+        }
+        for message, form in cases.items():
+            wrong = dataclasses.replace(filt, nominal=dataclasses.replace(nominal, scalar_law=form))
+            for controller in (wrong, TunableControllerConfig(
+                c=1.0, delta=0.1, band=1.0, epsilon=1.0, margin=1.0,
+            ).controller(wrong)):
+                with pytest.raises(ConfigurationError, match=message):
+                    _probe_scenario(dyn, barrier, controller)
+                with pytest.raises(ConfigurationError, match=message):
+                    certify_region(region, dyn, controller, barrier)
 
     def test_batch_contract_is_probed_before_any_work(self):
         # A barrier value that reduces its input to one float cannot take a

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oracles import qp_reference
 from safehold.acc_benchmark import (
+    X0_NEAR,
     AccParams,
     acc_filter,
     approach_region,
@@ -34,7 +36,7 @@ from safehold.safety_filter import (
     solve_cbf_qp,
     tunable_control,
 )
-from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario
+from safehold.simulator import HoldSchedule, IntegratorConfig, Scenario, run
 from test_cbf_core import _gain
 from test_constants import _plane_system
 
@@ -267,6 +269,107 @@ class TestTunableControllerConfig:
             dyn, lambda x: np.zeros(1), barrier, tuning=cfg,
         )
         assert bounds.l_sigma == cfg.slope_bound == cfg.sharpness / (4.0 * cfg.epsilon)
+
+
+def _blind_drop(forms: bool) -> CbfQpFilter:
+    """h = x0 under xdot = (-1, 0) + (0, 1) u: the input has no authority
+    over h, and the drift violates the decrease condition once x0 < 1.
+    With ``forms``, the plant, barrier and nominal law give float forms."""
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.array([-1.0, 0.0]), actuation=lambda x: np.array([[0.0], [1.0]]),
+        n=2, m=1, scalar_drift=(lambda a, b: (-1.0, 0.0)) if forms else None,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
+        scalar_form=(lambda a, b: (a, 1.0, 0.0)) if forms else None,
+    )
+    nominal = NominalController(
+        law=lambda x: (0.5 * x.T[1])[..., None],
+        scalar_law=(lambda a, b: 0.5 * b) if forms else None,
+    )
+    return CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+
+
+class TestFloatLaw:
+    # The held loop samples the filter and the boosted law on plain floats
+    # when the plant, barrier and nominal law give their float forms.
+
+    @pytest.mark.parametrize("tuning", (None, certified_tuning()), ids=("filter", "boosted"))
+    def test_it_equals_the_array_law_bit_for_bit(self, tuning):
+        filt = acc_filter()
+        x0 = np.array(X0_NEAR)
+        if tuning is None:
+            law, want = filt.scalar_law(x0), lambda x: solve_cbf_qp(filt, x)
+        else:
+            law, want = tuning.controller(filt).scalar_law(x0), lambda x: tunable_control(
+                filt, tuning, x)
+        branches = set()
+        for region in (ride_region(), approach_region()):
+            boxed = [st.floats(lo, hi) for lo, hi in zip(region.lower, region.upper)]
+
+            @settings(max_examples=100, deadline=None)
+            @given(st.lists(st.tuples(*boxed), min_size=1, max_size=8))
+            def check(states):
+                for x in np.array(states):
+                    u = law(*x.tolist())
+                    assert isinstance(u, float)
+                    assert np.array([u]).tobytes() == want(x).tobytes()
+                    branches.add(bool(solve_cbf_qp(filt, x)[0] == filt.nominal(x)[0]))
+
+            check()
+        assert branches == {True, False}  # the nominal kept, and replaced
+
+    def test_it_is_none_without_every_float_form(self):
+        # Nor is there one when the actuation depends on the state.
+        filt = _blind_drop(forms=True)
+        x = np.array([1.5, 0.2])
+        boosted = certified_tuning().controller(filt)
+        assert filt.scalar_law(x) is not None and boosted.scalar_law(x) is not None
+        less = [
+            dataclasses.replace(filt, **{
+                part: dataclasses.replace(getattr(filt, part), **{field: None}),
+            })
+            for part, field in (("dynamics", "scalar_drift"), ("barrier", "scalar_form"),
+                                ("nominal", "scalar_law"))
+        ]
+        less.append(dataclasses.replace(filt, dynamics=dataclasses.replace(
+            filt.dynamics, actuation=lambda x: np.stack((0.0 * x.T[0], 1.0 + 0.0 * x.T[0]), -1)[..., None],
+        )))
+        for filt in less:
+            assert filt.scalar_law(x) is None
+            assert certified_tuning().controller(filt).scalar_law(x) is None
+
+    @pytest.mark.parametrize("boosted", (False, True), ids=("filter", "boosted"))
+    def test_an_infeasible_sample_raises_as_the_array_law_does(self, boosted):
+        # From x0 = 1.5 the filter turns infeasible at the first sample with
+        # x0 < 1; the run reports the same message, time and state whether it
+        # samples on floats or on arrays.
+        errors = []
+        for forms in (True, False):
+            filt = _blind_drop(forms)
+            calls = []
+            if forms:
+                scalar_law = filt.nominal.scalar_law
+                filt = dataclasses.replace(filt, nominal=dataclasses.replace(
+                    filt.nominal, scalar_law=lambda *c: calls.append(1) or scalar_law(*c),
+                ))
+            sc = Scenario(
+                name="blind-drop", dynamics=filt.dynamics, barrier=filt.barrier,
+                alpha=filt.alpha,
+                controller=certified_tuning().controller(filt) if boosted else filt,
+                x0=(1.5, 0.2), integrator=IntegratorConfig(horizon=1.0, substep=1e-3),
+                schedule=HoldSchedule.periodic(0.05),
+            )
+            calls.clear()
+            with pytest.raises(InfeasibleFilterError) as info:
+                run(sc)
+            assert bool(calls) == forms
+            errors.append(info.value)
+        floats, arrays = errors
+        assert floats.args == arrays.args
+        assert "no authority over the barrier" in floats.args[0]
+        assert floats.time == arrays.time == pytest.approx(0.55)
+        assert np.asarray(floats.state).tobytes() == np.asarray(arrays.state).tobytes()
 
 
 class TestContinuity:

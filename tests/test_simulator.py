@@ -15,7 +15,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import safehold
-from safehold.acc_benchmark import acc_filter, certified_tuning, ride_region
+from safehold import safety_filter
+from safehold.acc_benchmark import (
+    AccParams,
+    acc_dynamics,
+    acc_filter,
+    build_scenario,
+    certified_tuning,
+    ride_region,
+)
 from safehold.cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
 from safehold.config import load_config, parse_config, scenario_from_config
 from safehold.constants import _BLOCK_ROWS, OperatingRegion
@@ -897,6 +905,90 @@ class TestHeldInputTerm:
             _assert_same_outcome(sc)
 
         check()
+
+
+# ---------------------------------------------------------------------------
+# the sampled law on plain floats
+
+
+def _without_float_law(sc: Scenario) -> Scenario:
+    """sc with its controller behind a plain callable, which has no float law."""
+    law = sc.controller
+    return dataclasses.replace(sc, controller=lambda x: law(x))
+
+
+class TestFloatSamples:
+    @pytest.mark.parametrize("kind", ("periodic-boosted", "event"))
+    def test_acc_samples_call_no_array_law(self, kind, monkeypatch):
+        # The ACC's drift, barrier and nominal law give float forms, so its
+        # boosted law is sampled on floats, with no ``tunable_control`` call,
+        # to the bits of the runs that sample the array law: one whose
+        # controller hides the float law, and one per missing float form.
+        calls = []
+        boost = safety_filter.tunable_control
+        monkeypatch.setattr(safety_filter, "tunable_control",
+                            lambda *args: calls.append(1) or boost(*args))
+        sc = build_scenario(kind, period=0.01 if kind != "event" else None, horizon=0.5,
+                            setting="ride")
+        calls.clear()  # the shape probe's
+        trace = run(sc)
+        assert not calls
+        filt = acc_filter()
+        tuning = certified_tuning()
+        without = [
+            dataclasses.replace(filt, dynamics=dataclasses.replace(filt.dynamics, scalar_drift=None)),
+            dataclasses.replace(filt, barrier=dataclasses.replace(filt.barrier, scalar_form=None)),
+            dataclasses.replace(filt, nominal=dataclasses.replace(filt.nominal, scalar_law=None)),
+        ]
+        for array_sc in [_without_float_law(sc)] + [
+            dataclasses.replace(sc, dynamics=less.dynamics, barrier=less.barrier,
+                                controller=tuning.controller(less))
+            for less in without
+        ]:
+            calls.clear()  # the shape probe's
+            _assert_matches(run(array_sc), trace)
+            assert len(calls) == len(trace.events)
+
+    def test_the_float_law_reads_the_controllers_own_plant(self):
+        # The simulated car is 10% heavier than the one the controller
+        # models: the float law, like the array law, divides by the model's
+        # mass, and the input term by the simulated car's.
+        sc = build_scenario("periodic-boosted", period=0.01, horizon=0.5, setting="ride")
+        heavier = dataclasses.replace(sc, dynamics=acc_dynamics(AccParams(mass=1815.0)))
+        trace = run(heavier)
+        _assert_matches(run(_without_float_law(heavier)), trace)
+        _assert_same_outcome(heavier)
+        assert trace.x.tobytes() != run(sc).x.tobytes()
+
+    def test_the_input_term_sums_from_zero(self):
+        # x0 has drift -0.0 and a zero actuation entry, and the filter keeps
+        # the nominal u = -1: np.matvec's input term there is 0.0 + 0.0 * -1
+        # = 0.0, which turns x0 from -0.0 to 0.0 at the first row. Sampled
+        # on floats the term must be the same; 0.0 * -1 alone is -0.0.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.stack((np.full(np.shape(x.T[1]), -0.0), -0.3 * x.T[1]), -1),
+            actuation=lambda x: np.array([[0.0], [1.0]]), n=2, m=1,
+            scalar_drift=lambda a, b: (-0.0, -0.3 * b),
+        )
+        barrier = BarrierFunction(
+            value=lambda x: 10.0 - x.T[1], gradient=lambda x: np.array([0.0, -1.0]),
+            scalar_form=lambda a, b: (10.0 - b, 0.0, -1.0),
+        )
+        nominal = NominalController(
+            law=lambda x: np.full(np.shape(x)[:-1] + (1,), -1.0), scalar_law=lambda a, b: -1.0,
+        )
+        filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+        sc = Scenario(
+            name="minus-zero-input", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
+            controller=filt, x0=(-0.0, 0.3),
+            integrator=IntegratorConfig(horizon=0.02, substep=1e-3),
+            schedule=HoldSchedule.periodic(5e-3),
+        )
+        trace = run(sc)
+        _assert_matches(run(_without_float_law(sc)), trace)
+        _assert_same_outcome(sc)
+        assert np.signbit(trace.x[0, 0]) and not np.any(np.signbit(trace.x[1:, 0]))
+        assert np.all(trace.u == -1.0)
 
 
 # ---------------------------------------------------------------------------
