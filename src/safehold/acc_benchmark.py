@@ -150,11 +150,11 @@ def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
 def acc_nominal(params: AccParams | None = None) -> NominalController:
     p = params or AccParams()
     gain = -p.tracking_gain * (p.mass / 2.0)
-    desired_speed, f0, f1, f2 = p.desired_speed, p.f0, p.f1, p.f2
+    desired_speed, resistance = p.desired_speed, p.resistance
 
-    # The law on plain floats, written once, with p.resistance inlined.
+    # The law on plain floats, written once; ``law`` calls it on x.T's rows.
     def scalar_law(position, speed, gap):
-        return gain * (speed - desired_speed) + (f0 + f1 * speed + f2 * speed * speed)
+        return gain * (speed - desired_speed) + resistance(speed)
 
     def law(x: np.ndarray) -> np.ndarray:
         xt = x.T

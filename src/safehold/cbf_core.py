@@ -181,7 +181,7 @@ def _probe_float(what: str, form: Callable, x: np.ndarray, source: str, want) ->
     want = np.asarray(want, dtype=float).reshape(-1)
     try:
         got = np.array(form(*x.tolist()), dtype=float).reshape(-1)
-    except (TypeError, ValueError, ArithmeticError) as exc:
+    except (TypeError, ValueError, ArithmeticError, InfeasibleFilterError) as exc:
         raise ConfigurationError(
             f"{what} failed on the {len(x)} coordinates of a state "
             f"({type(exc).__name__}: {exc})"
@@ -204,8 +204,10 @@ def _probe_shapes(
     The state must be (n,), the barrier gradient and the drift (n,), the
     actuation (n, m) and the controller's input (m,); a ``scalar_drift``
     must return the drift's n rates bit for bit, a barrier's
-    ``scalar_form`` its value and gradient, and a nominal law's
-    ``scalar_law`` that law's input. On the stack every
+    ``scalar_form`` its value and gradient, a nominal law's ``scalar_law``
+    that law's input, and a controller's float law at x (its ``float_law``,
+    built from the controller's own forms) the controller's input. On the
+    stack every
     output must broadcast to its stacked shape (see the batch contract),
     which rejects a callable that reduces its input to one float. The stack
     has n + 1 rows so that it is never square: a drift written ``A @ x``
@@ -249,9 +251,13 @@ def _probe_shapes(
             u = np.atleast_1d(np.asarray(law(x), dtype=float))
             if u.shape != (m,):
                 raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")
-            form = getattr(law, "scalar_law", None) if law is nominal else None
+            form = getattr(law, "scalar_law", None)
             if form is not None:
-                _probe_float("nominal scalar_law", form, x, "nominal controller", u)
+                _probe_float("nominal scalar_law", form, x, what, u)
+            factory = getattr(law, "float_law", None)
+            form = factory(x) if factory is not None else None
+            if form is not None:
+                _probe_float("controller float law", form, x, what, u)
             _probe_stacked(what, law, stack, (k, m))
         except InfeasibleFilterError:
             return

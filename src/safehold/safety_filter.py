@@ -18,7 +18,7 @@ value gives the gain there.
 When the plant's drift, the barrier and the nominal law each give their
 float form (``scalar_drift``, ``scalar_form``, ``scalar_law``; see the
 batch contract in ``cbf_core``) and the actuation does not depend on the
-state, the filter and the boosted law give one too, from ``scalar_law``:
+state, the filter and the boosted law give one too, from ``float_law``:
 one state's n coordinates in, the input out as a float. It does the array
 law's operations in the array law's order on the same values, the two
 Lie-derivative dot products still ``np.vecdot`` on (n,) arrays, so the two
@@ -90,11 +90,11 @@ class CbfQpFilter:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return solve_cbf_qp(self, x)
 
-    def scalar_law(self, x: np.ndarray) -> Callable[..., float] | None:
+    def float_law(self, x: np.ndarray) -> Callable[..., float] | None:
         """The filter on plain floats, or None when a float form is missing
         or the actuation, evaluated on a 2-row stack of the state x,
         depends on the state (see the module docstring)."""
-        return _scalar_law(self, None, x)
+        return _float_law(self, None, x)
 
 
 def solve_cbf_qp(filt: CbfQpFilter, x: np.ndarray) -> np.ndarray:
@@ -153,7 +153,7 @@ def _infeasible(lfh, a_h) -> str:
     )
 
 
-def _scalar_law(
+def _float_law(
     filt: CbfQpFilter, tuning: TunableControllerConfig | None, x: np.ndarray
 ) -> Callable[..., float] | None:
     """``_filtered``, boosted by ``tuning`` when given, on plain floats, each
@@ -275,5 +275,5 @@ class TunableControllerConfig:
         # Lets the shape probe check the nominal law behind the boost, and
         # the held loop sample the law on floats.
         law.nominal = filt.nominal
-        law.scalar_law = lambda x: _scalar_law(filt, self, x)
+        law.float_law = lambda x: _float_law(filt, self, x)
         return law

@@ -28,7 +28,7 @@ to the drift. An actuation whose output has a stack axis is evaluated at
 every stage. Every new row passes the state check before any callable sees
 it. Only the sampled law runs inside that loop (at every stage, in
 continuous mode). Under a state-independent actuation a held run samples a
-controller that gives a float law (``scalar_law``, see ``safety_filter``)
+controller that gives a float law (``float_law``, see ``safety_filter``)
 through it, on the state's n coordinates, bit for bit equal to the array
 law. The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of the trace, bit
@@ -197,13 +197,19 @@ class Trace:
         )
 
     def to_csv(self, path) -> None:
+        """Write the trace a block of rows at a time, so that no copy of the
+        whole trace is made."""
         names = self.columns
-        data = np.column_stack([
-            self.t, self.x, self.u, self.h, self.hdot, self.trigger,
-            self.event.astype(float),
-        ])
         fmt = ["%.17g"] * (len(names) - 1) + ["%d"]
-        np.savetxt(path, data, fmt=fmt, delimiter=",", header=",".join(names), comments="")
+        header = ",".join(names)
+        with open(path, "w") as fh:
+            for block in _row_blocks(len(self.t)):
+                data = np.column_stack([
+                    self.t[block], self.x[block], self.u[block], self.h[block],
+                    self.hdot[block], self.trigger[block], self.event[block].astype(float),
+                ])
+                np.savetxt(fh, data, fmt=fmt, delimiter=",", header=header, comments="")
+                header = ""
 
 
 @dataclass(frozen=True)
@@ -588,10 +594,8 @@ def _run_held(sc: Scenario) -> Trace:
     # rate under the held input, and gu is -0.0 in each coordinate: adding
     # -0.0 leaves every float as it is, -0.0 included (adding 0.0 would
     # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
-    # with ``_rk4``; both read the held u and gu when called. The term of a
-    # float law's input u is 0.0 + g_i u in each coordinate, as ``np.matvec``
-    # sums it from 0.0 (a product of -0.0 gives 0.0); u is then read back
-    # as the (m,) row of U.
+    # with ``_rk4``; both read the held u and gu when called. The held u is
+    # then the (m,) row of U, whether a float law or the controller gave it.
     coefs = (0.5 * dt, dt, dt / 6.0)
     kernel = _float_rows(dyn.n)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
@@ -599,9 +603,9 @@ def _run_held(sc: Scenario) -> Trace:
     if np.ndim(g) == 2:
         rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
         rate = lambda s: drift(s) + np.array(gu)
-        scalar_law = getattr(sc.controller, "scalar_law", None)
-        if scalar_law is not None:
-            law, column = scalar_law(X[0]), np.asarray(g, dtype=float)[:, 0].tolist()
+        float_law = getattr(sc.controller, "float_law", None)
+        if float_law is not None:
+            law = float_law(X[0])
     else:
         g, gu = None, (-0.0,) * dyn.n
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
@@ -622,10 +626,8 @@ def _run_held(sc: Scenario) -> Trace:
             opens = frontier + first
             plan = frontier + (span if span > first else first)
             grow = first
-            if law is not None:
-                gu = [0.0 + g_i * u for g_i in column]
+            if g is not None:
                 u = U[frontier]
-            elif g is not None:
                 gu = np.matvec(g, u).tolist()
         elif plan <= frontier:
             plan += grow

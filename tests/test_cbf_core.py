@@ -299,6 +299,45 @@ class TestLieDerivatives:
                 with pytest.raises(ConfigurationError, match=message):
                     certify_region(region, dyn, controller, barrier)
 
+    def test_a_controller_float_law_must_equal_the_controller_bit_for_bit(self):
+        # The float law is built from the controller's own filter, whose
+        # forms the scenario's plant and barrier do not vouch for; it is
+        # checked once, at the probed state, against the controller. There
+        # the nominal u = 10 violates the condition, so u* reads the drift
+        # and the barrier: a float drift off by 0.5 and a float barrier of
+        # the wrong sign with no input authority (infeasible) are rejected,
+        # naming the float law.
+        dyn = ControlAffineDynamics(
+            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
+        )
+        barrier = BarrierFunction(
+            value=lambda x: 4.0 - x.T[0], gradient=lambda x: np.array([-1.0, 0.0]),
+            scalar_form=lambda a, b: (4.0 - a, -1.0, 0.0),
+        )
+        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
+        nominal = NominalController(
+            law=lambda x: np.full(np.shape(x)[:-1] + (1,), 10.0), scalar_law=lambda a, b: 10.0,
+        )
+        filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+        tuning = TunableControllerConfig(c=1.0, delta=0.1, band=1.0, epsilon=1.0, margin=1.0)
+        for controller in (filt, tuning.controller(filt)):
+            _probe_scenario(dyn, barrier, controller)
+        cases = {
+            r"controller float law returned \[.*\], expected controller's .* bit for bit":
+                dataclasses.replace(filt, dynamics=dataclasses.replace(
+                    dyn, scalar_drift=lambda a, b: (-0.3 * a + 0.5, -0.3 * b))),
+            r"controller float law failed on the 2 coordinates .*InfeasibleFilterError":
+                dataclasses.replace(filt, barrier=dataclasses.replace(
+                    barrier, scalar_form=lambda a, b: (a - 4.0, 0.0, 0.0))),
+        }
+        for message, wrong in cases.items():
+            for controller in (wrong, tuning.controller(wrong)):
+                with pytest.raises(ConfigurationError, match=message):
+                    _probe_scenario(dyn, barrier, controller)
+                with pytest.raises(ConfigurationError, match=message):
+                    certify_region(region, dyn, controller, barrier)
+
     def test_batch_contract_is_probed_before_any_work(self):
         # A barrier value that reduces its input to one float cannot take a
         # (k, n) stack; the probe rejects it, and a value whose stacked

@@ -299,9 +299,9 @@ class TestFloatLaw:
         filt = acc_filter()
         x0 = np.array(X0_NEAR)
         if tuning is None:
-            law, want = filt.scalar_law(x0), lambda x: solve_cbf_qp(filt, x)
+            law, want = filt.float_law(x0), lambda x: solve_cbf_qp(filt, x)
         else:
-            law, want = tuning.controller(filt).scalar_law(x0), lambda x: tunable_control(
+            law, want = tuning.controller(filt).float_law(x0), lambda x: tunable_control(
                 filt, tuning, x)
         branches = set()
         for region in (ride_region(), approach_region()):
@@ -324,7 +324,7 @@ class TestFloatLaw:
         filt = _blind_drop(forms=True)
         x = np.array([1.5, 0.2])
         boosted = certified_tuning().controller(filt)
-        assert filt.scalar_law(x) is not None and boosted.scalar_law(x) is not None
+        assert filt.float_law(x) is not None and boosted.float_law(x) is not None
         less = [
             dataclasses.replace(filt, **{
                 part: dataclasses.replace(getattr(filt, part), **{field: None}),
@@ -336,8 +336,8 @@ class TestFloatLaw:
             filt.dynamics, actuation=lambda x: np.stack((0.0 * x.T[0], 1.0 + 0.0 * x.T[0]), -1)[..., None],
         )))
         for filt in less:
-            assert filt.scalar_law(x) is None
-            assert certified_tuning().controller(filt).scalar_law(x) is None
+            assert filt.float_law(x) is None
+            assert certified_tuning().controller(filt).float_law(x) is None
 
     @pytest.mark.parametrize("boosted", (False, True), ids=("filter", "boosted"))
     def test_an_infeasible_sample_raises_as_the_array_law_does(self, boosted):

@@ -20,6 +20,7 @@ from safehold.acc_benchmark import (
     AccParams,
     acc_dynamics,
     acc_filter,
+    acc_nominal,
     build_scenario,
     certified_tuning,
     ride_region,
@@ -423,6 +424,18 @@ class TestCsvRoundTrip:
         tr.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "t,x0,u0,h,hdot,trigger,event"
+
+    def test_a_long_trace_is_written_as_one_stack(self, tmp_path):
+        # More rows than one block: the file is that of one savetxt call
+        # over the whole stacked trace.
+        tr = run(_scalar_scenario("periodic", period=0.25, horizon=1.0, substep=1e-4))
+        assert len(tr) > 2 * _BLOCK_ROWS
+        path, whole = tmp_path / "trace.csv", tmp_path / "whole.csv"
+        tr.to_csv(path)
+        data = np.column_stack([tr.t, tr.x, tr.u, tr.h, tr.hdot, tr.trigger, tr.event])
+        np.savetxt(whole, data, fmt=["%.17g"] * 6 + ["%d"], delimiter=",",
+                   header=",".join(tr.columns), comments="")
+        assert path.read_bytes() == whole.read_bytes()
 
 
 class TestNumericalBehavior:
@@ -959,6 +972,16 @@ class TestFloatSamples:
         _assert_matches(run(_without_float_law(heavier)), trace)
         _assert_same_outcome(heavier)
         assert trace.x.tobytes() != run(sc).x.tobytes()
+
+    @pytest.mark.parametrize("kind", ("periodic", "event"))
+    def test_a_nominal_controller_samples_its_array_law(self, kind):
+        # A bare nominal law has a float ``scalar_law`` but no float law of
+        # a filter: the run samples it as the controller, as at any plant.
+        sc = build_scenario(kind, period=0.01 if kind != "event" else None, horizon=0.5,
+                            setting="ride")
+        sc = dataclasses.replace(sc, controller=acc_nominal())
+        assert sc.controller.scalar_law is not None
+        _assert_same_outcome(sc)
 
     def test_the_input_term_sums_from_zero(self):
         # x0 has drift -0.0 and a zero actuation entry, and the filter keeps
