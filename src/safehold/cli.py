@@ -29,7 +29,7 @@ from .constants import (
     violation_free_sampling_time,
 )
 from .errors import ConfigurationError, SafeholdError
-from .simulator import HoldSchedule, RunSummary, analyze, run
+from .simulator import VIOLATION_TOL, HoldSchedule, RunSummary, analyze, run
 
 __all__ = ["main", "EXIT_OK", "EXIT_CONFIG", "EXIT_VIOLATION", "EXIT_ASSUMPTION"]
 
@@ -37,10 +37,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VIOLATION = 2
 EXIT_ASSUMPTION = 3
-
-# Barrier dips smaller than this are integrator noise, not violations: the
-# ideal continuous loop rides h = 0 and lands a hair on either side.
-VIOLATION_TOL = 1e-9
 
 
 def _g(value: float | None) -> str:
@@ -102,7 +98,7 @@ def cmd_simulate(args) -> int:
     scenario = scenario_from_config(cfg)
     _check_plot_script(args, cfg)
     trace = run(scenario)
-    summary = analyze(trace, violation_tol=VIOLATION_TOL)
+    summary = analyze(trace)
     if cfg.trace_path is not None:
         trace.to_csv(_with_parent(cfg.trace_path))
         if args.plot_script is not None:
@@ -141,7 +137,7 @@ def cmd_sweep(args) -> int:
     summaries, plot_refs, columns = [], [], None
     for label, scenario in zip(labels, scenarios):
         trace = run(scenario)
-        summaries.append(analyze(trace, violation_tol=VIOLATION_TOL))
+        summaries.append(analyze(trace))
         columns = trace.columns
         if cfg.trace_path is not None:
             out = Path(cfg.trace_path)
@@ -218,8 +214,8 @@ def cmd_compare(args) -> int:
     )
 
     # Keep only the summaries, so no trace outlives its analysis.
-    sum_p = analyze(run(periodic), violation_tol=VIOLATION_TOL)
-    sum_e = analyze(run(event), violation_tol=VIOLATION_TOL)
+    sum_p = analyze(run(periodic))
+    sum_e = analyze(run(event))
 
     print(f"violation_free_sampling_time={_g(t_star)}")
     print(f"{'metric':>12}  {'periodic':>22}  {'event':>22}")

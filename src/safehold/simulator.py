@@ -44,12 +44,14 @@ the held input term; under a state-dependent one they call the plant's rate
 under the held input on an (n,) array and add -0.0, which leaves every
 float as it is.
 
-Holds are integrated in segments. After each segment, the due test covers
-the segment's rows as one stack; the run resumes from the first due row,
-where it resamples, and integrates the rest of that segment again. An
-error raised past the due row is the discarded tail's, not the run's. A
-periodic schedule's due row is known in advance, so it evaluates no
-trigger.
+Holds are integrated in segments. A hold's first segment ends at the first
+row where resampling may be due, and each later one is twice as long as
+the one before, up to ``_SEGMENT_CAP`` substeps. After each segment, the
+due test covers the segment's eligible rows as one stack; the run resumes
+from the first due row, where it resamples, and integrates the rest of that
+segment again. An error raised past the due row is the discarded tail's,
+not the run's. A periodic schedule's due row is known in advance: it is
+the last row of the hold's first segment, and no trigger is evaluated.
 """
 
 from __future__ import annotations
@@ -95,15 +97,15 @@ _MODES = ("continuous", "periodic", "event")
 # A state whose norm exceeds this (or is not finite) aborts the run.
 _DIVERGENCE_LIMIT = 1e8
 
-# Longest speculative segment of an event-mode hold, in substeps. On the ACC
-# plant a stacked trigger evaluation over 64 rows costs about 17 us and a
-# held substep about 1.6 us on the float kernel (8 us without
-# ``scalar_drift``; 2-core Xeon, Python 3.11, numpy 2.4), so the due test
-# adds about a sixth to a long hold, and a firing row discards at most 63
-# substeps. Cap 128 took ``compare``'s event run from 149 to 135 ms but a
-# ride run of 665 short holds from 44.1 to 46.5 ms, as each first segment
-# reaches as far as the hold before it (medians of 15 paired runs on one
-# CPU).
+# Barrier dips smaller than this are integrator noise, not violations: the
+# ideal continuous loop rides h = 0 and lands a hair on either side.
+VIOLATION_TOL = 1e-9
+
+# Longest segment of a hold, in substeps; a hold's later segments double up
+# to it. On the ACC plant a stacked trigger evaluation over 64 rows costs
+# about 18 us and a held substep about 1.5 us on the float kernel (2-core
+# Xeon, Python 3.11, numpy 2.4, one CPU), so the due test adds about a sixth
+# to a long hold, and a firing row discards at most 63 substeps.
 _SEGMENT_CAP = 64
 
 
@@ -292,7 +294,8 @@ def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
 # A hold's rows on Python floats for one state of n coordinates: each row is
 # ``_rk4``'s step, its operations in its order, under the rates on floats
 # (``rates``: n coordinates in, n rates out) plus a constant input term gu
-# (n floats), with one local per coordinate and ``_inside`` inline.
+# (n floats), with one local per coordinate and the cheaper state test of
+# ``_state_gate`` inline.
 # ``_float_rows`` writes out each {...} once per coordinate i, with #
 # standing for i, joined by ", " into a tuple (with a trailing comma, so
 # n = 1 is one too) or by the separator after |.
@@ -434,12 +437,13 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
     ``check(x, row)`` raises ``DivergenceError`` for a state x at
     ``t_arr[row]`` whose norm exceeds the limit or is not finite, else
     ``RegionExitError`` for one outside the scenario's region (when it has
-    one). Most states pass a cheaper test first (``_inside``): every
-    coordinate within the box and within 0.99 * limit / sqrt(n) of zero, as
-    plain float comparisons against the lists ``lows`` and ``highs``. Such a
-    state is finite, inside the box, and its squared norm, rounding
-    included, stays below limit**2. Only the other states (nan fails every
-    comparison) need ``check``.
+    one). It runs a cheaper test first and returns when the state passes
+    it: every coordinate within the box and within 0.99 * limit / sqrt(n) of
+    zero, as plain float comparisons against the lists ``lows`` and
+    ``highs``. Such a state is finite, inside the box, and its squared norm,
+    rounding included, stays below limit**2. Only the other states (nan
+    fails every comparison) need the norm and the box on arrays. The float
+    kernel runs the cheaper test inline and leaves the rest to ``check``.
     """
     n = sc.dynamics.n
     reach = 0.99 * _DIVERGENCE_LIMIT / math.sqrt(n)
@@ -451,6 +455,11 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
         highs = [min(reach, v) for v in hi.tolist()]
 
     def check(x: np.ndarray, row: int) -> None:
+        for a, v, b in zip(lows, x.tolist(), highs):
+            if not a <= v <= b:
+                break
+        else:
+            return
         t = float(t_arr[row])
         norm = math.sqrt(x @ x)
         # Also true for inf and nan entries, whose norm is not <= any limit.
@@ -466,14 +475,6 @@ def _state_gate(sc: Scenario, t_arr: np.ndarray):
             )
 
     return lows, highs, check
-
-
-def _inside(lows: list, highs: list, x: np.ndarray) -> bool:
-    """The cheaper state test of one state (see ``_state_gate``)."""
-    for a, v, b in zip(lows, x.tolist(), highs):
-        if not a <= v <= b:
-            return False
-    return True
 
 
 def _record(sc: Scenario, t_arr, X, U, EV) -> Trace:
@@ -531,7 +532,7 @@ def _run_continuous(sc: Scenario) -> Trace:
     row and RK4 stage."""
     dyn, dt, steps = sc.dynamics, sc.integrator.substep, sc.integrator.steps
     t_arr = np.arange(steps + 1) * dt
-    lows, highs, check = _state_gate(sc, t_arr)
+    check = _state_gate(sc, t_arr)[2]
     x = np.asarray(sc.x0, dtype=float)
     check(x, 0)
     X = np.empty((steps + 1, dyn.n))
@@ -543,8 +544,7 @@ def _run_continuous(sc: Scenario) -> Trace:
         U[i] = u
         if i < steps:
             x = _rk4_step_closed_loop(sc, x, u, t, dt)
-            if not _inside(lows, highs, x):
-                check(x, i + 1)
+            check(x, i + 1)
             X[i + 1] = x
     return _record(sc, t_arr, X, U, np.zeros(steps + 1, dtype=int))
 
@@ -562,19 +562,18 @@ def _run_held(sc: Scenario) -> Trace:
     controller's float law where the module docstring says, else the
     controller.
 
-    The run advances through segments. The first segment of a hold reaches
-    as far as the previous hold lasted (at least to the first row
-    resampling may be due, otherwise at most ``_SEGMENT_CAP`` substeps);
-    later ones start at ``first_check`` substeps and double up to the cap.
-    The due test then covers the segment's rows, as one stack (a periodic
-    schedule is due at its first eligible row and evaluates nothing). The
-    run resumes from the first due row, where it resamples; the rows past
-    it are integrated again. A step of the kernel (see the module
-    docstring) that raises, or a row that fails the cheaper state test, is
-    stepped again with ``_rk4`` and checked, and the kernel resumes after
-    it. An integration error stands only if resampling is due at no row up
-    to the one its failing step started from; an error of a sample or a due
-    test stands at once.
+    The run advances through segments. The first segment of a hold spans
+    ``first_check`` substeps, to the first row where resampling may be due;
+    each later one doubles the span, up to ``_SEGMENT_CAP`` substeps. The
+    due test then covers the segment's eligible rows, as one stack (a
+    periodic schedule is due at its first eligible row and evaluates
+    nothing). The run resumes from the first due row, where it resamples;
+    the rows past it are integrated again. A step of the kernel (see the
+    module docstring) that raises, or a row that fails the cheaper state
+    test, is stepped again with ``_rk4`` and checked, and the kernel resumes
+    after it. An integration error stands only if resampling is due at no
+    row up to the one its failing step started from; an error of a sample or
+    a due test stands at once.
     """
     dyn, dt, steps = sc.dynamics, sc.integrator.substep, sc.integrator.steps
     t_arr = np.arange(steps + 1) * dt
@@ -611,31 +610,24 @@ def _run_held(sc: Scenario) -> Trace:
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
         rate = lambda s: dyn.rate(s, u)
 
-    # The first row where resampling may be due, the planned end of the
-    # current segment, and the length of the next one; the run has reached
-    # the frontier row and resamples at the due row.
-    opens = plan = grow = 0
-    frontier = due = 0
+    # The first row where resampling may be due and the current segment's
+    # span in substeps; the run has reached the frontier row and resamples
+    # at the due row.
+    opens = span = frontier = due = 0
     while True:
         if due == frontier:
             u = _checked_sample(sc, X[frontier], float(t_arr[frontier]), law)
-            span = frontier + first - opens  # the hold ending here, if any
-            if span > _SEGMENT_CAP:
-                span = _SEGMENT_CAP
             U[frontier], EV[frontier] = u, 1
-            opens = frontier + first
-            plan = frontier + (span if span > first else first)
-            grow = first
+            opens, span = frontier + first, first
             if g is not None:
                 u = U[frontier]
                 gu = np.matvec(g, u).tolist()
-        elif plan <= frontier:
-            plan += grow
-            grow = min(2 * grow, _SEGMENT_CAP)
+        else:
+            span = min(2 * span, _SEGMENT_CAP)
         if frontier == steps:
             break
 
-        reached, failure = (plan if plan < steps else steps), None
+        reached, failure = min(frontier + span, steps), None
         row = kernel(rates, gu, *coefs, X, frontier + 1, reached, lows, highs)
         while row <= reached:
             try:
@@ -648,13 +640,10 @@ def _run_held(sc: Scenario) -> Trace:
             row = kernel(rates, gu, *coefs, X, row + 1, reached, lows, highs)
 
         due = None
-        a, b = (opens if opens > frontier else frontier + 1), min(reached, steps - 1)
+        a, b = max(opens, frontier + 1), min(reached, steps - 1)
         if a <= b and periodic:
             due = a
-        elif a == b:  # one state costs a third of a stacked evaluation
-            if trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a], u) <= 0.0:
-                due = a
-        elif a < b:
+        elif a <= b:
             fire = trigger_value(dyn, sc.barrier, sc.alpha, sc.trigger_c, X[a:b + 1], u) <= 0.0
             if fire.any():
                 due = a + int(fire.argmax())
@@ -668,21 +657,18 @@ def _run_held(sc: Scenario) -> Trace:
     return _record(sc, t_arr, X, U, EV)
 
 
-def analyze(trace: Trace, violation_tol: float = 0.0) -> RunSummary:
+def analyze(trace: Trace) -> RunSummary:
     """Summarize a trace: worst barrier value, first violation, event count,
     inter-event gap statistics, and the largest hold error (state drift
     since the last sampling instant).
 
-    violation_tol deadbands the violation flag: only h < -violation_tol
-    counts. The default is exact; callers comparing against an ideal loop
-    that rides the boundary should allow for integrator noise.
+    A violation is a row whose barrier value is below -``VIOLATION_TOL``;
+    ``min_h`` reports the worst value itself.
     """
-    if violation_tol < 0.0:
-        raise ConfigurationError(f"violation_tol must be >= 0, got {violation_tol}")
     i_min = int(np.argmin(trace.h))
     min_h = float(trace.h[i_min])
     min_h_time = float(trace.t[i_min])
-    below = np.flatnonzero(trace.h < -violation_tol)
+    below = np.flatnonzero(trace.h < -VIOLATION_TOL)
     violation_time = float(trace.t[below[0]]) if len(below) else None
 
     marks = np.flatnonzero(trace.event == 1)

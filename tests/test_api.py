@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+from collections import Counter
 from pathlib import Path
 
 import safehold
@@ -69,6 +70,7 @@ PARAMETERS = {
     acc_benchmark.approach_region: (),
     acc_benchmark.ride_region: (),
     acc_benchmark.build_scenario: ("kind", "period", "horizon", "setting"),
+    simulator.analyze: ("trace",),
 }
 
 FIELDS = {
@@ -94,7 +96,7 @@ FIELDS = {
 # (nested functions and private helpers included, * and ** catch-alls not)
 # plus each dataclass field, over the package's modules. A change that adds
 # a knob raises this number in the same diff and says why in CHANGES.md.
-SETTABLE_VALUES = 313
+SETTABLE_VALUES = 309
 
 
 def test_all_is_the_union_of_the_submodules():
@@ -188,3 +190,49 @@ def test_every_import_is_read():
     paths = [p for p in sorted(package.glob("*.py")) if p.name != "__init__.py"]
     paths += sorted(Path(__file__).parent.glob("*.py"))
     assert [line for path in paths for line in _unread_imports(path)] == []
+
+
+def _module_level_names(node: ast.stmt) -> list[str]:
+    """The names a module-level statement defines: a function's or class's
+    name, or the plain names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+def _references(tree: ast.AST) -> list[str]:
+    """Every name a tree reads, by bare name, by attribute or by import."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.append(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.append(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs += [alias.name for alias in node.names]
+    return refs
+
+
+def test_every_private_helper_is_used():
+    # A module-level _name that nothing in the package reads, outside its
+    # own definition, is dead code left behind by a deletion.
+    package = Path(safehold.__file__).parent
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(package.glob("*.py"))
+    }
+    counts = Counter(ref for tree in trees.values() for ref in _references(tree))
+    unused = []
+    for file, tree in trees.items():
+        for node in tree.body:
+            own = Counter(_references(node))
+            for name in _module_level_names(node):
+                if name.startswith("_") and not name.startswith("__") and counts[name] == own[name]:
+                    unused.append(f"{file}:{node.lineno} {name}")
+    assert unused == []
