@@ -23,12 +23,20 @@ input term once per sample, not at every RK4 stage. A plant may also give
 its drift on plain floats, as ``scalar_drift``: one state's n coordinates
 in, its n rates out, with ``drift``'s operations in ``drift``'s order, so
 that the two agree bit for bit (Python floats round like numpy float64).
-A barrier may give its value and gradient so, as ``scalar_form`` (n
-coordinates in, h and its n partial derivatives out), and a nominal law its
-one input, as ``scalar_law``; with all three and a state-independent
-actuation, the sample-and-hold loop samples the filter or the boosted law
-on plain floats too (see ``safety_filter``). Reading the i-th
-coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
+The simulator records a ``scalar_drift`` that is straight-line arithmetic
+(+, -, *, / and unary - on its arguments and finite float constants, with
+no branch, cast or function call on a value) and writes its operations into
+the RK4 kernel of held runs; so its side effects run when it is recorded,
+on stand-in arguments and at the start state of each run, not at each
+stage. Any other drift is called at each stage. ``sum()`` is out of this
+contract: from Python 3.12 it compensates its rounding on floats, so it
+does not round as the recorded additions do. A barrier may give its value
+and gradient so, as ``scalar_form`` (n coordinates in, h and its n partial
+derivatives out), and a nominal law its one input, as ``scalar_law``;
+with all three and a state-independent actuation, the sample-and-hold loop
+samples the filter or the boosted law on plain floats too (see
+``safety_filter``). Reading the i-th coordinate as ``x.T[i]`` serves both
+shapes at the single-state cost. The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
 the integrated states. When the callables compute each row as they would
@@ -94,12 +102,13 @@ class ControlAffineDynamics:
     input term once per sample and adds it at each RK4 stage.
     ``scalar_drift``, when given, is ``drift`` on one state's n coordinates
     as floats, bit for bit (see the batch contract above); held runs under
-    a state-independent actuation call it at each RK4 stage, in place of
-    ``drift`` on an (n,) array, and in the filter's float law at each
-    sample; under a state-dependent one they call ``rate`` on an (n,)
-    array. The shapes, and that equality, are checked
-    once, when a scenario is built or an estimation starts, so a mis-sized
-    callable fails loudly there rather than broadcasting mid-run.
+    a state-independent actuation compute it at each RK4 stage, written
+    into the kernel when it is straight-line arithmetic and called
+    otherwise, in place of ``drift`` on an (n,) array, and call it in the
+    filter's float law at each sample; under a state-dependent one they
+    call ``rate`` on an (n,) array. The shapes, and that equality, are
+    checked once, when a scenario is built or an estimation starts, so a
+    mis-sized callable fails loudly there rather than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]

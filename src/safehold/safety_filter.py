@@ -20,9 +20,11 @@ float form (``scalar_drift``, ``scalar_form``, ``scalar_law``; see the
 batch contract in ``cbf_core``) and the actuation does not depend on the
 state, the filter and the boosted law give one too, from ``float_law``:
 one state's n coordinates in, the input out as a float. It does the array
-law's operations in the array law's order on the same values, the two
-Lie-derivative dot products still ``np.vecdot`` on (n,) arrays, so the two
-agree bit for bit. The sample-and-hold loop samples through it.
+law's operations in the array law's order on the same values, so the two
+agree bit for bit. Its two Lie-derivative dot products are one
+``np.vecdot`` of the gradient with the (2, n) stack of the drift and the
+actuation column, which is still one BLAS dot per row, as in
+``lie_derivatives``. The sample-and-hold loop samples through it.
 """
 
 from __future__ import annotations
@@ -168,7 +170,7 @@ def _float_law(
     g = np.asarray(filt.dynamics.actuation(np.tile(x, (2, 1))), dtype=float)
     if g.ndim != 2:
         return None
-    g = g[:, 0]  # the one input's column, with the strides lie_derivatives sees
+    g = g[:, 0].tolist()  # the one input's column
     coef = filt.alpha.coef
     if tuning is not None:
         sharpness, delta, half_band = tuning.sharpness, tuning.delta, 0.5 * tuning.band
@@ -176,9 +178,7 @@ def _float_law(
 
     def law(*coords) -> float:
         h, *grad = barrier(*coords)
-        grad = np.array(grad)
-        lfh = float(np.vecdot(grad, np.array(drift(*coords))))
-        lg = float(np.vecdot(grad, g))
+        lfh, lg = np.vecdot(np.array(grad), np.array((drift(*coords), g))).tolist()
         u = nominal(*coords)
         a_h = coef * h
         slack = lfh + lg * u + a_h

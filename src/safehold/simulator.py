@@ -34,15 +34,21 @@ law. The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of the trace, bit
 for bit equal to evaluating each row alone.
 
-The rows of a hold step on the kernel that ``_float_rows`` generates for
-the state's n coordinates: ``_rk4``'s operations in ``_rk4``'s order on
-Python floats, one local per coordinate, without numpy's dispatch on tiny
-arrays. Python floats round each operation as numpy does, so its rows equal
-``_rk4``'s bit for bit. Under a state-independent actuation its stages call
-the plant's ``scalar_drift``, or else its drift on an (n,) array, and add
-the held input term; under a state-dependent one they call the plant's rate
+The rows of a hold step on the kernel that ``_float_rows`` (in
+``safehold._kernel``) generates for the state's n coordinates: ``_rk4``'s
+operations in ``_rk4``'s order on Python floats, one local per coordinate,
+without numpy's dispatch on tiny arrays. Python floats round each operation
+as numpy does, so its rows equal ``_rk4``'s bit for bit. Under a state-independent actuation its stages
+compute the plant's ``scalar_drift`` and add the held input term. The drift
+is recorded once per run on stand-in arguments (``_recorded_drift``), and
+its operations are written into each stage, so that a row makes no call;
+a drift that is not plain arithmetic on its arguments is called at each
+stage instead, and a plant without one has its drift called on an (n,)
+array. Under a state-dependent actuation the stages call the plant's rate
 under the held input on an (n,) array and add -0.0, which leaves every
-float as it is.
+float as it is. A periodic schedule with a float law (a one-input plant)
+runs whole in one call of the kernel, which samples the law at each hold's
+first row itself.
 
 Holds are integrated in segments. A hold's first segment ends at the first
 row where resampling may be due, and each later one is twice as long as
@@ -56,10 +62,8 @@ the last row of the hold's first segment, and no trigger is evaluated.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
-import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,6 +76,7 @@ from .cbf_core import (
     _probe_shapes,
     lie_derivatives,
 )
+from ._kernel import _float_rows, _recorded_drift
 from .constants import OperatingRegion, _row_blocks
 from .errors import (
     ConfigurationError,
@@ -102,11 +107,16 @@ _DIVERGENCE_LIMIT = 1e8
 VIOLATION_TOL = 1e-9
 
 # Longest segment of a hold, in substeps; a hold's later segments double up
-# to it. On the ACC plant a stacked trigger evaluation over 64 rows costs
-# about 18 us and a held substep about 1.5 us on the float kernel (2-core
-# Xeon, Python 3.11, numpy 2.4, one CPU), so the due test adds about a sixth
-# to a long hold, and a firing row discards at most 63 substeps.
-_SEGMENT_CAP = 64
+# to it. On the ACC plant a stacked trigger evaluation over 256 rows costs
+# about 23 us and a held substep about 1.1 us on the float kernel with the
+# drift written in (2-core Xeon, Python 3.11, numpy 2.4, one CPU), so the
+# due test adds about a twelfth to a long hold, and a firing row discards
+# at most 255 substeps.
+_SEGMENT_CAP = 256
+
+# Rows per block of ``Trace.to_csv``: a block's stacked copy and its text
+# stay small next to the trace itself.
+_CSV_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -199,13 +209,14 @@ class Trace:
         )
 
     def to_csv(self, path) -> None:
-        """Write the trace a block of rows at a time, so that no copy of the
-        whole trace is made."""
+        """Write the trace ``_CSV_ROWS`` rows at a time, so that no copy of
+        the whole trace is made."""
         names = self.columns
         fmt = ["%.17g"] * (len(names) - 1) + ["%d"]
         header = ",".join(names)
         with open(path, "w") as fh:
-            for block in _row_blocks(len(self.t)):
+            for start in range(0, len(self.t), _CSV_ROWS):
+                block = slice(start, start + _CSV_ROWS)
                 data = np.column_stack([
                     self.t[block], self.x[block], self.u[block], self.h[block],
                     self.hdot[block], self.trigger[block], self.event[block].astype(float),
@@ -289,60 +300,6 @@ def _rk4(rate, x: np.ndarray, half, full, sixth) -> np.ndarray:
     k2 += k4
     k2 *= sixth
     return x + k2
-
-
-# A hold's rows on Python floats for one state of n coordinates: each row is
-# ``_rk4``'s step, its operations in its order, under the rates on floats
-# (``rates``: n coordinates in, n rates out) plus a constant input term gu
-# (n floats), with one local per coordinate and the cheaper state test of
-# ``_state_gate`` inline.
-# ``_float_rows`` writes out each {...} once per coordinate i, with #
-# standing for i, joined by ", " into a tuple (with a trailing comma, so
-# n = 1 is one too) or by the separator after |.
-_FLOAT_ROWS = """
-def rows(rates, gu, half, full, sixth, X, row, end, lows, highs):
-    try:
-        {g#} = gu
-        {l#} = lows
-        {h#} = highs
-        {x#} = X[row - 1].tolist()
-        while row <= end:
-            {a#} = rates({x#})
-            {a# += g#|; }
-            {b#} = rates({x# + half * a#})
-            {b# += g#|; }
-            {c#} = rates({x# + half * b#})
-            {c# += g#|; }
-            {d#} = rates({x# + full * c#})
-            {d# += g#|; }
-            {x# += (b# + b# + a# + (c# + c#) + d#) * sixth|; }
-            if not ({l# <= x# <= h#| and }):
-                return row
-            X[row] = {x#}
-            row += 1
-    except Exception:
-        pass
-    return row
-"""
-
-
-@functools.cache
-def _float_rows(n: int):
-    """The float kernel for n coordinates, generated from ``_FLOAT_ROWS`` on
-    first use, as ``dataclasses`` generates methods, and kept for the
-    process. ``rows(rates, gu, half, full, sixth, X, row, end, lows,
-    highs)`` steps X[row], ..., X[end] and returns the first row it could
-    not step, or end + 1. A row is not stepped when its step raises (a
-    stage whose rates are not n numbers among them) or its state fails the
-    cheaper state test (see ``_state_gate``); the caller steps it again
-    with ``_rk4`` and checks it."""
-    def expand(match):
-        terms = [match[1].replace("#", str(i)) for i in range(n)]
-        return ", ".join(terms) + "," if match[2] is None else match[2].join(terms)
-
-    namespace = {}
-    exec(re.sub(r"\{([^{}|]+)(?:\|([^{}]+))?\}", expand, _FLOAT_ROWS), namespace)
-    return namespace["rows"]
 
 
 def rk4_step(
@@ -562,18 +519,25 @@ def _run_held(sc: Scenario) -> Trace:
     controller's float law where the module docstring says, else the
     controller.
 
-    The run advances through segments. The first segment of a hold spans
+    A periodic schedule with a float law runs in the kernel (see the module
+    docstring), hold after hold; the loop below takes over only a hold that
+    the kernel could not finish, from that hold's sample row, under the
+    kernel's input when its sample succeeded (a law that raised is called
+    again, so that its error carries the time and the state), and hands the
+    next hold back to the kernel.
+
+    The loop advances through segments. The first segment of a hold spans
     ``first_check`` substeps, to the first row where resampling may be due;
     each later one doubles the span, up to ``_SEGMENT_CAP`` substeps. The
     due test then covers the segment's eligible rows, as one stack (a
     periodic schedule is due at its first eligible row and evaluates
     nothing). The run resumes from the first due row, where it resamples;
-    the rows past it are integrated again. A step of the kernel (see the
-    module docstring) that raises, or a row that fails the cheaper state
-    test, is stepped again with ``_rk4`` and checked, and the kernel resumes
-    after it. An integration error stands only if resampling is due at no
-    row up to the one its failing step started from; an error of a sample or
-    a due test stands at once.
+    the rows past it are integrated again. A step of the kernel that
+    raises, or a row that fails the cheaper state test, is stepped again
+    with ``_rk4`` and checked, and the kernel resumes after it. An
+    integration error stands only if resampling is due at no row up to the
+    one its failing step started from; an error of a sample or a due test
+    stands at once.
     """
     dyn, dt, steps = sc.dynamics, sc.integrator.substep, sc.integrator.steps
     t_arr = np.arange(steps + 1) * dt
@@ -595,20 +559,26 @@ def _run_held(sc: Scenario) -> Trace:
     # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
     # with ``_rk4``; both read the held u and gu when called. The held u is
     # then the (m,) row of U, whether a float law or the controller gave it.
+    # A periodic schedule with a float law runs whole in the kernel
+    # (``whole`` holds its extra arguments), which stops only at a hold it
+    # cannot finish.
     coefs = (0.5 * dt, dt, dt / 6.0)
-    kernel = _float_rows(dyn.n)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
-    law = None
+    law = body = whole = None
     if np.ndim(g) == 2:
+        body = _recorded_drift(dyn, X[0])
         rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
         rate = lambda s: drift(s) + np.array(gu)
         float_law = getattr(sc.controller, "float_law", None)
         if float_law is not None:
             law = float_law(X[0])
+        if periodic and law is not None:
+            whole = (law, g[:, 0].tolist(), U[:, 0], EV, first)
     else:
         g, gu = None, (-0.0,) * dyn.n
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
         rate = lambda s: dyn.rate(s, u)
+    kernel = _float_rows(dyn.n, body)
 
     # The first row where resampling may be due and the current segment's
     # span in substeps; the run has reached the frontier row and resamples
@@ -616,8 +586,16 @@ def _run_held(sc: Scenario) -> Trace:
     opens = span = frontier = due = 0
     while True:
         if due == frontier:
-            u = _checked_sample(sc, X[frontier], float(t_arr[frontier]), law)
-            U[frontier], EV[frontier] = u, 1
+            if whole is not None:
+                row = kernel(rates, None, *coefs, X, frontier + 1, steps, lows, highs, *whole)
+                if row > steps:
+                    break
+                # The hold sampled at or before the row the kernel stopped
+                # at resumes here, under the kernel's input when it has one.
+                frontier = due = frontier + (row - 1 - frontier) // first * first
+            if not EV[frontier]:
+                u = _checked_sample(sc, X[frontier], float(t_arr[frontier]), law)
+                U[frontier], EV[frontier] = u, 1
             opens, span = frontier + first, first
             if g is not None:
                 u = U[frontier]
@@ -683,14 +661,16 @@ def analyze(trace: Trace) -> RunSummary:
 
     # Hold error per row: distance from the state at the latest sampling
     # instant at or before that row. Rows before any event contribute zero.
-    # Each block of rows is reduced to its maximum before the next is made;
-    # np.max, not max, so that a NaN state propagates.
+    # Each block of rows finds its sampling rows in marks and is reduced to
+    # its maximum before the next is made; np.max, not max, so that a NaN
+    # state propagates.
     err = [0.0]
     if num_events:
         states = trace.x[marks[0]:]
-        last = np.repeat(marks, np.diff(marks, append=len(trace)))
         for block in _row_blocks(len(states)):
-            gap = states[block] - trace.x[last[block]]
+            rows = np.arange(block.start, block.stop) + marks[0]
+            last = marks[np.searchsorted(marks, rows, side="right") - 1]
+            gap = states[block] - trace.x[last]
             err.append(np.max(np.linalg.norm(gap, axis=1)))
     max_hold_error = float(np.max(err))
 

@@ -37,7 +37,7 @@ def no_integration(monkeypatch) -> None:
         raise AssertionError("integrated before the config error")
 
     monkeypatch.setattr("safehold.simulator._rk4", refuse)
-    monkeypatch.setattr("safehold.simulator._float_rows", lambda n: refuse)
+    monkeypatch.setattr("safehold.simulator._float_rows", lambda n, body=None: refuse)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import safehold
 from safehold import safety_filter
@@ -38,6 +39,7 @@ from safehold.safety_filter import CbfQpFilter, NominalController
 from safehold.simulator import (
     _SEGMENT_CAP,
     _float_rows,
+    _recorded_drift,
     _rk4,
     VIOLATION_TOL,
     HoldSchedule,
@@ -1117,19 +1119,32 @@ class TestFloatKernel:
         check()
 
     def test_acc_rows_call_the_float_drift_four_times_each(self, monkeypatch):
-        # Each held row of the ACC plant is one RK4 step on floats: four
-        # calls of its ``scalar_drift`` and no ``_rk4``. Without the float
-        # form the kernel calls the array drift instead, to the same bits.
+        # The ACC's ``scalar_drift`` is recorded once per run, on stand-ins
+        # and then at the start state, and its operations are written into
+        # the kernel: its rows call it no more, a counting wrapper around it
+        # included (the wrapper is recorded with it), and call no ``_rk4``.
+        # A drift that cannot be recorded, here one that casts its arguments
+        # with float(), is called four times per row after the one refused
+        # recording; without the float form the kernel calls the array
+        # drift. All three runs give the same bits.
         cfg = load_config(CERTIFIED, ["sim.mode=periodic", "sim.period=0.01", "sim.horizon=0.5"])
         sc, calls = scenario_from_config(cfg), []
         scalar_drift = sc.dynamics.scalar_drift
-        counted = dataclasses.replace(sc, dynamics=dataclasses.replace(
-            sc.dynamics, scalar_drift=lambda *c: calls.append(1) or scalar_drift(*c),
-        ))
+
+        def counted(cast):
+            return dataclasses.replace(sc, dynamics=dataclasses.replace(
+                sc.dynamics,
+                scalar_drift=lambda *c: calls.append(1) or scalar_drift(*map(cast, c)),
+            ))
+
+        recorded, refused = counted(lambda v: v), counted(float)
         steps = _counted_rk4(monkeypatch)
         calls.clear()
-        trace = run(counted)
-        assert len(calls) == 4 * (len(trace) - 1) and not steps
+        trace = run(recorded)
+        assert len(calls) == 2 and not steps
+        calls.clear()
+        _assert_matches(run(refused), trace)
+        assert len(calls) == 1 + 4 * (len(trace) - 1) and not steps
         plain = dataclasses.replace(sc.dynamics, scalar_drift=None)
         _assert_matches(run(dataclasses.replace(sc, dynamics=plain)), trace)
         assert not steps
@@ -1220,6 +1235,269 @@ class TestFloatKernel:
         trace = _assert_same_outcome(sc)
         assert isinstance(trace, Trace)
         assert len(steps) == len(trace) - 1
+
+
+# ---------------------------------------------------------------------------
+# the drift written into the kernel
+
+
+_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# Constants of the drawn drifts: Python floats and numpy float64s, signed
+# zeros among them.
+_CONSTANTS = (-0.0, 0.0, 0.5, -1.25, 3.0, 1e-3, np.float64(2.5), np.float64(-0.75))
+
+
+@st.composite
+def drift_programs(draw, n: int):
+    """A straight-line program of +, -, *, / and unary - on n arguments,
+    as ``(steps, outputs)``. An operand is ``("x", i)``, the i-th argument,
+    ``("t", k)``, the k-th step's result, or ``("c", value)``, a constant,
+    drawn in either order, so that ``c - x`` and ``c / x`` occur; an output
+    is any of the three."""
+    def operand(k):
+        kind = draw(st.sampled_from(("x", "t", "c") if k else ("x", "c")))
+        if kind == "x":
+            return kind, draw(st.integers(0, n - 1))
+        if kind == "t":
+            return kind, draw(st.integers(0, k - 1))
+        return kind, draw(st.sampled_from(_CONSTANTS))
+
+    steps = []
+    for k in range(draw(st.integers(0, 8))):
+        op = draw(st.sampled_from(("+", "-", "*", "/", "neg")))
+        steps.append((op, operand(k)) if op == "neg" else (op, operand(k), operand(k)))
+    return steps, [operand(len(steps)) for _ in range(n)]
+
+
+def _interpreted(program):
+    """The float form that runs a drawn program on its arguments."""
+    steps, outputs = program
+
+    def form(*args):
+        results = []
+
+        def value(ref):
+            kind, v = ref
+            return args[v] if kind == "x" else results[v] if kind == "t" else v
+
+        for op, *refs in steps:
+            results.append(-value(refs[0]) if op == "neg" else _BINARY[op](*map(value, refs)))
+        return tuple(value(ref) for ref in outputs)
+
+    return form
+
+
+def _float_form_scenario(drift_form, barrier_form, law_form, g, x0, schedule, *,
+                         horizon, substep=1e-3, region=None) -> Scenario:
+    """The filtered plant xdot = drift_form(x) + g u with the barrier
+    barrier_form (h and its gradient) and the nominal law law_form, all
+    given on floats. Each array form evaluates its float form row by row,
+    so the two agree bit for bit, and the filter has a float law."""
+    n = len(x0)
+
+    def rows(form, x, shape):
+        flat = [form(*r) for r in np.reshape(x, (-1, n)).tolist()]
+        return np.array(flat, dtype=float).reshape(np.shape(x)[:-1] + shape)
+
+    dyn = ControlAffineDynamics(
+        drift=lambda x: rows(drift_form, x, (n,)), actuation=lambda x: g, n=n, m=1,
+        scalar_drift=drift_form,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: rows(lambda *c: barrier_form(*c)[0], x, ()),
+        gradient=lambda x: rows(lambda *c: barrier_form(*c)[1:], x, (n,)),
+        scalar_form=barrier_form,
+    )
+    nominal = NominalController(law=lambda x: rows(law_form, x, (1,)), scalar_law=law_form)
+    filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+    return Scenario(
+        name="float-forms", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
+        controller=filt, x0=x0, integrator=IntegratorConfig(horizon=horizon, substep=substep),
+        schedule=schedule, region=region,
+    )
+
+
+def _oscillator(drift_form, schedule) -> Scenario:
+    """A damped oscillator pushed on its speed, filtered to stay in the disc
+    of radius 2, with its drift given as drift_form."""
+    return _float_form_scenario(
+        drift_form, lambda a, b: (4.0 - a * a - b * b, -2.0 * a, -2.0 * b), lambda a, b: -a,
+        np.array([[0.0], [1.0]]), (1.0, 0.5), schedule, horizon=0.1,
+    )
+
+
+class TestRecordedDrift:
+    @pytest.mark.parametrize("n", (1, 3, 5))
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_kernel_rows_with_the_recorded_body_equal_rows_that_call_it(self, n):
+        @PROPERTY
+        @given(drift_programs(n), st.data(), st.sampled_from((1e-3, 2.5e-2)))
+        def check(program, data, dt):
+            form = _interpreted(program)
+            x0 = np.array([data.draw(st.floats(-2.0, 2.0)) for _ in range(n)])
+            gu = [data.draw(st.floats(-5.0, 5.0)) for _ in range(n)]
+            # numpy float64 constants divide by zero with a warning where
+            # floats raise; raising on both makes both kernels stop there.
+            with np.errstate(divide="raise", invalid="raise"):
+                try:
+                    form(*x0.tolist())
+                except (ZeroDivisionError, FloatingPointError):
+                    assume(False)
+                dyn = ControlAffineDynamics(
+                    drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((n, 1)),
+                    n=n, m=1, scalar_drift=form,
+                )
+                body = _recorded_drift(dyn, x0)
+                assert body is not None
+                got = []
+                for kernel in (_float_rows(n, body), _float_rows(n)):
+                    X = np.zeros((9, n))
+                    X[0] = x0
+                    end = kernel(form, gu, 0.5 * dt, dt, dt / 6.0, X, 1, 8, [-1e6] * n, [1e6] * n)
+                    got.append((end, X.tobytes()))
+            assert got[0] == got[1]
+
+        check()
+
+    @pytest.mark.parametrize("schedule", (HoldSchedule.periodic(3e-3), HoldSchedule.event()))
+    def test_a_drift_that_is_not_plain_arithmetic_is_called(self, schedule):
+        # Each of these drifts refuses to be recorded: the kernel calls it at
+        # each stage instead, to the reference's bits. The last, plain
+        # arithmetic, is recorded.
+        refused = [
+            lambda a, b: (b, (-a if a > 0.0 else -2.0 * a) - 0.5 * b),  # a branch
+            lambda a, b: (b, math.exp(-a) - 1.0 - 0.5 * b),
+            lambda a, b: tuple(np.array([b, -a - 0.5 * b])),
+            lambda a, b: (b, -a - 1 * b),  # an int constant
+            lambda a, b: (b, -a - 0.5 * b + b / math.inf),
+            # other arithmetic on stand-ins than on floats
+            lambda a, b: (b, (-a if isinstance(a, float) else a) - 0.5 * b),
+        ]
+        for form in refused + [lambda a, b: (b, -a - 0.5 * b)]:
+            sc = _oscillator(form, schedule)
+            body = _recorded_drift(sc.dynamics, np.array(sc.x0))
+            assert (body is None) == (form in refused)
+            assert isinstance(_assert_same_outcome(sc), Trace)
+
+    def test_a_drift_of_another_length_is_not_recorded(self):
+        # The shape probe refuses such a plant before any run; recording
+        # refuses it too.
+        dyn = _oscillator(lambda a, b: (b, -a - 0.5 * b), HoldSchedule.event()).dynamics
+        for form in (lambda a, b: (b,), lambda a, b: (b, -a, a)):
+            assert _recorded_drift(dataclasses.replace(dyn, scalar_drift=form), np.ones(2)) is None
+
+    def test_a_long_chain_is_written_in_parts(self):
+        # 300 additions in a chain would nest deeper than Python's parser
+        # allows if each were written into the next; the kernel keeps every
+        # few in a local instead, and its rows equal calls of the drift.
+        def form(a):
+            total = a
+            for _ in range(300):
+                total = total + a * 1e-3
+            return (total,)
+
+        dyn = ControlAffineDynamics(
+            drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            scalar_drift=form,
+        )
+        body = _recorded_drift(dyn, np.array([0.5]))
+        assert body is not None and len(body[0]) == 600
+        got = []
+        for kernel in (_float_rows(1, body), _float_rows(1)):
+            X = np.zeros((9, 1))
+            X[0] = 0.5
+            got.append((kernel(form, [0.1], 5e-4, 1e-3, 1e-3 / 6.0, X, 1, 8, [-1e6], [1e6]),
+                        X.tobytes()))
+        assert got[0] == got[1] == (9, got[1][1])
+
+    def test_a_second_run_of_the_same_plant_generates_no_kernel(self):
+        def ride(*overrides):
+            return scenario_from_config(load_config(CERTIFIED, ["sim.horizon=0.05", *overrides]))
+
+        run(ride())
+        built = _float_rows.cache_info().misses
+        run(ride())
+        run(ride("sim.mode=periodic", "sim.period=0.01"))
+        assert _float_rows.cache_info().misses == built
+
+
+# ---------------------------------------------------------------------------
+# periodic holds run whole in the kernel
+
+
+def _counted_kernels(monkeypatch) -> list:
+    """Patches ``_float_rows`` so that its kernels append to the list
+    returned at each call."""
+    calls, build = [], _float_rows
+
+    def counting(n, body=None):
+        kernel = build(n, body)
+        return lambda *args: calls.append(1) or kernel(*args)
+
+    monkeypatch.setattr("safehold.simulator._float_rows", counting)
+    return calls
+
+
+class TestWholeHolds:
+    @pytest.mark.parametrize("hold", (1, 2, 7))
+    def test_a_periodic_acc_run_is_one_kernel_call(self, hold, monkeypatch):
+        sc = scenario_from_config(load_config(CERTIFIED, [
+            "sim.mode=periodic", f"sim.period={hold * 1e-3}", "sim.horizon=0.2",
+        ]))
+        kernels, steps = _counted_kernels(monkeypatch), _counted_rk4(monkeypatch)
+        trace = run(sc)
+        assert len(kernels) == 1 and not steps
+        assert np.array_equal(np.flatnonzero(trace.event), np.arange(0, 200, hold))
+        _assert_matches(trace, _assert_same_outcome(sc))
+
+    def test_a_region_exit_mid_hold(self):
+        # Holds of 7 substeps; the box's position face lies between rows 38
+        # and 39, inside the sixth hold (rows 35 to 42).
+        sc = scenario_from_config(load_config(CERTIFIED, [
+            "sim.mode=periodic", "sim.period=0.007", "sim.horizon=0.2",
+        ]))
+        position = run(sc).x[:, 0]
+        box = ride_region()
+        face = 0.5 * (position[38] + position[39])
+        sc = dataclasses.replace(sc, region=dataclasses.replace(box, upper=(face, *box.upper[1:])))
+        err = _assert_same_outcome(sc)
+        assert isinstance(err, RegionExitError)
+        assert err.time == 39 * 1e-3
+
+    def test_an_infeasible_sample_of_a_later_hold(self):
+        # h = 1 - b with b rising at rate 1 and the input acting on a only:
+        # the filter has no authority, and its slack, -b, turns negative
+        # between the samples at rows 10 and 15 (b = 0.0023 and -0.0027
+        # after them). The run's error carries that sample's time and state,
+        # as the reference's does.
+        sc = _float_form_scenario(
+            lambda a, b: (0.0, 1.0), lambda a, b: (1.0 - b, 0.0, -1.0), lambda a, b: 0.0,
+            np.array([[1.0], [0.0]]), (0.0, -0.0123), HoldSchedule.periodic(5e-3), horizon=0.1,
+        )
+        err = _assert_same_outcome(sc)
+        assert isinstance(err, InfeasibleFilterError)
+        assert err.time == 15 * 1e-3
+
+    def test_rows_past_the_cheaper_test_from_a_later_hold(self, monkeypatch):
+        # x rises from 0.9899e8 by 100 per substep and passes the cheaper
+        # test's 0.99e8 after row 100, inside the hold sampled at row 98.
+        # Every later row is stepped again with ``_rk4`` and kept (its norm
+        # is within the 1e8 limit), and every later hold is still sampled
+        # on time, its law evaluated once: the loop resumes each hold that
+        # the kernel could not finish under the kernel's input.
+        samples = []
+        sc = _float_form_scenario(
+            lambda a: (1e5,), lambda a: (a, 1.0), lambda a: samples.append(1) or 0.0,
+            np.ones((1, 1)), (0.9899e8,), HoldSchedule.periodic(7e-3), horizon=0.2,
+        )
+        steps = _counted_rk4(monkeypatch)
+        samples.clear()
+        trace = run(sc)
+        assert len(steps) == np.count_nonzero(trace.x > 0.99e8) == 100
+        assert np.array_equal(np.flatnonzero(trace.event), np.arange(0, 200, 7))
+        assert len(samples) == len(trace.events)
+        _assert_matches(trace, _assert_same_outcome(sc))
 
 
 def test_importing_the_package_and_running_leaves_scipy_unloaded():
