@@ -97,9 +97,12 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     p = params or AccParams()
     f0, f1, f2, mass, lead_speed = p.f0, p.f1, p.f2, p.mass, p.lead_speed
 
-    # The physics, written once. Held runs call it on plain floats at every
-    # RK4 stage, so it reads the parameters from locals and inlines
-    # p.resistance, in the same order.
+    # The physics on plain floats; ``drift`` below evaluates it on arrays.
+    # Held rows run its recorded operations instead of calling it, so on
+    # floats only the filter's float law calls it, once per sample of a
+    # whole periodic run. It reads the parameters from locals and repeats
+    # p.resistance's formula, in the same order, so that such a call makes
+    # no attribute lookup or method call.
     def scalar_drift(position, speed, gap):
         return speed, -(f0 + f1 * speed + f2 * speed * speed) / mass, lead_speed - speed
 

@@ -33,10 +33,10 @@ contract: from Python 3.12 it compensates its rounding on floats, so it
 does not round as the recorded additions do. A barrier may give its value
 and gradient so, as ``scalar_form`` (n coordinates in, h and its n partial
 derivatives out), and a nominal law its one input, as ``scalar_law``;
-with all three and a state-independent actuation, the sample-and-hold loop
-samples the filter or the boosted law on plain floats too (see
-``safety_filter``). Reading the i-th coordinate as ``x.T[i]`` serves both
-shapes at the single-state cost. The
+with all three and a state-independent actuation, the filter and the
+boosted law give a float law too, which a periodic held run samples in its
+RK4 kernel (see ``safety_filter`` and ``simulator``). Reading the i-th
+coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
 the integrated states. When the callables compute each row as they would
@@ -45,7 +45,7 @@ library's own reductions are one dot or one matrix-vector product per row
 (``np.vecdot``, ``np.matvec``), not a matrix product over the stack, whose
 summation order differs. The callables are probed once, on one state and on
 an (n + 1)-row stack of it, when a scenario is built or an estimation
-starts; every evaluation after that is plain arithmetic on arrays.
+starts; no evaluation after that checks a shape, on arrays or on floats.
 """
 
 from __future__ import annotations
@@ -104,11 +104,12 @@ class ControlAffineDynamics:
     as floats, bit for bit (see the batch contract above); held runs under
     a state-independent actuation compute it at each RK4 stage, written
     into the kernel when it is straight-line arithmetic and called
-    otherwise, in place of ``drift`` on an (n,) array, and call it in the
-    filter's float law at each sample; under a state-dependent one they
-    call ``rate`` on an (n,) array. The shapes, and that equality, are
-    checked once, when a scenario is built or an estimation starts, so a
-    mis-sized callable fails loudly there rather than broadcasting mid-run.
+    otherwise, in place of ``drift`` on an (n,) array, and the filter's
+    float law calls it at each sample of a periodic run; under a
+    state-dependent one they call ``rate`` on an (n,) array. The shapes,
+    and that equality, are checked once, when a scenario is built or an
+    estimation starts, so a mis-sized callable fails loudly there rather
+    than broadcasting mid-run.
     """
 
     drift: Callable[[np.ndarray], np.ndarray]
@@ -140,7 +141,7 @@ class BarrierFunction:
     ``scalar_form``, when given, is both on one state's n coordinates as
     floats: it returns ``(h, dh/dx_0, ..., dh/dx_{n-1})``, equal to
     ``value`` and ``gradient`` bit for bit, which the shape probe checks
-    once. Held runs sample the filter's float law through it."""
+    once. The filter's float law evaluates the barrier through it."""
 
     value: Callable[[np.ndarray], float | np.ndarray]
     gradient: Callable[[np.ndarray], np.ndarray]

@@ -24,7 +24,8 @@ law's operations in the array law's order on the same values, so the two
 agree bit for bit. Its two Lie-derivative dot products are one
 ``np.vecdot`` of the gradient with the (2, n) stack of the drift and the
 actuation column, which is still one BLAS dot per row, as in
-``lie_derivatives``. The sample-and-hold loop samples through it.
+``lie_derivatives``. Only a periodic held run samples it, in its RK4
+kernel (see ``simulator``); every other sample calls the array law.
 """
 
 from __future__ import annotations
@@ -273,7 +274,7 @@ class TunableControllerConfig:
             return tunable_control(filt, self, x)
 
         # Lets the shape probe check the nominal law behind the boost, and
-        # the held loop sample the law on floats.
+        # a periodic held run sample the law on floats.
         law.nominal = filt.nominal
         law.float_law = lambda x: _float_law(filt, self, x)
         return law

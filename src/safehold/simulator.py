@@ -27,10 +27,7 @@ g u of the held input is computed once per sample, and every stage adds it
 to the drift. An actuation whose output has a stack axis is evaluated at
 every stage. Every new row passes the state check before any callable sees
 it. Only the sampled law runs inside that loop (at every stage, in
-continuous mode). Under a state-independent actuation a held run samples a
-controller that gives a float law (``float_law``, see ``safety_filter``)
-through it, on the state's n coordinates, bit for bit equal to the array
-law. The barrier value, barrier rate and trigger columns are
+continuous mode). The barrier value, barrier rate and trigger columns are
 recorded afterwards, in stacked evaluations over blocks of the trace, bit
 for bit equal to evaluating each row alone.
 
@@ -38,17 +35,22 @@ The rows of a hold step on the kernel that ``_float_rows`` (in
 ``safehold._kernel``) generates for the state's n coordinates: ``_rk4``'s
 operations in ``_rk4``'s order on Python floats, one local per coordinate,
 without numpy's dispatch on tiny arrays. Python floats round each operation
-as numpy does, so its rows equal ``_rk4``'s bit for bit. Under a state-independent actuation its stages
-compute the plant's ``scalar_drift`` and add the held input term. The drift
-is recorded once per run on stand-in arguments (``_recorded_drift``), and
-its operations are written into each stage, so that a row makes no call;
-a drift that is not plain arithmetic on its arguments is called at each
-stage instead, and a plant without one has its drift called on an (n,)
-array. Under a state-dependent actuation the stages call the plant's rate
-under the held input on an (n,) array and add -0.0, which leaves every
-float as it is. A periodic schedule with a float law (a one-input plant)
-runs whole in one call of the kernel, which samples the law at each hold's
-first row itself.
+as numpy does, so its rows equal ``_rk4``'s bit for bit. Under a
+state-independent actuation its stages compute the plant's ``scalar_drift``
+and add the held input term. The drift is recorded once per run on
+stand-in arguments (``_recorded_drift``), and its operations are written
+into each stage, so that a row makes no call; a drift that is not plain
+arithmetic on its arguments is called at each stage instead, and a plant
+without one has its drift called on an (n,) array. Under a state-dependent
+actuation the stages call the plant's rate under the held input on an (n,)
+array and add -0.0, which leaves every float as it is.
+
+A periodic schedule under a state-independent actuation whose controller
+gives a float law (``float_law``, see ``safety_filter``; a one-input plant)
+runs whole in one call of the kernel, which samples that law on the state's
+n coordinates at each hold's first row. This is the only place a run
+samples a float law; every other sample calls the controller, which equals
+it bit for bit.
 
 Holds are integrated in segments. A hold's first segment ends at the first
 row where resampling may be due, and each later one is twice as long as
@@ -377,12 +379,11 @@ def trigger_value(
     return trig if np.shape(trig) == rows else np.broadcast_to(trig, rows)
 
 
-def _checked_sample(sc: Scenario, x: np.ndarray, t: float, law=None):
-    """The sampled input at the state x at time t: the scenario's controller
-    at x, or the float ``law`` on x's coordinates when one is given. An
-    infeasible filter is reported with x and t."""
+def _checked_sample(sc: Scenario, x: np.ndarray, t: float):
+    """The scenario's controller at the state x at time t; an infeasible
+    filter is reported with x and t."""
     try:
-        return sc.controller(x) if law is None else law(*x.tolist())
+        return sc.controller(x)
     except InfeasibleFilterError as exc:
         msg = exc.args[0] if exc.args else "safety filter infeasible"
         raise InfeasibleFilterError(msg, state=x, time=t) from exc
@@ -515,16 +516,14 @@ def _first_check(schedule: HoldSchedule, dt: float) -> int:
 
 def _run_held(sc: Scenario) -> Trace:
     """The run of a sampled scenario under the module's sample-and-hold
-    rule; the terminal row keeps the last input. A sample calls the
-    controller's float law where the module docstring says, else the
-    controller.
+    rule; the terminal row keeps the last input.
 
-    A periodic schedule with a float law runs in the kernel (see the module
-    docstring), hold after hold; the loop below takes over only a hold that
-    the kernel could not finish, from that hold's sample row, under the
-    kernel's input when its sample succeeded (a law that raised is called
-    again, so that its error carries the time and the state), and hands the
-    next hold back to the kernel.
+    A periodic schedule with a float law runs whole in one call of the
+    kernel (see the module docstring). When the kernel stops at a hold it
+    cannot finish, the loop below runs the rest of the schedule from that
+    hold's sample row, under the kernel's input when that sample succeeded;
+    else it samples the controller there, so that the error carries the
+    time and the state. Every other run is the loop's from the start.
 
     The loop advances through segments. The first segment of a hold spans
     ``first_check`` substeps, to the first row where resampling may be due;
@@ -558,43 +557,39 @@ def _run_held(sc: Scenario) -> Trace:
     # -0.0 leaves every float as it is, -0.0 included (adding 0.0 would
     # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
     # with ``_rk4``; both read the held u and gu when called. The held u is
-    # then the (m,) row of U, whether a float law or the controller gave it.
-    # A periodic schedule with a float law runs whole in the kernel
-    # (``whole`` holds its extra arguments), which stops only at a hold it
-    # cannot finish.
+    # then the (m,) row of U, whether the kernel's float law or the
+    # controller gave it.
     coefs = (0.5 * dt, dt, dt / 6.0)
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
-    law = body = whole = None
+    law = body = None
     if np.ndim(g) == 2:
         body = _recorded_drift(dyn, X[0])
         rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
         rate = lambda s: drift(s) + np.array(gu)
-        float_law = getattr(sc.controller, "float_law", None)
-        if float_law is not None:
-            law = float_law(X[0])
-        if periodic and law is not None:
-            whole = (law, g[:, 0].tolist(), U[:, 0], EV, first)
+        if periodic and hasattr(sc.controller, "float_law"):
+            law = sc.controller.float_law(X[0])
     else:
         g, gu = None, (-0.0,) * dyn.n
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
         rate = lambda s: dyn.rate(s, u)
     kernel = _float_rows(dyn.n, body)
 
-    # The first row where resampling may be due and the current segment's
-    # span in substeps; the run has reached the frontier row and resamples
-    # at the due row.
-    opens = span = frontier = due = 0
-    while True:
+    # A periodic schedule with a float law runs whole in the kernel, which
+    # stops only at a hold it cannot finish; the loop below resumes from
+    # that hold's sample row. The frontier is the row the run has reached,
+    # ``opens`` the first row where resampling may be due, ``span`` the
+    # current segment's length in substeps, and ``due`` the row where the
+    # run resamples.
+    opens = span = frontier = 0
+    if law is not None:
+        row = kernel(rates, None, *coefs, X, 1, steps, lows, highs,
+                     law, g[:, 0].tolist(), U[:, 0], EV, first)
+        frontier = steps if row > steps else (row - 1) // first * first
+    due = frontier
+    while frontier < steps:
         if due == frontier:
-            if whole is not None:
-                row = kernel(rates, None, *coefs, X, frontier + 1, steps, lows, highs, *whole)
-                if row > steps:
-                    break
-                # The hold sampled at or before the row the kernel stopped
-                # at resumes here, under the kernel's input when it has one.
-                frontier = due = frontier + (row - 1 - frontier) // first * first
             if not EV[frontier]:
-                u = _checked_sample(sc, X[frontier], float(t_arr[frontier]), law)
+                u = _checked_sample(sc, X[frontier], float(t_arr[frontier]))
                 U[frontier], EV[frontier] = u, 1
             opens, span = frontier + first, first
             if g is not None:
@@ -602,8 +597,6 @@ def _run_held(sc: Scenario) -> Trace:
                 gu = np.matvec(g, u).tolist()
         else:
             span = min(2 * span, _SEGMENT_CAP)
-        if frontier == steps:
-            break
 
         reached, failure = min(frontier + span, steps), None
         row = kernel(rates, gu, *coefs, X, frontier + 1, reached, lows, highs)

@@ -5,7 +5,9 @@ from direct inner products plus bisection and a brute-force grid, the
 benchmark's Lie derivatives and bound reference work from closed-form field
 formulas, and the run reference is the row-by-row simulation loop, built on the
 single-state primitive ``lie_derivatives`` with its own textbook RK4 steps,
-state check, scheduling and trigger arithmetic.
+state check, scheduling and trigger arithmetic. The falsifier of hold
+periods steps whole stacks with the public ``rk4_step``, which the
+simulator's tests check against the textbook step.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from safehold.errors import (
     InfeasibleFilterError,
     RegionExitError,
 )
-from safehold.simulator import Trace
+from safehold.simulator import VIOLATION_TOL, Trace, rk4_step
 
 
 def qp_reference(filt, x, *, grid_step: float = 1e-3, grid_span: float = 1.5):
@@ -226,3 +228,40 @@ def run_reference(sc) -> Trace:
                 x = rk4_reference(dyn, x, u_row, dt)
             _check(x, float(t_arr[i + 1]), lo, hi)
     return Trace(t=t_arr, x=X, u=U, h=H, hdot=HD, trigger=TR, event=EV)
+
+
+# Safe start states the falsifier draws from a box, and how long it holds
+# their inputs, in seconds.
+FALSIFIER_STATES = 512
+FALSIFIER_HORIZON = 3.0
+
+
+def falsified_period(sc):
+    """The first time at which one held input breaks the barrier from a safe
+    state of the scenario's box, with that start state; None when no row
+    breaks it within ``FALSIFIER_HORIZON``.
+
+    ``FALSIFIER_STATES`` states with h >= 0 are drawn uniformly from
+    ``sc.region`` (seed 0). Each holds the scenario controller's input at
+    that state, and the stack is stepped with ``rk4_step`` at the
+    scenario's substep. A row counts while it has stayed inside the box; the
+    first row with h below -``VIOLATION_TOL`` ends the search. A uniform
+    hold period at or above that time fails from that start state, so any
+    certified period must lie below it.
+    """
+    lo, hi = sc.region.lower_arr, sc.region.upper_arr
+    rng = np.random.default_rng(0)
+    starts = np.empty((0, len(lo)))
+    while len(starts) < FALSIFIER_STATES:
+        draw = rng.uniform(lo, hi, size=(FALSIFIER_STATES, len(lo)))
+        starts = np.concatenate((starts, draw[sc.barrier.value(draw) >= 0.0]))
+    starts = x = starts[:FALSIFIER_STATES]
+    u, dt = sc.controller(starts), sc.integrator.substep
+    inside = np.ones(len(starts), dtype=bool)
+    for step in range(1, int(math.floor(FALSIFIER_HORIZON / dt + 1e-9)) + 1):
+        x = rk4_step(sc.dynamics, x, u, dt)
+        inside &= ((x >= lo) & (x <= hi)).all(axis=1)
+        broken = inside & (sc.barrier.value(x) < -VIOLATION_TOL)
+        if broken.any():
+            return step * dt, starts[int(broken.argmax())]
+    return None

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import dense_acc_bounds
+from oracles import dense_acc_bounds, falsified_period
 from safehold import constants
 from safehold.acc_benchmark import (
     acc_filter,
@@ -17,7 +17,7 @@ from safehold.acc_benchmark import (
     ride_region,
 )
 from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
-from safehold.config import filter_from_config, load_config
+from safehold.config import filter_from_config, load_config, scenario_from_config
 from safehold.constants import (
     BoundSet,
     Check,
@@ -315,6 +315,22 @@ class TestHoldBudgets:
 
     # The two budgets answer different questions (margin-expanded set vs the
     # original set), so no ordering between them is asserted anywhere.
+
+    @pytest.mark.parametrize("name", ("ride-certified", "approach-boosted"))
+    def test_t_star_lies_below_the_falsified_period(self, name):
+        # One held input from a safe state of the box first breaks the
+        # barrier at 0.899 s (ride) and 0.201 s (approach); t_star, about
+        # 3.56e-4 s and 9.87e-9 s, must lie below. Tighter bounds close
+        # the gap; a t_star past it would certify a period that fails.
+        cfg = load_config(CONFIGS / f"{name}.yaml")
+        sc = scenario_from_config(cfg)
+        falsified, start = falsified_period(sc)
+        cert = certify(cfg, filter_from_config(cfg))
+        t_star = violation_free_sampling_time(cert.bounds, cfg.tuning.epsilon, cfg.tuning.margin)
+        assert 0.0 < t_star < falsified
+        region = sc.region
+        assert sc.barrier.value(start) >= 0.0
+        assert np.all((region.lower_arr <= start) & (start <= region.upper_arr))
 
 
 class TestCheckAssumptions:

@@ -958,6 +958,15 @@ class TestHeldInputTerm:
 # the sampled law on plain floats
 
 
+def _counted_boosts(monkeypatch) -> list:
+    """Patches ``safety_filter.tunable_control``, the boosted array law, to
+    append to the list returned at each call."""
+    calls, boost = [], safety_filter.tunable_control
+    monkeypatch.setattr(safety_filter, "tunable_control",
+                        lambda *args: calls.append(1) or boost(*args))
+    return calls
+
+
 def _without_float_law(sc: Scenario) -> Scenario:
     """sc with its controller behind a plain callable, which has no float law."""
     law = sc.controller
@@ -965,18 +974,15 @@ def _without_float_law(sc: Scenario) -> Scenario:
 
 
 class TestFloatSamples:
-    @pytest.mark.parametrize("kind", ("periodic-boosted", "event"))
+    @pytest.mark.parametrize("kind", ("periodic-boosted",))
     def test_acc_samples_call_no_array_law(self, kind, monkeypatch):
         # The ACC's drift, barrier and nominal law give float forms, so its
-        # boosted law is sampled on floats, with no ``tunable_control`` call,
-        # to the bits of the runs that sample the array law: one whose
-        # controller hides the float law, and one per missing float form.
-        calls = []
-        boost = safety_filter.tunable_control
-        monkeypatch.setattr(safety_filter, "tunable_control",
-                            lambda *args: calls.append(1) or boost(*args))
-        sc = build_scenario(kind, period=0.01 if kind != "event" else None, horizon=0.5,
-                            setting="ride")
+        # boosted law, held periodically, is sampled on floats in the whole
+        # kernel, with no ``tunable_control`` call, to the bits of the runs
+        # that sample the array law: one whose controller hides the float
+        # law, and one per missing float form.
+        calls = _counted_boosts(monkeypatch)
+        sc = build_scenario(kind, period=0.01, horizon=0.5, setting="ride")
         calls.clear()  # the shape probe's
         trace = run(sc)
         assert not calls
@@ -995,6 +1001,17 @@ class TestFloatSamples:
             calls.clear()  # the shape probe's
             _assert_matches(run(array_sc), trace)
             assert len(calls) == len(trace.events)
+
+    def test_event_holds_sample_the_array_law(self, monkeypatch):
+        # Only the whole periodic kernel samples a float law: an event run
+        # samples the boosted law's array form, once per event, to the bits
+        # of the run whose controller hides the float law.
+        calls = _counted_boosts(monkeypatch)
+        sc = build_scenario("event", period=None, horizon=5.0, setting="approach")
+        calls.clear()  # the shape probe's
+        trace = run(sc)
+        assert len(calls) == len(trace.events) >= 2
+        _assert_matches(run(_without_float_law(sc)), trace)
 
     def test_the_float_law_reads_the_controllers_own_plant(self):
         # The simulated car is 10% heavier than the one the controller
@@ -1427,13 +1444,13 @@ class TestRecordedDrift:
 
 
 def _counted_kernels(monkeypatch) -> list:
-    """Patches ``_float_rows`` so that its kernels append to the list
-    returned at each call."""
+    """Patches ``_float_rows`` so that its kernels append their positional
+    arguments to the list returned at each call."""
     calls, build = [], _float_rows
 
     def counting(n, body=None):
         kernel = build(n, body)
-        return lambda *args: calls.append(1) or kernel(*args)
+        return lambda *args: calls.append(args) or kernel(*args)
 
     monkeypatch.setattr("safehold.simulator._float_rows", counting)
     return calls
@@ -1484,8 +1501,8 @@ class TestWholeHolds:
         # test's 0.99e8 after row 100, inside the hold sampled at row 98.
         # Every later row is stepped again with ``_rk4`` and kept (its norm
         # is within the 1e8 limit), and every later hold is still sampled
-        # on time, its law evaluated once: the loop resumes each hold that
-        # the kernel could not finish under the kernel's input.
+        # on time, its law evaluated once: the kernel stops there, and the
+        # loop finishes the run from row 98 under the kernel's input.
         samples = []
         sc = _float_form_scenario(
             lambda a: (1e5,), lambda a: (a, 1.0), lambda a: samples.append(1) or 0.0,
@@ -1497,6 +1514,19 @@ class TestWholeHolds:
         assert len(steps) == np.count_nonzero(trace.x > 0.99e8) == 100
         assert np.array_equal(np.flatnonzero(trace.event), np.arange(0, 200, 7))
         assert len(samples) == len(trace.events)
+        _assert_matches(trace, _assert_same_outcome(sc))
+
+    def test_the_kernel_runs_whole_at_most_once(self, monkeypatch):
+        # The same run: one kernel call carries the law and stops at row
+        # 101; the loop's calls, from row 98 to the end, carry none.
+        sc = _float_form_scenario(
+            lambda a: (1e5,), lambda a: (a, 1.0), lambda a: 0.0,
+            np.ones((1, 1)), (0.9899e8,), HoldSchedule.periodic(7e-3), horizon=0.2,
+        )
+        kernels = _counted_kernels(monkeypatch)
+        trace = run(sc)
+        whole = [args for args in kernels if len(args) > 10 and args[10] is not None]
+        assert len(whole) == 1 and len(kernels) > 1
         _assert_matches(trace, _assert_same_outcome(sc))
 
 
