@@ -40,12 +40,17 @@ coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
 the integrated states. When the callables compute each row as they would
-alone, a stacked call equals the row-by-row single calls bit for bit: the
-library's own reductions are one dot or one matrix-vector product per row
-(``np.vecdot``, ``np.matvec``), not a matrix product over the stack, whose
-summation order differs. The callables are probed once, on one state and on
-an (n + 1)-row stack of it, when a scenario is built or an estimation
-starts; no evaluation after that checks a shape, on arrays or on floats.
+alone, a stacked call equals the row-by-row single calls bit for bit. The
+library's own reductions keep that. Each Lie-derivative row is the sum of
+its n products in index order from 0.0, with no BLAS call (see
+``lie_derivatives``): on Python floats for one state and for the float
+laws, column by column on a stack. A rate's input term is one
+matrix-vector product per row (``np.matvec``), and a barrier rate's
+``lgh . u`` one dot per row (``np.vecdot``). None is a matrix product over
+the stack, whose summation order differs. The callables are probed once,
+on one state and on an (n + 1)-row stack of it, when a scenario is built
+or an estimation starts; no evaluation after that checks a shape, on
+arrays or on floats.
 """
 
 from __future__ import annotations
@@ -155,14 +160,43 @@ def lie_derivatives(
 
     Returns ``(lfh, lgh)`` where ``lfh`` is a scalar and ``lgh`` has shape
     (m,), so the barrier derivative under input u is ``lfh + lgh @ u``; on
-    a (k, n) stack they are (k,) and (k, m). Each row is one BLAS dot, as
-    in ``grad @ f`` and ``grad @ g``, so a stack reproduces the single-state
-    values bit for bit.
+    a (k, n) stack they are (k,) and (k, m). Each row of ``grad . f`` and
+    of ``grad . g``'s columns is the sum of its n elementwise products in
+    index order, starting from 0.0: ``((0.0 + p0) + p1) + ...``, with no
+    BLAS call. ``_index_sum`` takes every such sum: on one state's Python
+    floats, as the filter's float law does, and on a stack column by
+    column, accumulating in place. So a stack reproduces the single-state
+    values bit for bit, and the float law the array law, whatever the
+    products round to.
     """
-    grad = barrier.gradient(x)
-    lfh = np.vecdot(grad, dyn.drift(x))
-    lgh = np.vecdot(grad[..., None], dyn.actuation(x), axis=-2)
-    return lfh, lgh
+    grad = np.asarray(barrier.gradient(x))
+    f = np.asarray(dyn.drift(x))
+    g = np.asarray(dyn.actuation(x))
+    if x.ndim == 1:
+        grad = grad.tolist()
+        lgh = [_index_sum(grad, column) for column in g.T.tolist()]
+        return _index_sum(grad, f.tolist()), np.array(lgh)
+    # Row i of a transposed field holds coordinate i of every state, as
+    # x.T[i] does; a field without a stack axis (one that does not depend on
+    # the state) gives rows that broadcast. The actuation's coordinate axis
+    # is moved first.
+    grad = grad.T
+    return _index_sum(grad, f.T), _index_sum(grad[..., None], g.swapaxes(0, -2))
+
+
+def _index_sum(a, b):
+    """The sum of the products a[i] * b[i], in index order from 0.0.
+
+    On float sequences it is a float. On arrays, a[i] and b[i] are rows
+    of the first axis and the sum is taken elementwise (broadcast) over the
+    rest: 0.0 plus the first product is a new array, and every later
+    product is added to it in place. ``sum()`` would not do on floats: from
+    Python 3.12 it compensates its rounding.
+    """
+    s = 0.0
+    for p, q in zip(a, b):
+        s += p * q
+    return s
 
 
 def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int, ...]) -> None:

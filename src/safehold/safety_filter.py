@@ -21,11 +21,12 @@ batch contract in ``cbf_core``) and the actuation does not depend on the
 state, the filter and the boosted law give one too, from ``float_law``:
 one state's n coordinates in, the input out as a float. It does the array
 law's operations in the array law's order on the same values, so the two
-agree bit for bit. Its two Lie-derivative dot products are one
-``np.vecdot`` of the gradient with the (2, n) stack of the drift and the
-actuation column, which is still one BLAS dot per row, as in
-``lie_derivatives``. Only a periodic held run samples it, in its RK4
-kernel (see ``simulator``); every other sample calls the array law.
+agree bit for bit, on any plant. Its two Lie derivatives are the
+gradient's products with the drift and with the actuation column, summed
+in index order from 0.0 on Python floats by the helper with which
+``lie_derivatives`` sums one state (``cbf_core._index_sum``); no BLAS call
+is made. Only a periodic held run samples it, in its RK4 kernel (see
+``simulator``); every other sample calls the array law.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
+    _index_sum,
     lie_derivatives,
 )
 from .errors import ConfigurationError, InfeasibleFilterError
@@ -179,7 +181,7 @@ def _float_law(
 
     def law(*coords) -> float:
         h, *grad = barrier(*coords)
-        lfh, lg = np.vecdot(np.array(grad), np.array((drift(*coords), g))).tolist()
+        lfh, lg = _index_sum(grad, drift(*coords)), _index_sum(grad, g)
         u = nominal(*coords)
         a_h = coef * h
         slack = lfh + lg * u + a_h

@@ -51,8 +51,10 @@ def _plane_filter() -> CbfQpFilter:
 
 def _linear_filter() -> CbfQpFilter:
     """Random dense linear plant, n = 4, h = c @ x: every Lie-derivative
-    row sums four nonzero products. Its own products are one dot per row
-    (vecdot), since a matrix product over a stack sums in another order."""
+    row sums four products, inexact at almost every state, so a fused or
+    reordered sum would differ from the index-order one. Its own products
+    are one dot per row (vecdot), since a matrix product over a stack sums
+    in another order."""
     rng = np.random.default_rng(11)
     a, b, c = rng.normal(size=(4, 4)), rng.normal(size=(4, 1)), rng.normal(size=4)
     k = rng.normal(size=4)
@@ -98,6 +100,14 @@ def _equal_rowwise(fn, xs) -> bool:
     return np.array_equal(np.broadcast_to(fn(xs), single.shape), single)
 
 
+def _index_order(a, b) -> float:
+    """((0.0 + a0 b0) + a1 b1) + ... on Python floats."""
+    total = 0.0
+    for p, q in zip(np.asarray(a, dtype=float).tolist(), np.asarray(b, dtype=float).tolist()):
+        total += p * q
+    return total
+
+
 def _scalar_gain(gain, r: float) -> float:
     z = gain.sharpness * (r - gain.delta - 0.5 * gain.band)
     return 1.0 / (gain.epsilon * (1.0 + math.exp(min(max(z, -700.0), 700.0))))
@@ -113,9 +123,11 @@ def _property(name):
         for fn in (dyn.drift, dyn.actuation, barrier.value, barrier.gradient, filt.nominal):
             assert _equal_rowwise(fn, xs), fn
         lfh, lgh = lie_derivatives(dyn, barrier, xs)
-        # Reference: the matrix-product route, one state at a time.
-        lfh_1 = _rows(lambda x: barrier.gradient(x) @ dyn.drift(x), xs)
-        lgh_1 = _rows(lambda x: barrier.gradient(x) @ dyn.actuation(x), xs)
+        # Reference: each row's products summed on floats in index order
+        # from 0.0, one state at a time.
+        lfh_1 = _rows(lambda x: _index_order(barrier.gradient(x), dyn.drift(x)), xs)
+        lgh_1 = _rows(lambda x: [_index_order(barrier.gradient(x), column)
+                                 for column in np.transpose(dyn.actuation(x))], xs)
         assert np.array_equal(np.broadcast_to(lfh, lfh_1.shape), lfh_1)
         assert np.array_equal(np.broadcast_to(lgh, lgh_1.shape), lgh_1)
         # Reference: the C library's exp, one barrier value at a time.

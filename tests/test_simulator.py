@@ -9,11 +9,13 @@ import operator
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import safehold
 from safehold import safety_filter
@@ -26,7 +28,12 @@ from safehold.acc_benchmark import (
     certified_tuning,
     ride_region,
 )
-from safehold.cbf_core import BarrierFunction, ClassKappa, ControlAffineDynamics
+from safehold.cbf_core import (
+    BarrierFunction,
+    ClassKappa,
+    ControlAffineDynamics,
+    lie_derivatives,
+)
 from safehold.config import load_config, parse_config, scenario_from_config
 from safehold.constants import _BLOCK_ROWS, OperatingRegion
 from safehold.errors import (
@@ -35,7 +42,7 @@ from safehold.errors import (
     InfeasibleFilterError,
     RegionExitError,
 )
-from safehold.safety_filter import CbfQpFilter, NominalController
+from safehold.safety_filter import CbfQpFilter, NominalController, TunableControllerConfig
 from safehold.simulator import (
     _SEGMENT_CAP,
     _float_rows,
@@ -1063,6 +1070,114 @@ class TestFloatSamples:
         _assert_same_outcome(sc)
         assert np.signbit(trace.x[0, 0]) and not np.any(np.signbit(trace.x[1:, 0]))
         assert np.all(trace.u == -1.0)
+
+
+def _dense_forms() -> tuple[CbfQpFilter, OperatingRegion]:
+    """A dense plant, n = 4, whose drift, barrier and nominal law are each
+    written once on coordinates: on floats as their float forms, and on
+    ``x.T[i]``'s rows as the array callables. h = 4 - sum q_i (x_i - o_i)^2
+    and the actuation column are dense, so the Lie-derivative products are
+    inexact at almost every state of the box around the barrier's centre o
+    (``test_its_lie_products_are_inexact``)."""
+    rng = np.random.default_rng(7)
+    a = rng.normal(size=(4, 4)).tolist()
+    slopes = (-2.0 * rng.uniform(0.5, 1.5, size=4)).tolist()
+    centre = rng.normal(size=4).tolist()
+    gains = rng.normal(size=4).tolist()
+    g = rng.normal(size=(4, 1))
+    g.flags.writeable = False
+
+    def drift(*x):
+        return tuple(((r[0] * x[0] + r[1] * x[1]) + r[2] * x[2]) + r[3] * x[3] for r in a)
+
+    def form(*x):
+        d = [xi - oi for xi, oi in zip(x, centre)]
+        h = 4.0 + (((0.5 * slopes[0] * d[0] * d[0] + 0.5 * slopes[1] * d[1] * d[1])
+                    + 0.5 * slopes[2] * d[2] * d[2]) + 0.5 * slopes[3] * d[3] * d[3])
+        return (h, *(s * di for s, di in zip(slopes, d)))
+
+    def law(*x):
+        return ((gains[0] * x[0] + gains[1] * x[1]) + gains[2] * x[2]) + gains[3] * x[3]
+
+    dyn = ControlAffineDynamics(
+        drift=lambda x: np.array(drift(*x.T)).T, actuation=lambda x: g, n=4, m=1,
+        scalar_drift=drift,
+    )
+    barrier = BarrierFunction(
+        value=lambda x: form(*x.T)[0], gradient=lambda x: np.array(form(*x.T)[1:]).T,
+        scalar_form=form,
+    )
+    nominal = NominalController(law=lambda x: law(*x.T)[..., None], scalar_law=law)
+    filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
+    return filt, OperatingRegion(lower=[c - 1.5 for c in centre], upper=[c + 1.5 for c in centre])
+
+
+DENSE, DENSE_BOX = _dense_forms()
+DENSE_TUNING = TunableControllerConfig(c=1.0, delta=0.5, band=2.0, epsilon=0.5, margin=1.0)
+
+
+@st.composite
+def dense_states(draw, k: int):
+    """A (k, 4) stack of states inside the dense plant's box."""
+    unit = draw(hnp.arrays(np.float64, (k, 4), elements=st.floats(0.0, 1.0)))
+    return DENSE_BOX.lower_arr + unit * (DENSE_BOX.upper_arr - DENSE_BOX.lower_arr)
+
+
+class TestDenseFloatForms:
+    # The Lie derivatives are summed in index order on floats and on arrays
+    # alike, so the float laws equal the array laws on any plant, not only
+    # where the sums are exact.
+
+    def test_its_lie_products_are_inexact(self):
+        # The premise: at seeded states every product of the two Lie sums
+        # rounds, and the index-order sum differs from the exactly rounded
+        # one at some state, so another summation order would show.
+        dyn, barrier = DENSE.dynamics, DENSE.barrier
+        reordered = False
+        for x in DENSE_BOX.sample(np.random.default_rng(0), 256):
+            grad = barrier.gradient(x).tolist()
+            for field in (dyn.drift(x).tolist(), dyn.actuation(x)[:, 0].tolist()):
+                products = [p * q for p, q in zip(grad, field)]
+                assert all(Fraction(p) * Fraction(q) != Fraction(r)
+                           for p, q, r in zip(grad, field, products))
+                ordered = 0.0
+                for r in products:
+                    ordered += r
+                reordered |= ordered != math.fsum(products)
+        assert reordered
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=dense_states(8))
+    def test_the_float_laws_equal_the_array_laws(self, xs):
+        filt_law = DENSE.float_law(xs[0])
+        boosted_law = DENSE_TUNING.controller(DENSE).float_law(xs[0])
+        for x in xs:
+            coords = x.tolist()
+            assert (np.array([filt_law(*coords)]).tobytes()
+                    == safety_filter.solve_cbf_qp(DENSE, x).tobytes())
+            assert (np.array([boosted_law(*coords)]).tobytes()
+                    == safety_filter.tunable_control(DENSE, DENSE_TUNING, x).tobytes())
+
+    @settings(max_examples=60, deadline=None)
+    @given(xs=st.integers(1, 40).flatmap(dense_states))
+    def test_the_lie_derivatives_of_a_stack_are_its_rows(self, xs):
+        lfh, lgh = lie_derivatives(DENSE.dynamics, DENSE.barrier, xs)
+        rows = [lie_derivatives(DENSE.dynamics, DENSE.barrier, x) for x in xs]
+        assert lfh.tobytes() == np.array([r[0] for r in rows]).tobytes()
+        assert lgh.tobytes() == np.array([r[1] for r in rows]).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(x0=dense_states(1), boosted=st.booleans())
+    def test_a_periodic_run_samples_them_to_the_array_laws_bits(self, x0, boosted):
+        controller = DENSE_TUNING.controller(DENSE) if boosted else DENSE
+        assert controller.float_law(x0[0]) is not None
+        sc = Scenario(
+            name="dense-forms", dynamics=DENSE.dynamics, barrier=DENSE.barrier,
+            alpha=ClassKappa(1.0), controller=controller, x0=tuple(x0[0].tolist()),
+            integrator=IntegratorConfig(horizon=0.05, substep=1e-3),
+            schedule=HoldSchedule.periodic(5e-3),
+        )
+        _assert_matches(_outcome(run, sc), _outcome(run, _without_float_law(sc)))
 
 
 # ---------------------------------------------------------------------------
