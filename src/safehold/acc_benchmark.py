@@ -13,7 +13,9 @@ machinery, the barrier's Lie derivatives included, against hand-derived
 values.
 
 Two settings are provided, each the certification box, start state and
-tuning of a preset that ``safehold.config`` assembles into a scenario:
+tuning of a preset that ``safehold.config`` assembles into a scenario.
+``acc_filter`` and ``build_scenario`` go through ``safehold.config`` too,
+which builds every ACC filter:
 
 * "approach": a wide operating box and a start far behind the lead, so the
   closed loop sweeps from unconstrained cruising into the constraint.
@@ -166,14 +168,11 @@ def acc_nominal(params: AccParams | None = None) -> NominalController:
     return NominalController(law=law, scalar_law=scalar_law)
 
 
-def acc_filter(params: AccParams | None = None) -> CbfQpFilter:
-    p = params or AccParams()
-    return CbfQpFilter(
-        dynamics=acc_dynamics(p),
-        barrier=acc_barrier(p),
-        alpha=ClassKappa(),
-        nominal=acc_nominal(p),
-    )
+def acc_filter() -> CbfQpFilter:
+    """The plain safety filter over the default plant, at unit decrease rate."""
+    from .config import _acc_filter  # config imports this module
+
+    return _acc_filter(AccParams(), ClassKappa())
 
 
 def approach_region() -> OperatingRegion:

@@ -9,19 +9,21 @@ runs the certified periodic schedule and the event-triggered schedule side
 by side.
 
 Exit codes are part of the contract: 0 for a completed, violation-free run;
-1 for configuration or runtime errors; 2 when a run completed but the
-barrier went negative (beyond integrator tolerance); 3 when an assumption
-check behind estimated bounds fails, in ``constants`` or ``compare``.
+1 for configuration or runtime errors, an output path that cannot be
+written to included; 2 when a run completed but the barrier went negative
+(beyond integrator tolerance); 3 when an assumption check behind estimated
+bounds fails, in ``constants`` or ``compare``.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from pathlib import Path
 
-from .config import filter_from_config, load_config, scenario_from_config
+from .config import load_config, scenario_from_config
 from .constants import (
     Report,
     certify,
@@ -86,17 +88,34 @@ def _write_plot_script(path: str, traces: list[tuple[str, str]], columns: list[s
     _with_parent(path).write_text(text, encoding="utf-8")
 
 
-def _check_plot_script(args, cfg) -> None:
-    """A plot script plots the trace files, so it needs one; checked before
-    anything is integrated."""
-    if args.plot_script is not None and cfg.trace_path is None:
+def _check_outputs(args, traces, *others) -> None:
+    """Before anything is integrated: a plot script plots the trace files,
+    so it needs them, and each output path (traces, the ``others`` and the
+    plot script) must be writable as far as its directories tell. The
+    nearest existing one must be a directory this process may write into,
+    as the rest are made from it. They are made only when the output is
+    written, so a run that aborts leaves none."""
+    if args.plot_script is not None and not any(traces):
         raise ConfigurationError("--plot-script needs output.trace set in the config")
+    for path in (*traces, *others, args.plot_script):
+        if path is None:
+            continue
+        target = Path(path)
+        if target.is_dir():
+            raise ConfigurationError(f"output {path} is a directory")
+        for ancestor in (target.parent, *target.parent.parents):
+            if ancestor.exists():
+                break
+        if not ancestor.is_dir():
+            raise ConfigurationError(f"output {path}: {ancestor} is not a directory")
+        if not os.access(ancestor, os.W_OK | os.X_OK):
+            raise ConfigurationError(f"output {path}: {ancestor} is not writable")
 
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.set)
     scenario = scenario_from_config(cfg)
-    _check_plot_script(args, cfg)
+    _check_outputs(args, [cfg.trace_path], cfg.summary_path)
     trace = run(scenario)
     summary = analyze(trace)
     if cfg.trace_path is not None:
@@ -126,22 +145,27 @@ def cmd_sweep(args) -> int:
                 f"{labels[i]}; their traces would share one file"
             )
 
-    # Every frequency's scenario is built, and its period checked, before
-    # anything is integrated; each trace is written as its run completes
-    # and dropped, so only the summaries are kept.
+    # Every frequency's scenario is built, its period checked and its
+    # output path checked before anything is integrated; each trace is
+    # written as its run completes and dropped, so only the summaries are
+    # kept.
     base = scenario_from_config(cfg)
-    _check_plot_script(args, cfg)
     scenarios = [
         dataclasses.replace(base, schedule=HoldSchedule.periodic(1.0 / freq)) for freq in freqs
     ]
+    paths = [None] * len(freqs)
+    if cfg.trace_path is not None:
+        out = Path(cfg.trace_path)
+        paths = [
+            str(out.with_name(f"{out.stem}-f{label}{out.suffix or '.csv'}")) for label in labels
+        ]
+    _check_outputs(args, paths)
     summaries, plot_refs, columns = [], [], None
-    for label, scenario in zip(labels, scenarios):
+    for label, scenario, path in zip(labels, scenarios, paths):
         trace = run(scenario)
         summaries.append(analyze(trace))
         columns = trace.columns
-        if cfg.trace_path is not None:
-            out = Path(cfg.trace_path)
-            path = str(out.with_name(f"{out.stem}-f{label}{out.suffix or '.csv'}"))
+        if path is not None:
             trace.to_csv(_with_parent(path))
             plot_refs.append((f"{label} Hz", path))
         del trace
@@ -170,7 +194,7 @@ def _assumption_failure(report: Report) -> int:
 
 def cmd_constants(args) -> int:
     cfg = load_config(args.config, args.set)
-    cert = certify(cfg, filter_from_config(cfg))
+    cert = certify(cfg)
     if cert.bounds is None:
         return _assumption_failure(cert.assumptions)
     bounds = cert.bounds
@@ -198,7 +222,7 @@ def cmd_compare(args) -> int:
             "compare requires the boosted controller (set scenario.controller: boosted); "
             "the event trigger's hold-period floor is only certified for it"
         )
-    cert = certify(cfg, filter_from_config(cfg))
+    cert = certify(cfg)
     if cert.bounds is None:
         return _assumption_failure(cert.assumptions)
     t_star = violation_free_sampling_time(cert.bounds, cfg.tuning.epsilon, cfg.tuning.margin)
@@ -286,6 +310,10 @@ def main(argv=None) -> int:
         # Runtime aborts: infeasible filter, divergence, region exit. Each
         # exception type renders its own diagnostic.
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
+        # Writing an output failed in a way its directories did not show.
+        print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
 

@@ -8,6 +8,13 @@ box, sampling seed, safety factor), ``bounds`` (an explicit regional bound
 set for workflows that skip estimation) and ``output`` (trace and summary
 paths). Only ``scenario`` and ``sim`` are required.
 
+This is also where ACC filters and scenarios are assembled: the package's
+one construction of the ACC ``CbfQpFilter`` calls this module's own
+``acc_dynamics``, ``acc_barrier`` and ``acc_nominal`` bindings, and
+``filter_from_config``, ``acc_benchmark.acc_filter`` and
+``constants.certify`` all go through it, so the filter a certificate is
+computed for is the filter the config runs.
+
 Parsing is a thin adapter onto the library's own types: ``AccParams``,
 ``TunableControllerConfig``, ``ClassKappa``, ``HoldSchedule``,
 ``IntegratorConfig``, ``OperatingRegion`` and ``BoundSet`` each check their
@@ -278,14 +285,20 @@ def load_config(path, overrides=()) -> RunConfig:
     return parse_config(doc)
 
 
+def _acc_filter(plant: AccParams, alpha: ClassKappa) -> CbfQpFilter:
+    """The ACC plant's plain safety filter: the package's one construction
+    of it, from this module's own factory bindings."""
+    return CbfQpFilter(
+        dynamics=acc_dynamics(plant),
+        barrier=acc_barrier(plant),
+        alpha=alpha,
+        nominal=acc_nominal(plant),
+    )
+
+
 def filter_from_config(cfg: RunConfig) -> CbfQpFilter:
     """The plain safety filter over the configured plant and decrease rate."""
-    return CbfQpFilter(
-        dynamics=acc_dynamics(cfg.plant),
-        barrier=acc_barrier(cfg.plant),
-        alpha=cfg.alpha,
-        nominal=acc_nominal(cfg.plant),
-    )
+    return _acc_filter(cfg.plant, cfg.alpha)
 
 
 def scenario_from_config(cfg: RunConfig) -> Scenario:

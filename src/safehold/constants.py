@@ -56,7 +56,7 @@ from .errors import BoundarySamplingError, ConfigurationError
 
 if TYPE_CHECKING:
     from .config import RunConfig
-    from .safety_filter import CbfQpFilter, TunableControllerConfig
+    from .safety_filter import TunableControllerConfig
 
 __all__ = [
     "OperatingRegion",
@@ -681,10 +681,11 @@ def _assumption_report(
     return Report(tuple(checks)), raw
 
 
-def certify(cfg: RunConfig, filt: CbfQpFilter) -> Certificate:
-    """The config's certificate for the plain filter ``filt`` it builds:
-    its explicit bounds, or ``certify_region``'s over its box. The boosted
-    controller's extra authority enters the budgets through epsilon, not b_k.
+def certify(cfg: RunConfig) -> Certificate:
+    """The config's certificate: its explicit bounds, or ``certify_region``'s
+    over its box for the plain filter ``config`` builds from it, so the
+    filter certified is the filter the config runs. The boosted controller's
+    extra authority enters the budgets through epsilon, not b_k.
 
     Three tuning checks: the amplified decrease rate must out-run the margin
     at the activation height (c * alpha(delta) > margin), the plateau must be
@@ -698,13 +699,16 @@ def certify(cfg: RunConfig, filt: CbfQpFilter) -> Certificate:
     if cfg.bounds is not None:
         assumptions, bounds, band = None, cfg.bounds, None
     else:
+        from .config import filter_from_config  # config imports this module
+
+        filt = filter_from_config(cfg)
         assumptions, bounds, band = certify_region(
             cfg.region, filt.dynamics, filt, filt.barrier, tuning=tuning,
         )
         if bounds is None:
             return Certificate(assumptions, None, None)
 
-    amplified = tuning.c * filt.alpha(tuning.delta)
+    amplified = tuning.c * cfg.alpha(tuning.delta)
     budget = bounds.mu ** 2 / (4.0 * tuning.margin)
     checks = [
         Check(

@@ -31,6 +31,19 @@ from safehold.simulator import analyze, run
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
+# Plant constants and states: finite, of either sign where the plant allows
+# it, and far from overflow.
+_REALS = st.floats(-1e3, 1e3)
+_POSITIVE = st.floats(1e-3, 1e6)
+
+
+@st.composite
+def _plants(draw) -> AccParams:
+    return AccParams(
+        mass=draw(_POSITIVE), f0=draw(_REALS), f1=draw(_REALS), f2=draw(_REALS),
+        lead_speed=draw(_REALS), headway=draw(_POSITIVE),
+    )
+
 
 class TestParams:
     def test_default_values(self):
@@ -76,6 +89,14 @@ class TestPlant:
 
         check()
 
+    @settings(max_examples=200, deadline=None)
+    @given(_plants(), _REALS)
+    def test_scalar_drift_repeats_the_resistance_bit_for_bit(self, p, speed):
+        # The float drift writes p.resistance out inline, for speed; it must
+        # stay the same formula in the same order.
+        _, rate, _ = acc_dynamics(p).scalar_drift(0.0, speed, 0.0)
+        assert rate.hex() == (-p.resistance(speed) / p.mass).hex()
+
     def test_actuation_column_is_constant(self):
         dyn = acc_dynamics()
         for v in (1.0, 15.0, 30.0):
@@ -120,6 +141,18 @@ class TestBarrier:
         barrier = acc_barrier()
         g = barrier.gradient(np.array([12.0, 20.0, 300.0]))
         assert np.array_equal(g, [0.0, -2.0 * 1.8 * 20.0, 1.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(_plants(), st.lists(st.tuples(_REALS, _REALS, _REALS), min_size=1, max_size=9))
+    def test_gradient_rows_are_the_scalar_form_partials(self, p, states):
+        # The array gradient and the float form's partials are written
+        # apart; on a stack, and on each state alone, they give the same bits.
+        barrier = acc_barrier(p)
+        stack = np.array(states)
+        for x, row in zip(stack, barrier.gradient(stack)):
+            want = np.array(barrier.scalar_form(*x.tolist())[1:]).tobytes()
+            assert row.tobytes() == want
+            assert barrier.gradient(x).tobytes() == want
 
     def test_zero_on_the_braking_parabola(self):
         barrier = acc_barrier()

@@ -25,7 +25,7 @@ from safehold.acc_benchmark import (
     thin_band_tuning,
 )
 from safehold.cbf_core import lie_derivatives
-from safehold.config import filter_from_config, load_config, scenario_from_config
+from safehold.config import load_config, scenario_from_config
 from safehold.constants import (
     BoundSet,
     certify,
@@ -145,7 +145,7 @@ def test_criterion_05_boosted_sweep_has_a_threshold_frequency(
 def test_criterion_06_certified_period_never_violates(ride_bounds, ride_periodic_star):
     t0 = time.perf_counter()
     cfg = load_config(CERTIFIED)
-    cert = certify(cfg, filter_from_config(cfg))
+    cert = certify(cfg)
     assert cert.bounds == ride_bounds.value
     assert cert.tuning.passed
     trace, summary = ride_periodic_star.value

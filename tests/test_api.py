@@ -64,9 +64,9 @@ PARAMETERS = {
     constants.certify_region: (
         "region", "dyn", "controller", "barrier", "tuning",
     ),
-    constants.certify: ("cfg", "filt"),
+    constants.certify: ("cfg",),
     constants.boundary_points: ("region", "barrier", "rng"),
-    acc_benchmark.acc_filter: ("params",),
+    acc_benchmark.acc_filter: (),
     acc_benchmark.approach_region: (),
     acc_benchmark.ride_region: (),
     acc_benchmark.build_scenario: ("kind", "period", "horizon", "setting"),

@@ -232,6 +232,49 @@ class TestSimulate:
         assert captured.out == ""
         assert captured.err == "config error: --plot-script needs output.trace set in the config\n"
 
+    def test_a_summary_path_that_is_a_directory_fails_before_integrating(
+        self, tmp_path, capsys, no_integration,
+    ):
+        code = main([
+            "simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", f"output.summary={tmp_path}",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: output {tmp_path} is a directory\n"
+
+    def test_a_failed_write_is_one_config_error_line(self, tmp_path, capsys, monkeypatch):
+        def full(trace, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr("safehold.simulator.Trace.to_csv", full)
+        trace = tmp_path / "run.csv"
+        code = main([
+            "simulate", str(CONFIGS / "unit-bounds.yaml"), "--set", f"output.trace={trace}",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"config error: [Errno 28] No space left on device: '{trace}'\n"
+        )
+
+    @pytest.mark.parametrize("command", [["simulate"], ["sweep", "1"]])
+    def test_a_trace_directory_that_cannot_be_made_fails_before_integrating(
+        self, command, tmp_path, capsys, no_integration,
+    ):
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main([
+            command[0], str(CONFIGS / "unit-bounds.yaml"), *command[1:],
+            "--set", f"output.trace={blocker / 'run.csv'}",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # sweep names the frequency's own trace file, run-f1.csv
+        assert captured.err.startswith(f"config error: output {blocker / 'run'}")
+        assert captured.err.endswith(f".csv: {blocker} is not a directory\n")
+
     def test_a_run_too_long_to_store_is_a_config_error(self, capsys, monkeypatch):
         # 12 s at 1 ns: 1.2e10 rows, hundreds of GiB of trace.
         _no_allocation(monkeypatch)

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+from safehold import config
 from safehold.acc_benchmark import (
     X0_FAR,
     X0_NEAR,
@@ -20,14 +23,17 @@ from safehold.acc_benchmark import (
 from safehold.cbf_core import ClassKappa
 from safehold.config import (
     apply_overrides,
+    filter_from_config,
     load_config,
     parse_config,
     scenario_from_config,
 )
-from safehold.constants import BoundSet, OperatingRegion
+from safehold.constants import BoundSet, OperatingRegion, certify
 from safehold.errors import ConfigurationError
 from safehold.safety_filter import CbfQpFilter, TunableControllerConfig, tunable_control
 from safehold.simulator import HoldSchedule, IntegratorConfig
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _doc() -> dict:
@@ -371,3 +377,35 @@ class TestScenarioFromConfig:
         sc = scenario_from_config(parse_config(doc))
         g = sc.dynamics.actuation(np.asarray(sc.x0))
         assert g[1, 0] == pytest.approx(1.0 / 1500.0, rel=1e-15)
+
+
+class TestOneFilterConstruction:
+    """Every ACC filter is built from ``config``'s own ``acc_dynamics``,
+    ``acc_barrier`` and ``acc_nominal`` bindings, so wrappers put on those
+    three names see every plant that a run or a certificate uses."""
+
+    FACTORIES = ("acc_dynamics", "acc_barrier", "acc_nominal")
+
+    def _count(self, monkeypatch) -> Counter:
+        calls = Counter()
+        for name in self.FACTORIES:
+            def counted(*args, name=name, factory=getattr(config, name)):
+                calls[name] += 1
+                return factory(*args)
+            monkeypatch.setattr(config, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("build", [
+        acc_filter,
+        lambda: filter_from_config(load_config(CONFIGS / "ride-certified.yaml")),
+        lambda: certify(load_config(CONFIGS / "ride-certified.yaml")),
+    ], ids=["acc_filter", "filter_from_config", "certify"])
+    def test_each_filter_calls_each_factory_once(self, build, monkeypatch):
+        calls = self._count(monkeypatch)
+        build()
+        assert calls == Counter(dict.fromkeys(self.FACTORIES, 1))
+
+    def test_explicit_bounds_build_no_filter(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        certify(load_config(CONFIGS / "unit-bounds.yaml"))
+        assert calls == Counter()

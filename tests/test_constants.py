@@ -17,7 +17,7 @@ from safehold.acc_benchmark import (
     ride_region,
 )
 from safehold.cbf_core import BarrierFunction, ControlAffineDynamics
-from safehold.config import filter_from_config, load_config, scenario_from_config
+from safehold.config import load_config, scenario_from_config
 from safehold.constants import (
     BoundSet,
     Check,
@@ -325,7 +325,7 @@ class TestHoldBudgets:
         cfg = load_config(CONFIGS / f"{name}.yaml")
         sc = scenario_from_config(cfg)
         falsified, start = falsified_period(sc)
-        cert = certify(cfg, filter_from_config(cfg))
+        cert = certify(cfg)
         t_star = violation_free_sampling_time(cert.bounds, cfg.tuning.epsilon, cfg.tuning.margin)
         assert 0.0 < t_star < falsified
         region = sc.region
@@ -449,7 +449,7 @@ def _certification(case):
     else:
         cfg = load_config(CONFIGS / {"ride": "ride-certified.yaml",
                                      "approach": "approach-boosted.yaml"}[case])
-        cert = certify(cfg, filter_from_config(cfg))
+        cert = certify(cfg)
         bounds, reports = cert.bounds, [cert.assumptions, cert.tuning]
     hexes = {f.name: float(getattr(bounds, f.name)).hex() for f in dataclasses.fields(bounds)}
     return hexes, reports

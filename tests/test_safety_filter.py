@@ -176,7 +176,7 @@ class TestAdjustedControl:
 
     def test_acc_hand_value(self):
         p = AccParams()
-        filt = acc_filter(p)
+        filt = acc_filter()
         x = np.array([0.0, 10.0, 200.0])
         # analytic route: active constraint, then the gradient push
         h = 200.0 - p.headway * 100.0
@@ -393,7 +393,7 @@ class TestContinuity:
 
 
 class TestValidateTuning:
-    """``certify``'s tuning checks, on explicit bounds and a scalar filter."""
+    """``certify``'s tuning checks, on explicit bounds."""
 
     def _report(self, tuning: TunableControllerConfig, mu: float) -> Report:
         bounds = BoundSet(
@@ -403,7 +403,7 @@ class TestValidateTuning:
         cfg = dataclasses.replace(
             load_config(CONFIGS / "unit-bounds.yaml"), tuning=tuning, bounds=bounds,
         )
-        return certify(cfg, _scalar_filter(0.0)).tuning
+        return certify(cfg).tuning
 
     def test_amplification_pass(self):
         cfg = TunableControllerConfig(c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0)
