@@ -2,11 +2,11 @@
 
 Four subcommands cover the workflow: ``simulate`` runs one configured
 scenario and writes its trace and summary; ``sweep`` reruns it as periodic
-sampling across a frequency grid and tabulates the outcome per frequency;
-``constants`` prints the configuration's certificate (regional bounds,
-assumption checks, tuning checks) and its hold-period budgets; ``compare``
-runs the certified periodic schedule and the event-triggered schedule side
-by side.
+sampling across a frequency grid, writes each frequency's trace and summary
+and tabulates the outcome per frequency; ``constants`` prints the
+configuration's certificate (regional bounds, assumption checks, tuning
+checks) and its hold-period budgets; ``compare`` runs the certified periodic
+schedule and the event-triggered schedule side by side.
 
 Exit codes are part of the contract: 0 for a completed, violation-free run;
 1 for configuration or runtime errors, an output path that cannot be
@@ -52,8 +52,17 @@ def _with_parent(path: str) -> Path:
     return p
 
 
-def _summary_lines(name: str, summary: RunSummary) -> list[str]:
-    return [
+def _frequency_path(path: str | None, label: str, suffix: str) -> str | None:
+    """A sweep frequency's own file beside ``path``: ``<stem>-f<label>``
+    with ``path``'s suffix, or ``suffix`` where it has none."""
+    if path is None:
+        return None
+    out = Path(path)
+    return str(out.with_name(f"{out.stem}-f{label}{out.suffix or suffix}"))
+
+
+def _summary_text(name: str, summary: RunSummary) -> str:
+    return "".join(f"{line}\n" for line in [
         f"name={name}",
         f"min_h={_g(summary.min_h)}",
         f"min_h_time={_g(summary.min_h_time)}",
@@ -61,14 +70,7 @@ def _summary_lines(name: str, summary: RunSummary) -> list[str]:
         f"num_events={summary.num_events}",
         f"miet={_g(summary.miet)}",
         f"max_hold_error={_g(summary.max_hold_error)}",
-    ]
-
-
-def _emit_summary(lines: list[str], path: str | None) -> None:
-    for line in lines:
-        print(line)
-    if path is not None:
-        _with_parent(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    ])
 
 
 def _write_plot_script(path: str, traces: list[tuple[str, str]], columns: list[str]) -> None:
@@ -122,7 +124,10 @@ def cmd_simulate(args) -> int:
         trace.to_csv(_with_parent(cfg.trace_path))
         if args.plot_script is not None:
             _write_plot_script(args.plot_script, [(scenario.name, cfg.trace_path)], trace.columns)
-    _emit_summary(_summary_lines(scenario.name, summary), cfg.summary_path)
+    text = _summary_text(scenario.name, summary)
+    print(text, end="")
+    if cfg.summary_path is not None:
+        _with_parent(cfg.summary_path).write_text(text, encoding="utf-8")
     return EXIT_OK if summary.violation_time is None else EXIT_VIOLATION
 
 
@@ -135,8 +140,8 @@ def cmd_sweep(args) -> int:
         if not f > 0.0:
             raise ConfigurationError(f"sweep frequencies must be > 0 Hz, got {f:g}")
     freqs = sorted(set(freqs))
-    # Each frequency's label names its trace file, plot title and table row,
-    # so no two may share one; sorted, any that do are neighbours.
+    # Each frequency's label names its trace and summary files, plot title
+    # and table row, so no two may share one; sorted, any that do are neighbours.
     labels = [f"{f:g}" for f in freqs]
     for i in range(1, len(freqs)):
         if labels[i] == labels[i - 1]:
@@ -146,22 +151,18 @@ def cmd_sweep(args) -> int:
             )
 
     # Every frequency's scenario is built, its period checked and its
-    # output path checked before anything is integrated; each trace is
-    # written as its run completes and dropped, so only the summaries are
-    # kept.
+    # output paths checked before anything is integrated; each trace and
+    # summary file is written as its run completes and the trace dropped,
+    # so only the summaries are kept.
     base = scenario_from_config(cfg)
     scenarios = [
         dataclasses.replace(base, schedule=HoldSchedule.periodic(1.0 / freq)) for freq in freqs
     ]
-    paths = [None] * len(freqs)
-    if cfg.trace_path is not None:
-        out = Path(cfg.trace_path)
-        paths = [
-            str(out.with_name(f"{out.stem}-f{label}{out.suffix or '.csv'}")) for label in labels
-        ]
-    _check_outputs(args, paths)
+    paths = [_frequency_path(cfg.trace_path, label, ".csv") for label in labels]
+    summary_paths = [_frequency_path(cfg.summary_path, label, ".txt") for label in labels]
+    _check_outputs(args, paths, *summary_paths)
     summaries, plot_refs, columns = [], [], None
-    for label, scenario, path in zip(labels, scenarios, paths):
+    for label, scenario, path, summary_path in zip(labels, scenarios, paths, summary_paths):
         trace = run(scenario)
         summaries.append(analyze(trace))
         columns = trace.columns
@@ -169,6 +170,9 @@ def cmd_sweep(args) -> int:
             trace.to_csv(_with_parent(path))
             plot_refs.append((f"{label} Hz", path))
         del trace
+        if summary_path is not None:
+            text = _summary_text(scenario.name, summaries[-1])
+            _with_parent(summary_path).write_text(text, encoding="utf-8")
     if args.plot_script is not None:
         _write_plot_script(args.plot_script, plot_refs, columns)
 

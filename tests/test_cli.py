@@ -421,6 +421,45 @@ class TestSweep:
         assert not (tmp_path / "sweep-f5.csv").exists()
         assert not plot.exists()
 
+    def test_the_shipped_sweep_writes_each_frequency_s_summary(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sweep = str(CONFIGS / "approach-plain-sweep.yaml")
+        assert main(["sweep", sweep, "0.5", "1", "2", "5", "10"]) == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"{'frequency_hz':>12}")
+        for label in ("0.5", "1", "2", "5", "10"):
+            text = (tmp_path / "out" / f"approach-plain-f{label}.txt").read_text()
+            lines = text.splitlines()
+            assert lines[0] == "name=acc-approach-plain-periodic"
+            assert lines[4] == f"num_events={round(6 * float(label))}"
+
+    def test_a_frequency_s_summary_is_that_of_simulate_at_its_period(self, tmp_path, capsys,
+                                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        sweep = str(CONFIGS / "approach-plain-sweep.yaml")
+        assert main(["sweep", sweep, "2"]) == EXIT_OK
+        assert main(["simulate", sweep, "--set", "sim.period=0.5"]) == EXIT_OK
+        out = tmp_path / "out"
+        assert (out / "approach-plain-f2.txt").read_bytes() == (
+            out / "approach-plain.txt").read_bytes()
+
+    def test_a_summary_directory_that_cannot_be_made_fails_before_integrating(
+        self, tmp_path, capsys, no_integration,
+    ):
+        # A summary path without a suffix gets .txt.
+        blocker = tmp_path / "file"
+        blocker.write_text("", encoding="utf-8")
+        code = main([
+            "sweep", self._cfg(tmp_path), "1", "--set", f"output.summary={blocker / 'run'}",
+        ])
+        assert code == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"config error: output {blocker / 'run-f1.txt'}: {blocker} is not a directory\n"
+        )
+        assert not list(tmp_path.glob("sweep-f*.csv"))
+
     def test_plot_script_needs_a_trace_path(self, tmp_path, capsys, no_integration):
         cfg = _write(tmp_path, (
             "scenario: {name: acc-approach, controller: plain, x0: [0, 20, 735]}\n"

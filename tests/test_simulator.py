@@ -44,6 +44,7 @@ from safehold.errors import (
 )
 from safehold.safety_filter import CbfQpFilter, NominalController, TunableControllerConfig
 from safehold.simulator import (
+    _CSV_ROWS,
     _SEGMENT_CAP,
     _float_rows,
     _recorded_drift,
@@ -414,6 +415,12 @@ class TestAnalyze:
         assert np.isnan(got) == (case == "nan_state")
 
 
+# Floats whose text is easy to get wrong: signed zeros and infinities, nan,
+# the smallest subnormals and normal, and the largest magnitudes.
+CSV_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+              2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308)
+
+
 class TestCsvRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
         tr = run(_ride_event(horizon=0.5))
@@ -438,17 +445,42 @@ class TestCsvRoundTrip:
         header = path.read_text().splitlines()[0]
         assert header == "t,x0,u0,h,hdot,trigger,event"
 
-    def test_a_long_trace_is_written_as_one_stack(self, tmp_path):
-        # More rows than one block: the file is that of one savetxt call
-        # over the whole stacked trace.
-        tr = run(_scalar_scenario("periodic", period=0.25, horizon=1.0, substep=1e-4))
-        assert len(tr) > 2 * _BLOCK_ROWS
-        path, whole = tmp_path / "trace.csv", tmp_path / "whole.csv"
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_any_trace_is_written_as_one_savetxt_of_its_stack(self, data, tmp_path_factory):
+        # At and around the block edges, with every float that prints
+        # oddly: the file is that of one savetxt call over the whole
+        # stacked trace.
+        rows = data.draw(st.sampled_from(
+            [1, _CSV_ROWS - 1, _CSV_ROWS, _CSV_ROWS + 1, 2 * _CSV_ROWS + 3]
+        ))
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        floats = st.one_of(st.sampled_from(CSV_FLOATS), st.floats())
+
+        def column(*shape):
+            return data.draw(hnp.arrays(np.float64, shape, elements=floats))
+
+        tr = Trace(
+            t=column(rows), x=column(rows, n), u=column(rows, m), h=column(rows),
+            hdot=column(rows), trigger=column(rows),
+            event=data.draw(hnp.arrays(int, rows, elements=st.integers(0, 1))),
+        )
+        path = tmp_path_factory.mktemp("csv") / "trace.csv"
+        whole = path.with_name("whole.csv")
         tr.to_csv(path)
-        data = np.column_stack([tr.t, tr.x, tr.u, tr.h, tr.hdot, tr.trigger, tr.event])
-        np.savetxt(whole, data, fmt=["%.17g"] * 6 + ["%d"], delimiter=",",
+        stack = np.column_stack([tr.t, tr.x, tr.u, tr.h, tr.hdot, tr.trigger, tr.event])
+        np.savetxt(whole, stack, fmt=["%.17g"] * (4 + n + m) + ["%d"], delimiter=",",
                    header=",".join(tr.columns), comments="")
         assert path.read_bytes() == whole.read_bytes()
+
+    def test_a_trace_without_rows_is_its_header(self, tmp_path):
+        tr = Trace(
+            t=np.zeros(0), x=np.zeros((0, 2)), u=np.zeros((0, 1)), h=np.zeros(0),
+            hdot=np.zeros(0), trigger=np.zeros(0), event=np.zeros(0, dtype=int),
+        )
+        path = tmp_path / "trace.csv"
+        tr.to_csv(path)
+        assert path.read_text() == "t,x0,x1,u0,h,hdot,trigger,event\n"
 
 
 class TestNumericalBehavior:
