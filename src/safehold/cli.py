@@ -224,7 +224,7 @@ def cmd_compare(args) -> int:
     if cfg.controller != "boosted":
         raise ConfigurationError(
             "compare requires the boosted controller (set scenario.controller: boosted); "
-            "the event trigger's hold-period floor is only certified for it"
+            "the period it runs at, violation_free_sampling_time, is the boosted law's budget"
         )
     cert = certify(cfg)
     if cert.bounds is None:

@@ -23,14 +23,17 @@ one state's n coordinates in, the input out as a float. It does the array
 law's operations in the array law's order on the same values, so the two
 agree bit for bit, on any plant. Its two Lie derivatives are the
 gradient's products with the drift and with the actuation column, summed
-in index order from 0.0 on Python floats by the helper with which
-``lie_derivatives`` sums one state (``cbf_core._index_sum``); no BLAS call
-is made. Only a periodic held run samples it, in its RK4 kernel (see
-``simulator``); every other sample calls the array law.
+in index order from 0.0 on Python floats, as ``lie_derivatives`` sums one
+state (``cbf_core._index_sum``); no BLAS call is made. The law is generated
+as Python source (``_FLOAT_LAW``): each float form that is straight-line
+arithmetic is recorded and written into it (see ``safehold._kernel``), and
+any other is called. Only a periodic held run samples it, in its RK4 kernel
+(see ``simulator``); every other sample calls the array law.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,9 +44,9 @@ from .cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
-    _index_sum,
     lie_derivatives,
 )
+from ._kernel import _recorded, _source
 from .errors import ConfigurationError, InfeasibleFilterError
 
 __all__ = [
@@ -158,36 +161,33 @@ def _infeasible(lfh, a_h) -> str:
     )
 
 
-def _float_law(
-    filt: CbfQpFilter, tuning: TunableControllerConfig | None, x: np.ndarray
-) -> Callable[..., float] | None:
-    """``_filtered``, boosted by ``tuning`` when given, on plain floats, each
-    step ``_filtered``'s and ``TunableControllerConfig.__call__``'s in their
-    order (see the module docstring); None when a float form is missing or
-    the actuation on a 2-row stack of x keeps the stack axis."""
-    drift = filt.dynamics.scalar_drift
-    barrier = filt.barrier.scalar_form
-    nominal = getattr(filt.nominal, "scalar_law", None)
-    if drift is None or barrier is None or nominal is None:
-        return None
-    g = np.asarray(filt.dynamics.actuation(np.tile(x, (2, 1))), dtype=float)
-    if g.ndim != 2:
-        return None
-    g = g[:, 0].tolist()  # the one input's column
-    coef = filt.alpha.coef
+# The filter's float law for one state of n coordinates: ``_filtered``'s
+# steps and ``TunableControllerConfig.__call__``'s, in their order, on
+# Python floats. ``make`` binds the float forms, the one input's actuation
+# column g, the decrease rate and, for the boosted law, the tuning. The Lie
+# derivatives are the gradient's products with the drift and with g summed
+# in index order from 0.0, as ``cbf_core._index_sum`` sums them (``sum()``
+# would not do: from Python 3.12 it compensates its rounding).
+# ``_kernel._source`` writes each stage line ($) as the recorded operations
+# of its form, or as a call of it, and each {...} once per coordinate.
+_FLOAT_LAW = """
+def make(barrier, drift, nominal, g, coef, tuning):
+    {G#} = g
     if tuning is not None:
         sharpness, delta, half_band = tuning.sharpness, tuning.delta, 0.5 * tuning.band
         epsilon = tuning.epsilon
 
-    def law(*coords) -> float:
-        h, *grad = barrier(*coords)
-        lfh, lg = _index_sum(grad, drift(*coords)), _index_sum(grad, g)
-        u = nominal(*coords)
+    def law({x#}):
+        $h, d# = barrier(x#)
+        $f# = drift(x#)
+        lfh = 0.0 + {d# * f#| + }
+        lg = 0.0 + {d# * G#| + }
+        $u = nominal(x#)
         a_h = coef * h
         slack = lfh + lg * u + a_h
         if slack < 0.0 or slack != slack:  # nan counts as violated
             if lg == 0.0:
-                raise InfeasibleFilterError(_infeasible(lfh, a_h), state=np.array(coords))
+                raise InfeasibleFilterError(_infeasible(lfh, a_h), state=np.array(({x#})))
             u = (-a_h - lfh) / lg
         if tuning is None:
             return u
@@ -197,6 +197,43 @@ def _float_law(
         return u + 1.0 / (epsilon * (1.0 + math.exp(z))) * lg
 
     return law
+"""
+
+
+def _float_law(
+    filt: CbfQpFilter, tuning: TunableControllerConfig | None, x: np.ndarray
+) -> Callable[..., float] | None:
+    """``_filtered``, boosted by ``tuning`` when given, on plain floats (see
+    ``_FLOAT_LAW``), with each float form that records at x written in and
+    the others called; None when a float form is missing or the actuation
+    on a 2-row stack of x keeps the stack axis."""
+    barrier, drift = filt.barrier.scalar_form, filt.dynamics.scalar_drift
+    nominal = getattr(filt.nominal, "scalar_law", None)
+    if drift is None or barrier is None or nominal is None:
+        return None
+    g = np.asarray(filt.dynamics.actuation(np.tile(x, (2, 1))), dtype=float)
+    if g.ndim != 2:
+        return None
+    # The nominal law returns its one input; as a 1-tuple it is written in,
+    # or called, as the other forms are.
+    forms = (barrier, drift, lambda *coords: (nominal(*coords),))
+    n = filt.dynamics.n
+    bodies = tuple(_recorded(form, x, size) for form, size in zip(forms, (n + 1, n, 1)))
+    return _law_maker(n, bodies)(*forms, g[:, 0].tolist(), filt.alpha.coef, tuning)
+
+
+@functools.cache
+def _law_maker(n: int, bodies: tuple):
+    """``_FLOAT_LAW``'s ``make`` for n coordinates and the recorded bodies
+    of the barrier, drift and nominal forms (None for one that is called),
+    generated on first use and kept for the process, as
+    ``_kernel._float_rows`` keeps its kernels."""
+    namespace = {
+        "math": math, "np": np, "InfeasibleFilterError": InfeasibleFilterError,
+        "_infeasible": _infeasible, "_EXP_SATURATION": _EXP_SATURATION,
+    }
+    exec(_source(_FLOAT_LAW, n, dict(zip(("barrier", "drift", "nominal"), bodies))), namespace)
+    return namespace["make"]
 
 
 def tunable_control(

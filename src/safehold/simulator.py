@@ -35,22 +35,24 @@ The rows of a hold step on the kernel that ``_float_rows`` (in
 ``safehold._kernel``) generates for the state's n coordinates: ``_rk4``'s
 operations in ``_rk4``'s order on Python floats, one local per coordinate,
 without numpy's dispatch on tiny arrays. Python floats round each operation
-as numpy does, so its rows equal ``_rk4``'s bit for bit. Under a
-state-independent actuation its stages compute the plant's ``scalar_drift``
-and add the held input term. The drift is recorded once per run on
-stand-in arguments (``_recorded_drift``), and its operations are written
-into each stage, so that a row makes no call; a drift that is not plain
-arithmetic on its arguments is called at each stage instead, and a plant
-without one has its drift called on an (n,) array. Under a state-dependent
-actuation the stages call the plant's rate under the held input on an (n,)
-array and add -0.0, which leaves every float as it is.
+as numpy does, so its rows equal ``_rk4``'s bit for bit. It writes each row,
+and each sample's input and event flag, through flat memoryviews of the
+run's arrays. Under a state-independent actuation its stages compute the
+plant's ``scalar_drift`` and add the held input term. The drift is recorded
+once per run on stand-in arguments (``_kernel._recorded``), and its
+operations are written into each stage, so that a row makes no call; a drift
+that is not plain arithmetic on its arguments is called at each stage
+instead, and a plant without one has its drift called on an (n,) array.
+Under a state-dependent actuation the stages call the plant's rate under the
+held input on an (n,) array and add -0.0, which leaves every float as it is.
 
 A periodic schedule under a state-independent actuation whose controller
 gives a float law (``float_law``, see ``safety_filter``; a one-input plant)
 runs whole in one call of the kernel, which samples that law on the state's
-n coordinates at each hold's first row. This is the only place a run
-samples a float law; every other sample calls the controller, which equals
-it bit for bit.
+n coordinates at each hold's first row. The float law is generated code
+too, with the recorded drift, barrier and nominal law written in, so that
+a sample makes one call. This is the only place a run samples a float law;
+every other sample calls the controller, which equals it bit for bit.
 
 Holds are integrated in segments. A hold's first segment ends at the first
 row where resampling may be due, and each later one is twice as long as
@@ -78,7 +80,7 @@ from .cbf_core import (
     _probe_shapes,
     lie_derivatives,
 )
-from ._kernel import _float_rows, _recorded_drift
+from ._kernel import _float_rows, _recorded
 from .constants import OperatingRegion, _row_blocks
 from .errors import (
     ConfigurationError,
@@ -110,9 +112,9 @@ VIOLATION_TOL = 1e-9
 
 # Longest segment of a hold, in substeps; a hold's later segments double up
 # to it. On the ACC plant a stacked trigger evaluation over 256 rows costs
-# about 23 us and a held substep about 1.1 us on the float kernel with the
+# about 33 us and a held substep about 1.0 us on the float kernel with the
 # drift written in (2-core Xeon, Python 3.11, numpy 2.4, one CPU), so the
-# due test adds about a twelfth to a long hold, and a firing row discards
+# due test adds about an eighth to a long hold, and a firing row discards
 # at most 255 substeps.
 _SEGMENT_CAP = 256
 
@@ -567,7 +569,7 @@ def _run_held(sc: Scenario) -> Trace:
     drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
     law = body = None
     if np.ndim(g) == 2:
-        body = _recorded_drift(dyn, X[0])
+        body = _recorded(dyn.scalar_drift, X[0], dyn.n)
         rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
         rate = lambda s: drift(s) + np.array(gu)
         if periodic and hasattr(sc.controller, "float_law"):

@@ -96,7 +96,7 @@ FIELDS = {
 # (nested functions and private helpers included, * and ** catch-alls not)
 # plus each dataclass field, over the package's modules. A change that adds
 # a knob raises this number in the same diff and says why in CHANGES.md.
-SETTABLE_VALUES = 336
+SETTABLE_VALUES = 345
 
 
 def test_all_is_the_union_of_the_submodules():

@@ -524,13 +524,19 @@ class TestSweep:
 
 
 class TestCompare:
-    def test_plain_controller_rejected(self, tmp_path, capsys):
+    def test_plain_controller_rejected(self, tmp_path, capsys, no_integration):
+        # The periodic run's period is the boosted law's budget, so a plain
+        # controller is refused before anything is certified or integrated.
         cfg = _write(tmp_path, (
             "scenario: {name: acc-ride, controller: plain}\n"
             "sim: {mode: event, horizon: 0.5}\n"
         ))
         assert main(["compare", cfg]) == EXIT_CONFIG
-        assert "boosted" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "config error: compare requires the boosted controller "
+            "(set scenario.controller: boosted); the period it runs at, "
+            "violation_free_sampling_time, is the boosted law's budget\n"
+        )
 
     def test_a_box_failing_its_checks_exits_3_as_constants_does(self, capsys, no_integration):
         ride = str(CONFIGS / "ride-certified.yaml")

@@ -7,16 +7,22 @@ table rows; and ``compare`` on a box that fails its assumption checks, which
 exits 3 as ``constants`` does. A change to any printed digit or word fails
 here; rewrite a file under ``tests/golden/`` only for an intended change of
 output.
+
+``compare`` on the shipped config at its full 12 s horizon is pinned by the
+sha256 of each of the seven trace columns of its two runs, the periodic run
+at t* and the event run, so that a change to any bit of any row fails.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 from pathlib import Path
 
 import pytest
 
+import safehold.cli
 from safehold.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -59,3 +65,24 @@ def test_cli_output_matches_the_golden_file(case, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # the sweep writes its traces under ./out
     expected = (GOLDEN / f"{case}.txt").read_text(encoding="utf-8")
     assert render(CASES[case]) == expected
+
+
+def trace_digests(trace) -> list[str]:
+    """One line per column of the trace: its name and the sha256 of its
+    bytes."""
+    return [
+        f"{name} {hashlib.sha256(getattr(trace, name).tobytes()).hexdigest()}"
+        for name in ("t", "x", "u", "h", "hdot", "trigger", "event")
+    ]
+
+
+def test_full_horizon_compare_traces_match_their_digests(monkeypatch, capsys):
+    runs, run = [], safehold.cli.run
+    monkeypatch.setattr(safehold.cli, "run", lambda sc: runs.append((sc, run(sc))) or runs[-1][1])
+    assert main(["compare", str(ROOT / "configs" / "ride-certified.yaml")]) == 0
+    capsys.readouterr()
+    lines = [
+        f"{sc.schedule.mode} {line}" for sc, trace in runs for line in trace_digests(trace)
+    ]
+    expected = (GOLDEN / "compare-ride-certified-traces.sha256").read_text(encoding="utf-8")
+    assert "\n".join(lines) + "\n" == expected

@@ -3,6 +3,8 @@ trigger evaluation, trace analysis, and CSV persistence."""
 
 from __future__ import annotations
 
+import ast
+import collections
 import dataclasses
 import math
 import operator
@@ -34,7 +36,12 @@ from safehold.cbf_core import (
     ControlAffineDynamics,
     lie_derivatives,
 )
-from safehold.config import load_config, parse_config, scenario_from_config
+from safehold.config import (
+    filter_from_config,
+    load_config,
+    parse_config,
+    scenario_from_config,
+)
 from safehold.constants import _BLOCK_ROWS, OperatingRegion
 from safehold.errors import (
     ConfigurationError,
@@ -42,12 +49,18 @@ from safehold.errors import (
     InfeasibleFilterError,
     RegionExitError,
 )
-from safehold.safety_filter import CbfQpFilter, NominalController, TunableControllerConfig
+from safehold._kernel import _FLOAT_ROWS, _source
+from safehold.safety_filter import (
+    _FLOAT_LAW,
+    CbfQpFilter,
+    NominalController,
+    TunableControllerConfig,
+)
 from safehold.simulator import (
     _CSV_ROWS,
     _SEGMENT_CAP,
     _float_rows,
-    _recorded_drift,
+    _recorded,
     _rk4,
     VIOLATION_TOL,
     HoldSchedule,
@@ -1041,6 +1054,49 @@ class TestFloatSamples:
             _assert_matches(run(array_sc), trace)
             assert len(calls) == len(trace.events)
 
+    def test_no_float_form_is_called_per_sample(self, monkeypatch):
+        # The ACC's drift, barrier and nominal law record, so the kernel and
+        # the float law have them written in: a periodic boosted run calls
+        # each form as often at 0.2 s as at 0.5 s (at the recordings and the
+        # shape probe), not once per sample.
+        boosts = _counted_boosts(monkeypatch)
+        counts = []
+        for horizon in (0.2, 0.5):
+            calls = collections.Counter()
+
+            def counted(name, form):
+                return lambda *c: calls.update([name]) or form(*c)
+
+            cfg = load_config(CERTIFIED, [
+                "sim.mode=periodic", "sim.period=0.01", f"sim.horizon={horizon}",
+            ])
+            sc, filt = scenario_from_config(cfg), filter_from_config(cfg)
+            filt = dataclasses.replace(
+                filt,
+                dynamics=dataclasses.replace(
+                    filt.dynamics, scalar_drift=counted("drift", filt.dynamics.scalar_drift)),
+                barrier=dataclasses.replace(
+                    filt.barrier, scalar_form=counted("barrier", filt.barrier.scalar_form)),
+                nominal=dataclasses.replace(
+                    filt.nominal, scalar_law=counted("nominal", filt.nominal.scalar_law)),
+            )
+            sc = dataclasses.replace(sc, dynamics=filt.dynamics, barrier=filt.barrier,
+                                     controller=certified_tuning().controller(filt))
+            boosts.clear()  # the shape probe's
+            trace = run(sc)
+            counts.append((dict(calls), len(trace.events)))
+        assert not boosts
+        (short, short_samples), (long, long_samples) = counts
+        assert short == long and set(short) == {"drift", "barrier", "nominal"}
+        assert short_samples < long_samples
+
+    def test_the_shipped_law_has_every_form_written_in(self):
+        # A form the float law calls is a free variable of it; the law built
+        # from the shipped config calls none.
+        sc = scenario_from_config(load_config(CERTIFIED))
+        law = sc.controller.float_law(np.array(sc.x0))
+        assert not {"barrier", "drift", "nominal"} & set(law.__code__.co_freevars)
+
     def test_event_holds_sample_the_array_law(self, monkeypatch):
         # Only the whole periodic kernel samples a float law: an event run
         # samples the boosted law's array form, once per event, to the bits
@@ -1148,6 +1204,35 @@ DENSE, DENSE_BOX = _dense_forms()
 DENSE_TUNING = TunableControllerConfig(c=1.0, delta=0.5, band=2.0, epsilon=0.5, margin=1.0)
 
 
+def _unrecorded(filt: CbfQpFilter) -> list[tuple[CbfQpFilter, str | None]]:
+    """filt, and filt with one float form replaced by one that returns the
+    same floats but does not record, each with the name under which its
+    float law calls that form (None for filt, whose law calls none): a
+    barrier form with a ``math`` call, a nominal law with an int constant,
+    one with a comparison, and a drift that returns one more value on
+    stand-ins than on floats."""
+    drift, form, law = (filt.dynamics.scalar_drift, filt.barrier.scalar_form,
+                        filt.nominal.scalar_law)
+
+    def barrier_math(*x):
+        h, *grad = form(*x)
+        return (math.ldexp(h, 0), *grad)
+
+    def drift_count(*x):
+        return drift(*x) + (() if isinstance(x[0], float) else (0.0,))
+
+    replace = dataclasses.replace
+    return [
+        (filt, None),
+        (replace(filt, barrier=replace(filt.barrier, scalar_form=barrier_math)), "barrier"),
+        (replace(filt, nominal=replace(filt.nominal, scalar_law=lambda *x: law(*x) * 1)),
+         "nominal"),
+        (replace(filt, nominal=replace(
+            filt.nominal, scalar_law=lambda *x: max(law(*x), -math.inf))), "nominal"),
+        (replace(filt, dynamics=replace(filt.dynamics, scalar_drift=drift_count)), "drift"),
+    ]
+
+
 @st.composite
 def dense_states(draw, k: int):
     """A (k, 4) stack of states inside the dense plant's box."""
@@ -1178,17 +1263,24 @@ class TestDenseFloatForms:
                 reordered |= ordered != math.fsum(products)
         assert reordered
 
+    # Each filter of ``_unrecorded`` but the first has one form that does
+    # not record and is called from the float law instead; the laws' bits
+    # stay the same.
     @settings(max_examples=60, deadline=None)
     @given(xs=dense_states(8))
     def test_the_float_laws_equal_the_array_laws(self, xs):
-        filt_law = DENSE.float_law(xs[0])
-        boosted_law = DENSE_TUNING.controller(DENSE).float_law(xs[0])
-        for x in xs:
-            coords = x.tolist()
-            assert (np.array([filt_law(*coords)]).tobytes()
-                    == safety_filter.solve_cbf_qp(DENSE, x).tobytes())
-            assert (np.array([boosted_law(*coords)]).tobytes()
-                    == safety_filter.tunable_control(DENSE, DENSE_TUNING, x).tobytes())
+        for filt, called in _unrecorded(DENSE):
+            filt_law = filt.float_law(xs[0])
+            boosted_law = DENSE_TUNING.controller(filt).float_law(xs[0])
+            for law in (filt_law, boosted_law):
+                assert {"barrier", "drift", "nominal"} & set(law.__code__.co_freevars) == (
+                    {called} if called else set())
+            for x in xs:
+                coords = x.tolist()
+                assert (np.array([filt_law(*coords)]).tobytes()
+                        == safety_filter.solve_cbf_qp(DENSE, x).tobytes())
+                assert (np.array([boosted_law(*coords)]).tobytes()
+                        == safety_filter.tunable_control(DENSE, DENSE_TUNING, x).tobytes())
 
     @settings(max_examples=60, deadline=None)
     @given(xs=st.integers(1, 40).flatmap(dense_states))
@@ -1201,15 +1293,16 @@ class TestDenseFloatForms:
     @settings(max_examples=30, deadline=None)
     @given(x0=dense_states(1), boosted=st.booleans())
     def test_a_periodic_run_samples_them_to_the_array_laws_bits(self, x0, boosted):
-        controller = DENSE_TUNING.controller(DENSE) if boosted else DENSE
-        assert controller.float_law(x0[0]) is not None
-        sc = Scenario(
-            name="dense-forms", dynamics=DENSE.dynamics, barrier=DENSE.barrier,
-            alpha=ClassKappa(1.0), controller=controller, x0=tuple(x0[0].tolist()),
-            integrator=IntegratorConfig(horizon=0.05, substep=1e-3),
-            schedule=HoldSchedule.periodic(5e-3),
-        )
-        _assert_matches(_outcome(run, sc), _outcome(run, _without_float_law(sc)))
+        for filt, _ in _unrecorded(DENSE):
+            controller = DENSE_TUNING.controller(filt) if boosted else filt
+            assert controller.float_law(x0[0]) is not None
+            sc = Scenario(
+                name="dense-forms", dynamics=filt.dynamics, barrier=filt.barrier,
+                alpha=ClassKappa(1.0), controller=controller, x0=tuple(x0[0].tolist()),
+                integrator=IntegratorConfig(horizon=0.05, substep=1e-3),
+                schedule=HoldSchedule.periodic(5e-3),
+            )
+            _assert_matches(_outcome(run, sc), _outcome(run, _without_float_law(sc)))
 
 
 # ---------------------------------------------------------------------------
@@ -1491,6 +1584,31 @@ def _oscillator(drift_form, schedule) -> Scenario:
     )
 
 
+@pytest.mark.parametrize("n", (1, 3, 4))
+def test_the_generated_sources_parse_as_python_3_10(n):
+    # The package supports Python 3.10 up: the kernel's and the float law's
+    # sources, with every form written in and with every form called, use
+    # no later syntax.
+    filt, x = {
+        1: (_float_form_scenario(
+            lambda a: (-0.5 * a,), lambda a: (1.0 - a, -1.0), lambda a: 2.0 * a,
+            np.ones((1, 1)), (0.5,), HoldSchedule.periodic(5e-3), horizon=0.01,
+        ).controller, np.array([0.5])),
+        3: (acc_filter(), np.array([0.0, 20.0, 735.0])),
+        4: (DENSE, 0.5 * (DENSE_BOX.lower_arr + DENSE_BOX.upper_arr)),
+    }[n]
+    drift = _recorded(filt.dynamics.scalar_drift, x, n)
+    bodies = {
+        "barrier": _recorded(filt.barrier.scalar_form, x, n + 1),
+        "drift": drift,
+        "nominal": _recorded(lambda *c: (filt.nominal.scalar_law(*c),), x, 1),
+    }
+    assert None not in bodies.values()
+    for template, written in ((_FLOAT_ROWS, {"rates": drift}), (_FLOAT_LAW, bodies)):
+        for forms in (written, {}):
+            ast.parse(_source(template, n, forms), feature_version=(3, 10))
+
+
 class TestRecordedDrift:
     @pytest.mark.parametrize("n", (1, 3, 5))
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1512,7 +1630,7 @@ class TestRecordedDrift:
                     drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((n, 1)),
                     n=n, m=1, scalar_drift=form,
                 )
-                body = _recorded_drift(dyn, x0)
+                body = _recorded(form, x0, n)
                 assert body is not None
                 got = []
                 for kernel in (_float_rows(n, body), _float_rows(n)):
@@ -1540,7 +1658,7 @@ class TestRecordedDrift:
         ]
         for form in refused + [lambda a, b: (b, -a - 0.5 * b)]:
             sc = _oscillator(form, schedule)
-            body = _recorded_drift(sc.dynamics, np.array(sc.x0))
+            body = _recorded(form, np.array(sc.x0), 2)
             assert (body is None) == (form in refused)
             assert isinstance(_assert_same_outcome(sc), Trace)
 
@@ -1549,7 +1667,7 @@ class TestRecordedDrift:
         # refuses it too.
         dyn = _oscillator(lambda a, b: (b, -a - 0.5 * b), HoldSchedule.event()).dynamics
         for form in (lambda a, b: (b,), lambda a, b: (b, -a, a)):
-            assert _recorded_drift(dataclasses.replace(dyn, scalar_drift=form), np.ones(2)) is None
+            assert _recorded(form, np.ones(2), dyn.n) is None
 
     def test_a_long_chain_is_written_in_parts(self):
         # 300 additions in a chain would nest deeper than Python's parser
@@ -1565,7 +1683,7 @@ class TestRecordedDrift:
             drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
             scalar_drift=form,
         )
-        body = _recorded_drift(dyn, np.array([0.5]))
+        body = _recorded(form, np.array([0.5]), 1)
         assert body is not None and len(body[0]) == 600
         got = []
         for kernel in (_float_rows(1, body), _float_rows(1)):
@@ -1649,10 +1767,14 @@ class TestWholeHolds:
         # Every later row is stepped again with ``_rk4`` and kept (its norm
         # is within the 1e8 limit), and every later hold is still sampled
         # on time, its law evaluated once: the kernel stops there, and the
-        # loop finishes the run from row 98 under the kernel's input.
+        # loop finishes the run from row 98 under the kernel's input. The
+        # nominal law's comparison keeps it from being recorded into the
+        # float law, so each sample calls it, after the one call of the
+        # refused recording at the start of the run.
         samples = []
         sc = _float_form_scenario(
-            lambda a: (1e5,), lambda a: (a, 1.0), lambda a: samples.append(1) or 0.0,
+            lambda a: (1e5,), lambda a: (a, 1.0),
+            lambda a: samples.append(1) or (0.0 if a > 0.0 else 0.0),
             np.ones((1, 1)), (0.9899e8,), HoldSchedule.periodic(7e-3), horizon=0.2,
         )
         steps = _counted_rk4(monkeypatch)
@@ -1660,7 +1782,7 @@ class TestWholeHolds:
         trace = run(sc)
         assert len(steps) == np.count_nonzero(trace.x > 0.99e8) == 100
         assert np.array_equal(np.flatnonzero(trace.event), np.arange(0, 200, 7))
-        assert len(samples) == len(trace.events)
+        assert len(samples) == 1 + len(trace.events)
         _assert_matches(trace, _assert_same_outcome(sc))
 
     def test_the_kernel_runs_whole_at_most_once(self, monkeypatch):
