@@ -4,9 +4,9 @@ writer behind them and behind the filter's float law.
 ``_float_rows`` generates, for a state of n coordinates, the kernel that
 ``simulator._run_held`` steps its rows on: ``simulator._rk4``'s operations
 in its order on Python floats, which round each operation as numpy does, so
-its rows equal ``_rk4``'s bit for bit. ``_recorded`` records a float form (a
-plant's ``scalar_drift``, a barrier's ``scalar_form``, a nominal law's
-``scalar_law``) on stand-in arguments, and ``_source`` writes the recorded
+its rows equal ``_rk4``'s bit for bit. ``_recorded`` records a form (a
+plant's drift, a barrier, a nominal law; see the batch contract in
+``cbf_core``) on stand-in arguments, and ``_source`` writes the recorded
 operations in place of a call of the form: into each RK4 stage of the
 kernel, and into the filter's float law (``safety_filter._FLOAT_LAW``).
 """
@@ -142,7 +142,7 @@ def _source(template: str, n: int, bodies: dict) -> str:
 def _stage_lines(
     body: tuple | None, call: str, outs: list[str], args: list[str], plus: list[str] | None
 ) -> list[str]:
-    """The lines that set each name of outs to an output of a float form
+    """The lines that set each name of outs to an output of a form
     at the coordinates args, plus the name at its place in plus when given.
 
     Without a body the lines call the form, as ``call``. With one they write
@@ -189,7 +189,7 @@ def _stage_lines(
 
 
 class _StandIn:
-    """A stand-in for one float argument of a float form.
+    """A stand-in for one float argument of a form.
 
     Each +, -, *, / and unary - it takes part in, reflected forms included,
     appends ``(op, left, right)`` or ``("-", operand)`` to the shared tape,
@@ -260,19 +260,17 @@ _OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.t
 
 
 def _recorded(form, x0, size: int) -> tuple | None:
-    """The float form ``form``, which takes the coordinates of one state and
+    """The form ``form``, which takes the coordinates of one state and
     returns ``size`` floats, recorded on stand-ins (``_StandIn``), as
     ``(tape, outputs)`` with each output an operand, for ``_source`` to
-    write in place of a call. None when form is None, or when recording
-    refuses, the form does not return ``size`` values, or the recorded
-    body differs from the form at the state x0 (an array) bit for bit: the
-    generated code then calls the form.
+    write in place of a call. None when recording refuses, the form does
+    not return ``size`` values, or the recorded body differs from the form
+    at the state x0 (an array) bit for bit: the generated code then calls
+    the form.
 
     The form runs twice here, on the stand-ins and at x0, and any error of
     either (the form is the caller's own code) means the body is not used.
     """
-    if form is None:
-        return None
     tape, coords = [], x0.tolist()
     values = dict(zip((("x", i) for i in range(len(coords))), coords))
 

@@ -97,22 +97,10 @@ class AccParams:
 
 def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     p = params or AccParams()
-    f0, f1, f2, mass, lead_speed = p.f0, p.f1, p.f2, p.mass, p.lead_speed
+    mass, lead_speed = p.mass, p.lead_speed
 
-    # The physics on plain floats; ``drift`` below evaluates it on arrays.
-    # Held rows run its recorded operations instead of calling it, so on
-    # floats only the filter's float law calls it, once per sample of a
-    # whole periodic run. It reads the parameters from locals and repeats
-    # p.resistance's formula, in the same order, so that such a call makes
-    # no attribute lookup or method call.
-    def scalar_drift(position, speed, gap):
-        return speed, -(f0 + f1 * speed + f2 * speed * speed) / mass, lead_speed - speed
-
-    # Coordinates are read as x.T[i]: a scalar for one state, a (k,) row
-    # view for a stack, so the same operations give each row's bits.
-    def drift(x: np.ndarray) -> np.ndarray:
-        xt = x.T
-        return np.array(scalar_drift(xt[0], xt[1], xt[2])).T
+    def drift(position, speed, gap):
+        return speed, -p.resistance(speed) / mass, lead_speed - speed
 
     g = np.array([[0.0], [1.0 / mass], [0.0]])
     g.flags.writeable = False
@@ -120,9 +108,7 @@ def acc_dynamics(params: AccParams | None = None) -> ControlAffineDynamics:
     def actuation(x: np.ndarray) -> np.ndarray:
         return g  # constant; broadcasts over a stack
 
-    return ControlAffineDynamics(
-        drift=drift, actuation=actuation, n=3, m=1, scalar_drift=scalar_drift,
-    )
+    return ControlAffineDynamics(drift_form=drift, actuation=actuation, n=3, m=1)
 
 
 def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
@@ -130,42 +116,21 @@ def acc_barrier(params: AccParams | None = None) -> BarrierFunction:
     headway = p.headway
     slope = -2.0 * headway
 
-    # h, written once: on plain floats in the float form, and on x.T's rows
-    # in ``value``, which so computes no gradient.
-    def h(speed, gap):
-        return gap - headway * speed * speed
+    def form(position, speed, gap):
+        return gap - headway * speed * speed, 0.0, slope * speed, 1.0
 
-    def scalar_form(position, speed, gap):
-        return h(speed, gap), 0.0, slope * speed, 1.0
-
-    def value(x: np.ndarray) -> float | np.ndarray:
-        xt = x.T
-        return h(xt[1], xt[2])
-
-    def gradient(x: np.ndarray) -> np.ndarray:
-        grad = np.zeros(x.shape)
-        columns = grad.T
-        columns[1] = slope * x.T[1]
-        columns[2] = 1.0
-        return grad
-
-    return BarrierFunction(value=value, gradient=gradient, scalar_form=scalar_form)
+    return BarrierFunction(form=form)
 
 
 def acc_nominal(params: AccParams | None = None) -> NominalController:
     p = params or AccParams()
     gain = -p.tracking_gain * (p.mass / 2.0)
-    desired_speed, resistance = p.desired_speed, p.resistance
+    desired_speed = p.desired_speed
 
-    # The law on plain floats, written once; ``law`` calls it on x.T's rows.
-    def scalar_law(position, speed, gap):
-        return gain * (speed - desired_speed) + resistance(speed)
+    def form(position, speed, gap):
+        return gain * (speed - desired_speed) + p.resistance(speed)
 
-    def law(x: np.ndarray) -> np.ndarray:
-        xt = x.T
-        return scalar_law(xt[0], xt[1], xt[2])[..., None]
-
-    return NominalController(law=law, scalar_law=scalar_law)
+    return NominalController(form=form)
 
 
 def acc_filter() -> CbfQpFilter:

@@ -11,46 +11,50 @@ safety reasoning runs through two ingredients defined here:
 The sigmoid gain that boosts control effort near the boundary is the boosted
 controller's tuning, ``safety_filter.TunableControllerConfig``.
 
-Batch contract. Every plant, barrier and controller callable takes either
-one state, shape (n,), or a stack of k states, shape (k, n). On a stack the
-drift returns (k, n), the actuation (k, n, m), the barrier value (k,), its
-gradient (k, n), and the nominal law, the filter and the boosted law (k, m).
-An output that does not depend on the state may be returned as is, to
-broadcast against the stack (a constant actuation (n, m), say); an
-actuation that returns (n, m) on a stack thereby declares itself
-state-independent, and the simulator's sample-and-hold loop computes its
-input term once per sample, not at every RK4 stage. A plant may also give
-its drift on plain floats, as ``scalar_drift``: one state's n coordinates
-in, its n rates out, with ``drift``'s operations in ``drift``'s order, so
-that the two agree bit for bit (Python floats round like numpy float64).
-The simulator records a ``scalar_drift`` that is straight-line arithmetic
-(+, -, *, / and unary - on its arguments and finite float constants, with
-no branch, cast or function call on a value) and writes its operations into
+Batch contract. The plant's drift, the barrier and the nominal law are each
+written once, on coordinates, as a form: a function of one state's n
+coordinates. The drift form returns the n rates, the barrier form
+``(h, dh/dx_0, ..., dh/dx_{n-1})`` and the nominal form the one input.
+Each is written with +, -, * and / (and functions that act elementwise), so
+that it computes the same floats on Python floats, on numpy scalars and on
+(k,) rows. ``ControlAffineDynamics.drift``, ``BarrierFunction.value`` and
+``gradient``, and ``NominalController`` derive the array forms from it:
+they evaluate the form on ``x.T``'s rows, which are floats for one state,
+shape (n,), and (k,) rows for a stack of k states, shape (k, n), and write
+output i into column i of a new array, so that an output that does not
+depend on the state (the constant 1.0 of a gradient, say) broadcasts. On a
+stack the drift is (k, n), the barrier value (k,), its gradient (k, n),
+and the nominal law, the filter and the boosted law (k, m). The actuation
+stays an array callable: (n, m) at one state, and (k, n, m) on a stack or
+(n, m) as is, which declares it state-independent (``_fixed_actuation``);
+the simulator's sample-and-hold loop then computes its input term once per
+sample, not at every RK4 stage.
+
+The simulator records a drift form that is straight-line arithmetic (+, -,
+*, / and unary - on its arguments and finite float constants, with no
+branch, cast or function call on a value) and writes its operations into
 the RK4 kernel of held runs; so its side effects run when it is recorded,
 on stand-in arguments and at the start state of each run, not at each
-stage. Any other drift is called at each stage. ``sum()`` is out of this
-contract: from Python 3.12 it compensates its rounding on floats, so it
-does not round as the recorded additions do. A barrier may give its value
-and gradient so, as ``scalar_form`` (n coordinates in, h and its n partial
-derivatives out), and a nominal law its one input, as ``scalar_law``;
-with all three and a state-independent actuation, the filter and the
-boosted law give a float law too, which a periodic held run samples in its
-RK4 kernel (see ``safety_filter`` and ``simulator``). Reading the i-th
-coordinate as ``x.T[i]`` serves both shapes at the single-state cost. The
+stage. Any other drift form is called at each stage on Python floats.
+``sum()`` is out of this contract: from Python 3.12 it compensates its
+rounding on floats, so it does not round as the recorded additions do.
+Under a state-independent actuation the filter and the boosted law give a
+float law built from the three forms, which a periodic held run samples in
+its RK4 kernel (see ``safety_filter`` and ``simulator``). The
 certification stages evaluate whole stacks, one call each; the simulator
 evaluates the event trigger and the recorded barrier columns on stacks of
-the integrated states. When the callables compute each row as they would
-alone, a stacked call equals the row-by-row single calls bit for bit. The
-library's own reductions keep that. Each Lie-derivative row is the sum of
-its n products in index order from 0.0, with no BLAS call (see
+the integrated states. A form evaluated on rows computes each row as it
+would alone, so a stacked call equals the row-by-row single calls bit for
+bit. The library's own reductions keep that. Each Lie-derivative row is
+the sum of its n products in index order from 0.0, with no BLAS call (see
 ``lie_derivatives``): on Python floats for one state and for the float
 laws, column by column on a stack. A rate's input term is one
 matrix-vector product per row (``np.matvec``), and a barrier rate's
 ``lgh . u`` one dot per row (``np.vecdot``). None is a matrix product over
-the stack, whose summation order differs. The callables are probed once,
-on one state and on an (n + 1)-row stack of it, when a scenario is built
-or an estimation starts; no evaluation after that checks a shape, on
-arrays or on floats.
+the stack, whose summation order differs. The forms and callables are
+probed once, on one state and on an (n + 1)-row stack of it, when a
+scenario is built or an estimation starts; no evaluation after that checks
+a shape, on arrays or on floats.
 """
 
 from __future__ import annotations
@@ -100,32 +104,31 @@ class ClassKappa:
 class ControlAffineDynamics:
     """Dynamics xdot = drift(x) + actuation(x) @ u.
 
-    ``drift`` maps a state to an (n,) float array, ``actuation`` to an
-    (n, m) matrix, and a (k, n) stack to (k, n) and (k, n, m) (see the batch
-    contract above). An actuation that returns its (n, m) matrix on a stack
-    too does not depend on the state: a sample-and-hold run computes its
-    input term once per sample and adds it at each RK4 stage.
-    ``scalar_drift``, when given, is ``drift`` on one state's n coordinates
-    as floats, bit for bit (see the batch contract above); held runs under
-    a state-independent actuation compute it at each RK4 stage, written
-    into the kernel when it is straight-line arithmetic and called
-    otherwise, in place of ``drift`` on an (n,) array, and the filter's
-    float law calls it at each sample of a periodic run; under a
-    state-dependent one they call ``rate`` on an (n,) array. The shapes,
-    and that equality, are checked once, when a scenario is built or an
-    estimation starts, so a mis-sized callable fails loudly there rather
-    than broadcasting mid-run.
+    ``drift_form`` is the drift on one state's n coordinates: n floats in,
+    the n rates out (see the batch contract above); ``drift`` evaluates it
+    on arrays. ``actuation`` maps a state to an (n, m) matrix and a (k, n)
+    stack to (k, n, m); one that returns its (n, m) matrix on a stack too
+    does not depend on the state, and a sample-and-hold run computes its
+    input term once per sample and adds it at each RK4 stage, to the drift
+    form's rates on floats. Under a state-dependent one the stages call
+    ``rate`` on an (n,) array. The forms' output counts and the shapes are
+    checked once, when a scenario is built or an estimation starts, so a
+    mis-sized form or callable fails loudly there rather than broadcasting
+    mid-run.
     """
 
-    drift: Callable[[np.ndarray], np.ndarray]
+    drift_form: Callable[..., tuple]
     actuation: Callable[[np.ndarray], np.ndarray]
     n: int
     m: int
-    scalar_drift: Callable[..., tuple] | None = None
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1:
             raise ConfigurationError(f"dynamics dimensions must be >= 1, got n={self.n}, m={self.m}")
+
+    def drift(self, x: np.ndarray) -> np.ndarray:
+        """The drift at one state (n,), or at each row of a (k, n) stack."""
+        return _columns(self.drift_form(*x.T), x)
 
     def rate(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """State derivative under input u: at one state (n,) or at each row of
@@ -142,15 +145,45 @@ class ControlAffineDynamics:
 class BarrierFunction:
     """Scalar barrier h with its gradient. Safe set: h(x) >= 0.
 
-    On a (k, n) stack the value is (k,) and the gradient (k, n).
-    ``scalar_form``, when given, is both on one state's n coordinates as
-    floats: it returns ``(h, dh/dx_0, ..., dh/dx_{n-1})``, equal to
-    ``value`` and ``gradient`` bit for bit, which the shape probe checks
-    once. The filter's float law evaluates the barrier through it."""
+    ``form`` is both on one state's n coordinates: it returns ``(h,
+    dh/dx_0, ..., dh/dx_{n-1})``. ``value`` and ``gradient`` evaluate it on
+    arrays: on a (k, n) stack the value is (k,) and the gradient (k, n)."""
 
-    value: Callable[[np.ndarray], float | np.ndarray]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    scalar_form: Callable[..., tuple] | None = None
+    form: Callable[..., tuple]
+
+    def value(self, x: np.ndarray) -> float | np.ndarray:
+        """h at one state, a float, or at each row of a stack, (k,)."""
+        h = np.empty(x.shape[:-1])
+        h[...] = self.form(*x.T)[0]
+        return h[()]
+
+    def gradient(self, x: np.ndarray) -> np.ndarray:
+        """dh/dx at one state (n,), or at each row of a stack (k, n)."""
+        return _columns(self.form(*x.T)[1:], x)
+
+
+def _columns(outputs, x: np.ndarray) -> np.ndarray:
+    """A form's outputs, evaluated on the rows of x.T, as the columns of a
+    new array: (len(outputs),) for one state, (k, len(outputs)) for a (k, n)
+    stack. Each output is a float for one state and a (k,) row for a stack,
+    or a constant, which broadcasts down its column. The array is
+    C-ordered, so that each row of a stack lies in memory as that state's
+    output alone does, and a reduction over rows (``np.vecdot``, as in
+    ``constants._row_norms``) sums each row as it sums that state."""
+    out = np.empty(x.shape[:-1] + (len(outputs),))
+    columns = out.T
+    for i, column in enumerate(outputs):
+        columns[i] = column
+    return out
+
+
+def _fixed_actuation(dyn: ControlAffineDynamics, x: np.ndarray) -> np.ndarray | None:
+    """The actuation's (n, m) matrix when it does not depend on the state,
+    else None. It is evaluated once, on a 2-row stack of the state x: an
+    output without a stack axis declares itself state-independent (see the
+    batch contract above)."""
+    g = np.asarray(dyn.actuation(np.tile(x, (2, 1))), dtype=float)
+    return g if g.ndim == 2 else None
 
 
 def lie_derivatives(
@@ -169,17 +202,15 @@ def lie_derivatives(
     values bit for bit, and the float law the array law, whatever the
     products round to.
     """
-    grad = np.asarray(barrier.gradient(x))
-    f = np.asarray(dyn.drift(x))
-    g = np.asarray(dyn.actuation(x))
+    grad, f, g = barrier.gradient(x), dyn.drift(x), np.asarray(dyn.actuation(x))
     if x.ndim == 1:
         grad = grad.tolist()
         lgh = [_index_sum(grad, column) for column in g.T.tolist()]
         return _index_sum(grad, f.tolist()), np.array(lgh)
     # Row i of a transposed field holds coordinate i of every state, as
-    # x.T[i] does; a field without a stack axis (one that does not depend on
-    # the state) gives rows that broadcast. The actuation's coordinate axis
-    # is moved first.
+    # x.T[i] does; an actuation without a stack axis (one that does not
+    # depend on the state) gives rows that broadcast. The actuation's
+    # coordinate axis is moved first.
     grad = grad.T
     return _index_sum(grad, f.T), _index_sum(grad[..., None], g.swapaxes(0, -2))
 
@@ -207,7 +238,7 @@ def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int
     except (TypeError, ValueError, IndexError) as exc:
         raise ConfigurationError(
             f"{what} failed on a {rows} of states ({type(exc).__name__}: {exc}); "
-            "callables must accept a (k, n) stack"
+            "forms must take (k,) rows, and callables a (k, n) stack"
         ) from exc
     try:
         broadcasts = np.broadcast_shapes(out.shape, target) == target
@@ -219,20 +250,34 @@ def _probe_stacked(what: str, fn: Callable, stack: np.ndarray, target: tuple[int
         )
 
 
-def _probe_float(what: str, form: Callable, x: np.ndarray, source: str, want) -> None:
-    """A float form at x's n coordinates must return ``want``'s floats bit
-    for bit."""
-    want = np.asarray(want, dtype=float).reshape(-1)
+def _probe_count(what: str, form: Callable, x: np.ndarray, size: int) -> None:
+    """A form at x's n coordinates, as floats, must return size values."""
     try:
-        got = np.array(form(*x.tolist()), dtype=float).reshape(-1)
-    except (TypeError, ValueError, ArithmeticError, InfeasibleFilterError) as exc:
+        count = len(form(*x.tolist()))
+    except (TypeError, ValueError, ArithmeticError) as exc:
         raise ConfigurationError(
             f"{what} failed on the {len(x)} coordinates of a state "
             f"({type(exc).__name__}: {exc})"
         ) from exc
+    if count != size:
+        raise ConfigurationError(f"{what} returned {count} values, expected {size}")
+
+
+def _probe_float_law(law: Callable, x: np.ndarray, want: np.ndarray) -> None:
+    """A controller's float law at x's n coordinates must return the
+    controller's input ``want`` bit for bit: a form that calls a numpy
+    function can round otherwise on floats than on arrays."""
+    try:
+        got = np.array([law(*x.tolist())], dtype=float)
+    except (TypeError, ValueError, ArithmeticError, InfeasibleFilterError) as exc:
+        raise ConfigurationError(
+            f"controller float law failed on the {len(x)} coordinates of a state "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     if got.tobytes() != want.tobytes():
         raise ConfigurationError(
-            f"{what} returned {got.tolist()}, expected {source}'s {want.tolist()} bit for bit"
+            f"controller float law returned {got.tolist()}, expected controller's "
+            f"{want.tolist()} bit for bit"
         )
 
 
@@ -245,47 +290,34 @@ def _probe_shapes(
     """Check, at one state and on an (n + 1)-row stack of it, every shape
     the evaluation path relies on.
 
-    The state must be (n,), the barrier gradient and the drift (n,), the
-    actuation (n, m) and the controller's input (m,); a ``scalar_drift``
-    must return the drift's n rates bit for bit, a barrier's
-    ``scalar_form`` its value and gradient, a nominal law's ``scalar_law``
-    that law's input, and a controller's float law at x (its ``float_law``,
-    built from the controller's own forms) the controller's input. On the
-    stack every
-    output must broadcast to its stacked shape (see the batch contract),
-    which rejects a callable that reduces its input to one float. The stack
-    has n + 1 rows so that it is never square: a drift written ``A @ x``
-    instead of ``x @ A.T`` fails here rather than mid-estimation. A
-    controller that wraps a nominal law (a filter, or a boosted law built
-    from one) exposes it as ``nominal``, and that law is checked first. A
-    filter infeasible at x is not a shape error; the run reports it with its
-    time and state. Raises ``ConfigurationError`` naming the mis-sized
-    callable.
+    The state must be (n,), and at its coordinates the drift form must
+    return n values and the barrier form n + 1; the actuation must be
+    (n, m), the controller's input (m,), and a controller's float law at x
+    (its ``float_law``, built from the controller's own forms) the
+    controller's input bit for bit. On the stack every array form and
+    callable must run and its output broadcast to its stacked shape (see
+    the batch contract), which rejects a form that cannot take rows. The
+    stack has n + 1 rows so that it is never square: an actuation written
+    for one state fails here rather than mid-estimation. A controller that
+    wraps a nominal law (a filter, or a boosted law built from one) exposes
+    it as ``nominal``, and that law is checked first. A filter infeasible
+    at x is not a shape error; the run reports it with its time and state.
+    Raises ``ConfigurationError`` naming the mis-sized form or callable.
     """
     n, m = dyn.n, dyn.m
     x = np.asarray(x, dtype=float)
     if x.shape != (n,):
         raise ConfigurationError(f"state has shape {x.shape}, expected ({n},)")
-    grad = np.asarray(barrier.gradient(x), dtype=float)
-    if grad.shape != (n,):
-        raise ConfigurationError(f"barrier gradient has shape {grad.shape}, expected ({n},)")
-    f = np.asarray(dyn.drift(x), dtype=float)
-    if f.shape != (n,):
-        raise ConfigurationError(f"drift returned shape {f.shape}, expected ({n},)")
-    if dyn.scalar_drift is not None:
-        _probe_float("scalar_drift", dyn.scalar_drift, x, "drift", f)
-    if barrier.scalar_form is not None:
-        h = np.asarray(barrier.value(x), dtype=float)
-        _probe_float("barrier scalar_form", barrier.scalar_form, x, "value and gradient",
-                     np.append(h, grad))
+    _probe_count("drift form", dyn.drift_form, x, n)
+    _probe_count("barrier form", barrier.form, x, n + 1)
     g = np.asarray(dyn.actuation(x), dtype=float)
     if g.shape != (n, m):
         raise ConfigurationError(f"actuation returned shape {g.shape}, expected ({n}, {m})")
     k = n + 1
     stack = np.tile(x, (k, 1))
-    _probe_stacked("barrier value", barrier.value, stack, (k,))
-    _probe_stacked("barrier gradient", barrier.gradient, stack, (k, n))
-    _probe_stacked("drift", dyn.drift, stack, (k, n))
+    _probe_stacked("barrier form", barrier.value, stack, (k,))
+    _probe_stacked("barrier form", barrier.gradient, stack, (k, n))
+    _probe_stacked("drift form", dyn.drift, stack, (k, n))
     _probe_stacked("actuation", dyn.actuation, stack, (k, n, m))
     nominal = getattr(controller, "nominal", None)
     for what, law in (("nominal controller", nominal), ("controller", controller)):
@@ -295,13 +327,14 @@ def _probe_shapes(
             u = np.atleast_1d(np.asarray(law(x), dtype=float))
             if u.shape != (m,):
                 raise ConfigurationError(f"{what} returned shape {u.shape}, expected ({m},)")
-            form = getattr(law, "scalar_law", None)
-            if form is not None:
-                _probe_float("nominal scalar_law", form, x, what, u)
             factory = getattr(law, "float_law", None)
-            form = factory(x) if factory is not None else None
-            if form is not None:
-                _probe_float("controller float law", form, x, what, u)
+            float_law = factory(x) if factory is not None else None
+            if float_law is not None:
+                _probe_float_law(float_law, x, u)
             _probe_stacked(what, law, stack, (k, m))
         except InfeasibleFilterError:
             return
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"{what} failed at a state ({type(exc).__name__}: {exc})"
+            ) from exc

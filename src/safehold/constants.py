@@ -244,7 +244,7 @@ def boundary_points(
     iterate, or when no point passes the |h| test.
     """
     pts = region.sample(rng, 8 * _BOUNDARY_COUNT)
-    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
+    hs = barrier.value(pts)
     pos = pts[hs > 0.0]
     neg = pts[hs < 0.0]
     if len(pos) == 0 or len(neg) == 0:
@@ -258,7 +258,7 @@ def boundary_points(
     b = neg[pair % len(neg)]
     t_root = _brent_roots(barrier.value, a, b)
     roots = a + t_root[:, None] * (b - a)
-    out = roots[np.abs(np.broadcast_to(barrier.value(roots), pair.shape)) <= 1e-9 * h_scale]
+    out = roots[np.abs(barrier.value(roots)) <= 1e-9 * h_scale]
     if not len(out):
         raise BoundarySamplingError("boundary refinement produced no converged points")
     return out
@@ -286,7 +286,7 @@ def _brent_roots(
 
     def evaluate(t: np.ndarray, rows: np.ndarray) -> np.ndarray:
         x = a[rows] + t[:, None] * step[rows]
-        fx = np.broadcast_to(value(x), (len(rows),))
+        fx = value(x)
         bad = ~np.isfinite(fx)
         if np.any(bad):
             i = int(np.argmax(bad))
@@ -432,14 +432,13 @@ def _project_to_boundary(
     """
     lo, hi = region.lower_arr, region.upper_arr
     slack = 1e-12 * max(region.scale, 1.0)
-    k, n = pts.shape
     x = np.array(pts, dtype=float)
-    h0 = np.abs(np.broadcast_to(barrier.value(x), (k,)))
-    alive = np.arange(k)
+    h0 = np.abs(barrier.value(x))
+    alive = np.arange(len(x))
     for _ in range(8):
         xa = x[alive]
-        h = np.broadcast_to(barrier.value(xa), (len(alive),))
-        grad = np.broadcast_to(barrier.gradient(xa), (len(alive), n))
+        h = barrier.value(xa)
+        grad = barrier.gradient(xa)
         gg = np.vecdot(grad, grad)
         ok = np.isfinite(h) & np.isfinite(gg) & (gg > 0.0)
         step = xa[ok] - grad[ok] * (h[ok] / gg[ok])[:, None]
@@ -447,7 +446,7 @@ def _project_to_boundary(
         x[alive] = step
         alive = alive[np.all(np.isfinite(step), axis=1)]
     x = x[alive]
-    h = np.broadcast_to(barrier.value(x), (len(x),))
+    h = barrier.value(x)
     converged = np.abs(h) <= 1e-9 * np.maximum(1.0, h0[alive])
     inside = np.all((x >= lo - slack) & (x <= hi + slack), axis=1)
     return np.clip(x[converged & inside], lo, hi)
@@ -471,13 +470,12 @@ def _evaluate_box(
     and the controller and actuation-row values per point, shapes (k, m)."""
     f_max, g_max, k_vals, lgh_vals = [], [], [], []
     for x in blocks:
-        k, n, m = len(x), dyn.n, dyn.m
-        f_max.append(np.max(_row_norms(np.broadcast_to(dyn.drift(x), (k, n)))))
+        f_max.append(np.max(_row_norms(dyn.drift(x))))
         # Singular values of each actuation matrix, as np.linalg.norm(g, 2)
         # takes them; a constant matrix is decomposed once per block.
         g_max.append(np.max(np.linalg.svd(dyn.actuation(x), compute_uv=False)))
-        k_vals.append(np.broadcast_to(controller(x), (k, m)))
-        lgh_vals.append(np.broadcast_to(lie_derivatives(dyn, barrier, x)[1], (k, m)))
+        k_vals.append(np.broadcast_to(controller(x), (len(x), dyn.m)))
+        lgh_vals.append(lie_derivatives(dyn, barrier, x)[1])
     # np.max, not max, so that a NaN block maximum propagates.
     return (
         float(np.max(f_max)), float(np.max(g_max)),
@@ -552,8 +550,8 @@ def certify_region(
         out_shape = (len(a), dyn.m)
         k_a = np.broadcast_to(controller(a), out_shape)
         k_b = np.broadcast_to(controller(b), out_shape)
-        lgh_a = np.broadcast_to(lie_derivatives(dyn, barrier, a)[1], out_shape)
-        lgh_b = np.broadcast_to(lie_derivatives(dyn, barrier, b)[1], out_shape)
+        lgh_a = lie_derivatives(dyn, barrier, a)[1]
+        lgh_b = lie_derivatives(dyn, barrier, b)[1]
         dx = a - b
         l_k.append(_max_quotient(k_a - k_b, dx))
         m_lip.append(_max_quotient(lgh_a - lgh_b, dx))
@@ -637,12 +635,12 @@ def _assumption_report(
     # barrier, the zero-speed corner where actuation authority vanishes).
     proj = _project_to_boundary(region, barrier, pts)
     lgh_b, lgh_p = (
-        _row_norms(np.broadcast_to(lie_derivatives(dyn, barrier, p)[1], (len(p), dyn.m)))
+        _row_norms(lie_derivatives(dyn, barrier, p)[1])
         for p in (bpts, proj)
     )
     # np.min, not min, so that a NaN propagates.
     mu_raw = float(np.min(np.concatenate([lgh_b, lgh_p])))
-    hs = np.broadcast_to(barrier.value(pts), (len(pts),))
+    hs = barrier.value(pts)
     band = None if delta is None else np.concatenate(
         [lgh_b, _row_norms(lgh_arr[(0.0 <= hs) & (hs < delta)])]
     )

@@ -15,17 +15,17 @@ boundary and fades to nothing deep inside the safe set. The tuning,
 ``TunableControllerConfig``, is that sigmoid gain: calling it at a barrier
 value gives the gain there.
 
-When the plant's drift, the barrier and the nominal law each give their
-float form (``scalar_drift``, ``scalar_form``, ``scalar_law``; see the
-batch contract in ``cbf_core``) and the actuation does not depend on the
-state, the filter and the boosted law give one too, from ``float_law``:
-one state's n coordinates in, the input out as a float. It does the array
+When the actuation does not depend on the state, the filter and the
+boosted law give a float law too, from ``float_law``: one state's n
+coordinates in, the input out as a float. It is built from the drift, the
+barrier and the nominal law's forms (see the batch contract in
+``cbf_core``), which the array law evaluates on rows, and does the array
 law's operations in the array law's order on the same values, so the two
 agree bit for bit, on any plant. Its two Lie derivatives are the
 gradient's products with the drift and with the actuation column, summed
 in index order from 0.0 on Python floats, as ``lie_derivatives`` sums one
 state (``cbf_core._index_sum``); no BLAS call is made. The law is generated
-as Python source (``_FLOAT_LAW``): each float form that is straight-line
+as Python source (``_FLOAT_LAW``): each form that is straight-line
 arithmetic is recorded and written into it (see ``safehold._kernel``), and
 any other is called. Only a periodic held run samples it, in its RK4 kernel
 (see ``simulator``); every other sample calls the array law.
@@ -44,6 +44,8 @@ from .cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
+    _columns,
+    _fixed_actuation,
     lie_derivatives,
 )
 from ._kernel import _recorded, _source
@@ -60,18 +62,17 @@ __all__ = [
 
 @dataclass(frozen=True)
 class NominalController:
-    """Performance controller: a state-to-input law returning an (m,) float
-    array, and (k, m) for a (k, n) stack of states, m being the plant's
-    input count. ``scalar_law``, when given, is the law for one input on
-    one state's n coordinates as floats, returning that input as a float,
-    bit for bit. Its shape, and that equality, are checked once, with the
-    plant's, before a run or an estimation starts."""
+    """Performance controller for a one-input plant, written once, as
+    ``form``: the law on one state's n coordinates, returning the input as
+    a float (see the batch contract in ``cbf_core``). Called, it evaluates
+    the form on arrays: (1,) at one state, (k, 1) on a (k, n) stack. Its
+    shape is checked once, with the plant's, before a run or an estimation
+    starts."""
 
-    law: Callable[[np.ndarray], np.ndarray]
-    scalar_law: Callable[..., float] | None = None
+    form: Callable[..., float]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.law(x)
+        return _columns((self.form(*x.T),), x)
 
 
 @dataclass(frozen=True)
@@ -99,9 +100,9 @@ class CbfQpFilter:
         return solve_cbf_qp(self, x)
 
     def float_law(self, x: np.ndarray) -> Callable[..., float] | None:
-        """The filter on plain floats, or None when a float form is missing
-        or the actuation, evaluated on a 2-row stack of the state x,
-        depends on the state (see the module docstring)."""
+        """The filter on plain floats, or None when the actuation depends on
+        the state (``cbf_core._fixed_actuation`` at x; see the module
+        docstring)."""
         return _float_law(self, None, x)
 
 
@@ -163,7 +164,7 @@ def _infeasible(lfh, a_h) -> str:
 
 # The filter's float law for one state of n coordinates: ``_filtered``'s
 # steps and ``TunableControllerConfig.__call__``'s, in their order, on
-# Python floats. ``make`` binds the float forms, the one input's actuation
+# Python floats. ``make`` binds the forms, the one input's actuation
 # column g, the decrease rate and, for the boosted law, the tuning. The Lie
 # derivatives are the gradient's products with the drift and with g summed
 # in index order from 0.0, as ``cbf_core._index_sum`` sums them (``sum()``
@@ -204,19 +205,15 @@ def _float_law(
     filt: CbfQpFilter, tuning: TunableControllerConfig | None, x: np.ndarray
 ) -> Callable[..., float] | None:
     """``_filtered``, boosted by ``tuning`` when given, on plain floats (see
-    ``_FLOAT_LAW``), with each float form that records at x written in and
-    the others called; None when a float form is missing or the actuation
-    on a 2-row stack of x keeps the stack axis."""
-    barrier, drift = filt.barrier.scalar_form, filt.dynamics.scalar_drift
-    nominal = getattr(filt.nominal, "scalar_law", None)
-    if drift is None or barrier is None or nominal is None:
-        return None
-    g = np.asarray(filt.dynamics.actuation(np.tile(x, (2, 1))), dtype=float)
-    if g.ndim != 2:
+    ``_FLOAT_LAW``), with each form that records at x written in and the
+    others called; None when the actuation depends on the state."""
+    g = _fixed_actuation(filt.dynamics, x)
+    if g is None:
         return None
     # The nominal law returns its one input; as a 1-tuple it is written in,
     # or called, as the other forms are.
-    forms = (barrier, drift, lambda *coords: (nominal(*coords),))
+    nominal = filt.nominal.form
+    forms = (filt.barrier.form, filt.dynamics.drift_form, lambda *coords: (nominal(*coords),))
     n = filt.dynamics.n
     bodies = tuple(_recorded(form, x, size) for form, size in zip(forms, (n + 1, n, 1)))
     return _law_maker(n, bodies)(*forms, g[:, 0].tolist(), filt.alpha.coef, tuning)

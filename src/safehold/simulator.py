@@ -38,21 +38,22 @@ without numpy's dispatch on tiny arrays. Python floats round each operation
 as numpy does, so its rows equal ``_rk4``'s bit for bit. It writes each row,
 and each sample's input and event flag, through flat memoryviews of the
 run's arrays. Under a state-independent actuation its stages compute the
-plant's ``scalar_drift`` and add the held input term. The drift is recorded
+plant's drift form and add the held input term. The drift form is recorded
 once per run on stand-in arguments (``_kernel._recorded``), and its
-operations are written into each stage, so that a row makes no call; a drift
-that is not plain arithmetic on its arguments is called at each stage
-instead, and a plant without one has its drift called on an (n,) array.
-Under a state-dependent actuation the stages call the plant's rate under the
-held input on an (n,) array and add -0.0, which leaves every float as it is.
+operations are written into each stage, so that a row makes no call; a
+drift form that is not plain arithmetic on its arguments is called at each
+stage instead. Under a state-dependent actuation the stages call the
+plant's rate under the held input on an (n,) array and add -0.0, which
+leaves every float as it is.
 
 A periodic schedule under a state-independent actuation whose controller
 gives a float law (``float_law``, see ``safety_filter``; a one-input plant)
 runs whole in one call of the kernel, which samples that law on the state's
 n coordinates at each hold's first row. The float law is generated code
-too, with the recorded drift, barrier and nominal law written in, so that
-a sample makes one call. This is the only place a run samples a float law;
-every other sample calls the controller, which equals it bit for bit.
+too, with the recorded drift, barrier and nominal forms written in, so
+that a sample makes one call. This is the only place a run samples a
+float law; every other sample calls the controller, which equals it bit
+for bit.
 
 Holds are integrated in segments. A hold's first segment ends at the first
 row where resampling may be due, and each later one is twice as long as
@@ -77,6 +78,7 @@ from .cbf_core import (
     BarrierFunction,
     ClassKappa,
     ControlAffineDynamics,
+    _fixed_actuation,
     _probe_shapes,
     lie_derivatives,
 )
@@ -352,10 +354,8 @@ def _barrier_rates(
     """Barrier value, barrier rate under the input u, and trigger at one
     state or at each state of a (k, n) stack, from one Lie evaluation.
 
-    u is (m,) or, on a stack, (m,) held for every row or (k, m). Stacked
-    outputs may come back broadcastable rather than (k,) (see the batch
-    contract in ``cbf_core``); each row equals the single-state value bit
-    for bit.
+    u is (m,) or, on a stack, (m,) held for every row or (k, m). Each row
+    equals the single-state value bit for bit.
     """
     lfh, lgh = lie_derivatives(dyn, barrier, x)
     h = barrier.value(x)
@@ -379,10 +379,7 @@ def trigger_value(
     event decision and the recorded trigger column share this definition.
     """
     trig = _barrier_rates(dyn, barrier, alpha, c, x, u)[2]
-    if np.ndim(x) == 1:
-        return float(trig)
-    rows = np.shape(x)[:-1]
-    return trig if np.shape(trig) == rows else np.broadcast_to(trig, rows)
+    return float(trig) if np.ndim(x) == 1 else trig
 
 
 def _checked_sample(sc: Scenario, x: np.ndarray, t: float):
@@ -555,27 +552,25 @@ def _run_held(sc: Scenario) -> Trace:
     first = _first_check(sc.schedule, dt)
     periodic = sc.schedule.mode == "periodic"
 
-    # The actuation is evaluated once, on a 2-row stack of the start state:
-    # an (n, m) output has no stack axis, so it does not depend on the state
-    # (see the batch contract in ``cbf_core``) and the held input's term gu
-    # is computed once per sample. Otherwise the rates are the plant's whole
-    # rate under the held input, and gu is -0.0 in each coordinate: adding
-    # -0.0 leaves every float as it is, -0.0 included (adding 0.0 would
-    # not). ``rates`` serves the kernel and ``rate`` the re-step of a row
-    # with ``_rk4``; both read the held u and gu when called. The held u is
-    # then the (m,) row of U, whether the kernel's float law or the
-    # controller gave it.
+    # An actuation that does not depend on the state (``_fixed_actuation``
+    # at the start state) has the held input's term gu computed once per
+    # sample, and the kernel's rates are the drift form's. Otherwise the
+    # rates are the plant's whole rate under the held input, and gu is -0.0
+    # in each coordinate: adding -0.0 leaves every float as it is, -0.0
+    # included (adding 0.0 would not). ``rates`` serves the kernel and
+    # ``rate`` the re-step of a row with ``_rk4``; both read the held u and
+    # gu when called. The held u is then the (m,) row of U, whether the
+    # kernel's float law or the controller gave it.
     coefs = (0.5 * dt, dt, dt / 6.0)
-    drift, g = dyn.drift, dyn.actuation(np.tile(X[0], (2, 1)))
-    law = body = None
-    if np.ndim(g) == 2:
-        body = _recorded(dyn.scalar_drift, X[0], dyn.n)
-        rates = dyn.scalar_drift or (lambda *c: drift(np.array(c)).tolist())
-        rate = lambda s: drift(s) + np.array(gu)
+    g, law, body = _fixed_actuation(dyn, X[0]), None, None
+    if g is not None:
+        body = _recorded(dyn.drift_form, X[0], dyn.n)
+        rates = dyn.drift_form
+        rate = lambda s: dyn.drift(s) + np.array(gu)
         if periodic and hasattr(sc.controller, "float_law"):
             law = sc.controller.float_law(X[0])
     else:
-        g, gu = None, (-0.0,) * dyn.n
+        gu = (-0.0,) * dyn.n
         rates = lambda *c: dyn.rate(np.array(c), u).tolist()
         rate = lambda s: dyn.rate(s, u)
     kernel = _float_rows(dyn.n, body)

@@ -28,6 +28,7 @@ from safehold.config import load_config, parse_config, scenario_from_config
 from safehold.constants import boundary_points
 from safehold.errors import ConfigurationError
 from safehold.simulator import analyze, run
+from test_simulator import DENSE, DENSE_BOX
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -70,10 +71,47 @@ class TestPlant:
         assert f[1] == pytest.approx(-200.1 / 1650.0, rel=1e-12)
         assert f[2] == pytest.approx(13.89 - 20.0, rel=1e-12)
 
+    @pytest.mark.parametrize("plant", ("acc", "dense"))
+    def test_each_array_form_is_its_form_on_each_row(self, plant):
+        # The drift, the barrier value and gradient and the nominal input
+        # are derived from the forms written on coordinates: on a drawn
+        # stack, and on each of its states alone, each equals the form on
+        # that state's floats bit for bit. The ACC plant is drawn with its
+        # states; the dense plant, n = 4, has inexact products at almost
+        # every state of its box.
+        if plant == "acc":
+            plants = _plants().map(lambda p: (acc_dynamics(p), acc_barrier(p), acc_nominal(p)))
+            states = st.lists(st.tuples(_REALS, _REALS, _REALS), min_size=1, max_size=9)
+        else:
+            plants = st.just((DENSE.dynamics, DENSE.barrier, DENSE.nominal))
+            boxed = [st.floats(lo, hi) for lo, hi in zip(DENSE_BOX.lower, DENSE_BOX.upper)]
+            states = st.lists(st.tuples(*boxed), min_size=1, max_size=9)
+
+        def arrays(dyn, barrier, nominal, x):
+            return dyn.drift(x), barrier.value(x), barrier.gradient(x), nominal(x)
+
+        @settings(max_examples=100, deadline=None)
+        @given(plants, states)
+        def check(forms, states):
+            dyn, barrier, nominal = forms
+            stack = np.array(states)
+            stacked = arrays(dyn, barrier, nominal, stack)
+            for i, x in enumerate(stack):
+                coords = x.tolist()
+                h, *grad = barrier.form(*coords)
+                want = [np.array(out, dtype=float).tobytes() for out in (
+                    dyn.drift_form(*coords), h, grad, [nominal.form(*coords)],
+                )]
+                assert [np.asarray(out[i]).tobytes() for out in stacked] == want
+                assert [np.asarray(out).tobytes() for out in arrays(*forms, x)] == want
+
+        check()
+
     @pytest.mark.parametrize("region", (ride_region(), approach_region()), ids=("ride", "approach"))
     def test_scalar_drift_equals_the_drift_bit_for_bit(self, region):
-        # The float form the held loop calls at each RK4 stage and the array
-        # drift, on one state and on each row of a stack, give the same bits.
+        # The drift form the held loop writes into its RK4 stages and the
+        # array drift, on one state and on each row of a stack, give the
+        # same bits.
         dyn = acc_dynamics()
         boxed = [st.floats(lo, hi) for lo, hi in zip(region.lower, region.upper)]
 
@@ -84,18 +122,10 @@ class TestPlant:
             stacked = dyn.drift(stack)
             for x, row in zip(stack, stacked):
                 want = dyn.drift(x).tobytes()
-                assert np.array(dyn.scalar_drift(*x.tolist())).tobytes() == want
+                assert np.array(dyn.drift_form(*x.tolist()), dtype=float).tobytes() == want
                 assert row.tobytes() == want
 
         check()
-
-    @settings(max_examples=200, deadline=None)
-    @given(_plants(), _REALS)
-    def test_scalar_drift_repeats_the_resistance_bit_for_bit(self, p, speed):
-        # The float drift writes p.resistance out inline, for speed; it must
-        # stay the same formula in the same order.
-        _, rate, _ = acc_dynamics(p).scalar_drift(0.0, speed, 0.0)
-        assert rate.hex() == (-p.resistance(speed) / p.mass).hex()
 
     def test_actuation_column_is_constant(self):
         dyn = acc_dynamics()
@@ -145,12 +175,12 @@ class TestBarrier:
     @settings(max_examples=100, deadline=None)
     @given(_plants(), st.lists(st.tuples(_REALS, _REALS, _REALS), min_size=1, max_size=9))
     def test_gradient_rows_are_the_scalar_form_partials(self, p, states):
-        # The array gradient and the float form's partials are written
-        # apart; on a stack, and on each state alone, they give the same bits.
+        # The array gradient is derived from the barrier's form; on a stack,
+        # and on each state alone, it gives the bits of the form's partials.
         barrier = acc_barrier(p)
         stack = np.array(states)
         for x, row in zip(stack, barrier.gradient(stack)):
-            want = np.array(barrier.scalar_form(*x.tolist())[1:]).tobytes()
+            want = np.array(barrier.form(*x.tolist())[1:], dtype=float).tobytes()
             assert row.tobytes() == want
             assert barrier.gradient(x).tobytes() == want
 

@@ -45,26 +45,33 @@ def _plane_filter() -> CbfQpFilter:
     dyn, barrier = _plane_system()
     return CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1)),
+        nominal=NominalController(form=lambda a, b: 0.0),
     )
+
+
+def _dot(row, x) -> float:
+    """row . x in index order from 0.0, on floats or on (k,) rows."""
+    total = 0.0
+    for r, xi in zip(row, x):
+        total = total + r * xi
+    return total
 
 
 def _linear_filter() -> CbfQpFilter:
-    """Random dense linear plant, n = 4, h = c @ x: every Lie-derivative
-    row sums four products, inexact at almost every state, so a fused or
-    reordered sum would differ from the index-order one. Its own products
-    are one dot per row (vecdot), since a matrix product over a stack sums
-    in another order."""
+    """Random dense linear plant, n = 4, h = c @ x, written on coordinates:
+    every Lie-derivative row sums four products, inexact at almost every
+    state, so a fused or reordered sum would differ from the index-order
+    one."""
     rng = np.random.default_rng(11)
-    a, b, c = rng.normal(size=(4, 4)), rng.normal(size=(4, 1)), rng.normal(size=4)
-    k = rng.normal(size=4)
+    a, c, k = rng.normal(size=(4, 4)).tolist(), rng.normal(size=4).tolist(), rng.normal(size=4)
+    b = rng.normal(size=(4, 1))
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.vecdot(x[..., None, :], a), actuation=lambda x: b, n=4, m=1,
+        drift_form=lambda *x: tuple(_dot(row, x) for row in a), actuation=lambda x: b, n=4, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: np.vecdot(x, c), gradient=lambda x: c)
+    barrier = BarrierFunction(form=lambda *x: (_dot(c, x), *c))
     return CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
+        nominal=NominalController(form=lambda *x: _dot(k.tolist(), x)),
     )
 
 
@@ -162,12 +169,12 @@ def test_stack_with_an_infeasible_row_names_that_row(k, data):
     # No input authority and a drift of -1 under h = x1: the decrease
     # condition -1 + x1 >= 0 fails, infeasibly, exactly where x1 < 1.
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.array([-1.0]), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+        drift_form=lambda a: (-1.0,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(form=lambda a: (a, 1.0))
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1)),
+        nominal=NominalController(form=lambda a: 0.0),
     )
     first = data.draw(st.integers(0, k - 1))
     xs = np.full((k, 1), 2.0)

@@ -125,13 +125,13 @@ class TestSigmoidGain:
 
 
 def _linear_system() -> tuple[ControlAffineDynamics, BarrierFunction]:
-    A = np.array([[0.0, 1.0], [-2.0, -3.0]])
+    """xdot = A x + B u with A = [[0, 1], [-2, -3]] and B = (0, 1), and
+    h = c . x with c = (1, 0.5)."""
     B = np.array([[0.0], [1.0]])
-    c = np.array([1.0, 0.5])
     dyn = ControlAffineDynamics(
-        drift=lambda x: x @ A.T, actuation=lambda x: B, n=2, m=1,
+        drift_form=lambda a, b: (b, -2.0 * a - 3.0 * b), actuation=lambda x: B, n=2, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x @ c, gradient=lambda x: c)
+    barrier = BarrierFunction(form=lambda a, b: (a + 0.5 * b, 1.0, 0.5))
     return dyn, barrier
 
 
@@ -145,13 +145,11 @@ class TestLieDerivatives:
 
     def test_driftless_input_channel(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: x[..., ::-1] * np.array([1.0, 0.0]),
+            drift_form=lambda a, b: (b, 0.0 * a),
             actuation=lambda x: np.zeros((2, 1)),
             n=2, m=1,
         )
-        barrier = BarrierFunction(
-            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
-        )
+        barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
         lfh, lgh = lie_derivatives(dyn, barrier, np.array([1.0, 2.0]))
         assert lfh == 2.0
         assert np.all(lgh == 0.0)
@@ -166,26 +164,32 @@ class TestLieDerivatives:
         assert lgh[0] == pytest.approx(0.5, rel=1e-14)
 
     def test_shape_errors_surface(self):
-        # Mis-sized callables fail once, when a scenario is built or an
-        # estimation starts, before any run or estimation work.
-        good_barrier = BarrierFunction(
-            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
-        )
+        # Mis-sized forms and callables fail once, when a scenario is built
+        # or an estimation starts, before any run or estimation work; the
+        # message names the form.
+        good_barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
         good_dyn = ControlAffineDynamics(
-            drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((2, 1)), n=2, m=1,
+            drift_form=lambda a, b: (0.0, 0.0), actuation=lambda x: np.zeros((2, 1)), n=2, m=1,
         )
         cases = {
-            "drift returned shape": (ControlAffineDynamics(
-                drift=lambda x: np.zeros(3), actuation=lambda x: np.zeros((2, 1)),
-                n=2, m=1,
+            "drift form returned 3 values, expected 2": (dataclasses.replace(
+                good_dyn, drift_form=lambda a, b: (0.0, 0.0, 0.0),
             ), good_barrier),
-            "actuation returned shape": (ControlAffineDynamics(
-                drift=lambda x: np.zeros(2), actuation=lambda x: np.zeros((3, 2)),
-                n=2, m=1,
+            "drift form returned 1 values, expected 2": (dataclasses.replace(
+                good_dyn, drift_form=lambda a, b: (0.0,),
             ), good_barrier),
-            "barrier gradient has shape": (good_dyn, BarrierFunction(
-                value=lambda x: x.T[0], gradient=lambda x: np.zeros(3),
+            "drift form failed on the 2 coordinates .*TypeError": (dataclasses.replace(
+                good_dyn, drift_form=lambda a, b: 0.0,
+            ), good_barrier),
+            "actuation returned shape": (dataclasses.replace(
+                good_dyn, actuation=lambda x: np.zeros((3, 2)),
+            ), good_barrier),
+            "barrier form returned 4 values, expected 3": (good_dyn, BarrierFunction(
+                form=lambda a, b: (a, 1.0, 0.0, 0.0),
             )),
+            "barrier form failed on the 2 coordinates .*ZeroDivisionError": (
+                good_dyn, BarrierFunction(form=lambda a, b: (a, b / 0.0, 0.0)),
+            ),
         }
         region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         for message, (dyn, barrier) in cases.items():
@@ -201,137 +205,34 @@ class TestLieDerivatives:
                 good_dyn, lambda x: np.zeros(1), good_barrier,
             )
 
-    def test_a_scalar_drift_must_equal_the_drift_bit_for_bit(self):
-        # The float form of xdot = -0.3 x is checked once, at the probed
-        # state, against the array drift; a wrong length, a rate one bit
-        # off and a form that raises are rejected, naming ``scalar_drift``.
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]))
-        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        dyn = ControlAffineDynamics(
-            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
-            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
-        )
-        _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
-        cases = {
-            r"scalar_drift returned \[[^,]*\], expected drift's": lambda a, b: (-0.3 * a,),
-            r"scalar_drift returned \[.*\], expected drift's .* bit for bit": lambda a, b: (
-                -0.3 * a, math.nextafter(-0.3 * b, -math.inf),
-            ),
-            r"scalar_drift failed .*ZeroDivisionError": lambda a, b: (-0.3 * a, -0.3 * b / 0.0),
-        }
-        for message, scalar_drift in cases.items():
-            wrong = dataclasses.replace(dyn, scalar_drift=scalar_drift)
-            with pytest.raises(ConfigurationError, match=message):
-                _probe_scenario(wrong, barrier, lambda x: np.zeros(1))
-            with pytest.raises(ConfigurationError, match=message):
-                certify_region(region, wrong, lambda x: np.zeros(1), barrier)
-
-    def test_a_barrier_scalar_form_must_equal_value_and_gradient_bit_for_bit(self):
-        # h = x0 - x1 * x1 on floats returns (h, 1.0, -2 x1), checked once
-        # at the probed state against value and gradient; a wrong length,
-        # an entry one bit off and a form that raises are rejected, naming
-        # ``scalar_form``.
-        dyn = ControlAffineDynamics(
-            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
-        )
-        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-
-        def gradient(x):
-            grad = np.ones(x.shape)
-            grad.T[1] = -2.0 * x.T[1]
-            return grad
-
-        barrier = BarrierFunction(
-            value=lambda x: x.T[0] - x.T[1] * x.T[1], gradient=gradient,
-            scalar_form=lambda a, b: (a - b * b, 1.0, -2.0 * b),
-        )
-        _probe_scenario(dyn, barrier, lambda x: np.zeros(1))
-        cases = {
-            r"barrier scalar_form returned \[[^,]*, [^,]*\], expected value and gradient's":
-                lambda a, b: (a - b * b, 1.0),
-            r"barrier scalar_form returned \[.*\], expected value and gradient's .* bit for bit":
-                lambda a, b: (a - b * b, 1.0, math.nextafter(-2.0 * b, math.inf)),
-            r"barrier scalar_form failed on the 2 coordinates .*ZeroDivisionError":
-                lambda a, b: (a - b * b, 1.0, -2.0 * b / 0.0),
-        }
-        for message, form in cases.items():
-            wrong = dataclasses.replace(barrier, scalar_form=form)
-            with pytest.raises(ConfigurationError, match=message):
-                _probe_scenario(dyn, wrong, lambda x: np.zeros(1))
-            with pytest.raises(ConfigurationError, match=message):
-                certify_region(region, dyn, lambda x: np.zeros(1), wrong)
-
-    def test_a_nominal_scalar_law_must_equal_the_law_bit_for_bit(self):
-        # The float form of u = 0.7 x0 - x1 behind a filter is checked once,
-        # at the probed state, against the array law; a second input, an
-        # input one bit off and a form that raises are rejected, naming the
-        # nominal ``scalar_law``.
-        dyn = ControlAffineDynamics(
-            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
-            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
-        )
-        barrier = BarrierFunction(
-            value=lambda x: 4.0 - x.T[0], gradient=lambda x: np.array([-1.0, 0.0]),
-            scalar_form=lambda a, b: (4.0 - a, -1.0, 0.0),
-        )
-        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        nominal = NominalController(
-            law=lambda x: (0.7 * x.T[0] - x.T[1])[..., None],
-            scalar_law=lambda a, b: 0.7 * a - b,
-        )
-        filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
-        _probe_scenario(dyn, barrier, filt)
-        cases = {
-            r"nominal scalar_law returned \[[^,]*, [^,]*\], expected nominal controller's":
-                lambda a, b: (0.7 * a - b, 0.0),
-            r"nominal scalar_law returned \[.*\], expected nominal controller's .* bit for bit":
-                lambda a, b: math.nextafter(0.7 * a - b, -math.inf),
-            r"nominal scalar_law failed on the 2 coordinates .*ZeroDivisionError":
-                lambda a, b: 0.7 * a - b / 0.0,
-        }
-        for message, form in cases.items():
-            wrong = dataclasses.replace(filt, nominal=dataclasses.replace(nominal, scalar_law=form))
-            for controller in (wrong, TunableControllerConfig(
-                c=1.0, delta=0.1, band=1.0, epsilon=1.0, margin=1.0,
-            ).controller(wrong)):
-                with pytest.raises(ConfigurationError, match=message):
-                    _probe_scenario(dyn, barrier, controller)
-                with pytest.raises(ConfigurationError, match=message):
-                    certify_region(region, dyn, controller, barrier)
-
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_a_controller_float_law_must_equal_the_controller_bit_for_bit(self):
-        # The float law is built from the controller's own filter, whose
-        # forms the scenario's plant and barrier do not vouch for; it is
-        # checked once, at the probed state, against the controller. There
-        # the nominal u = 10 violates the condition, so u* reads the drift
-        # and the barrier: a float drift off by 0.5 and a float barrier of
-        # the wrong sign with no input authority (infeasible) are rejected,
-        # naming the float law.
+        # The float law runs the controller's forms on Python floats, where
+        # the array law runs them on numpy's; it is checked once, at the
+        # probed state, against the controller. There the nominal u = 10
+        # violates the condition, so u* reads the drift: a drift form that
+        # adds 0.5 on Python floats only, and one that divides by zero (which
+        # raises on Python floats, where numpy's float64 gives inf), are
+        # rejected, naming the float law.
         dyn = ControlAffineDynamics(
-            drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((2, 1)), n=2, m=1,
-            scalar_drift=lambda a, b: (-0.3 * a, -0.3 * b),
+            drift_form=lambda a, b: (-0.3 * a, -0.3 * b), actuation=lambda x: np.ones((2, 1)),
+            n=2, m=1,
         )
-        barrier = BarrierFunction(
-            value=lambda x: 4.0 - x.T[0], gradient=lambda x: np.array([-1.0, 0.0]),
-            scalar_form=lambda a, b: (4.0 - a, -1.0, 0.0),
-        )
+        barrier = BarrierFunction(form=lambda a, b: (4.0 - a, -1.0, 0.0))
         region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        nominal = NominalController(
-            law=lambda x: np.full(np.shape(x)[:-1] + (1,), 10.0), scalar_law=lambda a, b: 10.0,
-        )
+        nominal = NominalController(form=lambda a, b: 10.0)
         filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
         tuning = TunableControllerConfig(c=1.0, delta=0.1, band=1.0, epsilon=1.0, margin=1.0)
         for controller in (filt, tuning.controller(filt)):
             _probe_scenario(dyn, barrier, controller)
         cases = {
             r"controller float law returned \[.*\], expected controller's .* bit for bit":
-                dataclasses.replace(filt, dynamics=dataclasses.replace(
-                    dyn, scalar_drift=lambda a, b: (-0.3 * a + 0.5, -0.3 * b))),
-            r"controller float law failed on the 2 coordinates .*InfeasibleFilterError":
-                dataclasses.replace(filt, barrier=dataclasses.replace(
-                    barrier, scalar_form=lambda a, b: (a - 4.0, 0.0, 0.0))),
+                lambda a, b: (-0.3 * a + (0.5 if type(a) is float else 0.0), -0.3 * b),
+            r"controller float law failed on the 2 coordinates .*ZeroDivisionError":
+                lambda a, b: (-0.3 * a / 0.0, -0.3 * b),
         }
-        for message, wrong in cases.items():
+        for message, form in cases.items():
+            wrong = dataclasses.replace(filt, dynamics=dataclasses.replace(dyn, drift_form=form))
             for controller in (wrong, tuning.controller(wrong)):
                 with pytest.raises(ConfigurationError, match=message):
                     _probe_scenario(dyn, barrier, controller)
@@ -339,21 +240,22 @@ class TestLieDerivatives:
                     certify_region(region, dyn, controller, barrier)
 
     def test_batch_contract_is_probed_before_any_work(self):
-        # A barrier value that reduces its input to one float cannot take a
-        # (k, n) stack; the probe rejects it, and a value whose stacked
-        # output does not broadcast to (k,), before the controller is ever
-        # called.
+        # A barrier form that casts its argument to one float, branches on
+        # it, or returns a column, cannot take (k,) rows; the probe rejects
+        # it before the controller is ever called.
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.zeros(2), actuation=lambda x: np.ones((2, 1)), n=2, m=1,
+            drift_form=lambda a, b: (0.0, 0.0), actuation=lambda x: np.ones((2, 1)), n=2, m=1,
         )
         region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         cases = {
-            r"barrier value failed on a 3-row stack .*TypeError": lambda x: float(x[0]),
-            r"barrier value returned shape \(3, 1\) on a 3-row stack": lambda x: x[..., :1],
-            r"barrier value returned shape \(3, 2\) on a 3-row stack": lambda x: x,
+            r"barrier form failed on a 3-row stack .*TypeError": lambda a, b: (float(a), 1.0, 0.0),
+            r"barrier form failed on a 3-row stack .*ValueError.*ambiguous":
+                lambda a, b: (a if a > 0.0 else -a, 1.0, 0.0),
+            r"barrier form failed on a 3-row stack .*ValueError.*broadcast":
+                lambda a, b: (np.asarray(a)[..., None], 1.0, 0.0),
         }
-        for message, value in cases.items():
-            barrier = BarrierFunction(value=value, gradient=lambda x: np.array([1.0, 0.0]))
+        for message, form in cases.items():
+            barrier = BarrierFunction(form=form)
             calls = []
 
             def controller(x):
@@ -369,28 +271,7 @@ class TestLieDerivatives:
     def test_dynamics_dimensions_must_be_at_least_one(self):
         for n, m in ((0, 1), (2, 0)):
             with pytest.raises(ConfigurationError, match=f"must be >= 1, got n={n}, m={m}"):
-                ControlAffineDynamics(drift=np.zeros, actuation=np.zeros, n=n, m=m)
-
-    def test_single_state_drift_is_rejected_for_two_states(self):
-        # With n == 2 a 2-row stack is square, so ``A @ x`` would take it
-        # without error; the probe stack has n + 1 rows, where the drift
-        # fails before the controller is ever called.
-        dyn, barrier = _linear_system()
-        A = np.array([[0.0, 1.0], [-2.0, -3.0]])
-        dyn = ControlAffineDynamics(drift=lambda x: A @ x, actuation=dyn.actuation, n=2, m=1)
-        region = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
-        calls = []
-
-        def controller(x):
-            calls.append(x)
-            return np.zeros(1)
-
-        message = r"drift failed on a 3-row stack .*ValueError"
-        with pytest.raises(ConfigurationError, match=message):
-            _probe_scenario(dyn, barrier, controller)
-        with pytest.raises(ConfigurationError, match=message):
-            certify_region(region, dyn, controller, barrier)
-        assert calls == []
+                ControlAffineDynamics(drift_form=np.zeros, actuation=np.zeros, n=n, m=m)
 
 
 def _probe_scenario(dyn, barrier, controller) -> Scenario:
@@ -441,18 +322,18 @@ class TestBarrierMargin:
 
     def test_single_integrator_hand_value(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.zeros(1), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (0.0,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         alpha = ClassKappa(1.0)
         # f = 0, g = 1, h = x1: margin at x1=2, u=0 is alpha(2) = 2
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([2.0]), np.array([0.0])) == 2.0
 
     def test_zero_on_boundary_with_balancing_input(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([1.0]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (1.0,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         alpha = ClassKappa(1.0)
         # h = 0 and u cancels the drift: margin is exactly zero
         assert trigger_value(dyn, barrier, alpha, 0.0, np.array([0.0]), np.array([-1.0])) == 0.0
@@ -467,9 +348,9 @@ def _static_unit_barrier():
     """No drift, no actuation, h = x1: the trigger value is the amplified
     term alone."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.zeros(1), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+        drift_form=lambda a: (0.0,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(form=lambda a: (a, 1.0))
     return dyn, barrier
 
 

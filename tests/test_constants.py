@@ -45,13 +45,11 @@ ALL_ONES = BoundSet(
 def _plane_system():
     """Constant drift of unit norm, identity-column actuation, h = x1."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.array([0.6, -0.8]),
+        drift_form=lambda a, b: (0.6, -0.8),
         actuation=lambda x: np.array([[1.0], [0.0]]),
         n=2, m=1,
     )
-    barrier = BarrierFunction(
-        value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
-    )
+    barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
     return dyn, barrier
 
 
@@ -59,8 +57,7 @@ def _nan_band_barrier():
     """h = 0.5 - x1, undefined (NaN) on the band 0.4 < x1 < 0.6 that every
     segment from the safe side to the unsafe side of the unit box crosses."""
     return BarrierFunction(
-        value=lambda x: np.where((x.T[0] > 0.4) & (x.T[0] < 0.6), np.nan, 0.5 - x.T[0]),
-        gradient=lambda x: np.array([-1.0, 0.0]),
+        form=lambda a, b: (np.where((a > 0.4) & (a < 0.6), np.nan, 0.5 - a), -1.0, 0.0),
     )
 
 
@@ -108,9 +105,7 @@ class TestBoundaryPoints:
 
     def test_a_jump_across_zero_gives_no_boundary_points(self):
         # Every segment closes on the jump at x1 = 0.5, where |h| is still 1.
-        jump = BarrierFunction(
-            value=lambda x: np.where(x.T[0] < 0.5, 1.0, -1.0), gradient=lambda x: np.zeros(2),
-        )
+        jump = BarrierFunction(form=lambda a, b: (np.where(a < 0.5, 1.0, -1.0), 0.0, 0.0))
         reg = OperatingRegion(lower=(0.0, 0.0), upper=(1.0, 1.0))
         with pytest.raises(BoundarySamplingError, match="produced no converged points"):
             boundary_points(reg, jump, rng=np.random.default_rng(0))
@@ -369,13 +364,11 @@ class TestCheckAssumptions:
 
     def test_no_input_authority_fails_boundary_check(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([0.6, -0.8]),
+            drift_form=lambda a, b: (0.6, -0.8),
             actuation=lambda x: np.zeros((2, 1)),
             n=2, m=1,
         )
-        barrier = BarrierFunction(
-            value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
-        )
+        barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
         reg = OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0))
         report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(1), barrier)
         assert report["boundary_actuation"].status == "fail"
@@ -398,9 +391,9 @@ class TestCheckAssumptions:
     def test_a_box_with_too_few_safe_samples_skips_the_envelope(self):
         # About 4 of the 4096 box samples have h = x - 0.999 >= 0.
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.zeros(np.shape(x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (0.0,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0] - 0.999, gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a - 0.999, 1.0))
         reg = OperatingRegion(lower=(0.0,), upper=(1.0,))
         report, bounds, _ = certify_region(reg, dyn, lambda x: np.zeros(np.shape(x)), barrier)
         assert report["barrier_envelope"] == Check(
@@ -423,16 +416,13 @@ def _state_actuation_system():
     circle |lgh| = 2 (0.25 + x0^2 x1^2) >= 0.5, so the report passes and
     the bounds are built."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.stack([x.T[1], -x.T[0]], axis=-1),
+        drift_form=lambda a, b: (b, -a),
         actuation=lambda x: np.stack(
             [x.T[0] * (1.0 + x.T[1] ** 2), x.T[1]], axis=-1,
         )[..., None],
         n=2, m=1,
     )
-    barrier = BarrierFunction(
-        value=lambda x: 0.25 - x.T[0] ** 2 - x.T[1] ** 2,
-        gradient=lambda x: -2.0 * x,
-    )
+    barrier = BarrierFunction(form=lambda a, b: (0.25 - a ** 2 - b ** 2, -2.0 * a, -2.0 * b))
     return dyn, barrier, lambda x: (np.sin(3.0 * x.T[0]) * x.T[1])[..., None]
 
 

@@ -45,16 +45,16 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 def _scalar_filter(drift_rate: float, alpha=None) -> CbfQpFilter:
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.array([drift_rate]),
+        drift_form=lambda a: (drift_rate,),
         actuation=lambda x: np.ones((1, 1)),
         n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(form=lambda a: (a, 1.0))
     return CbfQpFilter(
         dynamics=dyn,
         barrier=barrier,
         alpha=alpha or ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(1)),
+        nominal=NominalController(form=lambda a: 0.0),
     )
 
 
@@ -71,28 +71,28 @@ class TestSolveCbfQp:
 
     def test_no_authority_but_satisfied_is_fine(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([1.0]),
+            drift_form=lambda a: (1.0,),
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.array([7.0])),
+            nominal=NominalController(form=lambda a: 7.0),
         )
         # drift alone satisfies the decrease condition; u passes through
         assert solve_cbf_qp(filt, np.array([0.5]))[0] == 7.0
 
     def test_infeasible_raises_instead_of_clamping(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([-1.0]),
+            drift_form=lambda a: (-1.0,),
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1)),
+            nominal=NominalController(form=lambda a: 0.0),
         )
         with pytest.raises(InfeasibleFilterError):
             solve_cbf_qp(filt, np.array([0.0]))
@@ -120,38 +120,39 @@ class TestSolveCbfQp:
 
     def test_multi_input_rejected_up_front(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.zeros(2),
+            drift_form=lambda a, b: (0.0, 0.0),
             actuation=lambda x: np.eye(2),
             n=2, m=2,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]))
+        barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
         with pytest.raises(ConfigurationError):
             CbfQpFilter(
                 dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-                nominal=NominalController(law=lambda x: np.zeros(2)),
+                nominal=NominalController(form=lambda a, b: 0.0),
             )
 
     def test_nominal_shape_mismatch_surfaces(self):
         # The probe checks the nominal law behind the filter and behind the
-        # boosted law, when the scenario is built or estimation starts. At
+        # boosted law, when the scenario is built or estimation starts: a
+        # nominal form that returns two inputs for the one input channel. At
         # h = -0.5 the constraint binds, so the filter's own output is (1,).
         filt = _scalar_filter(0.0)
         filt = CbfQpFilter(
             dynamics=filt.dynamics, barrier=filt.barrier, alpha=filt.alpha,
-            nominal=NominalController(law=lambda x: np.zeros(2)),
+            nominal=NominalController(form=lambda a: (0.0, 0.0)),
         )
         boosted = TunableControllerConfig(
             c=3.0, delta=1.0, band=1.0, epsilon=0.1, margin=2.0,
         ).controller(filt)
         for controller in (filt, boosted):
-            with pytest.raises(ConfigurationError, match="nominal controller returned shape"):
+            with pytest.raises(ConfigurationError, match="nominal controller failed at a state"):
                 Scenario(
                     name="bad-nominal", dynamics=filt.dynamics, barrier=filt.barrier,
                     alpha=filt.alpha, controller=controller, x0=(-0.5,),
                     integrator=IntegratorConfig(horizon=1.0),
                     schedule=HoldSchedule.continuous(),
                 )
-        with pytest.raises(ConfigurationError, match="nominal controller returned shape"):
+        with pytest.raises(ConfigurationError, match="nominal controller failed at a state"):
             certify_region(
                 OperatingRegion(lower=(-1.0,), upper=(1.0,)), filt.dynamics, filt, filt.barrier,
             )
@@ -189,14 +190,14 @@ class TestAdjustedControl:
 
     def test_no_authority_adds_nothing(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([1.0]),
+            drift_form=lambda a: (1.0,),
             actuation=lambda x: np.zeros((1, 1)),
             n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.array([3.0])),
+            nominal=NominalController(form=lambda a: 3.0),
         )
         assert tunable_control(filt, _saturated(0.5), np.array([1.0]))[0] == 3.0
 
@@ -271,28 +272,21 @@ class TestTunableControllerConfig:
         assert bounds.l_sigma == cfg.slope_bound == cfg.sharpness / (4.0 * cfg.epsilon)
 
 
-def _blind_drop(forms: bool) -> CbfQpFilter:
+def _blind_drop() -> CbfQpFilter:
     """h = x0 under xdot = (-1, 0) + (0, 1) u: the input has no authority
-    over h, and the drift violates the decrease condition once x0 < 1.
-    With ``forms``, the plant, barrier and nominal law give float forms."""
+    over h, and the drift violates the decrease condition once x0 < 1."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.array([-1.0, 0.0]), actuation=lambda x: np.array([[0.0], [1.0]]),
-        n=2, m=1, scalar_drift=(lambda a, b: (-1.0, 0.0)) if forms else None,
+        drift_form=lambda a, b: (-1.0, 0.0), actuation=lambda x: np.array([[0.0], [1.0]]),
+        n=2, m=1,
     )
-    barrier = BarrierFunction(
-        value=lambda x: x.T[0], gradient=lambda x: np.array([1.0, 0.0]),
-        scalar_form=(lambda a, b: (a, 1.0, 0.0)) if forms else None,
-    )
-    nominal = NominalController(
-        law=lambda x: (0.5 * x.T[1])[..., None],
-        scalar_law=(lambda a, b: 0.5 * b) if forms else None,
-    )
+    barrier = BarrierFunction(form=lambda a, b: (a, 1.0, 0.0))
+    nominal = NominalController(form=lambda a, b: 0.5 * b)
     return CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
 
 
 class TestFloatLaw:
     # The held loop samples the filter and the boosted law on plain floats
-    # when the plant, barrier and nominal law give their float forms.
+    # when the actuation does not depend on the state.
 
     @pytest.mark.parametrize("tuning", (None, certified_tuning()), ids=("filter", "boosted"))
     def test_it_equals_the_array_law_bit_for_bit(self, tuning):
@@ -320,50 +314,36 @@ class TestFloatLaw:
         assert branches == {True, False}  # the nominal kept, and replaced
 
     def test_it_is_none_without_every_float_form(self):
-        # Nor is there one when the actuation depends on the state.
-        filt = _blind_drop(forms=True)
+        # Every plant gives its forms, so the float law is there unless the
+        # actuation depends on the state.
+        filt = _blind_drop()
         x = np.array([1.5, 0.2])
         boosted = certified_tuning().controller(filt)
         assert filt.float_law(x) is not None and boosted.float_law(x) is not None
-        less = [
-            dataclasses.replace(filt, **{
-                part: dataclasses.replace(getattr(filt, part), **{field: None}),
-            })
-            for part, field in (("dynamics", "scalar_drift"), ("barrier", "scalar_form"),
-                                ("nominal", "scalar_law"))
-        ]
-        less.append(dataclasses.replace(filt, dynamics=dataclasses.replace(
+        filt = dataclasses.replace(filt, dynamics=dataclasses.replace(
             filt.dynamics, actuation=lambda x: np.stack((0.0 * x.T[0], 1.0 + 0.0 * x.T[0]), -1)[..., None],
-        )))
-        for filt in less:
-            assert filt.float_law(x) is None
-            assert certified_tuning().controller(filt).float_law(x) is None
+        ))
+        assert filt.float_law(x) is None
+        assert certified_tuning().controller(filt).float_law(x) is None
 
     @pytest.mark.parametrize("boosted", (False, True), ids=("filter", "boosted"))
     def test_an_infeasible_sample_raises_as_the_array_law_does(self, boosted):
         # From x0 = 1.5 the filter turns infeasible at the first sample with
         # x0 < 1; the run reports the same message, time and state whether it
-        # samples on floats or on arrays.
+        # samples on floats or, with the controller behind a plain callable,
+        # on arrays.
         errors = []
-        for forms in (True, False):
-            filt = _blind_drop(forms)
-            calls = []
-            if forms:
-                scalar_law = filt.nominal.scalar_law
-                filt = dataclasses.replace(filt, nominal=dataclasses.replace(
-                    filt.nominal, scalar_law=lambda *c: calls.append(1) or scalar_law(*c),
-                ))
+        filt = _blind_drop()
+        law = certified_tuning().controller(filt) if boosted else filt
+        for controller in (law, lambda x: law(x)):
             sc = Scenario(
                 name="blind-drop", dynamics=filt.dynamics, barrier=filt.barrier,
-                alpha=filt.alpha,
-                controller=certified_tuning().controller(filt) if boosted else filt,
+                alpha=filt.alpha, controller=controller,
                 x0=(1.5, 0.2), integrator=IntegratorConfig(horizon=1.0, substep=1e-3),
                 schedule=HoldSchedule.periodic(0.05),
             )
-            calls.clear()
             with pytest.raises(InfeasibleFilterError) as info:
                 run(sc)
-            assert bool(calls) == forms
             errors.append(info.value)
         floats, arrays = errors
         assert floats.args == arrays.args

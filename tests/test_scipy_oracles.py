@@ -135,8 +135,7 @@ def test_a_segment_brentq_cannot_close_gives_its_last_iterate():
 
     # The same triple root on the box, as a plane barrier in two states.
     barrier = BarrierFunction(
-        value=lambda x: (x.T[0] - 0.2) * (x.T[0] - 0.2) * (x.T[0] - 0.2),
-        gradient=lambda x: np.stack([3.0 * (x.T[0] - 0.2) ** 2, 0.0 * x.T[1]], axis=-1),
+        form=lambda a, b: ((a - 0.2) * (a - 0.2) * (a - 0.2), 3.0 * (a - 0.2) ** 2, 0.0 * b),
     )
     pts = boundary_points(
         OperatingRegion(lower=(-1.0, -1.0), upper=(1.0, 1.0)), barrier,

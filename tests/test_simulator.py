@@ -49,7 +49,7 @@ from safehold.errors import (
     InfeasibleFilterError,
     RegionExitError,
 )
-from safehold._kernel import _FLOAT_ROWS, _source
+from safehold._kernel import _FLOAT_ROWS, _source, _StandIn
 from safehold.safety_filter import (
     _FLOAT_LAW,
     CbfQpFilter,
@@ -86,7 +86,7 @@ def _ride_event(horizon: float) -> Scenario:
 
 def _decay() -> ControlAffineDynamics:
     return ControlAffineDynamics(
-        drift=lambda x: -x,
+        drift_form=lambda a: (-a,),
         actuation=lambda x: np.zeros((1, 1)),
         n=1, m=1,
     )
@@ -94,7 +94,7 @@ def _decay() -> ControlAffineDynamics:
 
 def _integrator() -> ControlAffineDynamics:
     return ControlAffineDynamics(
-        drift=lambda x: np.zeros(1),
+        drift_form=lambda a: (0.0,),
         actuation=lambda x: np.ones((1, 1)),
         n=1, m=1,
     )
@@ -112,7 +112,7 @@ class TestIntegrateHeld:
     def test_frozen_field_is_exact(self):
         # constant closed-loop field: x(t) = x0 + t * (f + g u), exact for RK4
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([1.0, -2.0]),
+            drift_form=lambda a, b: (1.0, -2.0),
             actuation=lambda x: np.array([[1.0], [0.5]]),
             n=2, m=1,
         )
@@ -133,9 +133,9 @@ class TestIntegrateHeld:
     def test_divergence_raises(self):
         # held-input rollout of xdot = x^2 from 1 blows up at t = 1
         blow = ControlAffineDynamics(
-            drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            drift_form=lambda a: (a * a,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         sc = Scenario(
             name="blowup-held", dynamics=blow, barrier=barrier,
             alpha=ClassKappa(1.0), controller=lambda x: np.zeros(1), x0=(1.0,),
@@ -151,15 +151,15 @@ def _scalar_scenario(mode: str, *, drift_rate=0.0, x0=1.0, horizon=1.0,
                      substep=1e-3, period=None, floor=0.0, c=0.0,
                      region=None, nominal=None) -> Scenario:
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.array([drift_rate]),
+        drift_form=lambda a: (drift_rate,),
         actuation=lambda x: np.ones((1, 1)),
         n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(form=lambda a: (a, 1.0))
     alpha = ClassKappa(1.0)
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=alpha,
-        nominal=NominalController(law=nominal or (lambda x: np.zeros(1))),
+        nominal=NominalController(form=nominal or (lambda a: 0.0)),
     )
     return Scenario(
         name=f"scalar-{mode}",
@@ -191,7 +191,7 @@ class TestRun:
     def test_input_is_bitwise_constant_between_events(self):
         sc = _scalar_scenario(
             "periodic", period=0.25, horizon=1.0, substep=0.0625,
-            nominal=lambda x: np.sin(x.T[:1]).T,
+            nominal=np.sin,
         )
         tr = run(sc)
         marks = list(np.flatnonzero(tr.event == 1)) + [len(tr)]
@@ -266,7 +266,7 @@ class TestRun:
         reg = OperatingRegion(lower=(0.0,), upper=(1.5,))
         sc = _scalar_scenario(
             "periodic", period=0.25, horizon=5.0, x0=1.0, drift_rate=0.3, region=reg,
-            nominal=lambda x: np.array([1.0]),
+            nominal=lambda a: 1.0,
         )
         with pytest.raises(RegionExitError) as exc:
             run(sc)
@@ -274,12 +274,12 @@ class TestRun:
 
     def test_divergence_raises(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: 100.0 * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            drift_form=lambda a: (100.0 * a,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1)),
+            nominal=NominalController(form=lambda a: 0.0),
         )
         sc = Scenario(
             name="blowup", dynamics=dyn, barrier=barrier,
@@ -292,12 +292,12 @@ class TestRun:
 
     def test_infeasible_filter_propagates(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([-1.0]), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            drift_form=lambda a: (-1.0,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.zeros(1)),
+            nominal=NominalController(form=lambda a: 0.0),
         )
         sc = Scenario(
             name="stuck", dynamics=dyn, barrier=barrier,
@@ -312,9 +312,9 @@ class TestRun:
 class TestTriggerValue:
     def test_boundary_balancing_input_is_zero(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([1.0]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (1.0,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         got = trigger_value(
             dyn, barrier, ClassKappa(1.0), 0.0, np.array([0.0]), np.array([-1.0]),
         )
@@ -322,9 +322,9 @@ class TestTriggerValue:
 
     def test_amplification_formula(self):
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([0.3]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (0.3,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         alpha = ClassKappa(2.0)
         x, u, c = np.array([0.5]), np.array([0.1]), 3.0
         got = trigger_value(dyn, barrier, alpha, c, x, u)
@@ -390,7 +390,7 @@ class TestAnalyze:
         # single event at t=0, then x moves linearly: worst drift is at the end
         sc = _scalar_scenario(
             "periodic", period=1.0, horizon=1.0, substep=0.125, x0=1.0,
-            nominal=lambda x: np.array([2.0]),
+            nominal=lambda a: 2.0,
         )
         tr = run(sc)
         s = analyze(tr)
@@ -584,21 +584,21 @@ def _blind_plant() -> CbfQpFilter:
     """xdot = 1 + g(x) u with the input cut off past x = 0.5001, h = 1 - x:
     the filter turns infeasible once the state crosses the cut-off."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.ones(np.shape(x)),
+        drift_form=lambda a: (1.0,),
         actuation=lambda x: np.where(x.T[0] < 0.5001, 1.0, 0.0)[..., None, None],
         n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: 1.0 - x.T[0], gradient=lambda x: -np.ones(np.shape(x)))
+    barrier = BarrierFunction(form=lambda a: (1.0 - a, -1.0))
     return CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: np.zeros(np.shape(x))),
+        nominal=NominalController(form=lambda a: 0.0),
     )
 
 
 @st.composite
 def plants(draw, kind: str) -> dict:
     """Scenario fields of one test plant, x0 and region included. Several
-    return outputs that broadcast against a stack instead of stacking."""
+    forms return constants, which broadcast against a stack."""
     if kind == "acc":
         filt = acc_filter()
         controller = certified_tuning().controller(filt) if draw(st.booleans()) else filt
@@ -616,16 +616,16 @@ def plants(draw, kind: str) -> dict:
         return dict(dynamics=filt.dynamics, barrier=filt.barrier, controller=controller,
                     x0=x0, region=region)
     if kind == "constant":
-        # drift, gradient, actuation and nominal law ignore the stack
+        # drift, gradient, actuation and nominal law ignore the state
         d = draw(st.sampled_from((-1.0, -0.5, 0.3)))
         u0 = draw(st.sampled_from((0.0, 1.0, -2.0)))
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.array([d]), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+            drift_form=lambda a: (d,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (a, 1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-            nominal=NominalController(law=lambda x: np.array([u0])),
+            nominal=NominalController(form=lambda a: u0),
         )
         x0 = draw(st.floats(0.05, 3.0))
         region = draw(st.sampled_from((None, (0.0, 3.5), (x0 - 0.2, x0 + 0.2))))
@@ -633,16 +633,14 @@ def plants(draw, kind: str) -> dict:
         return dict(dynamics=dyn, barrier=barrier, controller=filt, x0=(x0,), region=region)
     if kind == "linear":
         # per-row drift and nominal law, constant actuation and gradient
-        a = np.array([[-0.4, 1.0], [-1.0, -0.2]])
-        c, k = np.array([0.3, -1.0]), np.array([0.5, 1.5])
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.vecdot(x[..., None, :], a),
+            drift_form=lambda p, q: (-0.4 * p + q, -p - 0.2 * q),
             actuation=lambda x: np.array([[0.2], [1.0]]), n=2, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: 1.0 + np.vecdot(x, c), gradient=lambda x: c)
+        barrier = BarrierFunction(form=lambda p, q: (1.0 + (0.3 * p - q), 0.3, -1.0))
         filt = CbfQpFilter(
             dynamics=dyn, barrier=barrier, alpha=ClassKappa(2.0),
-            nominal=NominalController(law=lambda x: np.vecdot(x, k)[..., None]),
+            nominal=NominalController(form=lambda p, q: 0.5 * p + 1.5 * q),
         )
         x0 = (draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0)))
         region = draw(st.sampled_from((None, 1.2, 3.0)))
@@ -652,19 +650,17 @@ def plants(draw, kind: str) -> dict:
         # two inputs, so the recorded rate sums two products per row
         g = np.array([[1.0, 0.3], [-0.2, 0.5]])
         dyn = ControlAffineDynamics(
-            drift=lambda x: -0.3 * x, actuation=lambda x: g, n=2, m=2,
+            drift_form=lambda p, q: (-0.3 * p, -0.3 * q), actuation=lambda x: g, n=2, m=2,
         )
-        barrier = BarrierFunction(
-            value=lambda x: 4.0 - np.vecdot(x, x), gradient=lambda x: -2.0 * x,
-        )
+        barrier = BarrierFunction(form=lambda p, q: (4.0 - (p * p + q * q), -2.0 * p, -2.0 * q))
         x0 = (draw(st.floats(-1.5, 1.5)), draw(st.floats(-1.5, 1.5)))
         return dict(dynamics=dyn, barrier=barrier, controller=lambda x: np.sin(x) - 0.7 * x,
                     x0=x0, region=None)
     if kind == "blowup":
         dyn = ControlAffineDynamics(
-            drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            drift_form=lambda a: (a * a,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(value=lambda x: 2.0 - x.T[0], gradient=lambda x: -np.ones(1))
+        barrier = BarrierFunction(form=lambda a: (2.0 - a, -1.0))
         return dict(dynamics=dyn, barrier=barrier, controller=lambda x: np.zeros(1),
                     x0=(draw(st.floats(2.5, 40.0)),), region=None)
     filt = _blind_plant()
@@ -698,12 +694,12 @@ def _ramp(lower: float, horizon: float) -> Scenario:
     x has fallen to half its sampled value. A speculative segment that runs past that row keeps
     falling at the old rate toward the box's lower face."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: np.zeros(np.shape(x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
+        drift_form=lambda a: (0.0,), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: x.T[0], gradient=lambda x: np.ones(1))
+    barrier = BarrierFunction(form=lambda a: (a, 1.0))
     filt = CbfQpFilter(
         dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
-        nominal=NominalController(law=lambda x: -np.ones(np.shape(x))),
+        nominal=NominalController(form=lambda a: -1.0),
     )
     return Scenario(
         name="ramp", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
@@ -751,11 +747,13 @@ class TestHoldCore:
         def drift(x):
             if np.any(x < 0.4):
                 raise ValueError("drift undefined below x = 0.4")
-            return np.zeros(np.shape(x))
+            return (0.0,)
 
         def ramp(horizon):
             sc = _ramp(lower=0.0, horizon=horizon)
-            return dataclasses.replace(sc, dynamics=dataclasses.replace(sc.dynamics, drift=drift))
+            return dataclasses.replace(
+                sc, dynamics=dataclasses.replace(sc.dynamics, drift_form=drift),
+            )
 
         assert _assert_same_outcome(ramp(0.6)).events == (0.0, 0.5)
         for fn in (run, run_reference):
@@ -772,12 +770,9 @@ class TestHoldCore:
             return x
 
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.ones(np.shape(x)), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+            drift_form=lambda a: (1.0,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
         )
-        barrier = BarrierFunction(
-            value=lambda x: 10.0 - defined(x).T[0],
-            gradient=lambda x: -np.ones(np.shape(defined(x))),
-        )
+        barrier = BarrierFunction(form=lambda a: (10.0 - defined(a), -1.0))
         sc = Scenario(
             name="undefined", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             controller=lambda x: np.zeros(np.shape(x)), x0=(1.2,),
@@ -842,7 +837,7 @@ class TestHoldCore:
         # plant's whole rate.
         pushed = _scalar_scenario(
             "periodic", period=0.25, x0=0.995e8, horizon=0.5,
-            nominal=lambda x: np.full(np.shape(x), -1.5e7),
+            nominal=lambda a: -1.5e7,
         )
         pushed = dataclasses.replace(pushed, dynamics=dataclasses.replace(
             pushed.dynamics, actuation=lambda x: np.ones(np.shape(x))[..., None],
@@ -1028,37 +1023,26 @@ def _without_float_law(sc: Scenario) -> Scenario:
 class TestFloatSamples:
     @pytest.mark.parametrize("kind", ("periodic-boosted",))
     def test_acc_samples_call_no_array_law(self, kind, monkeypatch):
-        # The ACC's drift, barrier and nominal law give float forms, so its
-        # boosted law, held periodically, is sampled on floats in the whole
-        # kernel, with no ``tunable_control`` call, to the bits of the runs
-        # that sample the array law: one whose controller hides the float
-        # law, and one per missing float form.
+        # The ACC's actuation does not depend on the state, so its boosted
+        # law, held periodically, is sampled on floats in the whole kernel,
+        # with no ``tunable_control`` call, to the bits of the run whose
+        # controller hides the float law and so samples the array law.
         calls = _counted_boosts(monkeypatch)
         sc = build_scenario(kind, period=0.01, horizon=0.5, setting="ride")
         calls.clear()  # the shape probe's
         trace = run(sc)
         assert not calls
-        filt = acc_filter()
-        tuning = certified_tuning()
-        without = [
-            dataclasses.replace(filt, dynamics=dataclasses.replace(filt.dynamics, scalar_drift=None)),
-            dataclasses.replace(filt, barrier=dataclasses.replace(filt.barrier, scalar_form=None)),
-            dataclasses.replace(filt, nominal=dataclasses.replace(filt.nominal, scalar_law=None)),
-        ]
-        for array_sc in [_without_float_law(sc)] + [
-            dataclasses.replace(sc, dynamics=less.dynamics, barrier=less.barrier,
-                                controller=tuning.controller(less))
-            for less in without
-        ]:
-            calls.clear()  # the shape probe's
-            _assert_matches(run(array_sc), trace)
-            assert len(calls) == len(trace.events)
+        array_sc = _without_float_law(sc)
+        calls.clear()  # the shape probe's
+        _assert_matches(run(array_sc), trace)
+        assert len(calls) == len(trace.events)
 
     def test_no_float_form_is_called_per_sample(self, monkeypatch):
         # The ACC's drift, barrier and nominal law record, so the kernel and
         # the float law have them written in: a periodic boosted run calls
-        # each form as often at 0.2 s as at 0.5 s (at the recordings and the
-        # shape probe), not once per sample.
+        # each form as often at 0.2 s as at 0.5 s (at the recordings, and on
+        # the one block of rows whose columns the trace records), not once
+        # per sample.
         boosts = _counted_boosts(monkeypatch)
         counts = []
         for horizon in (0.2, 0.5):
@@ -1074,11 +1058,11 @@ class TestFloatSamples:
             filt = dataclasses.replace(
                 filt,
                 dynamics=dataclasses.replace(
-                    filt.dynamics, scalar_drift=counted("drift", filt.dynamics.scalar_drift)),
+                    filt.dynamics, drift_form=counted("drift", filt.dynamics.drift_form)),
                 barrier=dataclasses.replace(
-                    filt.barrier, scalar_form=counted("barrier", filt.barrier.scalar_form)),
+                    filt.barrier, form=counted("barrier", filt.barrier.form)),
                 nominal=dataclasses.replace(
-                    filt.nominal, scalar_law=counted("nominal", filt.nominal.scalar_law)),
+                    filt.nominal, form=counted("nominal", filt.nominal.form)),
             )
             sc = dataclasses.replace(sc, dynamics=filt.dynamics, barrier=filt.barrier,
                                      controller=certified_tuning().controller(filt))
@@ -1121,12 +1105,12 @@ class TestFloatSamples:
 
     @pytest.mark.parametrize("kind", ("periodic", "event"))
     def test_a_nominal_controller_samples_its_array_law(self, kind):
-        # A bare nominal law has a float ``scalar_law`` but no float law of
-        # a filter: the run samples it as the controller, as at any plant.
+        # A bare nominal law has a form but no float law of a filter: the
+        # run samples it as the controller, as at any plant.
         sc = build_scenario(kind, period=0.01 if kind != "event" else None, horizon=0.5,
                             setting="ride")
         sc = dataclasses.replace(sc, controller=acc_nominal())
-        assert sc.controller.scalar_law is not None
+        assert not hasattr(sc.controller, "float_law")
         _assert_same_outcome(sc)
 
     def test_the_input_term_sums_from_zero(self):
@@ -1135,17 +1119,11 @@ class TestFloatSamples:
         # = 0.0, which turns x0 from -0.0 to 0.0 at the first row. Sampled
         # on floats the term must be the same; 0.0 * -1 alone is -0.0.
         dyn = ControlAffineDynamics(
-            drift=lambda x: np.stack((np.full(np.shape(x.T[1]), -0.0), -0.3 * x.T[1]), -1),
+            drift_form=lambda a, b: (-0.0, -0.3 * b),
             actuation=lambda x: np.array([[0.0], [1.0]]), n=2, m=1,
-            scalar_drift=lambda a, b: (-0.0, -0.3 * b),
         )
-        barrier = BarrierFunction(
-            value=lambda x: 10.0 - x.T[1], gradient=lambda x: np.array([0.0, -1.0]),
-            scalar_form=lambda a, b: (10.0 - b, 0.0, -1.0),
-        )
-        nominal = NominalController(
-            law=lambda x: np.full(np.shape(x)[:-1] + (1,), -1.0), scalar_law=lambda a, b: -1.0,
-        )
+        barrier = BarrierFunction(form=lambda a, b: (10.0 - b, 0.0, -1.0))
+        nominal = NominalController(form=lambda a, b: -1.0)
         filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
         sc = Scenario(
             name="minus-zero-input", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
@@ -1162,8 +1140,7 @@ class TestFloatSamples:
 
 def _dense_forms() -> tuple[CbfQpFilter, OperatingRegion]:
     """A dense plant, n = 4, whose drift, barrier and nominal law are each
-    written once on coordinates: on floats as their float forms, and on
-    ``x.T[i]``'s rows as the array callables. h = 4 - sum q_i (x_i - o_i)^2
+    written once on coordinates. h = 4 - sum q_i (x_i - o_i)^2
     and the actuation column are dense, so the Lie-derivative products are
     inexact at almost every state of the box around the barrier's centre o
     (``test_its_lie_products_are_inexact``)."""
@@ -1187,15 +1164,9 @@ def _dense_forms() -> tuple[CbfQpFilter, OperatingRegion]:
     def law(*x):
         return ((gains[0] * x[0] + gains[1] * x[1]) + gains[2] * x[2]) + gains[3] * x[3]
 
-    dyn = ControlAffineDynamics(
-        drift=lambda x: np.array(drift(*x.T)).T, actuation=lambda x: g, n=4, m=1,
-        scalar_drift=drift,
-    )
-    barrier = BarrierFunction(
-        value=lambda x: form(*x.T)[0], gradient=lambda x: np.array(form(*x.T)[1:]).T,
-        scalar_form=form,
-    )
-    nominal = NominalController(law=lambda x: law(*x.T)[..., None], scalar_law=law)
+    dyn = ControlAffineDynamics(drift_form=drift, actuation=lambda x: g, n=4, m=1)
+    barrier = BarrierFunction(form=form)
+    nominal = NominalController(form=law)
     filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
     return filt, OperatingRegion(lower=[c - 1.5 for c in centre], upper=[c + 1.5 for c in centre])
 
@@ -1205,31 +1176,29 @@ DENSE_TUNING = TunableControllerConfig(c=1.0, delta=0.5, band=2.0, epsilon=0.5, 
 
 
 def _unrecorded(filt: CbfQpFilter) -> list[tuple[CbfQpFilter, str | None]]:
-    """filt, and filt with one float form replaced by one that returns the
-    same floats but does not record, each with the name under which its
-    float law calls that form (None for filt, whose law calls none): a
-    barrier form with a ``math`` call, a nominal law with an int constant,
-    one with a comparison, and a drift that returns one more value on
-    stand-ins than on floats."""
-    drift, form, law = (filt.dynamics.scalar_drift, filt.barrier.scalar_form,
-                        filt.nominal.scalar_law)
+    """filt, and filt with one form replaced by one that returns the same
+    floats but does not record, each with the name under which its float
+    law calls that form (None for filt, whose law calls none): a barrier
+    form with a numpy call, a nominal law with an int constant, one with a
+    comparison, and a drift that returns one more value on stand-ins than
+    on floats and rows."""
+    drift, form, law = filt.dynamics.drift_form, filt.barrier.form, filt.nominal.form
 
-    def barrier_math(*x):
+    def barrier_call(*x):
         h, *grad = form(*x)
-        return (math.ldexp(h, 0), *grad)
+        return (np.ldexp(h, 0), *grad)
 
     def drift_count(*x):
-        return drift(*x) + (() if isinstance(x[0], float) else (0.0,))
+        return drift(*x) + ((0.0,) if isinstance(x[0], _StandIn) else ())
 
     replace = dataclasses.replace
     return [
         (filt, None),
-        (replace(filt, barrier=replace(filt.barrier, scalar_form=barrier_math)), "barrier"),
-        (replace(filt, nominal=replace(filt.nominal, scalar_law=lambda *x: law(*x) * 1)),
-         "nominal"),
+        (replace(filt, barrier=replace(filt.barrier, form=barrier_call)), "barrier"),
+        (replace(filt, nominal=replace(filt.nominal, form=lambda *x: law(*x) * 1)), "nominal"),
         (replace(filt, nominal=replace(
-            filt.nominal, scalar_law=lambda *x: max(law(*x), -math.inf))), "nominal"),
-        (replace(filt, dynamics=replace(filt.dynamics, scalar_drift=drift_count)), "drift"),
+            filt.nominal, form=lambda *x: law(*x) * (x[0] == x[0]))), "nominal"),
+        (replace(filt, dynamics=replace(filt.dynamics, drift_form=drift_count)), "drift"),
     ]
 
 
@@ -1314,7 +1283,9 @@ def _mixing_plant(g: np.ndarray) -> ControlAffineDynamics:
     the constant actuation g (n, m)."""
     n, m = g.shape
     return ControlAffineDynamics(
-        drift=lambda x: np.sin(np.roll(x, 1, axis=-1)) - 0.5 * x * np.cos(x),
+        drift_form=lambda *x: tuple(
+            np.sin(x[i - 1]) - 0.5 * x[i] * np.cos(x[i]) for i in range(n)
+        ),
         actuation=lambda x: g, n=n, m=m,
     )
 
@@ -1323,9 +1294,10 @@ def _decoupled(n: int) -> Scenario:
     """xdot = -0.3 x + u e with e all ones, h = 10 - x_0, under a law that
     holds u = 0.5: a plant of any state dimension n."""
     dyn = ControlAffineDynamics(
-        drift=lambda x: -0.3 * x, actuation=lambda x: np.ones((n, 1)), n=n, m=1,
+        drift_form=lambda *x: tuple(-0.3 * xi for xi in x),
+        actuation=lambda x: np.ones((n, 1)), n=n, m=1,
     )
-    barrier = BarrierFunction(value=lambda x: 10.0 - x.T[0], gradient=lambda x: -np.eye(n)[0])
+    barrier = BarrierFunction(form=lambda *x: (10.0 - x[0], -1.0) + (0.0,) * (n - 1))
     return Scenario(
         name=f"decoupled-{n}", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
         controller=lambda x: np.full(np.shape(x)[:-1] + (1,), 0.5), x0=(0.5,) * n,
@@ -1362,8 +1334,9 @@ class TestFloatKernel:
                 dyn = dataclasses.replace(dyn, actuation=lambda x: g * np.cos(x)[..., None])
                 rates, gu = (lambda *c: dyn.rate(np.array(c), u).tolist()), (-0.0,) * n
             else:
-                # The plant has no float drift: the run's adapter around its drift.
-                rates = lambda *c: dyn.drift(np.array(c)).tolist()
+                # The run's rates: the drift form, here called at each stage
+                # (its numpy calls do not record).
+                rates = dyn.drift_form
                 gu = np.matvec(g, u).tolist()
             end = _float_rows(n)(rates, gu, 0.5 * dt, dt, dt / 6.0,
                                  X, 1, rows, [-math.inf] * n, [math.inf] * n)
@@ -1376,35 +1349,33 @@ class TestFloatKernel:
         check()
 
     def test_acc_rows_call_the_float_drift_four_times_each(self, monkeypatch):
-        # The ACC's ``scalar_drift`` is recorded once per run, on stand-ins
-        # and then at the start state, and its operations are written into
-        # the kernel: its rows call it no more, a counting wrapper around it
+        # The ACC's drift form is recorded once per run, on stand-ins and
+        # then at the start state, and its operations are written into the
+        # kernel: its rows call it no more, a counting wrapper around it
         # included (the wrapper is recorded with it), and call no ``_rk4``.
-        # A drift that cannot be recorded, here one that casts its arguments
-        # with float(), is called four times per row after the one refused
-        # recording; without the float form the kernel calls the array
-        # drift. All three runs give the same bits.
+        # A drift form that cannot be recorded, here one that casts its
+        # arguments to numpy's float64, is called four times per row after
+        # the one refused recording. Both runs give the same bits, and each
+        # evaluates the form once more, on the one block of rows whose
+        # barrier rates the trace records.
         cfg = load_config(CERTIFIED, ["sim.mode=periodic", "sim.period=0.01", "sim.horizon=0.5"])
         sc, calls = scenario_from_config(cfg), []
-        scalar_drift = sc.dynamics.scalar_drift
+        drift = sc.dynamics.drift_form
 
         def counted(cast):
             return dataclasses.replace(sc, dynamics=dataclasses.replace(
-                sc.dynamics,
-                scalar_drift=lambda *c: calls.append(1) or scalar_drift(*map(cast, c)),
+                sc.dynamics, drift_form=lambda *c: calls.append(1) or drift(*map(cast, c)),
             ))
 
-        recorded, refused = counted(lambda v: v), counted(float)
+        recorded, refused = counted(lambda v: v), counted(np.float64)
         steps = _counted_rk4(monkeypatch)
         calls.clear()
         trace = run(recorded)
-        assert len(calls) == 2 and not steps
+        assert _blocks(len(trace)) == 1
+        assert len(calls) == 2 + 1 and not steps
         calls.clear()
         _assert_matches(run(refused), trace)
-        assert len(calls) == 1 + 4 * (len(trace) - 1) and not steps
-        plain = dataclasses.replace(sc.dynamics, scalar_drift=None)
-        _assert_matches(run(dataclasses.replace(sc, dynamics=plain)), trace)
-        assert not steps
+        assert len(calls) == 1 + 4 * (len(trace) - 1) + 1 and not steps
 
     def test_every_held_run_steps_on_floats(self, monkeypatch):
         # A constant actuation at any state dimension and a state-dependent
@@ -1432,10 +1403,10 @@ class TestFloatKernel:
             x1 = x.T[1]
             return np.stack((np.zeros(np.shape(x1)), np.cos(x1)), -1)[..., None]
 
-        dyn = _ProductRate(drift=lambda x: x * np.array([0.0, -0.3]), actuation=actuation, n=2, m=1)
-        barrier = BarrierFunction(
-            value=lambda x: 10.0 - x.T[1], gradient=lambda x: np.array([0.0, -1.0]),
+        dyn = _ProductRate(
+            drift_form=lambda a, b: (a * 0.0, b * -0.3), actuation=actuation, n=2, m=1,
         )
+        barrier = BarrierFunction(form=lambda a, b: (10.0 - b, 0.0, -1.0))
         sc = Scenario(
             name="minus-zero", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
             controller=lambda x: np.full(np.shape(x)[:-1] + (1,), -1.0), x0=(-0.0, 0.3),
@@ -1454,7 +1425,7 @@ class TestFloatKernel:
         # Each run holds its one input for a whole second.
         exits = _scalar_scenario(
             "periodic", period=1.0, horizon=2.0, x0=1.0, drift_rate=0.3,
-            region=OperatingRegion(lower=(0.0,), upper=(1.5,)), nominal=lambda x: np.array([1.0]),
+            region=OperatingRegion(lower=(0.0,), upper=(1.5,)), nominal=lambda a: 1.0,
         )
         err = _assert_same_outcome(exits)
         assert isinstance(err, RegionExitError)
@@ -1463,7 +1434,7 @@ class TestFloatKernel:
         # xdot = x * x from 2.5 blows up at t = 0.4.
         blowup = dataclasses.replace(
             exits, region=None, x0=(2.5,), dynamics=ControlAffineDynamics(
-                drift=lambda x: x * x, actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
+                drift_form=lambda a: (a * a,), actuation=lambda x: np.zeros((1, 1)), n=1, m=1,
             ),
         )
         err = _assert_same_outcome(blowup)
@@ -1473,25 +1444,27 @@ class TestFloatKernel:
         def undefined_past(x):
             if np.any(x > 1.2):
                 raise ValueError("drift undefined past x = 1.2")
-            return np.full(np.shape(x), 0.3)
+            return (0.3,)
 
         raising = dataclasses.replace(exits, dynamics=dataclasses.replace(
-            exits.dynamics, drift=undefined_past,
+            exits.dynamics, drift_form=undefined_past,
         ))
         err = _assert_same_outcome(raising)
         assert isinstance(err, ValueError) and err.args == ("drift undefined past x = 1.2",)
 
-    def test_a_drift_that_returns_a_list_is_stepped_with_rk4(self, monkeypatch):
-        # The shape probe accepts a list; the float kernel cannot read one,
-        # so each row is stepped again with ``_rk4``.
+    def test_a_drift_form_that_returns_a_list_is_written_in(self, monkeypatch):
+        # The shape probe counts a list's values as a tuple's; recording
+        # writes its operations into the kernel, and no row is stepped
+        # again with ``_rk4``.
         sc = _scalar_scenario("periodic", period=0.25, horizon=0.5, x0=2.0)
         sc = dataclasses.replace(sc, dynamics=dataclasses.replace(
-            sc.dynamics, drift=lambda x: (-0.5 * x).tolist(),
+            sc.dynamics, drift_form=lambda a: [-0.5 * a],
         ))
+        assert _recorded(sc.dynamics.drift_form, np.array(sc.x0), 1) is not None
         steps = _counted_rk4(monkeypatch)
         trace = _assert_same_outcome(sc)
         assert isinstance(trace, Trace)
-        assert len(steps) == len(trace) - 1
+        assert not steps
 
 
 # ---------------------------------------------------------------------------
@@ -1528,7 +1501,7 @@ def drift_programs(draw, n: int):
 
 
 def _interpreted(program):
-    """The float form that runs a drawn program on its arguments."""
+    """The drift form that runs a drawn program on its arguments."""
     steps, outputs = program
 
     def form(*args):
@@ -1549,24 +1522,11 @@ def _float_form_scenario(drift_form, barrier_form, law_form, g, x0, schedule, *,
                          horizon, substep=1e-3, region=None) -> Scenario:
     """The filtered plant xdot = drift_form(x) + g u with the barrier
     barrier_form (h and its gradient) and the nominal law law_form, all
-    given on floats. Each array form evaluates its float form row by row,
-    so the two agree bit for bit, and the filter has a float law."""
-    n = len(x0)
-
-    def rows(form, x, shape):
-        flat = [form(*r) for r in np.reshape(x, (-1, n)).tolist()]
-        return np.array(flat, dtype=float).reshape(np.shape(x)[:-1] + shape)
-
-    dyn = ControlAffineDynamics(
-        drift=lambda x: rows(drift_form, x, (n,)), actuation=lambda x: g, n=n, m=1,
-        scalar_drift=drift_form,
-    )
-    barrier = BarrierFunction(
-        value=lambda x: rows(lambda *c: barrier_form(*c)[0], x, ()),
-        gradient=lambda x: rows(lambda *c: barrier_form(*c)[1:], x, (n,)),
-        scalar_form=barrier_form,
-    )
-    nominal = NominalController(law=lambda x: rows(law_form, x, (1,)), scalar_law=law_form)
+    given on coordinates; under the constant g the filter has a float
+    law."""
+    dyn = ControlAffineDynamics(drift_form=drift_form, actuation=lambda x: g, n=len(x0), m=1)
+    barrier = BarrierFunction(form=barrier_form)
+    nominal = NominalController(form=law_form)
     filt = CbfQpFilter(dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0), nominal=nominal)
     return Scenario(
         name="float-forms", dynamics=dyn, barrier=barrier, alpha=ClassKappa(1.0),
@@ -1597,11 +1557,11 @@ def test_the_generated_sources_parse_as_python_3_10(n):
         3: (acc_filter(), np.array([0.0, 20.0, 735.0])),
         4: (DENSE, 0.5 * (DENSE_BOX.lower_arr + DENSE_BOX.upper_arr)),
     }[n]
-    drift = _recorded(filt.dynamics.scalar_drift, x, n)
+    drift = _recorded(filt.dynamics.drift_form, x, n)
     bodies = {
-        "barrier": _recorded(filt.barrier.scalar_form, x, n + 1),
+        "barrier": _recorded(filt.barrier.form, x, n + 1),
         "drift": drift,
-        "nominal": _recorded(lambda *c: (filt.nominal.scalar_law(*c),), x, 1),
+        "nominal": _recorded(lambda *c: (filt.nominal.form(*c),), x, 1),
     }
     assert None not in bodies.values()
     for template, written in ((_FLOAT_ROWS, {"rates": drift}), (_FLOAT_LAW, bodies)):
@@ -1626,10 +1586,6 @@ class TestRecordedDrift:
                     form(*x0.tolist())
                 except (ZeroDivisionError, FloatingPointError):
                     assume(False)
-                dyn = ControlAffineDynamics(
-                    drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((n, 1)),
-                    n=n, m=1, scalar_drift=form,
-                )
                 body = _recorded(form, x0, n)
                 assert body is not None
                 got = []
@@ -1648,13 +1604,14 @@ class TestRecordedDrift:
         # each stage instead, to the reference's bits. The last, plain
         # arithmetic, is recorded.
         refused = [
-            lambda a, b: (b, (-a if a > 0.0 else -2.0 * a) - 0.5 * b),  # a branch
-            lambda a, b: (b, math.exp(-a) - 1.0 - 0.5 * b),
+            lambda a, b: (b, np.where(a > 0.0, -a, -2.0 * a) - 0.5 * b),  # a comparison
+            lambda a, b: (b, np.exp(-a) - 1.0 - 0.5 * b),
             lambda a, b: tuple(np.array([b, -a - 0.5 * b])),
             lambda a, b: (b, -a - 1 * b),  # an int constant
             lambda a, b: (b, -a - 0.5 * b + b / math.inf),
+            lambda a, b: (b, abs(a) - a - 0.5 * b),
             # other arithmetic on stand-ins than on floats
-            lambda a, b: (b, (-a if isinstance(a, float) else a) - 0.5 * b),
+            lambda a, b: (b, (a if isinstance(a, _StandIn) else -a) - 0.5 * b),
         ]
         for form in refused + [lambda a, b: (b, -a - 0.5 * b)]:
             sc = _oscillator(form, schedule)
@@ -1679,10 +1636,6 @@ class TestRecordedDrift:
                 total = total + a * 1e-3
             return (total,)
 
-        dyn = ControlAffineDynamics(
-            drift=lambda x: np.array(form(*x)), actuation=lambda x: np.ones((1, 1)), n=1, m=1,
-            scalar_drift=form,
-        )
         body = _recorded(form, np.array([0.5]), 1)
         assert body is not None and len(body[0]) == 600
         got = []
@@ -1774,7 +1727,7 @@ class TestWholeHolds:
         samples = []
         sc = _float_form_scenario(
             lambda a: (1e5,), lambda a: (a, 1.0),
-            lambda a: samples.append(1) or (0.0 if a > 0.0 else 0.0),
+            lambda a: samples.append(1) or 0.0 * (a > 0.0),
             np.ones((1, 1)), (0.9899e8,), HoldSchedule.periodic(7e-3), horizon=0.2,
         )
         steps = _counted_rk4(monkeypatch)
